@@ -1,18 +1,15 @@
 """Obligation-scheduler benchmark: the full AES verification run serial,
 parallel, and warm-cache, plus the cross-backend gate.
 
-Serial (``jobs=1``) is the pre-scheduler baseline path; thread-parallel
-fans the same obligations over a thread pool (GIL-bound -- terms are
-hash-consed process-globally -- so the win is bounded by how much
-discharge time is spent outside the interpreter loop); process-parallel
+Serial (``jobs=1``) is the pre-scheduler baseline path; process-parallel
 ships declarative payloads to worker processes for true multi-core
 proving; warm-cache replays every obligation from the content-addressed
 cache and must perform **zero** auto-stage VC discharges.
 
 The cross-backend gate runs the full AES implementation proof (the
-paper's 306-VC corpus) on all three backends and requires bit-identical
-per-VC outcomes.  On a multi-core machine the process backend must also
-be at least 1.5x faster than the serial baseline.
+paper's 306-VC corpus) on the serial and process backends and requires
+bit-identical per-VC outcomes.  On a multi-core machine the process
+backend must also be at least 1.5x faster than the serial baseline.
 
 Check mode (``REPRO_BENCH_CHECK=1``, used by CI): the differential gate
 still runs in full, but the speedup assertion is skipped -- CI runners
@@ -56,7 +53,8 @@ def bench_scheduler_modes(benchmark):
         rounds=1, iterations=1)
 
     t0 = time.perf_counter()
-    parallel = verify_aes(exec=ExecConfig(jobs=4, cache=False,
+    parallel = verify_aes(exec=ExecConfig(jobs=4, backend="process",
+                                          cache=False,
                                           telemetry=tel_parallel))
     parallel_s = time.perf_counter() - t0
 
@@ -88,7 +86,7 @@ def bench_scheduler_modes(benchmark):
 def bench_scheduler_backends(benchmark):
     """The cross-backend gate on the full AES VC corpus.
 
-    serial / thread jobs=4 / process jobs=4 must produce bit-identical
+    serial / process jobs=4 must produce bit-identical
     per-VC outcomes; on a multi-core machine the process backend must
     beat the serial baseline by >= 1.5x (skipped in check mode and on
     single-core machines, where a process pool cannot beat anything).
@@ -106,18 +104,15 @@ def bench_scheduler_backends(benchmark):
 
     serial, serial_s = benchmark.pedantic(
         lambda: run("serial", 1), rounds=1, iterations=1)
-    thread, thread_s = run("thread", jobs)
     process, process_s = run("process", jobs)
 
     print()
     print(f"serial            {serial_s:.1f} s "
           f"({serial.total_vcs} VCs, {serial.auto_percent:.1f}% auto)")
-    print(f"thread  jobs={jobs}    {thread_s:.1f} s")
     print(f"process jobs={jobs}    {process_s:.1f} s "
           f"(speedup {serial_s / process_s:.2f}x over serial)")
 
-    # The differential gate: all three backends, bit-identical outcomes.
-    assert _vc_outcomes(thread) == _vc_outcomes(serial)
+    # The differential gate: bit-identical outcomes.
     assert _vc_outcomes(process) == _vc_outcomes(serial)
     assert process.auto_percent == serial.auto_percent
     assert process.fully_automatic_subprograms() == \

@@ -26,7 +26,7 @@ The package implements the paper's entire stack from scratch in Python:
 * :mod:`repro.defects` — the section-7 seeded-defect experiment;
 * :mod:`repro.harness` — regenerates every table and figure of the paper;
 * :mod:`repro.exec` — the obligation execution layer: scheduling over
-  serial/thread/process backends, content-addressed result caching, and
+  serial/process/remote backends, content-addressed result caching, and
   structured telemetry, configured through :class:`~repro.exec.ExecConfig`;
 * :mod:`repro.serve` — verification-as-a-service: an asyncio daemon
   (``python -m repro.serve``) with a durable obligation queue, two

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..exec.config import ExecConfig, coerce_exec_config, \
-    reject_legacy_exec_kwargs
+from ..exec.config import ExecConfig, coerce_exec_config
 from ..extract import extract_specification, match_ratio
 from ..implication import prove_implication
 from ..lang import TypedPackage, analyze, ast, print_package
@@ -38,7 +37,7 @@ class EchoVerifier:
                  observables: Sequence[str],
                  samplers: Optional[dict] = None,
                  check: str = "full", trials: int = 24,
-                 exec: Optional["ExecConfig"] = None, **legacy):
+                 exec: Optional["ExecConfig"] = None):
         """``exec`` configures the obligation execution layer
         (:mod:`repro.exec`) -- backend, job count, cache, telemetry,
         timeouts -- for all three proof legs (the PR-3 era bare
@@ -47,7 +46,6 @@ class EchoVerifier:
         :class:`Telemetry`, whose aggregate statistics land on the
         resulting :class:`~repro.core.results.EchoResult`."""
         from ..exec import Telemetry
-        reject_legacy_exec_kwargs("EchoVerifier", legacy)
         config = coerce_exec_config(exec, owner="EchoVerifier")
         if config.telemetry is None:
             config = config.with_telemetry(Telemetry())
@@ -100,21 +98,18 @@ class EchoVerifier:
 
 
 def verify_aes(check: str = "differential", trials: int = 6,
-               exec: Optional["ExecConfig"] = None,
-               **legacy) -> EchoResult:
+               exec: Optional["ExecConfig"] = None) -> EchoResult:
     """The complete AES verification: optimized implementation, 14
     transformation blocks, annotation, implementation proof, extraction,
     implication against FIPS-197.
 
     ``exec=ExecConfig(jobs=N, backend='process')`` fans proof obligations
-    out over worker processes (``backend='thread'`` for a thread pool);
-    the default is the guaranteed-deterministic serial path.  An
-    ``ExecConfig`` carrying a shared :class:`~repro.exec.ResultCache`
-    across calls makes repeat verification incremental (unchanged
-    obligations replay from cache).  ``exec=ExecConfig(backend='remote',
-    remote_workers=(...,))`` shards them across worker hosts (DESIGN.md
-    §16); the PR-3 era bare ``jobs``/``cache``/``telemetry`` shims are
-    gone and raise ``TypeError``."""
+    out over worker processes; the default is the guaranteed-deterministic
+    serial path.  An ``ExecConfig`` carrying a shared
+    :class:`~repro.exec.ResultCache` across calls makes repeat
+    verification incremental (unchanged obligations replay from cache).
+    ``exec=ExecConfig(backend='remote', remote_workers=(...,))`` shards
+    them across worker hosts (DESIGN.md §16)."""
     from ..aes.annotations import build_annotated
     from ..aes.blocks import AESPipeline, transformation_blocks, \
         cipher_sampler
@@ -123,7 +118,6 @@ def verify_aes(check: str = "differential", trials: int = 6,
     from ..aes.proof_scripts import aes_proof_scripts
     from ..lang import parse_package
 
-    reject_legacy_exec_kwargs("verify_aes", legacy)
     config = coerce_exec_config(exec, owner="verify_aes")
     verifier = EchoVerifier(
         parse_package(optimized_source()),

@@ -6,9 +6,9 @@ The three proof layers of the Echo pipeline -- VC discharge
 (:mod:`repro.implication`) -- express their work as uniform
 :class:`~repro.exec.obligation.Obligation` values and hand them to an
 :class:`~repro.exec.scheduler.ObligationScheduler`, which runs them on
-one of four backends -- inline (``backend='serial'`` or ``jobs=1``,
-bit-identical to the historical serial path), a thread pool
-(``backend='thread'``), a process pool (``backend='process'``, true
+one of three backends -- inline (``backend='serial'`` or ``jobs=1``,
+bit-identical to the historical serial path), a process pool
+(``backend='process'``, true
 multi-core proving via the declarative payloads of
 :mod:`repro.exec.payload`), or a distributed proof farm
 (``backend='remote'``, socket-connected worker hosts with a shared

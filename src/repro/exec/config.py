@@ -8,9 +8,7 @@ checks, the implication proof, the harness statistics -- takes one
 value object; components derive per-run :class:`~repro.exec.scheduler
 .ObligationScheduler` instances from it via :meth:`ExecConfig.scheduler`.
 
-The PR-3 migration is complete: the legacy keyword triplet is gone from
-every public entry point.  Passing one now raises a hard ``TypeError``
-with the replacement spelled out::
+Usage::
 
     from repro import ExecConfig, verify_aes
     result = verify_aes(exec=ExecConfig(jobs=8, backend="process"))
@@ -31,15 +29,7 @@ from .retry import RetryPolicy
 from .scheduler import BACKENDS, ObligationScheduler
 from .telemetry import Telemetry
 
-__all__ = ["ExecConfig", "RetryPolicy", "coerce_exec_config",
-           "reject_legacy_exec_kwargs"]
-
-#: The PR-3 legacy keywords, removed in PR 8.  Entry points keep catching
-#: them by name purely to raise a helpful ``TypeError`` (see
-#: :func:`reject_legacy_exec_kwargs`) instead of a bare
-#: "unexpected keyword argument".
-LEGACY_EXEC_KWARGS = ("jobs", "cache", "telemetry", "timeout_seconds",
-                      "obligation_timeout")
+__all__ = ["ExecConfig", "RetryPolicy", "coerce_exec_config"]
 
 
 def _check_address(owner: str, value: Any) -> str:
@@ -67,9 +57,9 @@ class ExecConfig:
                          serial path.  None selects ``os.cpu_count()``.
                          For ``backend="remote"`` this caps the *total*
                          in-flight leases across all connected workers.
-    ``backend``          'serial', 'thread' (GIL-bound, cheap start-up),
-                         'process' (true multi-core proving) or 'remote'
-                         (a proof farm of socket-connected worker hosts).
+    ``backend``          'serial' (the reference path), 'process' (true
+                         multi-core proving) or 'remote' (a proof farm of
+                         socket-connected worker hosts).
     ``cache``            a :class:`~repro.exec.cache.ResultCache`, None
                          for the process-wide default, or False to
                          disable caching outright.
@@ -85,16 +75,14 @@ class ExecConfig:
                          given (0 would silently *disable* the worker's
                          SIGALRM instead of enforcing a bound).  The
                          process and remote backends enforce it
-                         preemptively (SIGALRM in the worker); the thread
-                         backend can only abandon the overrun thread.
+                         preemptively (SIGALRM in the worker).
     ``retries``          a :class:`RetryPolicy`, or an int coerced to one
                          (that many retries, default exponential backoff).
     ``on_error``         'raise' (propagate, the historical behaviour) or
                          'record' (mark the obligation ``errored``).
     ``on_backend_failure``  'raise' (an unusable backend aborts the run)
-                         or 'degrade' (fall back remote→process→thread→
-                         serial, recording a ``degraded`` telemetry
-                         event).
+                         or 'degrade' (fall back remote→process→serial,
+                         recording a ``degraded`` telemetry event).
     ``batch_size``       max obligations bundled into one dispatch unit
                          (DESIGN.md §18).  1 disables batching outright
                          (every obligation keeps its own dispatch unit,
@@ -127,7 +115,7 @@ class ExecConfig:
     """
 
     jobs: Optional[int] = 1
-    backend: str = "thread"
+    backend: str = "serial"
     cache: Any = None
     cache_memory_entries: Optional[int] = None
     telemetry: Optional[Telemetry] = None
@@ -207,19 +195,7 @@ class ExecConfig:
 
     def scheduler(self) -> ObligationScheduler:
         """A scheduler configured by this config (one per run)."""
-        return ObligationScheduler(
-            jobs=self.jobs, cache=self.cache,
-            cache_memory_entries=self.cache_memory_entries,
-            telemetry=self.telemetry,
-            timeout_seconds=self.timeout_seconds, retries=self.retries,
-            on_error=self.on_error, backend=self.backend,
-            on_backend_failure=self.on_backend_failure,
-            remote_workers=self.remote_workers,
-            remote_listen=self.remote_listen,
-            lease_timeout_seconds=self.lease_timeout_seconds,
-            remote_shared_cache=self.remote_shared_cache,
-            batch_size=self.batch_size,
-            batch_bytes_cap=self.batch_bytes_cap)
+        return ObligationScheduler(self)
 
     def with_telemetry(self, telemetry: Telemetry) -> "ExecConfig":
         """This config with ``telemetry`` bound (components that own a
@@ -272,20 +248,7 @@ class ExecConfig:
                 kwargs["retries"] = RetryPolicy(**retries)
             except TypeError as exc:
                 raise ValueError(f"bad retries policy: {exc}")
-        workers = kwargs.get("remote_workers")
-        if workers is not None and not isinstance(workers, (list, tuple)):
-            raise ValueError(f"remote_workers must be a list of "
-                             f"'host:port' strings, got {workers!r}")
         return cls(**kwargs)
-
-    @property
-    def effective_serial(self) -> bool:
-        """True when obligations are guaranteed to run inline, in order,
-        on the calling thread.  Never true for the remote backend: even
-        ``jobs=1`` ships work to a worker host."""
-        if self.backend == "remote":
-            return False
-        return self.backend == "serial" or self.jobs == 1
 
 
 def coerce_exec_config(exec: Optional[ExecConfig], *,
@@ -299,26 +262,3 @@ def coerce_exec_config(exec: Optional[ExecConfig], *,
             f"{owner}: exec must be an ExecConfig, got "
             f"{type(exec).__name__}")
     return exec
-
-
-def reject_legacy_exec_kwargs(owner: str, kwargs: dict) -> None:
-    """Raise the post-migration ``TypeError`` for the removed PR-3 shim
-    keywords (``jobs=``/``cache=``/``telemetry=``/``obligation_timeout=``
-    and friends), with the replacement spelled out.  Entry points route
-    their ``**kwargs`` catch-all here; anything else in ``kwargs`` is a
-    genuinely unknown keyword and gets the stock message."""
-    if not kwargs:
-        return
-    legacy = sorted(set(kwargs) & set(LEGACY_EXEC_KWARGS))
-    if legacy:
-        hints = []
-        for name in legacy:
-            target = "timeout_seconds" if name == "obligation_timeout" \
-                else name
-            hints.append(f"{target}={kwargs[name]!r}")
-        raise TypeError(
-            f"{owner}: the legacy {legacy} keyword(s) were removed; "
-            f"pass exec=ExecConfig({', '.join(hints)}) instead")
-    unknown = sorted(kwargs)
-    raise TypeError(f"{owner}: unexpected keyword argument(s): "
-                    f"{', '.join(unknown)}")

@@ -20,11 +20,11 @@ on-disk cache layer.
 
 An obligation may additionally carry a declarative, picklable ``payload``
 (:mod:`repro.exec.payload`) describing the same work as data.  The serial
-and thread backends always execute the thunk; the process backend ships
+backend always executes the thunk; the process and remote backends ship
 the payload to a worker, which reconstructs the thunk on its side of the
-process boundary.  Obligations without a payload still run under the
-process backend -- inline on the parent, preserving semantics at the cost
-of parallelism.
+process boundary.  Obligations without a payload still run under those
+backends -- inline on the parent, preserving semantics at the cost of
+parallelism.
 
 Obligations in the same ``group`` are executed serially in submission
 order even under a parallel scheduler -- this is how per-subprogram prover

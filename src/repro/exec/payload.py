@@ -1,6 +1,6 @@
 """Declarative, picklable proof-obligation payloads.
 
-The thread and serial scheduler backends execute an obligation's
+The serial scheduler backend executes an obligation's
 ``thunk`` -- a closure over live parent-process objects (typed packages,
 provers, evaluators).  Closures do not pickle, so the process backend
 instead ships a *payload*: a declarative spec naming exactly the inputs

@@ -1,8 +1,8 @@
 """The proof-farm coordinator: worker registry, leases, shared cache.
 
 One :class:`RemoteCoordinator` lives inside the scheduler's
-``backend='remote'`` run (:meth:`~repro.exec.scheduler
-.ObligationScheduler._run_remote`).  It owns the farm's connection
+``backend='remote'`` run (the socket transport of
+:mod:`repro.exec.scheduler`).  It owns the farm's connection
 state and speaks the versioned wire protocol of :mod:`repro.protocol`
 -- the scheduler only sees a lease API and an event queue:
 
@@ -77,18 +77,12 @@ class _Lease:
     member."""
 
     def __init__(self, lease_id: str, indices: tuple, worker: _Worker,
-                 deadline: Optional[float],
-                 keys: Optional[Dict[int, str]] = None):
+                 deadline: Optional[float], keys: Dict[int, str]):
         self.lease_id = lease_id
         self.indices = indices
         self.worker = worker
         self.deadline = deadline
-        self.keys = keys or {}
-        self.acked = False
-
-    @property
-    def index(self) -> int:
-        return self.indices[0]
+        self.keys = keys
 
 
 class RemoteCoordinator:
@@ -216,42 +210,14 @@ class RemoteCoordinator:
         blamed obligation avoids the host that lost it, when another is
         alive).  Returns the worker's name, or ``None`` when no worker
         has capacity."""
-        while True:
-            with self._lock:
-                open_slots = [w for w in self._workers.values()
-                              if len(w.lease_ids) < self._per_worker]
-                if not open_slots:
-                    return None
-                preferred = [w for w in open_slots
-                             if w.name not in avoid] or open_slots
-                worker = min(preferred, key=lambda w: len(w.lease_ids))
-                self._sequence += 1
-                lease_id = f"L{self._sequence}"
-                deadline = (time.monotonic() + self._lease_timeout
-                            if self._lease_timeout is not None else None)
-                keys = {index: cache_key} if cache_key is not None else None
-                lease = _Lease(lease_id, (index,), worker, deadline, keys)
-                self._leases[lease_id] = lease
-                worker.lease_ids.add(lease_id)
-            message = {
+        return self._lease_unit(
+            (index,), {index: cache_key} if cache_key is not None else {},
+            lambda lease_id: {
                 "op": "lease", "lease": lease_id, "index": index,
                 "blob": encode_blob((payload, retry_policy)),
                 "timeout": timeout_seconds, "token": token,
                 "key": cache_key,
-            }
-            try:
-                worker.link.send(message)
-                return worker.name
-            except OSError as exc:
-                # The connection died at send time: this lease never
-                # reached the worker, so retire it *before* dropping the
-                # worker -- the obligation is not blamed, only the
-                # worker's other (delivered) leases are.
-                with self._lock:
-                    self._leases.pop(lease_id, None)
-                    worker.lease_ids.discard(lease_id)
-                self._drop_worker(worker, f"send failed: {exc}")
-                # Another worker may have capacity; try again.
+            }, avoid)
 
     def lease_batch(self, indices: Sequence[int], batch, retry_policy,
                     timeout_seconds: Optional[float],
@@ -265,8 +231,25 @@ class RemoteCoordinator:
         them and the scheduler re-runs them solo.  Returns the worker's
         name, or ``None`` when no worker has capacity."""
         indices = tuple(indices)
-        keys = {index: key for index, _, _, key in batch.entries
-                if key is not None}
+        return self._lease_unit(
+            indices, {index: key for index, _, _, key in batch.entries
+                      if key is not None},
+            lambda lease_id: {
+                "op": "lease_batch", "lease": lease_id,
+                "indices": list(indices),
+                "blob": encode_blob((batch, retry_policy)),
+                "timeout": timeout_seconds,
+            }, avoid)
+
+    def _lease_unit(self, indices: tuple, keys: Dict[int, str],
+                    message: Callable[[str], dict],
+                    avoid: Sequence[str]) -> Optional[str]:
+        """Pick a slot, register the lease, then send ``message(lease
+        id)``.  The lease is registered before the send
+        (journal-before-send); a send that fails retires the lease
+        *before* dropping the worker -- it never reached the worker, so
+        its members are not blamed, only the worker's delivered leases
+        are -- and another worker is tried."""
         while True:
             with self._lock:
                 open_slots = [w for w in self._workers.values()
@@ -283,22 +266,13 @@ class RemoteCoordinator:
                 deadline = (time.monotonic()
                             + self._lease_timeout * len(indices)
                             if self._lease_timeout is not None else None)
-                lease = _Lease(lease_id, indices, worker, deadline, keys)
-                self._leases[lease_id] = lease
+                self._leases[lease_id] = _Lease(lease_id, indices, worker,
+                                                deadline, keys)
                 worker.lease_ids.add(lease_id)
-            message = {
-                "op": "lease_batch", "lease": lease_id,
-                "indices": list(indices),
-                "blob": encode_blob((batch, retry_policy)),
-                "timeout": timeout_seconds,
-            }
             try:
-                worker.link.send(message)
+                worker.link.send(message(lease_id))
                 return worker.name
             except OSError as exc:
-                # Same discipline as ``lease``: a send-time death means
-                # the batch never reached the worker -- retire it before
-                # dropping the worker so no member is blamed.
                 with self._lock:
                     self._leases.pop(lease_id, None)
                     worker.lease_ids.discard(lease_id)
@@ -406,50 +380,31 @@ class RemoteCoordinator:
         link.close()
 
     def _handle(self, worker: _Worker, message: dict) -> None:
-        if message.get("reply") == "ack":
-            with self._lock:
-                lease = self._leases.get(message.get("lease"))
-                if lease is not None:
-                    lease.acked = True
-        elif message.get("reply") == "result":
-            with self._lock:
-                lease = self._leases.pop(message.get("lease"), None)
-                if lease is not None:
-                    lease.worker.lease_ids.discard(lease.lease_id)
-            if lease is None:
-                return   # stale: lease expired/blamed before the result
-            try:
-                result = decode_blob(message["blob"])
-            except Exception as exc:   # noqa: BLE001 - wire-data boundary
-                result = (lease.index, "errored",
-                          f"undecodable result blob from "
-                          f"{worker.name}: {exc}", 0.0, 1, (), None)
-            key = lease.keys.get(lease.index)
-            if key is not None and len(result) > 2 and result[1] == "ok":
-                with self._lock:
-                    self._result_wire[key] = result[2]
-            self.events.put(("result", lease.index, result, worker.name,
-                             message.get("served", "computed")))
-        elif message.get("reply") == "result_batch":
+        # An ``ack`` needs no bookkeeping: the lease is already journaled,
+        # and only its result (or the connection's loss) retires it.
+        if message.get("reply") in ("result", "result_batch"):
             with self._lock:
                 lease = self._leases.pop(message.get("lease"), None)
                 if lease is not None:
                     lease.worker.lease_ids.discard(lease.lease_id)
             if lease is None:
                 return   # stale: lease expired/blamed before the results
-            # Decompose the batch into the per-obligation ("result", ...)
-            # events the scheduler already understands -- batching is
-            # invisible above the coordinator except for its telemetry.
+            # Decompose a batch into per-obligation ("result", ...) events
+            # -- batching is invisible above the coordinator except for
+            # its telemetry.  A solo result is a batch of one.
+            solo = message["reply"] == "result"
+            served = message.get("served")
             try:
-                results = tuple(decode_blob(message["blob"]))
+                results = decode_blob(message["blob"])
+                results = (results,) if solo else tuple(results)
             except Exception as exc:   # noqa: BLE001 - wire-data boundary
                 results = tuple(
-                    (index, "errored",
-                     f"undecodable batch result blob from "
-                     f"{worker.name}: {exc}", 0.0, 1, (), None)
-                    for index in lease.indices)
-            served = message.get("served")
-            if not isinstance(served, list) or len(served) != len(results):
+                    (index, "errored", f"undecodable result blob from "
+                                       f"{worker.name}: {exc}",
+                     0.0, 1, (), None) for index in lease.indices)
+            if solo:
+                served = [served or "computed"]
+            elif not isinstance(served, list) or len(served) != len(results):
                 served = ["computed"] * len(results)
             for result, tier in zip(results, served):
                 index = result[0]

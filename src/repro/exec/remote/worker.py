@@ -80,6 +80,18 @@ def _await_cache_value(link: Link, pending: deque,
         pending.append(message)
 
 
+def _answer(index: int, payload, retry_policy, timeout, token: str,
+            key: Optional[str], local_cache: Dict[str, object]) -> tuple:
+    """``(result, served)`` for one obligation: the worker's local tier,
+    else :func:`_process_worker` (whose verdict then warms the tier)."""
+    if key is not None and key in local_cache:
+        return (index, "ok", local_cache[key], 0.0, 1, (), None), "local"
+    result = _process_worker(index, payload, retry_policy, timeout, token)
+    if key is not None and result[1] == "ok":
+        local_cache[key] = result[2]
+    return result, "computed"
+
+
 def _handle_lease(link: Link, message: dict, shared_cache: bool,
                   local_cache: Dict[str, object],
                   pending: deque) -> None:
@@ -88,25 +100,18 @@ def _handle_lease(link: Link, message: dict, shared_cache: bool,
     key = message.get("key")
     link.send({"reply": "ack", "lease": lease_id})
     result = None
-    served = "computed"
-    if key is not None and key in local_cache:
-        result = (index, "ok", local_cache[key], 0.0, 1, (), None)
-        served = "local"
-    elif key is not None and shared_cache:
+    if key is not None and shared_cache and key not in local_cache:
         link.send({"op": "cache_get", "lease": lease_id, "key": key})
         value = _await_cache_value(link, pending, lease_id)
         if value is not None and value.get("hit"):
             wire = decode_blob(value["wire"])
             local_cache[key] = wire
-            result = (index, "ok", wire, 0.0, 1, (), None)
-            served = "tier"
+            result, served = (index, "ok", wire, 0.0, 1, (), None), "tier"
     if result is None:
         payload, retry_policy = decode_blob(message["blob"])
-        result = _process_worker(index, payload, retry_policy,
+        result, served = _answer(index, payload, retry_policy,
                                  message.get("timeout"),
-                                 message.get("token", ""))
-        if key is not None and result[1] == "ok":
-            local_cache[key] = result[2]
+                                 message.get("token", ""), key, local_cache)
     link.send({"reply": "result", "lease": lease_id, "index": index,
                "served": served, "blob": encode_blob(result)})
 
@@ -129,22 +134,12 @@ def _handle_lease_batch(link: Link, message: dict,
     batch, retry_policy = decode_blob(message["blob"])
     for warm_key, warm_norms in batch.warm:
         _absorb_warm(warm_key, warm_norms)
-    results = []
-    served = []
-    for index, payload, token, key in batch.entries:
-        if key is not None and key in local_cache:
-            results.append((index, "ok", local_cache[key], 0.0, 1, (),
-                            None))
-            served.append("local")
-            continue
-        result = _process_worker(index, payload, retry_policy,
-                                 message.get("timeout"), token)
-        if key is not None and result[1] == "ok":
-            local_cache[key] = result[2]
-        results.append(result)
-        served.append("computed")
+    answers = [_answer(index, payload, retry_policy, message.get("timeout"),
+                       token, key, local_cache)
+               for index, payload, token, key in batch.entries]
     link.send({"reply": "result_batch", "lease": lease_id,
-               "served": served, "blob": encode_blob(tuple(results))})
+               "served": [served for _, served in answers],
+               "blob": encode_blob(tuple(result for result, _ in answers))})
 
 
 def _serve_connection(sock: socket.socket, name: str,

@@ -2,74 +2,49 @@
 
 ``ObligationScheduler.run`` takes a list of :class:`Obligation` and
 returns one :class:`ObligationOutcome` per obligation, **in input order**
-regardless of completion order.  Four execution backends:
+regardless of completion order.  Three execution backends:
 
 * ``backend='serial'`` (or ``jobs == 1``) -- the guaranteed serial
-  fallback: obligations run inline, one after another, on the calling
-  thread.  This path performs exactly the work the pre-scheduler code
-  ran, in the same order, so results are bit-identical and tier-1
-  determinism is preserved.
-* ``backend='thread'`` -- a ``concurrent.futures.ThreadPoolExecutor``.
-  Cheap to spin up and shares the parent's interned terms directly, but
-  GIL-bound for pure-Python proving: extra threads only help where
-  discharge time is spent outside the interpreter loop.
-* ``backend='process'`` -- a ``concurrent.futures.ProcessPoolExecutor``.
-  True multi-core proving for the embarrassingly parallel obligation
-  batches of the three proof legs.  The parent ships each obligation's
+  fallback and the reference every differential gate compares against:
+  obligations run inline, one after another, on the calling thread,
+  performing exactly the work the pre-scheduler code ran, in the same
+  order.
+* ``backend='process'`` -- a ``concurrent.futures.ProcessPoolExecutor``
+  for true multi-core proving.  The parent ships each obligation's
   declarative ``payload`` (:mod:`repro.exec.payload`); terms inside it
   cross the boundary via the structural wire format
   (:mod:`repro.logic.wire`), which re-interns them worker-side so
-  hash-consing identity survives.  Obligations without a payload run
-  inline on the parent.
+  hash-consing identity survives.
 * ``backend='remote'`` -- a proof farm (:mod:`repro.exec.remote`):
   obligations are *leased* to worker processes on other hosts over
-  sockets, shipping the same payloads via the same wire format as the
-  process backend (pickled term DAGs re-interned worker-side).  A shared
-  networked cache tier lets any worker read this scheduler's
-  content-addressed cache before computing, a lost connection blames
-  exactly that worker's leases (re-run solo, quarantine after
-  ``QUARANTINE_AFTER`` blames, flapping hosts rejected), and the
-  degradation chain extends to ``remote→process→thread→serial``.
-  See :meth:`ObligationScheduler._run_remote` and DESIGN.md §16.
+  sockets, shipping the same payloads in the same wire format.
 
-Obligations sharing a ``group`` are chained so they execute serially in
-submission order on every backend (per-subprogram prover state keeps its
-serial discipline); distinct groups and ungrouped obligations fan out
-freely.  The cache and telemetry always live in the parent: workers
-return (wire-encoded) results plus timing, and the parent records events
-and populates the cache, so both behave identically across backends.
+The process and remote backends share one dispatch loop
+(:meth:`ObligationScheduler._run_units`, DESIGN.md §11): it chains
+groups, settles cache hits and payloadless obligations in the parent,
+cuts the work into dispatch units before anything ships, decodes
+results, fills the cache, records telemetry, and runs the single blame
+→ solo re-run → quarantine sequence of DESIGN.md §12.  Below it sits a
+narrow transport -- submit a unit, poll for events, close -- with two
+implementations: :class:`_PoolTransport` (a local process pool) and
+:class:`_SocketTransport` (a :class:`~repro.exec.remote.RemoteCoordinator`).
 
-Per-obligation timeout: the thread backend can only *abandon* an overrun
-worker thread (threads cannot be preempted) -- the collector marks the
-obligation ``timed_out`` and the thread's eventual result is discarded.
-The process backend upgrades this to a hard bound: the worker installs a
-``SIGALRM`` interval timer around the discharge, so an overrunning
-obligation is preempted mid-computation, reported ``timed_out``, and the
-worker process stays healthy for the next obligation.  (A stuck worker
-that fails to honor the alarm is abandoned by a parent-side fallback
-deadline, and the abandonment is recorded in telemetry at shutdown.)  In
-serial mode the thunk's own internal timeouts
-(e.g. ``AutoProver.timeout_seconds``) bound the work, as they always did.
+Obligations sharing a ``group`` execute serially in submission order on
+every backend; distinct groups and ungrouped obligations fan out freely.
+The cache and telemetry always live in the parent, so both behave
+identically across backends.  The per-obligation timeout is a hard
+worker-side ``SIGALRM`` bound; a worker that fails to honour it is
+abandoned by a parent-side fallback deadline.
 
 Fault tolerance (DESIGN.md §12).  Transient failures are retried under a
-:class:`~repro.exec.retry.RetryPolicy` -- exponential backoff with
-deterministic jitter, so the delay schedule of an obligation is identical
-on every backend and host; a thunk that still raises either propagates
-(``on_error='raise'``, the default -- matching the pre-scheduler
-behaviour) or is recorded as an ``errored`` outcome
-(``on_error='record'``).  The process backend additionally survives
-*worker death*: when the pool breaks (``BrokenProcessPool``), every
-in-flight obligation is blamed once and requeued for a solo re-run on a
-freshly respawned pool -- solo, so the second run assigns guilt
-precisely -- and an obligation that kills a worker twice is quarantined
-with a ``crashed`` outcome instead of aborting the run.  When the
-backend itself proves unusable (the pool cannot be respawned, worker
-processes die before executing anything, thread creation fails), the
-scheduler either raises :class:`BackendUnusableError`
-(``on_backend_failure='raise'``) or degrades along the
-process→thread→serial chain (``on_backend_failure='degrade'``),
-recording a ``degraded`` telemetry event and finishing the remaining
-obligations on the fallback backend.
+:class:`~repro.exec.retry.RetryPolicy`; a thunk that still raises either
+propagates (``on_error='raise'``) or is recorded ``errored``
+(``on_error='record'``).  A lost worker blames every obligation it held;
+blamed obligations re-run solo, and one blamed ``QUARANTINE_AFTER``
+times is quarantined with a ``crashed`` outcome.  A backend that cannot
+make progress raises :class:`BackendUnusableError`
+(``on_backend_failure='raise'``) or degrades along
+``remote → process → serial`` (``on_backend_failure='degrade'``).
 """
 
 from __future__ import annotations
@@ -78,33 +53,33 @@ import io
 import os
 import pickle
 import signal
-import threading
 import time
 from collections import deque
 from concurrent.futures import (
-    FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor,
-    ThreadPoolExecutor, TimeoutError as _FutureTimeout, wait as _fut_wait,
+    FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor, wait as _fut_wait,
 )
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from . import events as ev
-from .cache import ResultCache, default_cache
+from .cache import default_cache
 from .obligation import Obligation
 from .payload import make_batch
 from .retry import RetryPolicy
-from .telemetry import Telemetry, default_telemetry
+from .telemetry import default_telemetry
+
+if TYPE_CHECKING:
+    from .config import ExecConfig
 
 __all__ = ["ObligationOutcome", "ObligationScheduler", "BACKENDS",
            "BackendUnusableError"]
 
 #: Recognized execution backends, in increasing order of isolation.
-BACKENDS = ("serial", "thread", "process", "remote")
+BACKENDS = ("serial", "process", "remote")
 
 #: Fallback taken by ``on_backend_failure='degrade'`` when a backend is
 #: unusable; ``serial`` has no fallback -- it cannot fail to exist.
-DEGRADE_CHAIN = {"remote": "process", "process": "thread",
-                 "thread": "serial"}
+DEGRADE_CHAIN = {"remote": "process", "process": "serial"}
 
 OK = "ok"
 CACHED = "cached"
@@ -113,7 +88,7 @@ ERRORED = "errored"
 SKIPPED = "skipped"
 CRASHED = "crashed"
 
-#: Kill-a-worker blames after which an obligation is quarantined.
+#: Lost-worker blames after which an obligation is quarantined.
 QUARANTINE_AFTER = 2
 
 
@@ -143,32 +118,44 @@ class BackendUnusableError(RuntimeError):
         self.reason = reason
 
 
-class _Abandoned(Exception):
-    """Internal: the collector stopped waiting for this obligation."""
-
-
 class _HardTimeout(BaseException):
     """Worker-side: the per-obligation SIGALRM fired.  A BaseException so
     no ``except Exception`` inside a discharge can swallow it."""
 
 
+def _retrying(run: Callable[[], object], retry_policy: RetryPolicy,
+              token: str, on_retry: Callable[[Exception], None]) -> tuple:
+    """Call ``run`` until it returns or ``retry_policy`` is exhausted,
+    sleeping the policy's deterministic backoff (``token`` feeds the
+    jitter, so every backend and host sleeps the same schedule) and
+    reporting each retried exception to ``on_retry``.  Returns ``(value,
+    attempts, last exception or None)``."""
+    attempts = 0
+    while True:
+        attempts += 1
+        try:
+            return run(), attempts, None
+        except Exception as exc:   # noqa: BLE001 - boundary by design
+            if attempts > retry_policy.retries:
+                return None, attempts, exc
+            on_retry(exc)
+            pause = retry_policy.delay(attempts, token)
+            if pause:
+                time.sleep(pause)
+
+
 def _process_worker(index: int, payload, retry_policy: RetryPolicy,
                     timeout_seconds: Optional[float], token: str) -> tuple:
-    """Execute one obligation payload in a pool worker.
+    """Execute one obligation payload in a worker.
 
     Returns ``(index, status, wire_value, wall, attempts, retry_errors,
     exception-or-None)`` -- always plain picklable data; exceptions are
     only shipped as objects when they themselves pickle.  ``status`` is
     ``'ok'``, ``'timed_out'`` (the hard per-obligation deadline fired) or
     ``'errored'``.  The timeout budget covers the whole obligation,
-    retries *and their backoff sleeps* included, matching the thread
-    backend's per-obligation wait; ``token`` feeds the deterministic
-    jitter so worker-side delays equal parent-side ones.
+    retries *and their backoff sleeps* included.
     """
-    import pickle
-
     started = time.perf_counter()
-    attempts = 0
     retry_errors: List[str] = []
     alarmed = False
     if timeout_seconds and hasattr(signal, "SIGALRM"):
@@ -179,38 +166,28 @@ def _process_worker(index: int, payload, retry_policy: RetryPolicy,
         signal.setitimer(signal.ITIMER_REAL, timeout_seconds)
         alarmed = True
     try:
-        while True:
-            attempts += 1
-            try:
-                value = payload.run()
-                wire = payload.encode_result(value)
-                return (index, "ok", wire,
-                        time.perf_counter() - started, attempts,
-                        tuple(retry_errors), None)
-            except _HardTimeout:
-                return (index, "timed_out", None,
-                        time.perf_counter() - started, attempts,
-                        tuple(retry_errors), None)
-            except Exception as exc:   # noqa: BLE001 - boundary by design
-                if attempts <= retry_policy.retries:
-                    retry_errors.append(str(exc))
-                    pause = retry_policy.delay(attempts, token)
-                    if pause:
-                        time.sleep(pause)
-                    continue
-                try:
-                    pickle.dumps(exc)
-                    shipped = exc
-                except Exception:   # noqa: BLE001 - anything may fail to pickle
-                    shipped = None
-                return (index, "errored",
-                        f"{type(exc).__name__}: {exc}",
-                        time.perf_counter() - started, attempts,
-                        tuple(retry_errors), shipped)
+        wire, attempts, exc = _retrying(
+            lambda: payload.encode_result(payload.run()), retry_policy,
+            token, lambda exc: retry_errors.append(str(exc)))
+    except _HardTimeout:
+        return (index, "timed_out", None, time.perf_counter() - started,
+                len(retry_errors) + 1, tuple(retry_errors), None)
     finally:
         if alarmed:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, previous)
+    wall = time.perf_counter() - started
+    if exc is None:
+        return (index, "ok", wire, wall, attempts, tuple(retry_errors),
+                None)
+    try:
+        pickle.dumps(exc)
+    except Exception:   # noqa: BLE001 - anything may fail to pickle
+        exc_obj = None
+    else:
+        exc_obj = exc
+    return (index, "errored", f"{type(exc).__name__}: {exc}", wall,
+            attempts, tuple(retry_errors), exc_obj)
 
 
 def _batch_worker(batch, retry_policy: RetryPolicy,
@@ -273,6 +250,281 @@ class _BatchSizer:
         return self._buf.tell() - before
 
 
+def _batch(obligations, members: tuple):
+    """The :class:`~repro.exec.payload.BatchPayload` of a unit."""
+    return make_batch([(i, obligations[i].payload, obligations[i].label,
+                        obligations[i].cache_key) for i in members])
+
+
+class _PoolTransport:
+    """Dispatch units over a local ``ProcessPoolExecutor``.
+
+    Every unit goes straight to the pool (no in-flight cap), so workers
+    never idle waiting on a parent round trip.  A dead worker breaks the
+    whole pool: everything in flight is reported lost and the pool is
+    respawned.  Owns the respawn budget (``POOL_SPAWN_ATTEMPTS``, via
+    :meth:`ObligationScheduler._spawn_pool`), the ``BARREN_CRASH_LIMIT``
+    on pools dying with nothing in flight, and the parent-side fallback
+    deadline behind the worker's ``SIGALRM``.
+    """
+
+    def __init__(self, sched: "ObligationScheduler", obligations):
+        self._sched = sched
+        self._obligations = obligations
+        self._pool = sched._spawn_pool()
+        #: Future -> (members, abandon-at on the perf_counter clock)
+        self._in_flight: Dict[object, tuple] = {}
+        self._lost: List[tuple] = []    # events of a submit-time break
+        self._barren = 0
+        self._abandoned = False
+        # A worker that ignores its alarm (or a timeout with no SIGALRM
+        # support) is abandoned once this much slack has passed.
+        timeout = sched.timeout_seconds
+        self._fallback = float("inf") if timeout is None \
+            else timeout * 1.5 + sched.TIMEOUT_FALLBACK_SLACK
+
+    @property
+    def busy(self) -> bool:
+        return bool(self._in_flight)
+
+    def submit(self, members: tuple) -> bool:
+        # A solo unit ships as a batch of one: same worker path, one
+        # result tuple per member either way.
+        try:
+            future = self._pool.submit(
+                _batch_worker, _batch(self._obligations, members),
+                self._sched.retry_policy, self._sched.timeout_seconds)
+        except BrokenExecutor as exc:
+            self._lost += self._recover(exc)
+            return False
+        # Worker-side SIGALRM bounds each item, so a unit's worst
+        # legitimate case is the sum of its members' budgets.
+        self._in_flight[future] = (members, time.perf_counter()
+                                   + self._fallback * len(members))
+        return True
+
+    def poll(self) -> List[tuple]:
+        if self._lost or not self._in_flight:
+            lost, self._lost = self._lost, []
+            return lost
+        soonest = min(deadline for _, deadline in self._in_flight.values())
+        wait_for = None if soonest == float("inf") \
+            else max(0.0, soonest - time.perf_counter())
+        done, _ = _fut_wait(set(self._in_flight), timeout=wait_for,
+                            return_when=FIRST_COMPLETED)
+        now = time.perf_counter()
+        events: List[tuple] = []
+        broken = None
+        for future, (members, deadline) in list(self._in_flight.items()):
+            if future in done:
+                try:
+                    raw = future.result()
+                except BrokenExecutor as exc:
+                    # Worker death poisons every in-flight future; this
+                    # one stays in flight so _recover reports it lost.
+                    broken = exc
+                    continue
+                except Exception as exc:   # noqa: BLE001 - unpicklable payload/result
+                    results = tuple(
+                        (i, ERRORED, f"{type(exc).__name__}: {exc}", 0.0, 1,
+                         (), exc) for i in members)
+                else:
+                    self._barren = 0
+                    results = raw
+                del self._in_flight[future]
+                events.append(("done", results, ("",) * len(results)))
+            elif deadline <= now:
+                # The worker ignored its alarm or died silently: abandon
+                # it.  The parent cannot retrieve partial results from an
+                # unresponsive worker, so every member times out.
+                self._abandoned = True
+                del self._in_flight[future]
+                events.append(("expired", members))
+        if broken is not None:
+            events += self._recover(broken)
+        return events
+
+    def close(self) -> None:
+        if self._abandoned:
+            self._sched.telemetry.record(
+                ev.WORKER_ABANDONED, "exec", "backend:process",
+                detail="unresponsive worker process abandoned at pool "
+                       "shutdown")
+        # Wait unless an abandoned worker would block shutdown forever.
+        self._pool.shutdown(wait=not self._abandoned, cancel_futures=True)
+
+    def _recover(self, cause: BaseException) -> List[tuple]:
+        """The pool broke: respawn it; every unit in flight is lost."""
+        if self._in_flight:
+            self._barren = 0
+        else:
+            self._barren += 1
+            if self._barren >= self._sched.BARREN_CRASH_LIMIT:
+                raise BackendUnusableError(
+                    "process", f"worker pool keeps dying with nothing in "
+                               f"flight ({cause})")
+        reason = f"worker died ({type(cause).__name__})"
+        lost = [("lost", members, reason)
+                for members, _ in self._in_flight.values()]
+        self._in_flight.clear()
+        try:
+            self._pool.shutdown(wait=False, cancel_futures=True)
+        except Exception:   # noqa: BLE001 - broken pools may misbehave
+            pass
+        self._pool = self._sched._spawn_pool()
+        return lost
+
+
+class _SocketTransport:
+    """Dispatch units as leases over a
+    :class:`~repro.exec.remote.RemoteCoordinator` (DESIGN.md §16).
+
+    Owns the ``jobs`` cap on leases (dispatch units) in flight, the
+    lease timeout, the workers' join grace
+    (``REMOTE_WORKER_GRACE``), steering a blamed obligation's re-run away
+    from the host that lost it, host-quarantine telemetry, and each
+    result's ``worker=… served=…`` detail.  A lost connection is reported
+    for exactly that worker's leases; other workers keep going.
+    """
+
+    def __init__(self, sched: "ObligationScheduler", obligations,
+                 remaining: Sequence[int]):
+        from .remote.coordinator import RemoteCoordinator
+
+        self._sched = sched
+        self._obligations = obligations
+        config = sched.config
+        # The shared cache tier: workers ask the coordinator for a key
+        # before computing; the lookup runs against this scheduler's own
+        # cache, re-encoded to the obligation's wire form.
+        by_key: Dict[str, Obligation] = {}
+        for i in remaining:
+            ob = obligations[i]
+            if ob.cache_key is not None and ob.payload is not None:
+                by_key.setdefault(ob.cache_key, ob)
+
+        def cache_lookup(key):
+            ob = by_key.get(key)
+            if ob is None:
+                return None
+            hit, value = sched.cache.get(key, decode=ob.decode)
+            if not hit:
+                return None
+            try:
+                return ob.encode(value) if ob.encode is not None \
+                    else ob.payload.encode_result(value)
+            except Exception:   # noqa: BLE001 - a cache miss, not a fault
+                return None
+
+        # Explicit lease_timeout_seconds wins; otherwise a worker's
+        # REMOTE_PER_WORKER_INFLIGHT leases, each bounded worker-side by
+        # SIGALRM, bound it; with neither, leases never expire.
+        lease_timeout = config.lease_timeout_seconds
+        if lease_timeout is None and sched.timeout_seconds is not None:
+            lease_timeout = (sched.REMOTE_PER_WORKER_INFLIGHT
+                             * sched.timeout_seconds * 1.5
+                             + sched.TIMEOUT_FALLBACK_SLACK)
+        self._coordinator = RemoteCoordinator(
+            listen=config.remote_listen, dial=config.remote_workers,
+            cache_lookup=(cache_lookup if config.remote_shared_cache
+                          and sched.cache is not None else None),
+            lease_timeout=lease_timeout,
+            per_worker=sched.REMOTE_PER_WORKER_INFLIGHT)
+        try:
+            self._coordinator.start()
+        except OSError as exc:
+            raise BackendUnusableError(
+                "remote", f"cannot start coordinator: {exc}")
+        self._in_flight: Dict[int, tuple] = {}   # index -> its unit
+        self._delivered: Dict[tuple, dict] = {}  # in-flight unit -> results
+        self._blamed_on: Dict[int, str] = {}     # index -> host that lost it
+        if not self._coordinator.wait_for_workers(
+                1, sched.REMOTE_WORKER_GRACE):
+            self._coordinator.stop()
+            raise BackendUnusableError(
+                "remote", f"no workers joined within "
+                          f"{sched.REMOTE_WORKER_GRACE}s")
+
+    @property
+    def busy(self) -> bool:
+        return bool(self._in_flight)
+
+    def submit(self, members: tuple) -> bool:
+        if len(self._delivered) >= self._sched.jobs:
+            return False
+        obligations, sched = self._obligations, self._sched
+        avoid = {self._blamed_on[i] for i in members if i in self._blamed_on}
+        if len(members) == 1:
+            ob = obligations[members[0]]
+            name = self._coordinator.lease(
+                members[0], ob.payload, sched.retry_policy,
+                sched.timeout_seconds, ob.label, ob.cache_key, avoid=avoid)
+        else:
+            name = self._coordinator.lease_batch(
+                members, _batch(obligations, members), sched.retry_policy,
+                sched.timeout_seconds, avoid=avoid)
+        if name is None:
+            return False
+        for i in members:
+            self._in_flight[i] = members
+        self._delivered[members] = {}
+        return True
+
+    def poll(self) -> List[tuple]:
+        coordinator = self._coordinator
+        if not self._in_flight and coordinator.live_workers() == 0:
+            # Pending work, no workers left (all lost or quarantined):
+            # grant joiners one grace period.
+            grace = self._sched.REMOTE_WORKER_GRACE
+            if not coordinator.wait_for_workers(1, grace):
+                raise BackendUnusableError(
+                    "remote", f"every worker was lost or quarantined and "
+                              f"no replacement joined within {grace}s")
+            return []
+        events: List[tuple] = []
+        event = coordinator.poll(timeout=0.25)
+        while event is not None:
+            self._translate(event, events)
+            event = coordinator.poll(timeout=0)
+        return events
+
+    def _translate(self, event: tuple, events: List[tuple]) -> None:
+        if event[0] == "result":
+            _, index, result, name, served = event
+            unit = self._in_flight.pop(index, None)
+            if unit is None:
+                return   # stale: already blamed and requeued
+            delivered = self._delivered[unit]
+            delivered[index] = (result, f"worker={name} served={served}")
+            if len(delivered) == len(unit):
+                del self._delivered[unit]
+                events.append(("done",
+                               tuple(delivered[i][0] for i in unit),
+                               tuple(delivered[i][1] for i in unit)))
+        elif event[0] == "lost":
+            # A lease's results arrive in one message, so a lost lease
+            # never has delivered members: the unit is lost whole.
+            _, name, indices, reason = event
+            units: Dict[tuple, List[int]] = {}
+            for index in indices:
+                unit = self._in_flight.pop(index, None)
+                if unit is not None:
+                    self._blamed_on[index] = name
+                    units.setdefault(unit, []).append(index)
+            for unit, members in units.items():
+                self._delivered.pop(unit, None)
+                events.append(("lost", tuple(members),
+                               f"worker {name} lost ({reason})"))
+        elif event[0] == "quarantined":
+            _, name, reason = event
+            self._sched.telemetry.record(ev.QUARANTINED, "exec",
+                                         f"worker:{name}", detail=reason)
+        # "joined" needs no action: capacity is re-checked on submit.
+
+    def close(self) -> None:
+        self._coordinator.stop()
+
+
 class ObligationScheduler:
     #: (Re)spawn attempts granted to the process pool before the backend
     #: is declared unusable.
@@ -292,83 +544,30 @@ class ObligationScheduler:
     #: idles waiting on the coordinator's dispatch latency.
     REMOTE_PER_WORKER_INFLIGHT = 2
 
-    def __init__(self, jobs: Optional[int] = None,
-                 cache: Optional[ResultCache] = None,
-                 cache_memory_entries: Optional[int] = None,
-                 telemetry: Optional[Telemetry] = None,
-                 timeout_seconds: Optional[float] = None,
-                 retries: Union[int, RetryPolicy] = 0,
-                 on_error: str = "raise",
-                 backend: str = "thread",
-                 on_backend_failure: str = "raise",
-                 remote_workers: Sequence[str] = (),
-                 remote_listen: Optional[str] = None,
-                 lease_timeout_seconds: Optional[float] = None,
-                 remote_shared_cache: bool = True,
-                 batch_size: int = 16,
-                 batch_bytes_cap: int = 4 * 1024 * 1024):
-        self.jobs = max(1, jobs if jobs is not None else
-                        (os.cpu_count() or 1))
-        if backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, "
-                             f"got {backend!r}")
-        self.backend = backend
-        #: ``cache=None`` selects the process default; ``cache=False``
-        #: disables caching outright.
-        if cache is None:
+    def __init__(self, config: "ExecConfig"):
+        """``config`` is an :class:`~repro.exec.config.ExecConfig`, which
+        validates every setting; the scheduler resolves the defaults
+        (``jobs=None`` → CPU count, ``cache=None`` → the process-wide
+        cache, ``cache=False`` → no cache, ``telemetry=None`` → the
+        process-wide log)."""
+        self.config = config
+        self.jobs = config.jobs or os.cpu_count() or 1
+        self.backend = config.backend
+        if config.cache is None:
             self.cache = default_cache()
-        elif cache is False:
+        elif config.cache is False:
             self.cache = None
         else:
-            self.cache = cache
-        if self.cache is not None and cache_memory_entries is not None:
-            self.cache.set_memory_limit(cache_memory_entries)
-        self.telemetry = telemetry if telemetry is not None \
+            self.cache = config.cache
+        if self.cache is not None and config.cache_memory_entries is not None:
+            self.cache.set_memory_limit(config.cache_memory_entries)
+        self.telemetry = config.telemetry if config.telemetry is not None \
             else default_telemetry()
-        if timeout_seconds is not None and timeout_seconds <= 0:
-            raise ValueError(f"timeout_seconds must be positive, "
-                             f"got {timeout_seconds!r}")
-        self.timeout_seconds = timeout_seconds
-        self.retry_policy = RetryPolicy.coerce(retries)
-        #: Plain retry count, kept for backward compatibility with code
-        #: that read the pre-policy int attribute.
-        self.retries = self.retry_policy.retries
-        if on_error not in ("raise", "record"):
-            raise ValueError(f"on_error must be 'raise' or 'record', "
-                             f"got {on_error!r}")
-        self.on_error = on_error
-        if on_backend_failure not in ("raise", "degrade"):
-            raise ValueError(f"on_backend_failure must be 'raise' or "
-                             f"'degrade', got {on_backend_failure!r}")
-        self.on_backend_failure = on_backend_failure
-        self.remote_workers = tuple(remote_workers)
-        self.remote_listen = remote_listen
-        if lease_timeout_seconds is not None and lease_timeout_seconds <= 0:
-            raise ValueError(f"lease_timeout_seconds must be positive, "
-                             f"got {lease_timeout_seconds!r}")
-        self.lease_timeout_seconds = lease_timeout_seconds
-        self.remote_shared_cache = remote_shared_cache
-        if isinstance(batch_size, bool) or not isinstance(batch_size, int) \
-                or batch_size < 1:
-            raise ValueError(f"batch_size must be an integer >= 1, "
-                             f"got {batch_size!r}")
-        self.batch_size = batch_size
-        if isinstance(batch_bytes_cap, bool) \
-                or not isinstance(batch_bytes_cap, int) \
-                or batch_bytes_cap <= 0:
-            raise ValueError(f"batch_bytes_cap must be a positive integer "
-                             f"(bytes), got {batch_bytes_cap!r}")
-        self.batch_bytes_cap = batch_bytes_cap
-        if backend == "remote" and not self.remote_workers \
-                and self.remote_listen is None:
-            raise ValueError(
-                "backend='remote' needs a worker source: remote_workers="
-                "('host:port', ...) to dial out, or remote_listen="
-                "'host:port' to accept dial-ins")
-        #: The coordinator's actual bind address ("host:port"), once a
-        #: remote run with ``remote_listen`` has started (port 0 resolves
-        #: to the ephemeral port).  Workers dial this.
-        self.remote_bound_address: Optional[str] = None
+        self.timeout_seconds = config.timeout_seconds
+        self.retry_policy = config.retries
+        self.on_error = config.on_error
+        self.batch_size = config.batch_size
+        self.batch_bytes_cap = config.batch_bytes_cap
 
     # -- public -------------------------------------------------------------
 
@@ -384,7 +583,7 @@ class ObligationScheduler:
 
         A pass that finds its backend unusable raises
         :class:`BackendUnusableError` (``on_backend_failure='raise'``) or
-        falls back along ``process → thread → serial``
+        falls back along ``remote → process → serial``
         (``on_backend_failure='degrade'``): outcomes already reached stay
         final, and only the unfinished obligations re-run on the fallback
         backend.
@@ -397,23 +596,20 @@ class ObligationScheduler:
         # The remote backend is exempt from the small-batch serial
         # shortcut: even one obligation ships to a worker host (that is
         # the point of a farm -- the parent may be a thin coordinator).
-        if backend in ("thread", "process") \
+        if backend == "process" \
                 and (self.jobs == 1 or len(obligations) <= 1):
             backend = "serial"
         while True:
             try:
                 if backend == "serial":
                     self._run_serial(obligations, stop_on, outcomes)
-                elif backend == "thread":
-                    self._run_parallel(obligations, stop_on, outcomes)
-                elif backend == "process":
-                    self._run_process(obligations, stop_on, outcomes)
                 else:
-                    self._run_remote(obligations, stop_on, outcomes)
+                    self._run_units(obligations, stop_on, outcomes, backend)
                 break
             except BackendUnusableError as exc:
                 fallback = DEGRADE_CHAIN.get(backend)
-                if self.on_backend_failure != "degrade" or fallback is None:
+                if self.config.on_backend_failure != "degrade" \
+                        or fallback is None:
                     raise
                 self.telemetry.record(ev.DEGRADED, "exec",
                                       f"{backend}->{fallback}",
@@ -421,7 +617,8 @@ class ObligationScheduler:
                 backend = fallback
         for i, ob in enumerate(obligations):
             if outcomes[i] is None:
-                outcomes[i] = self._skip(ob)
+                self.telemetry.record(ev.SKIPPED, ob.kind, ob.label)
+                outcomes[i] = ObligationOutcome(obligation=ob, status=SKIPPED)
         return outcomes  # type: ignore[return-value]
 
     # -- serial path --------------------------------------------------------
@@ -437,130 +634,7 @@ class ObligationScheduler:
             if stop_on is not None and stop_on(outcome):
                 return    # the unfilled tail is skipped by run()
 
-    # -- parallel path ------------------------------------------------------
-
-    def _run_parallel(self, obligations, stop_on, outcomes) -> None:
-        # Predecessor chain per group: obligation i waits until the previous
-        # unfinished obligation of its group has finished.  Submission order
-        # is FIFO, so a predecessor is always dequeued before its successor
-        # and the wait chain always terminates at a running task -- no
-        # deadlock.
-        remaining = [i for i in range(len(obligations))
-                     if outcomes[i] is None]
-        done_events: Dict[int, threading.Event] = \
-            {i: threading.Event() for i in remaining}
-        predecessor: Dict[int, Optional[int]] = {i: None for i in remaining}
-        last_in_group: Dict[str, int] = {}
-        for i in remaining:
-            group = obligations[i].group
-            if group is not None:
-                if group in last_in_group:
-                    predecessor[i] = last_in_group[group]
-                last_in_group[group] = i
-
-        def worker(index: int) -> ObligationOutcome:
-            try:
-                pred = predecessor[index]
-                if pred is not None:
-                    done_events[pred].wait()
-                return self._execute(obligations[index])
-            finally:
-                done_events[index].set()
-
-        def run_batch(indices: tuple) -> Dict[int, ObligationOutcome]:
-            """One future covering several obligations, run in index
-            order (DESIGN.md §18).  There is no wire here, so thread
-            batching only amortizes future/collector machinery for
-            micro-obligation swarms; every item still runs through
-            ``worker`` and sets its own done event, keeping group
-            chaining intact.  The FIFO no-deadlock argument is the solo
-            one: a predecessor is either earlier in this bundle
-            (already run) or in an earlier-submitted future."""
-            return {i: worker(i) for i in indices}
-
-        try:
-            pool = ThreadPoolExecutor(max_workers=self.jobs)
-        except Exception as exc:   # noqa: BLE001 - backend boundary
-            raise BackendUnusableError(
-                "thread", f"cannot start thread pool: {exc}")
-        futures: Dict[int, object] = {}
-        unusable: Optional[BaseException] = None
-        stopped = False
-        abandoned = False
-        # Batch only without a per-obligation timeout: the collector's
-        # per-future wait is the timeout instrument on this backend and
-        # it cannot see into a bundle.
-        batch = self.batch_size if self.timeout_seconds is None else 1
-        try:
-            try:
-                if batch <= 1:
-                    for i in remaining:
-                        futures[i] = pool.submit(worker, i)
-                else:
-                    # Chunk depth adapts to the burst so the pool is
-                    # never starved by one deep bundle.
-                    chunk = min(batch,
-                                max(1, -(-len(remaining) // self.jobs)))
-                    for at in range(0, len(remaining), chunk):
-                        span = remaining[at:at + chunk]
-                        if len(span) == 1:
-                            futures[span[0]] = pool.submit(worker, span[0])
-                        else:
-                            shared = pool.submit(run_batch, tuple(span))
-                            for i in span:
-                                futures[i] = shared
-            except RuntimeError as exc:
-                # e.g. "can't start new thread": collect what was submitted
-                # (predecessors were submitted first, so group chains among
-                # the submitted prefix still resolve), then degrade.
-                unusable = exc
-            for i, future in futures.items():
-                if stopped:
-                    if future.cancel():
-                        done_events[i].set()
-                        outcomes[i] = self._skip(obligations[i])
-                        continue
-                try:
-                    result = future.result(timeout=self.timeout_seconds)
-                    outcome = result[i] if isinstance(result, dict) \
-                        else result
-                except _FutureTimeout:
-                    # The worker cannot be preempted; abandon it (it will
-                    # finish in the background and its result is discarded).
-                    abandoned = True
-                    outcome = ObligationOutcome(
-                        obligation=obligations[i], status=TIMED_OUT,
-                        wall_seconds=self.timeout_seconds or 0.0,
-                        error=f"no result within {self.timeout_seconds}s")
-                    self.telemetry.record(
-                        ev.TIMED_OUT, obligations[i].kind,
-                        obligations[i].label, wall=outcome.wall_seconds)
-                outcomes[i] = outcome
-                if outcome.status == ERRORED and self.on_error == "raise":
-                    for later in futures.values():
-                        later.cancel()
-                    for event in done_events.values():
-                        event.set()   # release any chained waiters
-                    raise outcome._exception  # type: ignore[attr-defined]
-                if stop_on is not None and not stopped \
-                        and stop_on(outcome):
-                    stopped = True
-        finally:
-            if abandoned:
-                # Satellite of the failure taxonomy: an unresponsive
-                # worker left behind is telemetry, not a silent drop.
-                self.telemetry.record(
-                    ev.WORKER_ABANDONED, "exec", "backend:thread",
-                    detail="unresponsive worker thread abandoned at "
-                           "pool shutdown")
-            # wait=False so an abandoned (timed-out) worker does not block
-            # the collector; completed pools shut down immediately anyway.
-            pool.shutdown(wait=not abandoned)
-        if unusable is not None:
-            raise BackendUnusableError(
-                "thread", f"thread pool stopped accepting work: {unusable}")
-
-    # -- process path -------------------------------------------------------
+    # -- the dispatch core (process and remote) -----------------------------
 
     def _spawn_pool(self) -> ProcessPoolExecutor:
         last: Optional[BaseException] = None
@@ -572,577 +646,141 @@ class ObligationScheduler:
         raise BackendUnusableError(
             "process", f"cannot (re)spawn worker pool: {last}")
 
-    def _run_process(self, obligations, stop_on, outcomes) -> None:
-        """Dispatcher over a ``ProcessPoolExecutor``.
+    def _form_units(self, obligations,
+                    indices: Sequence[int]) -> List[tuple]:
+        """Cut ``indices`` into dispatch units before anything ships
+        (DESIGN.md §18), from the input order and the configuration
+        alone -- never from live state -- so a run's units are the same
+        every time.
 
-        Group chaining is enforced dispatcher-side: an obligation is only
-        submitted once its group predecessor has a terminal outcome, so
-        same-group work stays serial-in-order while distinct groups fan
-        out across worker processes.  Cache lookups happen in the parent
-        immediately before dispatch (a hit never ships to a worker) and
-        results are cached in the parent on receipt, so caching semantics
-        match the serial and thread backends exactly.
-
-        The hard per-obligation timeout is enforced worker-side by
-        ``SIGALRM`` (see :func:`_process_worker`); the parent keeps a
-        slack fallback deadline per future so even a worker that fails to
-        honor the alarm (or dies) cannot wedge the collector.
-
-        Crash recovery: a dead worker breaks the whole pool, so every
-        in-flight obligation is blamed once, the pool is respawned, and
-        the blamed obligations re-run *solo* (one in flight at a time)
-        before normal fan-out resumes.  Solo execution makes the second
-        verdict precise: an obligation that crashes while alone is the
-        killer, reaches ``QUARANTINE_AFTER`` blames, and is quarantined
-        with a ``crashed`` outcome; innocent bystanders complete their
-        solo run and are never blamed again (a finalized obligation is
-        never resubmitted).  Total crashes are therefore bounded by
-        ``QUARANTINE_AFTER * len(obligations)`` -- the run always
-        terminates.
-
-        Batched dispatch (DESIGN.md §18): when ``batch_size > 1``, small
-        payloads drained from the ready queue are bundled into
-        :class:`~repro.exec.payload.BatchPayload` units so one pool
-        round trip (one pickle of the shared ASTs, one queue slot)
-        covers many micro-obligations.  Admission is by *marginal*
-        pickled size under ``batch_bytes_cap`` (:class:`_BatchSizer`),
-        so large VCs keep their own dispatch unit.  Per-item timeout and
-        retry accounting run worker-side exactly as for solo dispatch;
-        a broken batch blames each member once and re-runs them solo
-        under the unchanged quarantine discipline, so fault semantics
-        are those of PR-4/PR-8.  Crash-blamed suspects always ship solo
-        -- a batch is never a blame unit of more than one verdict.
-        """
-        n = len(obligations)
-        remaining = [i for i in range(n) if outcomes[i] is None]
-        successors: Dict[int, List[int]] = {}
-        predecessor: Dict[int, Optional[int]] = {i: None for i in remaining}
-        last_in_group: Dict[str, int] = {}
-        for i in remaining:
+        An obligation's *level* is its position in its group's chain (0
+        when ungrouped).  Each level, in input order, is cut into units of
+        at most ``min(batch_size, ceil(n / jobs))`` members, ``n`` being
+        the level's size -- the width a ready-queue fill picks when that
+        level is what is ready.  A unit thus holds at most one member of
+        a group and waits only on units of the level before, so the unit
+        order never deadlocks.  A payload whose marginal pickled size
+        exceeds ``batch_bytes_cap // batch_size`` closes the forming unit
+        and opens the next; a unit whose measured size reaches
+        ``batch_bytes_cap`` is closed.  Payloadless and unpicklable
+        obligations are units of their own."""
+        levels: Dict[int, List[int]] = {}    # filled in level order
+        depth: Dict[str, int] = {}
+        for i in indices:
             group = obligations[i].group
+            level = 0 if group is None else depth.get(group, 0)
             if group is not None:
-                if group in last_in_group:
-                    predecessor[i] = last_in_group[group]
-                    successors.setdefault(last_in_group[group],
-                                          []).append(i)
-                last_in_group[group] = i
+                depth[group] = level + 1
+            levels.setdefault(level, []).append(i)
+        join_cap = max(1, self.batch_bytes_cap // self.batch_size)
+        sizer = _BatchSizer()
+        units: List[tuple] = []
+        pending: List[int] = []
 
-        # A worker that ignores its alarm (or a timeout with no SIGALRM
-        # support) is abandoned once this much slack has passed.
-        fallback = None
-        if self.timeout_seconds is not None:
-            fallback = self.timeout_seconds * 1.5 + self.TIMEOUT_FALLBACK_SLACK
+        def close() -> None:
+            if pending:
+                units.append(tuple(pending))
+                pending.clear()
+            sizer.reset()
 
-        ready = deque(i for i in remaining if predecessor[i] is None)
-        suspects: deque = deque()            # crash-blamed, re-run solo
-        crash_blame: Dict[int, int] = {}
-        in_flight: Dict[object, tuple] = {}  # Future -> member indices
-        deadlines: Dict[object, float] = {}  # Future -> abandon time
-        sent_at: Dict[object, float] = {}    # Future -> dispatch time
-        finished = 0
-        target = len(remaining)
-        stopped = False
-        abandoned = False
-        barren_crashes = 0
-        raise_exc = None
-
-        def finalize(index: int, outcome: ObligationOutcome):
-            nonlocal finished, stopped, raise_exc
-            outcomes[index] = outcome
-            finished += 1
-            ready.extend(successors.get(index, ()))
-            if outcome.status == ERRORED and self.on_error == "raise" \
-                    and raise_exc is None:
-                raise_exc = getattr(
-                    outcome, "_exception",
-                    RuntimeError(outcome.error or "obligation errored"))
-            if stop_on is not None and not stopped and stop_on(outcome):
-                stopped = True
-
-        pool = self._spawn_pool()
-
-        def settle_local(index: int) -> bool:
-            """Cache hit or payloadless inline execution: True when the
-            obligation finalized without shipping to a worker."""
-            ob = obligations[index]
-            keyed = ob.cache_key is not None and self.cache is not None
-            if keyed:
-                t0 = time.perf_counter()
-                hit, value = self.cache.get(ob.cache_key, decode=ob.decode)
-                if hit:
-                    wall = time.perf_counter() - t0
-                    self.telemetry.record(ev.CACHED, ob.kind, ob.label,
-                                          wall=wall)
-                    finalize(index, ObligationOutcome(
-                        obligation=ob, status=CACHED, value=value,
-                        wall_seconds=wall))
-                    return True
-            if ob.payload is None:
-                # No declarative spec: run on the parent (serial
-                # semantics; _execute records its own telemetry).
-                finalize(index, self._execute(ob))
-                return True
-            return False
-
-        def ship_solo(index: int) -> bool:
-            """Ship one obligation as its own dispatch unit.  Returns
-            False when the pool broke at submission time (the obligation
-            never ran; the caller requeues it unblamed)."""
-            ob = obligations[index]
-            self.telemetry.record(ev.STARTED, ob.kind, ob.label)
-            try:
-                future = pool.submit(_process_worker, index, ob.payload,
-                                     self.retry_policy,
-                                     self.timeout_seconds, ob.label)
-            except BrokenExecutor:
-                return False
-            in_flight[future] = (index,)
-            sent_at[future] = time.perf_counter()
-            if fallback is not None:
-                deadlines[future] = time.perf_counter() + fallback
-            return True
-
-        def ship_batch(indices: List[int]) -> bool:
-            """Ship several small obligations as one
-            :class:`BatchPayload` dispatch unit (a singleton degenerates
-            to a solo dispatch, keeping batch futures >= 2 members).
-            The parent fallback deadline scales with the member count:
-            worker-side SIGALRM bounds each item individually, so the
-            batch's worst legitimate case is the sum of the per-item
-            budgets."""
-            if len(indices) == 1:
-                return ship_solo(indices[0])
-            batch = make_batch([
-                (i, obligations[i].payload, obligations[i].label,
-                 obligations[i].cache_key) for i in indices])
-            for i in indices:
-                ob = obligations[i]
-                self.telemetry.record(ev.STARTED, ob.kind, ob.label)
-            try:
-                future = pool.submit(_batch_worker, batch,
-                                     self.retry_policy,
-                                     self.timeout_seconds)
-            except BrokenExecutor:
-                return False
-            in_flight[future] = tuple(indices)
-            sent_at[future] = time.perf_counter()
-            if fallback is not None:
-                deadlines[future] = time.perf_counter() \
-                    + fallback * len(indices)
-            return True
-
-        def submit(index: int) -> bool:
-            """Dispatch one obligation solo: cache hit, inline
-            (payloadless), or its own worker shipment.  Returns False
-            when the pool broke at submission time (the obligation is
-            requeued, unblamed)."""
-            return settle_local(index) or ship_solo(index)
-
-        def recover(cause: BaseException):
-            """Blame and requeue everything that was in flight when the
-            pool broke, quarantine double-killers, respawn the pool.
-            Every member of an in-flight batch is blamed once -- the
-            parent cannot tell which member killed the worker -- and
-            re-runs solo, where the second crash assigns guilt
-            precisely; innocent batchmates complete their solo run
-            unblamed thereafter."""
-            nonlocal pool, barren_crashes
-            if in_flight:
-                barren_crashes = 0
-            else:
-                barren_crashes += 1
-                if barren_crashes >= self.BARREN_CRASH_LIMIT:
-                    raise BackendUnusableError(
-                        "process",
-                        f"worker pool keeps dying with nothing in flight "
-                        f"({cause})")
-            for future, members in list(in_flight.items()):
-                for index in members:
-                    ob = obligations[index]
-                    blame = crash_blame.get(index, 0) + 1
-                    crash_blame[index] = blame
-                    self.telemetry.record(
-                        ev.CRASHED, ob.kind, ob.label,
-                        detail=f"worker died ({type(cause).__name__}); "
-                               f"blame {blame}/{QUARANTINE_AFTER}")
-                    if blame >= QUARANTINE_AFTER:
-                        self.telemetry.record(
-                            ev.QUARANTINED, ob.kind, ob.label,
-                            detail=f"killed a worker {blame} times")
-                        finalize(index, ObligationOutcome(
-                            obligation=ob, status=CRASHED, attempts=blame,
-                            error=f"obligation killed a worker {blame} "
-                                  f"times ({cause}); quarantined"))
-                    else:
-                        suspects.append(index)
-            in_flight.clear()
-            deadlines.clear()
-            sent_at.clear()
-            try:
-                pool.shutdown(wait=False, cancel_futures=True)
-            except Exception:   # noqa: BLE001 - broken pools may misbehave
-                pass
-            pool = self._spawn_pool()
-
-        try:
-            while finished < target:
-                # -- dispatch ------------------------------------------------
-                while not stopped and raise_exc is None:
-                    if suspects:
-                        # Solo re-verification: nothing else may fly until
-                        # each crash suspect has been re-tried alone.
-                        if in_flight:
-                            break
-                        index = suspects.popleft()
-                        if not submit(index):
-                            suspects.appendleft(index)
-                            recover(BrokenExecutor("pool broke at submit"))
-                            continue
-                        if in_flight:
-                            break   # exactly one suspect in flight
-                        continue    # finalized without flying (cache hit)
-                    if not ready:
-                        break
-                    # Batched fill (DESIGN.md §18): drain the ready
-                    # queue, settling cache hits and payloadless work
-                    # inline, bundling small payloads into BatchPayload
-                    # units, and shipping large ones solo.  ``chunk``
-                    # adapts the batch depth to the burst so a wide pool
-                    # is not starved by one deep batch.
-                    chunk = self.batch_size
-                    if chunk > 1:
-                        chunk = min(chunk,
-                                    max(1, -(-len(ready) // self.jobs)))
-                    join_cap = max(1, self.batch_bytes_cap
-                                   // self.batch_size)
-                    sizer = _BatchSizer()
-                    pending: List[int] = []
-                    broke = False
-
-                    def requeue(index: Optional[int] = None):
-                        # Pool broke at a ship: push the unsent work
-                        # back to the front of the queue, in order.
-                        if index is not None:
-                            ready.appendleft(index)
-                        ready.extendleft(reversed(pending))
-                        pending.clear()
-
-                    while ready and not stopped and raise_exc is None:
-                        index = ready.popleft()
-                        if settle_local(index):
-                            continue
-                        if chunk <= 1:
-                            if not ship_solo(index):
-                                requeue(index)
-                                broke = True
-                                break
-                            continue
-                        if len(pending) >= chunk \
-                                or sizer.total >= self.batch_bytes_cap:
-                            if not ship_batch(pending):
-                                requeue(index)
-                                broke = True
-                                break
-                            pending = []
-                            sizer.reset()
-                        size = sizer.measure(obligations[index].payload)
-                        if size is not None and pending \
-                                and size > join_cap:
-                            # Too big to join: flush, then let the item
-                            # re-open a fresh batch where its measured
-                            # size includes the objects its former
-                            # batchmates would have shared.
-                            if not ship_batch(pending):
-                                requeue(index)
-                                broke = True
-                                break
-                            pending = []
-                            sizer.reset()
-                            size = sizer.measure(obligations[index].payload)
-                        if size is None:
-                            # Unpicklable: ship solo so the submission
-                            # path's loud failure is preserved.
-                            if not ship_solo(index):
-                                requeue(index)
-                                broke = True
-                                break
-                            continue
-                        pending.append(index)
-                    if pending and not broke:
-                        if not ship_batch(pending):
-                            requeue()
-                            broke = True
-                    if broke:
-                        recover(BrokenExecutor("pool broke at submit"))
-                if finished >= target or raise_exc is not None:
-                    break
-                if not in_flight:
-                    break   # stopped/blocked: the tail is skipped by run()
-                # -- collect -------------------------------------------------
-                wait_for = None
-                if deadlines:
-                    wait_for = max(0.0, min(deadlines.values())
-                                   - time.perf_counter())
-                done, _ = _fut_wait(set(in_flight), timeout=wait_for,
-                                    return_when=FIRST_COMPLETED)
-                now = time.perf_counter()
-                for future in list(in_flight):
-                    if future in done:
+        for members in levels.values():
+            chunk = min(self.batch_size, -(-len(members) // self.jobs))
+            for i in members:
+                payload = obligations[i].payload
+                if payload is not None and chunk > 1:
+                    if len(pending) >= chunk \
+                            or sizer.total >= self.batch_bytes_cap:
+                        close()
+                    size = sizer.measure(payload)
+                    if size is not None and pending and size > join_cap:
+                        # Too big to join: re-open a fresh unit, where its
+                        # measured size includes the objects its former
+                        # unit-mates would have shared.
+                        close()
+                        size = sizer.measure(payload)
+                    if size is not None:
+                        pending.append(i)
                         continue
-                    if deadlines.get(future, now + 1) <= now:
-                        # Fallback: the worker ignored its alarm or died
-                        # silently; abandon the future like the thread
-                        # backend abandons an overrun thread.  Every
-                        # member of an abandoned batch times out -- the
-                        # parent cannot retrieve partial results from an
-                        # unresponsive worker.
-                        members = in_flight.pop(future)
-                        deadlines.pop(future, None)
-                        sent_at.pop(future, None)
-                        abandoned = True
-                        for i in members:
-                            ob = obligations[i]
-                            self.telemetry.record(
-                                ev.TIMED_OUT, ob.kind, ob.label,
-                                wall=self.timeout_seconds or 0.0)
-                            finalize(i, ObligationOutcome(
-                                obligation=ob, status=TIMED_OUT,
-                                wall_seconds=self.timeout_seconds or 0.0,
-                                error=f"no result within "
-                                      f"{self.timeout_seconds}s (worker "
-                                      f"unresponsive)"))
-                broken_cause = None
-                for future in done:
-                    if future not in in_flight:
-                        continue   # abandoned above, or cleared by recovery
-                    members = in_flight[future]
-                    try:
-                        raw = future.result()
-                    except BrokenExecutor as exc:
-                        # Worker death poisons every in-flight future; keep
-                        # this one in ``in_flight`` so recover() blames and
-                        # requeues it with its poisoned peers.
-                        broken_cause = exc
-                        continue
-                    except Exception as exc:   # noqa: BLE001 - unpicklable result etc.
-                        in_flight.pop(future)
-                        deadlines.pop(future, None)
-                        sent_at.pop(future, None)
-                        for i in members:
-                            ob = obligations[i]
-                            self.telemetry.record(ev.ERRORED, ob.kind,
-                                                  ob.label,
-                                                  detail=str(exc))
-                            outcome = ObligationOutcome(
-                                obligation=ob, status=ERRORED,
-                                error=f"{type(exc).__name__}: {exc}")
-                            outcome._exception = exc   # type: ignore[attr-defined]
-                            finalize(i, outcome)
-                        continue
-                    in_flight.pop(future)
-                    deadlines.pop(future, None)
-                    t_sent = sent_at.pop(future, None)
-                    barren_crashes = 0
-                    # A solo future carries one result tuple; a batch
-                    # future carries one per entry (batches always have
-                    # >= 2 members; see ship_batch).
-                    results = raw if len(members) > 1 else (raw,)
-                    busy = 0.0
-                    for (i, status, wire, wall, attempts, retry_errors,
-                         exc_obj) in results:
-                        busy += wall
-                        ob = obligations[i]
-                        keyed = ob.cache_key is not None \
-                            and self.cache is not None
-                        for message in retry_errors:
-                            self.telemetry.record(ev.RETRIED, ob.kind,
-                                                  ob.label, detail=message)
-                        if status == "ok":
-                            value = ob.decode(wire) \
-                                if ob.decode is not None \
-                                else ob.payload.decode_result(wire)
-                            self.telemetry.record(
-                                ev.FINISHED, ob.kind, ob.label, wall=wall,
-                                detail="keyed" if keyed else "")
-                            if attempts > 1 or crash_blame.get(i):
-                                self.telemetry.record(
-                                    ev.RETRIED_OK, ob.kind, ob.label,
-                                    detail=f"succeeded on attempt "
-                                    f"{attempts}"
-                                    + (", after a worker crash"
-                                       if crash_blame.get(i) else ""))
-                            if keyed:
-                                self.cache.put(ob.cache_key, value,
-                                               encode=ob.encode)
-                            finalize(i, ObligationOutcome(
-                                obligation=ob, status=OK, value=value,
-                                wall_seconds=wall, attempts=attempts))
-                        elif status == "timed_out":
-                            self.telemetry.record(ev.TIMED_OUT, ob.kind,
-                                                  ob.label, wall=wall)
-                            finalize(i, ObligationOutcome(
-                                obligation=ob, status=TIMED_OUT,
-                                wall_seconds=wall, attempts=attempts,
-                                error=f"hard timeout after "
-                                      f"{self.timeout_seconds}s"))
-                        else:
-                            self.telemetry.record(ev.ERRORED, ob.kind,
-                                                  ob.label, wall=wall,
-                                                  detail=str(wire))
-                            outcome = ObligationOutcome(
-                                obligation=ob, status=ERRORED,
-                                wall_seconds=wall, attempts=attempts,
-                                error=str(wire))
-                            outcome._exception = exc_obj \
-                                if exc_obj is not None \
-                                else RuntimeError(str(wire))   # type: ignore[attr-defined]
-                            finalize(i, outcome)
-                    if t_sent is not None:
-                        # Dispatch overhead of the whole unit: round trip
-                        # minus the members' execution walls (satellite
-                        # telemetry; DESIGN.md §18).
-                        self.telemetry.record(
-                            ev.DISPATCHED, "exec",
-                            f"dispatch[{len(results)}]",
-                            wall=max(0.0, time.perf_counter() - t_sent
-                                     - busy),
-                            detail=f"items={len(results)}")
-                if broken_cause is not None:
-                    recover(broken_cause)
-            if raise_exc is not None:
-                raise raise_exc
-        finally:
-            if abandoned:
-                self.telemetry.record(
-                    ev.WORKER_ABANDONED, "exec", "backend:process",
-                    detail="unresponsive worker process abandoned at "
-                           "pool shutdown")
-            # cancel_futures drops queued work; wait unless an abandoned
-            # (unresponsive) worker would block shutdown indefinitely.
-            pool.shutdown(wait=not abandoned, cancel_futures=True)
+                close()
+                units.append((i,))
+            close()
+        return units
 
-    # -- remote path --------------------------------------------------------
+    def _run_units(self, obligations, stop_on, outcomes,
+                   backend: str) -> None:
+        """The one dispatch loop of the process and remote backends.
 
-    def _remote_lease_timeout(self) -> Optional[float]:
-        """The coordinator-side bound on one lease.  Explicit
-        ``lease_timeout_seconds`` wins; otherwise it derives from the
-        per-obligation timeout (a worker holds up to
-        ``REMOTE_PER_WORKER_INFLIGHT`` leases, each bounded worker-side
-        by SIGALRM, so the lease bound covers the worst-case queue wait
-        plus slack); with neither, leases never expire -- matching the
-        process backend's stance when no timeout is configured."""
-        if self.lease_timeout_seconds is not None:
-            return self.lease_timeout_seconds
-        if self.timeout_seconds is not None:
-            return (self.REMOTE_PER_WORKER_INFLIGHT
-                    * self.timeout_seconds * 1.5
-                    + self.TIMEOUT_FALLBACK_SLACK)
-        return None
+        Cache hits settle in the parent first; the misses are cut into
+        units up front (:meth:`_form_units`).  A unit is dispatched once
+        every member's group predecessor has a final outcome.  At
+        dispatch, payloadless obligations run inline (:meth:`_execute`)
+        and the rest leave as one unit.  A unit the transport refuses is
+        requeued, unblamed.
 
-    def _run_remote(self, obligations, stop_on, outcomes) -> None:
-        """Dispatcher over a farm of socket-connected worker processes
-        (DESIGN.md §16).
-
-        Mirrors :meth:`_run_process`: group chaining is enforced
-        dispatcher-side, cache lookups happen in the parent immediately
-        before dispatch, and results are cached in the parent on receipt
-        -- so caching semantics and verdicts match the local backends
-        exactly.  The differences are the failure unit and the cache
-        tier: a dead *connection* (worker crash, kill -9, network drop,
-        expired lease) blames exactly that worker's in-flight leases --
-        other workers keep computing -- and the blamed obligations re-run
-        solo (preferring a different worker) under the same
-        ``QUARANTINE_AFTER`` discipline as the process backend.  A host
-        that flaps (loses leases repeatedly) is quarantined by the
-        coordinator: its re-registrations are rejected.  When
-        ``remote_shared_cache`` is on, workers read through to this
-        scheduler's content-addressed cache before computing, so any
-        worker's verdict is every worker's warm hit.
-
-        The backend is unusable (degradation chain: remote→process) when
-        no worker joins within ``REMOTE_WORKER_GRACE`` seconds at
-        start-up, or when every worker has been lost or quarantined
-        mid-run and no replacement joins within another grace period.
+        A lost unit blames each member once; blamed members re-run solo,
+        one at a time with nothing else in flight, so the second verdict
+        assigns guilt precisely: a member blamed ``QUARANTINE_AFTER``
+        times is quarantined ``crashed``, and innocent unit-mates
+        complete their solo run unblamed.  Total losses are therefore
+        bounded by ``QUARANTINE_AFTER * len(obligations)``.
         """
-        from .remote.coordinator import RemoteCoordinator
-
-        n = len(obligations)
-        remaining = [i for i in range(n) if outcomes[i] is None]
-        if not remaining:
+        # Cache hits settle first, in input order: a hit never ships, and
+        # only the misses are chained and cut into units.
+        pending: List[int] = []
+        for i, ob in enumerate(obligations):
+            if outcomes[i] is not None:
+                continue
+            cached = None if ob.payload is None else self._cached(ob)
+            if cached is None:
+                pending.append(i)
+                continue
+            outcomes[i] = cached
+            if stop_on is not None and stop_on(cached):
+                break    # later obligations are skipped by run()
+        if not pending:
             return
-        successors: Dict[int, List[int]] = {}
-        predecessor: Dict[int, Optional[int]] = {i: None for i in remaining}
+        transport = _PoolTransport(self, obligations) \
+            if backend == "process" \
+            else _SocketTransport(self, obligations, pending)
+        try:
+            self._dispatch_loop(transport, obligations, pending, stop_on,
+                                outcomes)
+        finally:
+            transport.close()
+
+    def _dispatch_loop(self, transport, obligations, pending, stop_on,
+                       outcomes) -> None:
+        successor: Dict[int, int] = {}       # next in the same group
         last_in_group: Dict[str, int] = {}
-        for i in remaining:
+        for i in pending:
             group = obligations[i].group
             if group is not None:
                 if group in last_in_group:
-                    predecessor[i] = last_in_group[group]
-                    successors.setdefault(last_in_group[group],
-                                          []).append(i)
+                    successor[last_in_group[group]] = i
                 last_in_group[group] = i
-
-        # The shared cache tier: workers ask the coordinator for a key
-        # before computing; the lookup runs against this scheduler's own
-        # cache, re-encoded to the obligation's wire form.
-        by_key: Dict[str, Obligation] = {}
-        for i in remaining:
-            ob = obligations[i]
-            if ob.cache_key is not None and ob.payload is not None:
-                by_key.setdefault(ob.cache_key, ob)
-
-        def cache_lookup(key):
-            ob = by_key.get(key)
-            if ob is None or self.cache is None:
-                return None
-            hit, value = self.cache.get(key, decode=ob.decode)
-            if not hit:
-                return None
-            try:
-                return ob.encode(value) if ob.encode is not None \
-                    else ob.payload.encode_result(value)
-            except Exception:   # noqa: BLE001 - a cache miss, not a fault
-                return None
-
-        coordinator = RemoteCoordinator(
-            listen=self.remote_listen,
-            dial=self.remote_workers,
-            cache_lookup=(cache_lookup if self.remote_shared_cache
-                          and self.cache is not None else None),
-            lease_timeout=self._remote_lease_timeout(),
-            per_worker=self.REMOTE_PER_WORKER_INFLIGHT)
-        try:
-            coordinator.start()
-        except OSError as exc:
-            raise BackendUnusableError(
-                "remote", f"cannot start coordinator: {exc}")
-        self.remote_bound_address = coordinator.bound_address
-
-        ready = deque(i for i in remaining if predecessor[i] is None)
-        suspects: deque = deque()            # lost-lease blamed, re-run solo
-        crash_blame: Dict[int, int] = {}
-        blamed_on: Dict[int, str] = {}       # index -> worker that lost it
-        in_flight: Dict[int, str] = {}       # index -> worker name
-        # Dispatch-unit bookkeeping for batched leases (DESIGN.md §18):
-        # each unit is [sent_at, live members, busy seconds, item count,
-        # poisoned].  A unit whose members all returned emits one
-        # DISPATCHED event carrying the round trip minus execution wall;
-        # a unit that lost a member (lease lost, worker dropped) is
-        # poisoned and emits nothing -- its timing measures a fault, not
-        # dispatch overhead.
-        unit_of: Dict[int, int] = {}         # index -> dispatch unit id
-        units: Dict[int, list] = {}
-        unit_seq = 0
+        units = self._form_units(obligations, pending)
+        unit_of = {i: u for u, members in enumerate(units) for i in members}
+        waiting = [0] * len(units)   # members with unfinished predecessors
+        for j in successor.values():
+            waiting[unit_of[j]] += 1
+        ready = deque(members for u, members in enumerate(units)
+                      if not waiting[u])
+        suspects: deque = deque()            # blamed, re-run solo
+        blames: Dict[int, int] = {}
+        sent_at: Dict[int, float] = {}
         finished = 0
-        target = len(remaining)
         stopped = False
         raise_exc = None
 
-        def finalize(index: int, outcome: ObligationOutcome):
+        def finalize(index: int, outcome: ObligationOutcome) -> None:
             nonlocal finished, stopped, raise_exc
             outcomes[index] = outcome
             finished += 1
-            ready.extend(successors.get(index, ()))
+            if index in successor:
+                u = unit_of[successor[index]]
+                waiting[u] -= 1
+                if not waiting[u]:
+                    ready.append(units[u])
             if outcome.status == ERRORED and self.on_error == "raise" \
                     and raise_exc is None:
                 raise_exc = getattr(
@@ -1151,363 +789,182 @@ class ObligationScheduler:
             if stop_on is not None and not stopped and stop_on(outcome):
                 stopped = True
 
-        def settle_local(index: int) -> bool:
-            """Cache hit or payloadless inline execution: True when the
-            obligation finalized without leasing to a worker."""
-            ob = obligations[index]
-            keyed = ob.cache_key is not None and self.cache is not None
-            if keyed:
-                t0 = time.perf_counter()
-                hit, value = self.cache.get(ob.cache_key, decode=ob.decode)
-                if hit:
-                    wall = time.perf_counter() - t0
-                    self.telemetry.record(ev.CACHED, ob.kind, ob.label,
-                                          wall=wall)
-                    finalize(index, ObligationOutcome(
-                        obligation=ob, status=CACHED, value=value,
-                        wall_seconds=wall))
-                    return True
-            if ob.payload is None:
-                # No declarative spec: nothing to ship; run on the parent
-                # (serial semantics; _execute records its own telemetry).
-                finalize(index, self._execute(ob))
-                return True
-            return False
+        def dispatch(members: tuple) -> tuple:
+            """Run payloadless members inline, ship the rest as one unit;
+            returns the members that did not leave."""
+            ship = []
+            for i in members:
+                if obligations[i].payload is None:
+                    finalize(i, self._execute(obligations[i]))
+                else:
+                    ship.append(i)
+            if not ship or stopped or raise_exc is not None:
+                return ()
+            ship = tuple(ship)
+            if not transport.submit(ship):
+                return ship
+            now = time.perf_counter()
+            for i in ship:
+                sent_at[i] = now
+                self.telemetry.record(ev.STARTED, obligations[i].kind,
+                                      obligations[i].label)
+            return ()
 
-        def new_unit(indices: tuple) -> None:
-            nonlocal unit_seq
-            unit_seq += 1
-            units[unit_seq] = [time.perf_counter(), len(indices), 0.0,
-                               len(indices), False]
-            for i in indices:
-                unit_of[i] = unit_seq
-
-        def unit_done(index: int, wall: float, lost: bool = False) -> None:
-            uid = unit_of.pop(index, None)
-            if uid is None:
-                return
-            unit = units[uid]
-            unit[1] -= 1
-            unit[2] += wall
-            if lost:
-                unit[4] = True
-            if unit[1] <= 0:
-                del units[uid]
-                if not unit[4]:
+        while finished < len(pending):
+            blocked = False
+            while not stopped and raise_exc is None:
+                if suspects:
+                    if transport.busy:
+                        break
+                    unsent = dispatch((suspects.popleft(),))
+                    if unsent:
+                        suspects.appendleft(unsent[0])
+                        blocked = True
+                        break
+                    continue
+                if not ready:
+                    break
+                unsent = dispatch(ready.popleft())
+                if unsent:
+                    ready.appendleft(unsent)
+                    blocked = True
+                    break
+            if finished >= len(pending) or raise_exc is not None:
+                break
+            if not transport.busy and not blocked:
+                break   # stopped: the tail is skipped by run()
+            for event in transport.poll():
+                if event[0] == "done":
+                    _, results, details = event
+                    busy = sum(result[3] for result in results)
+                    for result, detail in zip(results, details):
+                        i = result[0]
+                        finalize(i, self._decode(
+                            obligations[i], result, detail,
+                            blames.get(i, 0)))
                     self.telemetry.record(
-                        ev.DISPATCHED, "exec", f"dispatch[{unit[3]}]",
-                        wall=max(0.0, time.perf_counter() - unit[0]
-                                 - unit[2]),
-                        detail=f"items={unit[3]}")
-
-        def lease_solo(index: int) -> bool:
-            """Lease one obligation as its own dispatch unit.  Returns
-            False when the farm has no open slot (the caller waits for
-            results or joins)."""
-            ob = obligations[index]
-            avoid = {blamed_on[index]} if index in blamed_on else ()
-            # ``jobs`` caps the *total* in-flight obligations across the
-            # farm; work above the cap stays queued parent-side.
-            if len(in_flight) >= self.jobs:
-                return False
-            name = coordinator.lease(
-                index, ob.payload, self.retry_policy,
-                self.timeout_seconds, ob.label, ob.cache_key, avoid=avoid)
-            if name is None:
-                return False
-            self.telemetry.record(ev.STARTED, ob.kind, ob.label)
-            in_flight[index] = name
-            new_unit((index,))
-            return True
-
-        def lease_unit(indices: List[int]) -> bool:
-            """Lease several small obligations as one BatchPayload
-            dispatch unit (a singleton degenerates to a solo lease).
-            A batch occupies one lease slot on its worker -- that
-            amortization is the point -- but every member counts toward
-            the ``jobs`` in-flight cap."""
-            if len(indices) == 1:
-                return lease_solo(indices[0])
-            if len(in_flight) + len(indices) > self.jobs:
-                return False
-            batch = make_batch([
-                (i, obligations[i].payload, obligations[i].label,
-                 obligations[i].cache_key) for i in indices])
-            avoid = {blamed_on[i] for i in indices if i in blamed_on}
-            name = coordinator.lease_batch(
-                [i for i in indices], batch, self.retry_policy,
-                self.timeout_seconds, avoid=avoid)
-            if name is None:
-                return False
-            for i in indices:
-                ob = obligations[i]
-                self.telemetry.record(ev.STARTED, ob.kind, ob.label)
-                in_flight[i] = name
-            new_unit(tuple(indices))
-            return True
-
-        def submit(index: int) -> bool:
-            """Dispatch one obligation solo: cache hit, inline
-            (payloadless), or its own lease (used for crash suspects and
-            with batching off)."""
-            return settle_local(index) or lease_solo(index)
-
-        try:
-            if not coordinator.wait_for_workers(
-                    1, self.REMOTE_WORKER_GRACE):
-                raise BackendUnusableError(
-                    "remote",
-                    f"no workers joined within "
-                    f"{self.REMOTE_WORKER_GRACE}s")
-            while finished < target:
-                # -- dispatch ------------------------------------------------
-                while not stopped and raise_exc is None:
-                    if suspects:
-                        # Solo re-verification: nothing else may fly until
-                        # each blamed suspect has been re-tried alone.
-                        if in_flight:
-                            break
-                        if not submit(suspects[0]):
-                            break
-                        suspects.popleft()
-                        if in_flight:
-                            break   # exactly one suspect in flight
-                        continue    # finalized without flying (cache hit)
-                    if not ready:
-                        break
-                    if len(in_flight) >= self.jobs:
-                        break
-                    # Batched fill (DESIGN.md §18), mirroring the process
-                    # backend: settle cache hits and payloadless work
-                    # inline, bundle small payloads into one lease,
-                    # ship large ones solo.  Chunk depth adapts to the
-                    # burst and the farm width.
-                    chunk = self.batch_size
-                    if chunk > 1:
-                        width = max(1, coordinator.live_workers()
-                                    * self.REMOTE_PER_WORKER_INFLIGHT)
-                        chunk = min(chunk,
-                                    max(1, -(-len(ready) // width)))
-                    join_cap = max(1, self.batch_bytes_cap
-                                   // self.batch_size)
-                    sizer = _BatchSizer()
-                    pending: List[int] = []
-                    blocked = False
-
-                    def requeue(index: Optional[int] = None):
-                        # No open slot: push the unleased work back to
-                        # the front of the queue, in order.
-                        if index is not None:
-                            ready.appendleft(index)
-                        ready.extendleft(reversed(pending))
-                        pending.clear()
-
-                    while ready and not stopped and raise_exc is None:
-                        if len(in_flight) + len(pending) >= self.jobs:
-                            break
-                        index = ready.popleft()
-                        if settle_local(index):
-                            continue
-                        if chunk <= 1:
-                            if not lease_solo(index):
-                                requeue(index)
-                                blocked = True
-                                break
-                            continue
-                        if len(pending) >= chunk \
-                                or sizer.total >= self.batch_bytes_cap:
-                            if not lease_unit(pending):
-                                requeue(index)
-                                blocked = True
-                                break
-                            pending = []
-                            sizer.reset()
-                        size = sizer.measure(obligations[index].payload)
-                        if size is not None and pending \
-                                and size > join_cap:
-                            if not lease_unit(pending):
-                                requeue(index)
-                                blocked = True
-                                break
-                            pending = []
-                            sizer.reset()
-                            size = sizer.measure(obligations[index].payload)
-                        if size is None:
-                            # Unpicklable: lease solo so the shipping
-                            # path's loud failure is preserved.
-                            if not lease_solo(index):
-                                requeue(index)
-                                blocked = True
-                                break
-                            continue
-                        pending.append(index)
-                    if pending and not blocked:
-                        if not lease_unit(pending):
-                            requeue()
-                    break
-                if finished >= target or raise_exc is not None:
-                    break
-                if not in_flight and not suspects and not ready:
-                    break   # stopped: the tail is skipped by run()
-                if not in_flight and coordinator.live_workers() == 0:
-                    # Pending work, no workers left (all lost or
-                    # quarantined): grant joiners one grace period.
-                    if not coordinator.wait_for_workers(
-                            1, self.REMOTE_WORKER_GRACE):
-                        raise BackendUnusableError(
-                            "remote",
-                            "every worker was lost or quarantined and no "
-                            f"replacement joined within "
-                            f"{self.REMOTE_WORKER_GRACE}s")
-                    continue
-                # -- collect -------------------------------------------------
-                event = coordinator.poll(timeout=0.25)
-                if event is None:
-                    continue
-                if event[0] == "result":
-                    _, index, result, name, served = event
-                    if index not in in_flight:
-                        continue   # stale: already blamed and requeued
-                    del in_flight[index]
-                    ob = obligations[index]
-                    keyed = ob.cache_key is not None \
-                        and self.cache is not None
-                    (_, status, wire, wall, attempts, retry_errors,
-                     exc_obj) = result
-                    unit_done(index, wall)
-                    for message in retry_errors:
-                        self.telemetry.record(ev.RETRIED, ob.kind,
-                                              ob.label, detail=message)
-                    if status == "ok":
-                        try:
-                            value = ob.decode(wire) \
-                                if ob.decode is not None \
-                                else ob.payload.decode_result(wire)
-                        except Exception as exc:   # noqa: BLE001 - bad wire data
-                            self.telemetry.record(
-                                ev.ERRORED, ob.kind, ob.label,
-                                detail=f"undecodable result from "
-                                       f"{name}: {exc}")
-                            outcome = ObligationOutcome(
-                                obligation=ob, status=ERRORED,
-                                error=f"undecodable result from "
-                                      f"{name}: {exc}")
-                            outcome._exception = exc   # type: ignore[attr-defined]
-                            finalize(index, outcome)
-                            continue
-                        self.telemetry.record(
-                            ev.FINISHED, ob.kind, ob.label, wall=wall,
-                            detail=f"worker={name} served={served}"
-                            + (" keyed" if keyed else ""))
-                        if attempts > 1 or crash_blame.get(index):
-                            self.telemetry.record(
-                                ev.RETRIED_OK, ob.kind, ob.label,
-                                detail=f"succeeded on attempt {attempts}"
-                                + (", after a lost worker"
-                                   if crash_blame.get(index) else ""))
-                        if keyed:
-                            self.cache.put(ob.cache_key, value,
-                                           encode=ob.encode)
-                        finalize(index, ObligationOutcome(
-                            obligation=ob, status=OK, value=value,
-                            wall_seconds=wall, attempts=attempts))
-                    elif status == "timed_out":
+                        ev.DISPATCHED, "exec",
+                        f"dispatch[{len(results)}]",
+                        wall=max(0.0, time.perf_counter()
+                                 - sent_at[results[0][0]] - busy),
+                        detail=f"items={len(results)}")
+                elif event[0] == "expired":
+                    for i in event[1]:
+                        ob = obligations[i]
+                        wall = self.timeout_seconds or 0.0
                         self.telemetry.record(ev.TIMED_OUT, ob.kind,
                                               ob.label, wall=wall)
-                        finalize(index, ObligationOutcome(
+                        finalize(i, ObligationOutcome(
                             obligation=ob, status=TIMED_OUT,
-                            wall_seconds=wall, attempts=attempts,
-                            error=f"hard timeout after "
-                                  f"{self.timeout_seconds}s on {name}"))
-                    else:
-                        self.telemetry.record(ev.ERRORED, ob.kind,
-                                              ob.label, wall=wall,
-                                              detail=str(wire))
-                        outcome = ObligationOutcome(
-                            obligation=ob, status=ERRORED,
-                            wall_seconds=wall, attempts=attempts,
-                            error=str(wire))
-                        outcome._exception = exc_obj \
-                            if exc_obj is not None \
-                            else RuntimeError(str(wire))   # type: ignore[attr-defined]
-                        finalize(index, outcome)
-                elif event[0] == "lost":
-                    _, name, indices, reason = event
-                    for index in indices:
-                        if in_flight.pop(index, None) is None:
-                            continue
-                        unit_done(index, 0.0, lost=True)
-                        ob = obligations[index]
-                        blame = crash_blame.get(index, 0) + 1
-                        crash_blame[index] = blame
-                        blamed_on[index] = name
+                            wall_seconds=wall,
+                            error=f"no result within "
+                                  f"{self.timeout_seconds}s (worker "
+                                  f"unresponsive)"))
+                else:
+                    _, members, reason = event
+                    for i in members:
+                        ob = obligations[i]
+                        blames[i] = blame = blames.get(i, 0) + 1
                         self.telemetry.record(
                             ev.CRASHED, ob.kind, ob.label,
-                            detail=f"worker {name} lost ({reason}); "
-                                   f"blame {blame}/{QUARANTINE_AFTER}")
-                        if blame >= QUARANTINE_AFTER:
-                            self.telemetry.record(
-                                ev.QUARANTINED, ob.kind, ob.label,
-                                detail=f"lost a worker {blame} times")
-                            finalize(index, ObligationOutcome(
-                                obligation=ob, status=CRASHED,
-                                attempts=blame,
-                                error=f"obligation lost a worker {blame} "
-                                      f"times ({reason}); quarantined"))
-                        else:
-                            suspects.append(index)
-                elif event[0] == "quarantined":
-                    _, name, reason = event
-                    self.telemetry.record(ev.QUARANTINED, "exec",
-                                          f"worker:{name}", detail=reason)
-                # "joined" events need no action: capacity is re-checked
-                # at the top of the dispatch loop.
-            if raise_exc is not None:
-                raise raise_exc
-        finally:
-            coordinator.stop()
+                            detail=f"{reason}; blame "
+                                   f"{blame}/{QUARANTINE_AFTER}")
+                        if blame < QUARANTINE_AFTER:
+                            suspects.append(i)
+                            continue
+                        self.telemetry.record(
+                            ev.QUARANTINED, ob.kind, ob.label,
+                            detail=f"lost its worker {blame} times")
+                        finalize(i, ObligationOutcome(
+                            obligation=ob, status=CRASHED,
+                            attempts=blame,
+                            error=f"obligation lost its worker "
+                                  f"{blame} times ({reason}); "
+                                  f"quarantined"))
+        if raise_exc is not None:
+            raise raise_exc
+
+    def _cached(self, ob: Obligation) -> Optional[ObligationOutcome]:
+        """The ``cached`` outcome of ``ob`` on a cache hit, else None."""
+        if ob.cache_key is None or self.cache is None:
+            return None
+        started = time.perf_counter()
+        hit, value = self.cache.get(ob.cache_key, decode=ob.decode)
+        if not hit:
+            return None
+        wall = time.perf_counter() - started
+        self.telemetry.record(ev.CACHED, ob.kind, ob.label, wall=wall)
+        return ObligationOutcome(obligation=ob, status=CACHED, value=value,
+                                 wall_seconds=wall)
+
+    def _decode(self, ob: Obligation, result: tuple, detail: str,
+                blames: int) -> ObligationOutcome:
+        """One worker result tuple (see :func:`_process_worker`) as an
+        outcome, with its telemetry and cache fill."""
+        _, status, wire, wall, attempts, retry_errors, exc_obj = result
+        for message in retry_errors:
+            self.telemetry.record(ev.RETRIED, ob.kind, ob.label,
+                                  detail=message)
+        if status == OK:
+            try:
+                value = ob.decode(wire) if ob.decode is not None \
+                    else ob.payload.decode_result(wire)
+            except Exception as exc:   # noqa: BLE001 - bad wire data
+                status, wire, exc_obj = \
+                    ERRORED, f"undecodable result: {exc}", exc
+        if status == OK:
+            keyed = ob.cache_key is not None and self.cache is not None
+            self.telemetry.record(
+                ev.FINISHED, ob.kind, ob.label, wall=wall,
+                detail=" ".join(filter(None, (detail,
+                                              "keyed" if keyed else ""))))
+            if attempts > 1 or blames:
+                self.telemetry.record(
+                    ev.RETRIED_OK, ob.kind, ob.label,
+                    detail=f"succeeded on attempt {attempts}"
+                    + (", after a lost worker" if blames else ""))
+            if keyed:
+                self.cache.put(ob.cache_key, value, encode=ob.encode)
+            return ObligationOutcome(obligation=ob, status=OK, value=value,
+                                     wall_seconds=wall, attempts=attempts)
+        if status == TIMED_OUT:
+            self.telemetry.record(ev.TIMED_OUT, ob.kind, ob.label,
+                                  wall=wall)
+            return ObligationOutcome(
+                obligation=ob, status=TIMED_OUT, wall_seconds=wall,
+                attempts=attempts,
+                error=f"hard timeout after {self.timeout_seconds}s")
+        self.telemetry.record(ev.ERRORED, ob.kind, ob.label, wall=wall,
+                              detail=str(wire))
+        outcome = ObligationOutcome(obligation=ob, status=ERRORED,
+                                    wall_seconds=wall, attempts=attempts,
+                                    error=str(wire))
+        outcome._exception = exc_obj if exc_obj is not None \
+            else RuntimeError(str(wire))   # type: ignore[attr-defined]
+        return outcome
 
     # -- one obligation -----------------------------------------------------
 
-    def _skip(self, ob: Obligation) -> ObligationOutcome:
-        self.telemetry.record(ev.SKIPPED, ob.kind, ob.label)
-        return ObligationOutcome(obligation=ob, status=SKIPPED)
-
     def _execute(self, ob: Obligation) -> ObligationOutcome:
+        cached = self._cached(ob)
+        if cached is not None:
+            return cached
         keyed = ob.cache_key is not None and self.cache is not None
-        if keyed:
-            started = time.perf_counter()
-            hit, value = self.cache.get(ob.cache_key, decode=ob.decode)
-            if hit:
-                wall = time.perf_counter() - started
-                self.telemetry.record(ev.CACHED, ob.kind, ob.label,
-                                      wall=wall)
-                return ObligationOutcome(obligation=ob, status=CACHED,
-                                         value=value, wall_seconds=wall)
         self.telemetry.record(ev.STARTED, ob.kind, ob.label)
-        attempts = 0
         started = time.perf_counter()
-        while True:
-            attempts += 1
-            try:
-                value = ob.thunk()
-                break
-            except Exception as exc:   # noqa: BLE001 - boundary by design
-                if attempts <= self.retry_policy.retries:
-                    self.telemetry.record(ev.RETRIED, ob.kind, ob.label,
-                                          detail=str(exc))
-                    pause = self.retry_policy.delay(attempts, ob.label)
-                    if pause:
-                        time.sleep(pause)
-                    continue
-                wall = time.perf_counter() - started
-                self.telemetry.record(ev.ERRORED, ob.kind, ob.label,
-                                      wall=wall, detail=str(exc))
-                outcome = ObligationOutcome(
-                    obligation=ob, status=ERRORED, wall_seconds=wall,
-                    attempts=attempts, error=f"{type(exc).__name__}: {exc}")
-                outcome._exception = exc   # type: ignore[attr-defined]
-                return outcome
+        value, attempts, exc = _retrying(
+            ob.thunk, self.retry_policy, ob.label,
+            lambda exc: self.telemetry.record(ev.RETRIED, ob.kind,
+                                              ob.label, detail=str(exc)))
+        if exc is not None:
+            wall = time.perf_counter() - started
+            self.telemetry.record(ev.ERRORED, ob.kind, ob.label,
+                                  wall=wall, detail=str(exc))
+            outcome = ObligationOutcome(
+                obligation=ob, status=ERRORED, wall_seconds=wall,
+                attempts=attempts, error=f"{type(exc).__name__}: {exc}")
+            outcome._exception = exc   # type: ignore[attr-defined]
+            return outcome
         wall = time.perf_counter() - started
         self.telemetry.record(ev.FINISHED, ob.kind, ob.label, wall=wall,
                               detail="keyed" if keyed else "")

@@ -2,7 +2,7 @@
 evaluation and writes a combined report (used to produce EXPERIMENTS.md).
 
 Run as ``python -m repro.harness.runner [--quick] [--plan] [--jobs N]
-[--backend {serial,thread,process,remote}] [--timeout S] [--retries N]
+[--backend {serial,process,remote}] [--timeout S] [--retries N]
 [--max-retry-delay S] [--on-backend-failure {raise,degrade}]
 [--remote-worker HOST:PORT]... [--remote-listen [HOST:]PORT]
 [--lease-timeout S] [--no-remote-shared-cache]
@@ -43,7 +43,7 @@ __all__ = ["run_all", "main"]
 
 
 def run_all(upto: int = 14, quick: bool = False, jobs: int = 1,
-            backend: str = "thread",
+            backend: str = "serial",
             timeout: Optional[float] = None,
             exec: Optional[ExecConfig] = None,
             manifest_dir: Optional[str] = None,
@@ -158,7 +158,7 @@ def _parse_jobs(argv) -> int:
 def _parse_backend(argv) -> str:
     raw = _flag_value(argv, "--backend")
     if raw is None:
-        return "thread"
+        return "serial"
     if raw not in BACKENDS:
         raise SystemExit(f"error: --backend expects one of "
                          f"{'/'.join(BACKENDS)}, got {raw!r}")
@@ -306,7 +306,7 @@ def main(argv=None) -> int:
     if "--help" in argv or "-h" in argv:
         print("usage: python -m repro.harness.runner [--quick] [--plan] "
               "[--jobs N]\n"
-              "  [--backend {serial,thread,process,remote}] [--timeout S] "
+              "  [--backend {serial,process,remote}] [--timeout S] "
               "[--retries N]\n"
               "  [--max-retry-delay S] [--on-backend-failure "
               "{raise,degrade}]\n"

@@ -12,8 +12,7 @@ from ..aes.annotations import annotated_package
 from ..aes.fips197 import fips197_theory
 from ..aes.proof_scripts import aes_proof_scripts
 from ..defects import run_experiment, stage_table
-from ..exec.config import ExecConfig, coerce_exec_config, \
-    reject_legacy_exec_kwargs
+from ..exec.config import ExecConfig, coerce_exec_config
 from ..extract import extract_specification
 from ..implication import ImplicationResult, prove_implication
 from ..lang import AnnotationCounts, count_annotations
@@ -47,8 +46,8 @@ def render_table1(counts: AnnotationCounts) -> str:
 @lru_cache(maxsize=None)
 def implementation_proof_stats(exec: Optional[ExecConfig] = None,
                                manifest_dir: Optional[str] = None,
-                               incremental: bool = False,
-                               **legacy) -> ImplementationProofResult:
+                               incremental: bool = False
+                               ) -> ImplementationProofResult:
     """The full implementation proof over the annotated refactored AES
     (section 6.2.3's 306 VCs / 86.6% / 15-of-25 figures).  ``exec``
     configures the obligation scheduler (``ExecConfig`` is hashable, so
@@ -57,7 +56,6 @@ def implementation_proof_stats(exec: Optional[ExecConfig] = None,
     ``manifest_dir``/``incremental`` (both hashable, so they key the
     memo too) enable edit-aware re-verification via the run manifest
     (DESIGN.md §15)."""
-    reject_legacy_exec_kwargs("implementation_proof_stats", legacy)
     config = coerce_exec_config(exec, owner="implementation_proof_stats")
     typed = annotated_package()
     proof = ImplementationProof(typed, scripts=aes_proof_scripts(),
@@ -76,12 +74,11 @@ class ImplicationStats:
 
 
 @lru_cache(maxsize=None)
-def implication_proof_stats(exec: Optional[ExecConfig] = None,
-                            **legacy) -> ImplicationStats:
+def implication_proof_stats(exec: Optional[ExecConfig] = None
+                            ) -> ImplicationStats:
     """Section 6.2.4: extracted-spec size, TCC accounting, lemma count.
     ``exec`` configures the obligation scheduler (the PR-3 era bare
     ``jobs`` shim is gone and raises ``TypeError``)."""
-    reject_legacy_exec_kwargs("implication_proof_stats", legacy)
     config = coerce_exec_config(exec, owner="implication_proof_stats")
     typed = annotated_package()
     extraction = extract_specification(typed)

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from ..exec.config import coerce_exec_config, reject_legacy_exec_kwargs
+from ..exec.config import coerce_exec_config
 from ..extract.mapper import ArchitecturalMap, build_map
 from ..extract.matchratio import MatchRatio, match_ratio
 from ..prover import AutoProver
@@ -77,28 +77,20 @@ class ImplicationResult:
 
 def prove_implication(original: s.Theory, extracted: s.Theory,
                       seed: int = 20090701,
-                      exec=None,
-                      **legacy) -> ImplicationResult:
+                      exec=None) -> ImplicationResult:
     """Prove the implication theorem.
 
     Lemma discharge runs through the obligation scheduler
     (:mod:`repro.exec`): one ``lemma`` obligation per architectural-map
     element.  ``exec`` is the :class:`~repro.exec.ExecConfig` for the
-    run (the PR-3 era bare ``jobs``/``cache``/``telemetry`` shims are
-    gone and raise ``TypeError``).  The serial path runs lemmas inline in the
-    historical order with the shared evaluator pair (bit-identical to
-    the pre-scheduler path); a thread pool uses one evaluator pair per
-    worker thread (``SpecEvaluator`` carries a mutable memo and step
-    budget, so instances are not shared across threads); worker
-    processes rebuild the whole theory context from a declarative
-    :class:`~repro.exec.LemmaPayload`.  Results are cached
+    run.  The serial path runs lemmas inline in the historical order
+    with the shared evaluator pair (bit-identical to the pre-scheduler
+    path); worker processes rebuild the whole theory context from a
+    declarative :class:`~repro.exec.LemmaPayload`.  Results are cached
     content-addressed on (theory texts, lemma identity, seed).
     """
-    import threading
-
     from ..exec import LemmaPayload, lemma_obligation, theory_fingerprint
 
-    reject_legacy_exec_kwargs("prove_implication", legacy)
     config = coerce_exec_config(exec, owner="prove_implication")
 
     started = time.perf_counter()
@@ -108,25 +100,13 @@ def prove_implication(original: s.Theory, extracted: s.Theory,
 
     orig_eval = SpecEvaluator(original)
     ext_eval = SpecEvaluator(extracted)
-    tls = threading.local()
-
-    def evaluators():
-        if config.effective_serial:
-            return orig_eval, ext_eval
-        pair = getattr(tls, "pair", None)
-        if pair is None:
-            pair = (SpecEvaluator(original), SpecEvaluator(extracted))
-            tls.pair = pair
-        return pair
-
     original_fp = theory_fingerprint(original)
     extracted_fp = theory_fingerprint(extracted)
 
     def discharger(lemma):
         def discharge():
-            o_eval, e_eval = evaluators()
             return discharge_lemma(lemma, original, extracted, amap,
-                                   o_eval, e_eval, seed=seed)
+                                   orig_eval, ext_eval, seed=seed)
         return discharge
 
     obligations = [

@@ -86,7 +86,7 @@ def main(argv: Optional[List[str]] = None) -> int:
               "[--plan-cache PATH] [--json] [--quiet]")
         return 0
     jobs = _int_flag(argv, "--jobs", 1)
-    backend = _flag_value(argv, "--backend") or "thread"
+    backend = _flag_value(argv, "--backend") or "serial"
     trials = _int_flag(argv, "--trials", 2)
     beam = _int_flag(argv, "--beam", 12)
     top_k = _int_flag(argv, "--top-k", 6)

@@ -24,7 +24,7 @@ ranks every enumerated candidate; only the leaders earn the *probe* tier
 transformation, weights, probe budgets): no wall clocks, no prover
 timeouts (the probe runs the auto prover with ``timeout_seconds=None`` --
 its internal budgets are deterministic), so scores are bit-identical
-across the serial, thread, process, and remote backends.
+across the serial, process, and remote backends.
 
 :func:`evaluate_candidate` is module-level and operates on picklable
 arguments, so the planner fans evaluations out as Obligations carrying

@@ -29,7 +29,7 @@ semantics, repeat.  Four stages per iteration:
 Determinism: enumeration order is structural, scoring is wall-clock
 free, scheduler outcomes return in submission order, and all ordering
 ties break on ``make_key(seed, fingerprint)``.  The discovered chain is
-therefore bit-identical across serial, thread, process, and remote
+therefore bit-identical across serial, process, and remote
 execution -- asserted by ``benchmarks/bench_plan.py``.
 """
 

@@ -10,7 +10,6 @@ maximum length of VCs needing human intervention, and wall/simulated time.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -18,8 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..exec import VCPayload, package_fingerprint, vc_obligation
 from ..exec import events as ev
 from ..exec.cache import default_cache
-from ..exec.config import ExecConfig, coerce_exec_config, \
-    reject_legacy_exec_kwargs
+from ..exec.config import ExecConfig, coerce_exec_config
 from ..exec.telemetry import default_telemetry
 from ..incr.fingerprint import cone_fingerprints
 from ..incr.manifest import coerce_manifest_store, run_config_digest
@@ -114,10 +112,9 @@ class ImplementationProof:
     state (memo caches, fresh-name counters) sees its VCs serially and in
     order even when ``jobs > 1`` -- ``jobs=1`` therefore reproduces the
     historical serial run bit for bit, and ``jobs=N`` fans subprograms
-    out across a thread pool (``backend='thread'``) or across worker
-    processes (``backend='process'``: each obligation also carries a
-    :class:`~repro.exec.payload.VCPayload` naming the same discharge
-    declaratively).  Results are cached content-addressed on
+    out across worker processes (``backend='process'``: each obligation
+    also carries a :class:`~repro.exec.payload.VCPayload` naming the
+    same discharge declaratively).  Results are cached content-addressed on
     (package text, subprogram, VC term, prover configuration), so
     re-verifying unchanged code is a replay, not a re-proof.
     """
@@ -134,8 +131,7 @@ class ImplementationProof:
                  exec: Optional[ExecConfig] = None,
                  norm_cache: Optional[NormalizationCache] = None,
                  manifest=None,
-                 incremental: bool = False,
-                 **legacy):
+                 incremental: bool = False):
         """``scripts`` maps a subprogram name to the proof scripts to try,
         in order, on each of its undischarged VCs.  ``exec`` configures the
         obligation scheduler (backend, jobs, cache, telemetry, per-VC
@@ -154,7 +150,6 @@ class ImplementationProof:
         unchanged straight from the result cache (DESIGN.md §15).
         Incremental mode without a manifest store is a contradiction and
         fails loudly."""
-        reject_legacy_exec_kwargs("ImplementationProof", legacy)
         self.typed = typed
         self.limits = limits
         self.scripts = scripts or {}
@@ -164,15 +159,10 @@ class ImplementationProof:
             raise ValueError("incremental=True requires manifest= "
                              "(a ManifestStore or a directory path)")
         self.exec = coerce_exec_config(exec, owner="ImplementationProof")
-        #: Guards lazy per-subprogram prover construction across scheduler
-        #: worker threads.  One lock per proof session: every discharge
-        #: thunk synchronizes on this same instance (a per-call fallback
-        #: lock would provide no mutual exclusion at all).
-        self._provers_lock = threading.Lock()
         #: Cross-obligation normalization cache (DESIGN.md §13): one per
         #: proof session unless the caller shares one.  The examiner warms
         #: it while simplifying, the per-VC provers reuse it
-        #: (serial/thread backends share this instance; the process
+        #: (inline discharges share this instance; the process
         #: backend ships each subprogram's warm entries to workers through
         #: the VC payloads).  Keys are fingerprint-scoped
         #: (``simplifier_rules_key``), so sharing across sessions is sound
@@ -457,15 +447,11 @@ class ImplementationProof:
     def _fold_hotpath(self, hotpath: Dict[str, Dict[str, int]],
                       subprogram: str, prover: AutoProver) -> None:
         """Accumulate one retired prover's rewriting instrumentation
-        (thread-safe: dischargers run concurrently on the thread
-        backend)."""
-        counters = prover.hotpath_counters()
-        with self._provers_lock:
-            acc = hotpath.setdefault(subprogram, {
-                "index_hits": 0, "index_skipped_rules": 0,
-                "cross_vc_hits": 0})
-            for key, value in counters.items():
-                acc[key] += value
+        (dischargers run on the scheduler's calling thread)."""
+        acc = hotpath.setdefault(subprogram, {
+            "index_hits": 0, "index_skipped_rules": 0, "cross_vc_hits": 0})
+        for key, value in prover.hotpath_counters().items():
+            acc[key] += value
 
     def _try_scripts(self, vc: VCRecord,
                      hotpath: Dict[str, Dict[str, int]]) -> VCOutcome:

@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..equiv import EquivalenceTheorem, prove_equivalence
-from ..exec.config import ExecConfig, coerce_exec_config, \
-    reject_legacy_exec_kwargs
+from ..exec.config import ExecConfig, coerce_exec_config
 from ..lang import TypedPackage, analyze, ast
 from ..lang.errors import TypeError_
 
@@ -252,9 +251,7 @@ class RefactoringEngine:
                  seed: int = 20090701,
                  samplers: Optional[dict] = None,
                  exec: Optional[ExecConfig] = None,
-                 check_observables: bool = False,
-                 **legacy):
-        reject_legacy_exec_kwargs("RefactoringEngine", legacy)
+                 check_observables: bool = False):
         self.typed = analyze(package)
         self.observables = list(observables)
         self.check = check

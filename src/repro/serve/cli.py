@@ -102,7 +102,7 @@ def _parse_default_exec(argv) -> ExecConfig:
                              f"got {jobs_raw!r}")
         if jobs < 1:
             raise SystemExit(f"error: --jobs must be >= 1, got {jobs_raw!r}")
-    backend = _flag_value(argv, "--backend") or "thread"
+    backend = _flag_value(argv, "--backend") or "serial"
     if backend not in BACKENDS:
         raise SystemExit(f"error: --backend expects one of "
                          f"{', '.join(sorted(BACKENDS))}, got {backend!r}")

@@ -135,14 +135,14 @@ class TestBatchWorker:
 
 class TestBatchedSchedulingIdentity:
     @pytest.mark.parametrize("backend,jobs", [
-        ("serial", 1), ("thread", 3), ("process", 2)])
+        ("serial", 1), ("process", 2)])
     def test_outcomes_identical_across_batch_sizes(self, backend, jobs):
         reference = None
         for batch_size in (1, 2, 16):
-            outcomes = ObligationScheduler(
+            outcomes = ObligationScheduler(ExecConfig(
                 jobs=jobs, backend=backend, cache=False,
                 telemetry=Telemetry(), batch_size=batch_size,
-            ).run(_obs(11))
+            )).run(_obs(11))
             values = [(o.status, o.value) for o in outcomes]
             if reference is None:
                 reference = values
@@ -156,31 +156,20 @@ class TestBatchedSchedulingIdentity:
         obs = _obs(6)
         obs.insert(3, Obligation(kind="vc", label="bad",
                                  thunk=(lambda: 1), payload=bad))
-        outcomes = ObligationScheduler(
+        outcomes = ObligationScheduler(ExecConfig(
             jobs=2, backend="process", cache=False, telemetry=Telemetry(),
-            on_error="record").run(obs)
+            on_error="record")).run(obs)
         assert outcomes[3].status == "errored"
         ok = [o for i, o in enumerate(outcomes) if i != 3]
         assert all(o.ok for o in ok)
-
-    def test_thread_timeout_disables_batching(self):
-        """With a per-obligation timeout the thread backend waits on one
-        future per obligation (the future wait *is* the timeout
-        instrument), so batching must stand down."""
-        telemetry = Telemetry()
-        outcomes = ObligationScheduler(
-            jobs=2, backend="thread", cache=False, telemetry=telemetry,
-            timeout_seconds=5.0, batch_size=8).run(_obs(6))
-        assert [o.value for o in outcomes] == [i * i for i in range(6)]
-        assert telemetry.stats().batched == 0
 
 
 class TestDispatchTelemetry:
     def test_batched_dispatch_counters(self):
         telemetry = Telemetry()
-        ObligationScheduler(jobs=2, backend="process", cache=False,
-                            telemetry=telemetry,
-                            batch_size=16).run(_obs(20))
+        ObligationScheduler(ExecConfig(
+            jobs=2, backend="process", cache=False, telemetry=telemetry,
+            batch_size=16)).run(_obs(20))
         stats = telemetry.stats()
         assert stats.batched >= 1
         assert stats.batch_items == 20
@@ -200,9 +189,9 @@ class TestDispatchTelemetry:
 
     def test_batch_size_one_reports_nothing_batched(self):
         telemetry = Telemetry()
-        ObligationScheduler(jobs=2, backend="process", cache=False,
-                            telemetry=telemetry,
-                            batch_size=1).run(_obs(6))
+        ObligationScheduler(ExecConfig(
+            jobs=2, backend="process", cache=False, telemetry=telemetry,
+            batch_size=1)).run(_obs(6))
         stats = telemetry.stats()
         assert stats.batched == 0
         assert stats.batch_items == 0
@@ -225,10 +214,11 @@ class TestBatchKnobValidation:
         {"batch_bytes_cap": 0}, {"batch_bytes_cap": -1}])
     def test_scheduler_rejects_bad_knobs(self, kwargs):
         with pytest.raises(ValueError):
-            ObligationScheduler(jobs=1, backend="serial", **kwargs)
+            ObligationScheduler(ExecConfig(jobs=1, backend="serial",
+                                           **kwargs))
 
     def test_config_json_round_trip(self):
-        config = ExecConfig(jobs=3, backend="thread", batch_size=7,
+        config = ExecConfig(jobs=3, backend="process", batch_size=7,
                             batch_bytes_cap=123456)
         clone = ExecConfig.from_json(json.loads(
             json.dumps(config.to_json())))

@@ -183,7 +183,7 @@ class TestDiskStore:
         cache = ResultCache(disk_dir=tmp_path / "c")
         ob = Obligation(kind="vc", label="raw", thunk=lambda: 41 + 1,
                         cache_key=make_key("raw"))
-        scheduler = ObligationScheduler(jobs=1, cache=cache)
+        scheduler = ObligationScheduler(ExecConfig(jobs=1, cache=cache))
         [outcome] = scheduler.run([ob])
         assert outcome.ok and outcome.value == 42
         assert not list((tmp_path / "c").rglob("*.json"))

@@ -1,5 +1,5 @@
-"""ExecConfig API tests: the finalized ``exec=`` parameter, the hard
-``TypeError`` on the removed PR-3 legacy keywords, remote-backend field
+"""ExecConfig API tests: the finalized ``exec=`` parameter, the plain
+``TypeError`` on the removed legacy keywords, remote-backend field
 validation, the JSON wire form, and the stable top-level public surface."""
 
 import warnings
@@ -10,7 +10,6 @@ from repro.exec import (
     ExecConfig, ObligationScheduler, RetryPolicy, Telemetry,
     coerce_exec_config,
 )
-from repro.exec.config import LEGACY_EXEC_KWARGS, reject_legacy_exec_kwargs
 from repro.lang import analyze, parse_package
 
 from tests.test_exec_scheduler import SRC
@@ -20,7 +19,7 @@ class TestExecConfig:
     def test_defaults_match_historical_behaviour(self):
         config = ExecConfig()
         assert config.jobs == 1
-        assert config.backend == "thread"
+        assert config.backend == "serial"
         assert config.cache is None
         assert config.telemetry is None
         assert config.timeout_seconds is None
@@ -33,7 +32,6 @@ class TestExecConfig:
         assert config.remote_listen is None
         assert config.lease_timeout_seconds is None
         assert config.remote_shared_cache is True
-        assert config.effective_serial
 
     def test_scheduler_derivation(self):
         telemetry = Telemetry()
@@ -46,24 +44,24 @@ class TestExecConfig:
         assert scheduler.cache is None            # cache=False disables
         assert scheduler.telemetry is telemetry
         assert scheduler.timeout_seconds == 2.0
-        assert scheduler.retries == 1
+        assert scheduler.retry_policy.retries == 1
         assert scheduler.on_error == "record"
 
     def test_scheduler_derivation_remote_fields(self):
-        scheduler = ExecConfig(
+        config = ExecConfig(
             backend="remote", jobs=4, cache=False, telemetry=Telemetry(),
             remote_workers=("farm1:9000", "farm2:9000"),
             lease_timeout_seconds=30.0,
-            remote_shared_cache=False).scheduler()
+            remote_shared_cache=False)
+        scheduler = config.scheduler()
         assert scheduler.backend == "remote"
-        assert scheduler.remote_workers == ("farm1:9000", "farm2:9000")
-        assert scheduler.remote_listen is None
-        assert scheduler.lease_timeout_seconds == 30.0
-        assert scheduler.remote_shared_cache is False
+        assert scheduler.config is config
 
     def test_validation(self):
         with pytest.raises(ValueError, match="backend"):
             ExecConfig(backend="rocket")
+        with pytest.raises(ValueError, match="backend"):
+            ExecConfig(backend="thread")       # removed backend
         with pytest.raises(ValueError, match="jobs"):
             ExecConfig(jobs=0)
         with pytest.raises(ValueError, match="on_error"):
@@ -81,8 +79,6 @@ class TestExecConfig:
             ExecConfig(timeout_seconds=0)
         with pytest.raises(ValueError, match="timeout_seconds"):
             ExecConfig(timeout_seconds=-1.5)
-        with pytest.raises(ValueError, match="timeout_seconds"):
-            ObligationScheduler(timeout_seconds=0)
         assert ExecConfig(timeout_seconds=0.5).timeout_seconds == 0.5
 
     def test_retry_policy_accepted_and_preserved(self):
@@ -92,7 +88,6 @@ class TestExecConfig:
         scheduler = ExecConfig(jobs=2, retries=policy, cache=False,
                                telemetry=Telemetry()).scheduler()
         assert scheduler.retry_policy is policy
-        assert scheduler.retries == 3            # compat int view
 
     def test_hashable_and_frozen(self):
         config = ExecConfig(jobs=2)
@@ -140,10 +135,19 @@ class TestRemoteFields:
         with pytest.raises(ValueError, match="remote_shared_cache"):
             ExecConfig(remote_shared_cache="yes")
 
-    def test_remote_is_never_effectively_serial(self):
-        config = ExecConfig(backend="remote", jobs=1,
-                            remote_workers=("h:1",))
-        assert not config.effective_serial
+    def test_remote_is_never_effectively_serial(self, monkeypatch):
+        """Even ``jobs=1`` ships to the farm: with no worker joining, the
+        run fails as an unusable farm instead of running inline."""
+        from repro.exec import BackendUnusableError, CallPayload, Obligation
+
+        monkeypatch.setattr(ObligationScheduler, "REMOTE_WORKER_GRACE", 0.2)
+        config = ExecConfig(backend="remote", jobs=1, cache=False,
+                            remote_listen="127.0.0.1:0",
+                            telemetry=Telemetry())
+        with pytest.raises(BackendUnusableError, match="no workers"):
+            config.scheduler().run([Obligation(
+                kind="t", label="x", thunk=lambda: 1,
+                payload=CallPayload(abs, (-1,)))])
 
 
 class TestJsonWireForm:
@@ -199,63 +203,74 @@ class TestCoercion:
 
 
 class TestLegacyKwargsRemoved:
-    """The PR-3 deprecation shims are gone: every entry point now raises a
-    hard ``TypeError`` with the ``exec=ExecConfig(...)`` migration hint."""
+    """The removed ``jobs=``/``cache=``/``telemetry=``/``timeout_seconds=``/
+    ``obligation_timeout=`` keywords are ordinary unknown keywords now:
+    every entry point rejects them with Python's own ``TypeError``."""
+
+    LEGACY = ("jobs", "cache", "telemetry", "timeout_seconds",
+              "obligation_timeout")
 
     def test_reject_helper_spells_out_the_migration(self):
+        """The custom migration message is gone with its helper: the
+        entry point's own signature rejects the first legacy keyword."""
+        from repro.core import verify_aes
+
         with pytest.raises(TypeError) as exc:
-            reject_legacy_exec_kwargs("Owner", {"jobs": 4, "cache": False})
-        message = str(exc.value)
-        assert message.startswith("Owner: ")
-        assert "removed" in message
-        assert "exec=ExecConfig(cache=False, jobs=4)" in message
+            verify_aes(jobs=4, cache=False)
+        assert "unexpected keyword argument 'jobs'" in str(exc.value)
 
     def test_obligation_timeout_maps_to_timeout_seconds(self):
+        """``obligation_timeout=`` gets no special mapping any more: it is
+        an unknown keyword like any other."""
+        from repro.implication import prove_implication
+
         with pytest.raises(TypeError,
-                           match=r"exec=ExecConfig\(timeout_seconds=30\.0\)"):
-            reject_legacy_exec_kwargs("P", {"obligation_timeout": 30.0})
+                           match="unexpected keyword argument "
+                                 "'obligation_timeout'"):
+            prove_implication(None, None, obligation_timeout=30.0)
 
     def test_unknown_keyword_gets_the_stock_message(self):
+        from repro.core import verify_aes
+
         with pytest.raises(TypeError, match="unexpected keyword"):
-            reject_legacy_exec_kwargs("P", {"jorbs": 4})
+            verify_aes(jorbs=4)
 
-    def test_empty_kwargs_is_a_no_op(self):
-        reject_legacy_exec_kwargs("P", {})
-
-    @pytest.mark.parametrize("name", LEGACY_EXEC_KWARGS)
+    @pytest.mark.parametrize("name", LEGACY)
     def test_every_legacy_name_is_caught(self, name):
-        with pytest.raises(TypeError, match="legacy"):
-            reject_legacy_exec_kwargs("P", {name: 1})
+        from repro.implication import prove_implication
+
+        with pytest.raises(TypeError, match=name):
+            prove_implication(None, None, **{name: 1})
 
     def test_implementation_proof_rejects_legacy(self):
         from repro.prover import ImplementationProof
 
         typed = analyze(parse_package(SRC))
-        with pytest.raises(TypeError, match="ImplementationProof.*legacy"):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             ImplementationProof(typed, jobs=2, cache=False)
 
     def test_prove_implication_rejects_legacy(self):
         from repro.implication import prove_implication
 
-        with pytest.raises(TypeError, match="prove_implication.*legacy"):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             prove_implication(None, None, jobs=2)
 
     def test_refactoring_engine_rejects_legacy(self):
         from repro.refactor import RefactoringEngine
 
-        with pytest.raises(TypeError, match="RefactoringEngine.*legacy"):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             RefactoringEngine(None, observables=[], jobs=2)
 
     def test_echo_verifier_rejects_legacy(self):
         from repro.core import EchoVerifier
 
-        with pytest.raises(TypeError, match="EchoVerifier.*legacy"):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             EchoVerifier(None, None, observables=[], telemetry=Telemetry())
 
     def test_verify_aes_rejects_legacy(self):
         from repro.core import verify_aes
 
-        with pytest.raises(TypeError, match="verify_aes.*legacy"):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             verify_aes(jobs=8)
 
     def test_harness_tables_reject_legacy(self):

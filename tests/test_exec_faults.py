@@ -5,8 +5,8 @@ obligation carries a *plan* -- a tuple of faults consumed one per attempt
 ("crash" kills the worker process, "raise" throws a transient error,
 "stall" sleeps briefly) -- and attempt counters live in files so the
 schedule survives the process boundary and pool respawns.  The headline
-gate re-runs the sampled AES corpus on all three backends under injected
-faults and requires bit-identical per-VC verdicts.
+gate re-runs the sampled AES corpus on the serial and process backends
+under injected faults and requires bit-identical per-VC verdicts.
 """
 
 import os
@@ -22,8 +22,6 @@ from repro.exec import (
     BackendUnusableError, CallPayload, ExecConfig, Obligation,
     ObligationPayload, ObligationScheduler, RetryPolicy, Telemetry,
 )
-from repro.exec import scheduler as scheduler_mod
-
 from tests.test_exec_scheduler import outcome_key
 
 #: Backoff fast enough that a chaos run costs milliseconds, not seconds.
@@ -151,7 +149,7 @@ def _scheduler(**kw):
     kw.setdefault("cache", False)
     kw.setdefault("telemetry", Telemetry())
     kw.setdefault("retries", FAST_RETRY)
-    return ObligationScheduler(**kw)
+    return ObligationScheduler(ExecConfig(**kw))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +270,7 @@ class TestCrashRecovery:
     def test_transient_raise_recovers_on_all_backends(self, tmp_path):
         """A thunk/payload that raises once is absorbed by the retry
         policy on every backend and recorded as ``retried_ok``."""
-        for backend, jobs in (("serial", 1), ("thread", 2), ("process", 2)):
+        for backend, jobs in (("serial", 1), ("process", 2)):
             telemetry = Telemetry()
             state = tmp_path / backend
             state.mkdir()
@@ -294,11 +292,6 @@ def _obs(n=4):
                        thunk=lambda i=i: i * i) for i in range(n)]
 
 
-class _NoThreads:
-    def __init__(self, *a, **kw):
-        raise RuntimeError("can't start new thread (injected)")
-
-
 class TestDegradation:
     @pytest.fixture
     def no_process_pool(self, monkeypatch):
@@ -307,11 +300,7 @@ class TestDegradation:
                                        "no multiprocessing (injected)")
         monkeypatch.setattr(ObligationScheduler, "_spawn_pool", refuse)
 
-    @pytest.fixture
-    def no_thread_pool(self, monkeypatch):
-        monkeypatch.setattr(scheduler_mod, "ThreadPoolExecutor", _NoThreads)
-
-    def test_process_degrades_to_thread(self, no_process_pool):
+    def test_process_degrades_to_serial(self, no_process_pool):
         telemetry = Telemetry()
         outcomes = _scheduler(telemetry=telemetry,
                               on_backend_failure="degrade").run(_obs())
@@ -319,26 +308,18 @@ class TestDegradation:
         stats = telemetry.stats()
         assert stats.degraded == 1
         degraded = [e for e in telemetry.events() if e.event == "degraded"]
-        assert [e.label for e in degraded] == ["process->thread"]
+        assert [e.label for e in degraded] == ["process->serial"]
         assert "injected" in degraded[0].detail
 
-    def test_thread_degrades_to_serial(self, no_thread_pool):
-        telemetry = Telemetry()
-        outcomes = _scheduler(backend="thread", telemetry=telemetry,
-                              on_backend_failure="degrade").run(_obs())
-        assert [o.value for o in outcomes] == [0, 1, 4, 9]
-        assert telemetry.stats().degraded == 1
-
-    def test_full_chain_process_to_serial(self, no_process_pool,
-                                          no_thread_pool):
+    def test_full_chain_process_to_serial(self, no_process_pool):
+        """``serial`` is the end of the chain: one hop from process."""
         telemetry = Telemetry()
         outcomes = _scheduler(telemetry=telemetry,
                               on_backend_failure="degrade").run(_obs())
         assert [o.value for o in outcomes] == [0, 1, 4, 9]
-        assert telemetry.stats().degraded == 2
+        assert telemetry.stats().degraded == 1
         assert [e.label for e in telemetry.events()
-                if e.event == "degraded"] == \
-            ["process->thread", "thread->serial"]
+                if e.event == "degraded"] == ["process->serial"]
 
     def test_on_backend_failure_raise_propagates(self, no_process_pool):
         with pytest.raises(BackendUnusableError, match="process"):
@@ -346,35 +327,45 @@ class TestDegradation:
 
     def test_degrade_keeps_finished_outcomes(self, monkeypatch, tmp_path):
         """Outcomes reached before the degradation stay final: when the
-        thread pool stops accepting work partway, the serial fallback
-        runs only the unfinished obligations -- nothing runs twice."""
-        from concurrent.futures import ThreadPoolExecutor as RealPool
+        process pool stops accepting work partway and cannot be
+        respawned, the serial fallback runs only the unfinished
+        obligations -- nothing runs twice."""
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
         class FlakySubmitPool:
-            """Accepts two submissions, then refuses like a thread-starved
-            interpreter would."""
+            """Accepts two submissions, then breaks at submit time."""
 
             def __init__(self, max_workers=None):
-                self._inner = RealPool(max_workers=max_workers)
+                self._inner = ProcessPoolExecutor(max_workers=max_workers)
                 self._accepted = 0
 
             def submit(self, fn, *args, **kwargs):
                 self._accepted += 1
                 if self._accepted > 2:
-                    raise RuntimeError("can't start new thread (injected)")
+                    raise BrokenExecutor("pool broke at submit (injected)")
                 return self._inner.submit(fn, *args, **kwargs)
 
-            def shutdown(self, wait=True):
-                self._inner.shutdown(wait=wait)
+            def shutdown(self, wait=True, cancel_futures=False):
+                self._inner.shutdown(wait=wait,
+                                     cancel_futures=cancel_futures)
 
-        monkeypatch.setattr(scheduler_mod, "ThreadPoolExecutor",
-                            FlakySubmitPool)
+        spawned = []
+
+        def spawn_once(self):
+            if spawned:
+                raise BackendUnusableError("process",
+                                           "cannot respawn (injected)")
+            spawned.append(FlakySubmitPool(max_workers=self.jobs))
+            return spawned[0]
+
+        monkeypatch.setattr(ObligationScheduler, "_spawn_pool", spawn_once)
         telemetry = Telemetry()
-        obs = [_faulty_ob(tmp_path, f"d{i}", (), i) for i in range(4)]
-        # batch_size=1: per-obligation submissions, so the injected
-        # third-submit refusal is reachable (batched dispatch would fold
-        # all four obligations into the two accepted submissions).
-        outcomes = _scheduler(backend="thread", telemetry=telemetry,
+        # One group, batch_size=1: each obligation ships alone once its
+        # predecessor is final, so the first two finish before the
+        # injected third-submit refusal.
+        obs = [_faulty_ob(tmp_path, f"d{i}", (), i, group="g")
+               for i in range(4)]
+        outcomes = _scheduler(telemetry=telemetry,
                               on_backend_failure="degrade",
                               batch_size=1).run(obs)
         assert [o.value for o in outcomes] == [0, 1, 2, 3]
@@ -435,24 +426,6 @@ class TestFailureTaxonomy:
 
 
 class TestAbandonedWorkers:
-    def test_thread_backend_records_abandoned_worker(self):
-        """A timed-out thread cannot be preempted; abandoning it at pool
-        shutdown must be visible in telemetry, not a silent drop."""
-        telemetry = Telemetry()
-        obs = [Obligation(kind="test", label="slow",
-                          thunk=lambda: time.sleep(1.5) or "late"),
-               Obligation(kind="test", label="fast", thunk=lambda: 42)]
-        outcomes = ObligationScheduler(
-            jobs=2, backend="thread", cache=False, telemetry=telemetry,
-            timeout_seconds=0.2).run(obs)
-        assert outcomes[0].status == "timed_out"
-        assert outcomes[1].ok and outcomes[1].value == 42
-        stats = telemetry.stats()
-        assert stats.abandoned_workers == 1
-        events = [e for e in telemetry.events()
-                  if e.event == "worker_abandoned"]
-        assert [e.label for e in events] == ["backend:thread"]
-
     def test_process_backend_records_abandoned_worker(self, monkeypatch,
                                                       tmp_path):
         """A worker that blocks SIGALRM and spins is unreachable by the
@@ -484,9 +457,9 @@ class TestAbandonedWorkers:
 # ---------------------------------------------------------------------------
 
 class TestChaosDifferentialAES:
-    """Injected faults must never change a proof verdict: serial, thread
-    and process runs of the sampled AES corpus agree bit-for-bit even
-    while workers crash, payloads raise transiently, and stalls fire."""
+    """Injected faults must never change a proof verdict: serial and
+    process runs of the sampled AES corpus agree bit-for-bit even while
+    workers crash, payloads raise transiently, and stalls fire."""
 
     def _keys(self, result):
         return [outcome_key(o) for o in result.outcomes]
@@ -529,16 +502,13 @@ class TestChaosDifferentialAES:
             return result, telemetry.stats()
 
         serial, serial_stats = run("serial", 1, transient, "serial")
-        thread, thread_stats = run("thread", 4, transient, "thread")
         process, process_stats = run("process", 4, hostile, "process")
 
         assert serial.total_vcs > 4
-        assert self._keys(thread) == self._keys(serial)
         assert self._keys(process) == self._keys(serial)
         assert process.auto_percent == serial.auto_percent
         # the faults genuinely fired and were genuinely absorbed
         assert serial_stats.retried_ok >= 1
-        assert thread_stats.retried_ok >= 1
         assert process_stats.retried_ok >= 1
         assert process_stats.crashes >= 1
         assert process_stats.quarantined == 0
@@ -602,10 +572,14 @@ class TestBatchedChaos:
     def test_crasher_inside_batch_blames_members_once(self, tmp_path):
         """A worker crash takes its whole batch down: every member is
         blamed once (one strike, never quarantine-worthy alone), then
-        the survivors re-run solo and succeed."""
+        the survivors re-run solo and succeed.  Four groups of two chain
+        the crashing unit (b6, b7) behind a clean one (b2, b3), so the
+        clean unit's batched dispatch always completes first -- the
+        crash cannot race it."""
         telemetry = Telemetry()
         obs = [_faulty_ob(tmp_path, f"b{i}",
-                          ("crash",) if i == 2 else (), i * 10)
+                          ("crash",) if i == 6 else (), i * 10,
+                          group=f"g{i % 4}")
                for i in range(8)]
         outcomes = _scheduler(telemetry=telemetry,
                               batch_size=4).run(obs)

@@ -1,7 +1,7 @@
 """Process-backend tests: scheduler semantics over worker processes
 (ordering, group chaining, timeouts, retries, error modes, caching),
 payload reconstruction, and the cross-backend differential gates --
-serial vs thread vs process must be bit-identical on real proofs."""
+serial vs process must be bit-identical on real proofs."""
 
 import os
 import time
@@ -49,7 +49,7 @@ def _scheduler(**kw):
     kw.setdefault("backend", "process")
     kw.setdefault("cache", False)
     kw.setdefault("telemetry", Telemetry())
-    return ObligationScheduler(**kw)
+    return ObligationScheduler(ExecConfig(**kw))
 
 
 class TestProcessScheduling:
@@ -137,6 +137,22 @@ class TestProcessScheduling:
         assert statuses[:3] == ["ok", "ok", "ok"]
         assert statuses[3:] == ["skipped"] * 3
 
+    def test_stop_on_cached_hit_still_runs_earlier_misses(self):
+        """Cache hits settle before anything ships, but a hit that stops
+        the run must not stop the misses *before* it: like the serial
+        path, every obligation ahead of the stopping one runs, and only
+        the tail is skipped."""
+        cache = ResultCache()
+        key = make_key("proc-stop", "3")
+        cache.put(key, 9)
+        obs = [_ob(f"c{i}", CallPayload(_square, (i,)),
+                   key=key if i == 3 else None) for i in range(6)]
+        outcomes = _scheduler(cache=cache).run(
+            obs, stop_on=lambda o: o.ok and o.value == 9)
+        assert [o.status for o in outcomes] == \
+            ["ok", "ok", "ok", "cached", "skipped", "skipped"]
+        assert [o.value for o in outcomes[:4]] == [0, 1, 4, 9]
+
     def test_telemetry_recorded_in_parent(self):
         telemetry = Telemetry()
         _scheduler(telemetry=telemetry).run(
@@ -158,15 +174,13 @@ class TestCrossBackendDifferential:
             backend: ImplementationProof(
                 typed, exec=ExecConfig(jobs=jobs, backend=backend,
                                        cache=False)).run()
-            for backend, jobs in (("serial", 1), ("thread", 4),
-                                  ("process", 4))
+            for backend, jobs in (("serial", 1), ("process", 4))
         }
-        assert self._keys(runs["thread"]) == self._keys(runs["serial"])
         assert self._keys(runs["process"]) == self._keys(runs["serial"])
         assert runs["process"].auto_percent == runs["serial"].auto_percent
 
     def test_sampled_aes_corpus_identical(self):
-        """serial jobs=1 vs thread jobs=4 vs process jobs=4 over a
+        """serial jobs=1 vs process jobs=4 over a
         deterministic sample of the annotated AES package's subprograms
         (the full corpus runs in benchmarks/bench_scheduler.py)."""
         from repro.aes.annotations import annotated_package
@@ -183,10 +197,8 @@ class TestCrossBackendDifferential:
                                 cache=False)).run(sample)
 
         serial = run("serial", 1)
-        thread = run("thread", 4)
         process = run("process", 4)
         assert serial.total_vcs > 0
-        assert self._keys(thread) == self._keys(serial)
         assert self._keys(process) == self._keys(serial)
 
     def test_implication_proof_identical(self):

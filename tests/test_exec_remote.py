@@ -85,7 +85,7 @@ def _scheduler(addresses, **kw):
     kw.setdefault("cache", False)
     kw.setdefault("telemetry", Telemetry())
     kw.setdefault("remote_workers", tuple(addresses))
-    return ObligationScheduler(**kw)
+    return ObligationScheduler(ExecConfig(**kw))
 
 
 @contextlib.contextmanager
@@ -152,6 +152,58 @@ class TestRemoteScheduling:
             assert telemetry[1].stats().batched == 0
             assert telemetry[8].stats().batched >= 1
             assert telemetry[8].stats().batch_items >= 4
+
+    def test_dispatch_units_independent_of_worker_timing(self):
+        """Dispatch units are cut before anything ships, from the input
+        order and the configuration alone: the same 12 obligations give
+        the same multiset of ``items=K`` dispatches on every run of a
+        backend -- on the farm even when the second worker joins late."""
+        def units(telemetry):
+            return sorted(d for d in _details(telemetry, "dispatched"))
+
+        obs = [_ob(f"u{i}", CallPayload(_square, (i,))) for i in range(12)]
+        process = []
+        for _ in range(2):
+            telemetry = Telemetry()
+            outcomes = ObligationScheduler(ExecConfig(
+                jobs=4, backend="process", cache=False,
+                telemetry=telemetry)).run(obs)
+            assert [o.value for o in outcomes] == [i * i
+                                                   for i in range(12)]
+            process.append(units(telemetry))
+        assert process[0] == process[1] == ["items=3"] * 4
+
+        remote = []
+        for run in range(2):
+            # Reserve a port for the late joiner: the coordinator dials
+            # it from the start and connects once the worker is up.
+            probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            probe.bind(("127.0.0.1", 0))
+            late_port = probe.getsockname()[1]
+            probe.close()
+            late = []
+            timer = threading.Timer(0.3 * (run + 1), lambda: late.append(
+                spawn_worker(listen=f"127.0.0.1:{late_port}",
+                             name=f"late{run}",
+                             pythonpath_extra=(ROOT,))[0]))
+            with farm(1, prefix=f"early{run}-") as addresses:
+                timer.start()
+                try:
+                    telemetry = Telemetry()
+                    outcomes = _scheduler(
+                        addresses + [f"127.0.0.1:{late_port}"],
+                        telemetry=telemetry).run(obs)
+                finally:
+                    timer.cancel()
+                    timer.join()
+                    for proc in late:
+                        proc.kill()
+                        proc.wait()
+            assert [o.value for o in outcomes] == [i * i
+                                                   for i in range(12)]
+            remote.append(units(telemetry))
+        assert remote[0] == remote[1] == ["items=3"] * 4
 
     def test_groups_chain_serially(self):
         with farm(2) as addresses:
@@ -524,9 +576,9 @@ class TestRemoteFailureMatrix:
     def test_no_workers_raises_backend_unusable(self, monkeypatch):
         monkeypatch.setattr(ObligationScheduler, "REMOTE_WORKER_GRACE",
                             0.3)
-        scheduler = ObligationScheduler(
+        scheduler = ObligationScheduler(ExecConfig(
             jobs=2, backend="remote", remote_listen="127.0.0.1:0",
-            cache=False, telemetry=Telemetry())
+            cache=False, telemetry=Telemetry()))
         with pytest.raises(BackendUnusableError, match="no workers"):
             scheduler.run([_ob("x", CallPayload(_square, (2,)))])
 
@@ -536,10 +588,10 @@ class TestRemoteFailureMatrix:
         monkeypatch.setattr(ObligationScheduler, "REMOTE_WORKER_GRACE",
                             0.3)
         telemetry = Telemetry()
-        scheduler = ObligationScheduler(
+        scheduler = ObligationScheduler(ExecConfig(
             jobs=2, backend="remote", remote_listen="127.0.0.1:0",
             on_backend_failure="degrade", cache=False,
-            telemetry=telemetry)
+            telemetry=telemetry))
         outcomes = scheduler.run(
             [_ob(f"d{i}", CallPayload(_square, (i,))) for i in range(4)])
         assert [o.value for o in outcomes] == [0, 1, 4, 9]

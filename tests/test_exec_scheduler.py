@@ -54,24 +54,30 @@ class TestSerialParallelEquivalence:
         serial = ImplementationProof(
             typed, exec=ExecConfig(jobs=1, cache=False)).run()
         parallel = ImplementationProof(
-            typed, exec=ExecConfig(jobs=4, cache=False)).run()
+            typed, exec=ExecConfig(jobs=4, backend="process",
+                                   cache=False)).run()
         assert [outcome_key(o) for o in serial.outcomes] == \
                [outcome_key(o) for o in parallel.outcomes]
         assert serial.total_vcs == parallel.total_vcs
         assert serial.auto_percent == parallel.auto_percent
 
-    def test_parallel_uses_scheduler_threads(self):
+    def test_parallel_records_scheduler_telemetry(self):
         typed = analyze(parse_package(SRC))
         t = Telemetry()
         serial = ImplementationProof(
             typed, exec=ExecConfig(jobs=1, cache=False)).run()
         parallel = ImplementationProof(
-            typed, exec=ExecConfig(jobs=4, cache=False, telemetry=t)).run()
+            typed, exec=ExecConfig(jobs=4, backend="process", cache=False,
+                                   telemetry=t)).run()
         assert [outcome_key(o) for o in parallel.outcomes] == \
                [outcome_key(o) for o in serial.outcomes]
         stats = t.stats()
         assert stats.computed.get("vc", 0) > 0
         assert stats.max_queue_depth >= 1
+
+
+def _scheduler(**kw):
+    return ObligationScheduler(ExecConfig(cache=False, **kw))
 
 
 class TestScheduling:
@@ -86,7 +92,7 @@ class TestScheduling:
                 return i
             return work
         obs = [self._obligation(f"o{i}", make(i)) for i in range(8)]
-        outcomes = ObligationScheduler(jobs=4, cache=False).run(obs)
+        outcomes = _scheduler(jobs=4).run(obs)
         assert [o.value for o in outcomes] == list(range(8))
 
     def test_groups_run_serially_in_order(self):
@@ -103,23 +109,8 @@ class TestScheduling:
 
         obs = [self._obligation(f"g{i}", make(i), group="shared")
                for i in range(6)]
-        ObligationScheduler(jobs=4, cache=False).run(obs)
+        _scheduler(jobs=4).run(obs)
         assert trace == list(range(6))
-
-    def test_timeout_marks_timed_out_not_crash(self):
-        def slow():
-            time.sleep(5)
-            return "late"
-        obs = [self._obligation("fast", lambda: "ok"),
-               self._obligation("slow", slow),
-               self._obligation("after", lambda: "ok2")]
-        started = time.perf_counter()
-        outcomes = ObligationScheduler(
-            jobs=2, cache=False, timeout_seconds=0.2).run(obs)
-        assert time.perf_counter() - started < 4.0   # did not join the sleep
-        assert outcomes[0].ok and outcomes[0].value == "ok"
-        assert outcomes[1].status == "timed_out" and not outcomes[1].ok
-        assert outcomes[2].ok and outcomes[2].value == "ok2"
 
     def test_retry_then_success(self):
         attempts = []
@@ -130,8 +121,7 @@ class TestScheduling:
                 raise RuntimeError("transient")
             return "finally"
         obs = [self._obligation("flaky", flaky)]
-        [outcome] = ObligationScheduler(jobs=1, cache=False,
-                                        retries=2).run(obs)
+        [outcome] = _scheduler(jobs=1, retries=2).run(obs)
         assert outcome.ok and outcome.value == "finally"
         assert outcome.attempts == 3
 
@@ -140,8 +130,7 @@ class TestScheduling:
             raise ValueError("no")
         obs = [self._obligation("boom", boom),
                self._obligation("fine", lambda: 1)]
-        outcomes = ObligationScheduler(jobs=1, cache=False,
-                                       on_error="record").run(obs)
+        outcomes = _scheduler(jobs=1, on_error="record").run(obs)
         assert outcomes[0].status == "errored"
         assert "no" in outcomes[0].error
         assert outcomes[1].ok
@@ -150,8 +139,7 @@ class TestScheduling:
         def boom():
             raise ValueError("no")
         with pytest.raises(ValueError):
-            ObligationScheduler(jobs=1, cache=False).run(
-                [self._obligation("boom", boom)])
+            _scheduler(jobs=1).run([self._obligation("boom", boom)])
 
     def test_stop_on_skips_rest(self):
         calls = []
@@ -162,7 +150,7 @@ class TestScheduling:
                 return i
             return work
         obs = [self._obligation(f"s{i}", make(i)) for i in range(10)]
-        outcomes = ObligationScheduler(jobs=1, cache=False).run(
+        outcomes = _scheduler(jobs=1).run(
             obs, stop_on=lambda o: o.value == 2)
         assert calls == [0, 1, 2]
         assert [o.status for o in outcomes[3:]] == ["skipped"] * 7
@@ -171,7 +159,9 @@ class TestScheduling:
 class TestProofTimeout:
     def test_slow_prover_yields_undischarged(self, monkeypatch):
         """A VC whose discharge overruns the obligation timeout comes back
-        ``undischarged`` -- the proof completes instead of crashing."""
+        ``undischarged`` -- the proof completes instead of crashing.
+        (Pool workers fork from this process, so they inherit the
+        patched prover.)"""
         real_prove = AutoProver.prove
 
         def slow_prove(self, term, hypotheses=()):
@@ -181,7 +171,7 @@ class TestProofTimeout:
         monkeypatch.setattr(AutoProver, "prove", slow_prove)
         typed = analyze(parse_package(SRC))
         result = ImplementationProof(
-            typed, exec=ExecConfig(jobs=2, cache=False,
+            typed, exec=ExecConfig(jobs=2, backend="process", cache=False,
                                    timeout_seconds=0.1)).run()
         assert result.undischarged           # timeouts, not exceptions
         assert all(o.stage == "undischarged" for o in result.undischarged)

@@ -211,7 +211,7 @@ class TestHeadOpIndexing:
         assert linear.index_hits == 0
 
     def test_cross_backend_verdicts_identical(self, monkeypatch):
-        """Serial, thread and process backends (indexed, with warm-norm
+        """Serial and process backends (indexed, with warm-norm
         shipping on the process path) and the linear-scan serial
         reference all produce identical per-VC verdicts."""
         from repro.exec import ExecConfig
@@ -230,11 +230,9 @@ class TestHeadOpIndexing:
                     for o in result.outcomes]
 
         serial = run("serial", jobs=1)
-        thread = run("thread")
         process = run("process")
         monkeypatch.setenv("REPRO_REWRITE_INDEX", "0")
         linear = run("serial", jobs=1)
-        assert signature(thread) == signature(serial)
         assert signature(process) == signature(serial)
         assert signature(linear) == signature(serial)
         assert linear.auto_percent == serial.auto_percent

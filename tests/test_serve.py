@@ -368,6 +368,42 @@ class TestReplay:
 
         assert asyncio.run(idle())["id"] == "job-1"
 
+    def test_replayed_request_naming_removed_backend_fails_cleanly(
+            self, tmp_path):
+        """A journal written before the thread backend was removed may
+        hold a pending request with ``"backend": "thread"``.  Replay
+        turns it into a failed result ("bad exec config") instead of a
+        dead worker, and the daemon goes on to serve the next request."""
+        from repro.serve import Journal, QueueItem, normalize_submit
+
+        state = tmp_path / "state"
+        request = normalize_submit(submit_msg(id="old-1"), "old-1")
+        request["exec"] = {"jobs": 2, "backend": "thread"}
+        Journal(state).append_enqueue(QueueItem(
+            request_id="old-1", lane="bulk", namespace="alice",
+            request=request, enqueued_wall=0.0))
+
+        async def body(service):
+            stale = await service.wait("old-1")
+            accepted = await service.submit(submit_msg(id="new-1"))
+            assert accepted["durable"] is True
+            return stale, await service.wait("new-1")
+
+        service = VerificationService(ServeConfig(state_dir=state))
+
+        async def main():
+            assert await service.start() == 1
+            try:
+                return await body(service)
+            finally:
+                await service.stop()
+
+        stale, fresh = asyncio.run(main())
+        assert stale["status"] == "error"
+        assert "bad exec config" in stale["error"]
+        assert fresh["status"] == "ok"
+        assert verdict_keys(fresh) == batch_reference_keys()
+
 
 @pytest.mark.slow
 class TestDaemonSubprocess:

@@ -184,10 +184,12 @@ class TestNormalizeSubmit:
 
     def test_exec_validated_but_kept_as_data(self):
         req = normalize_submit(submit_msg(exec={"jobs": 2,
-                                                "backend": "thread"}))
-        assert req["exec"] == {"jobs": 2, "backend": "thread"}
-        with pytest.raises(ProtocolError):
-            normalize_submit(submit_msg(exec={"jobs": 0}))
+                                                "backend": "process"}))
+        assert req["exec"] == {"jobs": 2, "backend": "process"}
+        for bad in ({"jobs": 0}, {"backend": "thread"}):
+            with pytest.raises(ProtocolError) as exc:
+                normalize_submit(submit_msg(exec=bad))
+            assert exc.value.code == "bad_request"
 
     def test_exec_cannot_name_caches(self):
         # The isolation boundary: a request must never smuggle a cache
