@@ -45,18 +45,21 @@ def make_key(*parts: str) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def package_fingerprint(typed) -> str:
+def package_fingerprint(typed, *, source: Optional[str] = None) -> str:
     """Stable digest of a typed MiniAda package (its printed source).
 
     Memoized on the object: packages are immutable after analysis and a
     fingerprint is needed once per obligation batch, not once per VC.
+    ``source`` is ``print_package(typed.package)`` when the caller already
+    printed it; it is printed here otherwise.
     """
     cached = getattr(typed, "_exec_fingerprint", None)
     if cached is not None:
         return cached
-    from ..lang import print_package
-    digest = hashlib.sha256(
-        print_package(typed.package).encode()).hexdigest()
+    if source is None:
+        from ..lang import print_package
+        source = print_package(typed.package)
+    digest = hashlib.sha256(source.encode()).hexdigest()
     try:
         typed._exec_fingerprint = digest
     except AttributeError:   # __slots__-restricted object: recompute next time

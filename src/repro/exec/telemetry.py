@@ -259,7 +259,10 @@ class Telemetry:
                     stats.obligations.get(ev.kind, 0) + 1
             if ev.event == FINISHED:
                 stats.computed[ev.kind] = stats.computed.get(ev.kind, 0) + 1
-                stats.cache_misses += 1 if ev.detail == "keyed" else 0
+                # Process and remote results prefix the detail with
+                # ``worker=... served=...``; ``keyed`` is the last token.
+                keyed = ev.detail.rpartition(" ")[2] == "keyed"
+                stats.cache_misses += 1 if keyed else 0
                 stats.busy_seconds += ev.wall
                 walls.append(ev.wall)
             elif ev.event == CACHED:

@@ -29,6 +29,7 @@ __all__ = [
     "ArrayTypeDecl", "SubtypeDecl", "ProofFunctionDecl", "ProofRuleDecl",
     "Subprogram", "Package",
     "children", "transform_bottom_up", "walk", "count_nodes",
+    "field_names", "child_fields",
 ]
 
 
@@ -320,44 +321,111 @@ class Package(Node):
 # Generic traversal
 # ---------------------------------------------------------------------------
 
-def children(node: Node):
-    """Yield the direct child nodes of ``node`` (depth 1), in field order."""
-    for field in dataclasses.fields(node):
-        value = getattr(node, field.name)
+#: Field annotations that can never hold a node.  Node modules use
+#: postponed annotations, so annotations are strings; a field with any
+#: other annotation is visited and its value checked at run time.
+_SCALAR_ANNOTATIONS = frozenset({"str", "int", "bool"})
+
+# Per-class field tables, filled on first sight of a class.  A class's
+# dataclass fields never change, so each entry is computed once from
+# ``dataclasses.fields`` (which rebuilds its list on every call).
+_FIELD_NAMES: dict = {}
+_CHILD_FIELDS: dict = {}
+
+
+def _learn_fields(cls) -> None:
+    fields = dataclasses.fields(cls)
+    _CHILD_FIELDS[cls] = tuple(f.name for f in fields
+                               if f.type not in _SCALAR_ANNOTATIONS)
+    _FIELD_NAMES[cls] = tuple(f.name for f in fields)
+
+
+def field_names(cls) -> Tuple[str, ...]:
+    """Every dataclass field name of node class ``cls``, in declaration
+    order."""
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        _learn_fields(cls)
+        names = _FIELD_NAMES[cls]
+    return names
+
+
+def child_fields(cls) -> Tuple[str, ...]:
+    """The fields of node class ``cls`` that may hold child nodes, in
+    declaration order: every field but those annotated ``str``, ``int``
+    or ``bool``.  Works for any dataclass node family (MiniAda here,
+    MiniPVS in :mod:`repro.spec.ast`)."""
+    names = _CHILD_FIELDS.get(cls)
+    if names is None:
+        _learn_fields(cls)
+        names = _CHILD_FIELDS[cls]
+    return names
+
+
+def _append_children(node: Node, out: list) -> None:
+    """Append the direct child nodes of ``node`` to ``out``, in field
+    order.  Tuples nest at most three deep (``If.branches`` entries)."""
+    names = _CHILD_FIELDS.get(type(node))
+    if names is None:
+        names = child_fields(type(node))
+    for name in names:
+        value = getattr(node, name)
         if isinstance(value, Node):
-            yield value
+            out.append(value)
         elif isinstance(value, tuple):
             for item in value:
                 if isinstance(item, Node):
-                    yield item
-                elif isinstance(item, tuple):  # If.branches entries
+                    out.append(item)
+                elif isinstance(item, tuple):
                     for sub in item:
                         if isinstance(sub, Node):
-                            yield sub
+                            out.append(sub)
                         elif isinstance(sub, tuple):
                             for s in sub:
                                 if isinstance(s, Node):
-                                    yield s
+                                    out.append(s)
+
+
+def children(node: Node):
+    """Iterate over the direct child nodes of ``node`` (depth 1), in field
+    order."""
+    out = []
+    _append_children(node, out)
+    return iter(out)
 
 
 def walk(node: Node):
-    """Yield ``node`` and every descendant, preorder."""
+    """Yield ``node`` and every descendant, preorder.
+
+    A generator, so a caller that stops early (``any(...)``) pays only
+    for the nodes it saw."""
     stack = [node]
+    pop = stack.pop
     while stack:
-        current = stack.pop()
+        current = pop()
         yield current
-        stack.extend(reversed(list(children(current))))
+        kids = []
+        _append_children(current, kids)
+        if kids:
+            kids.reverse()
+            stack.extend(kids)
 
 
 def count_nodes(node: Node) -> int:
-    return sum(1 for _ in walk(node))
+    count = 0
+    stack = [node]
+    pop = stack.pop
+    while stack:
+        count += 1
+        _append_children(pop(), stack)
+    return count
 
 
 def _rebuild_value(value, fn):
     if isinstance(value, Node):
         return transform_bottom_up(value, fn)
     if isinstance(value, tuple):
-        return tuple(_rebuild_value(item, fn) for item in value)
+        return tuple([_rebuild_value(item, fn) for item in value])
     return value
 
 
@@ -365,12 +433,15 @@ def transform_bottom_up(node: Node, fn):
     """Rebuild ``node`` bottom-up, applying ``fn`` to every node after its
     children have been transformed.  ``fn`` returns a replacement node (or
     the node unchanged)."""
+    names = _CHILD_FIELDS.get(type(node))
+    if names is None:
+        names = child_fields(type(node))
     updates = {}
-    for field in dataclasses.fields(node):
-        value = getattr(node, field.name)
+    for name in names:
+        value = getattr(node, name)
         new_value = _rebuild_value(value, fn)
-        if new_value != value:
-            updates[field.name] = new_value
+        if new_value is not value and new_value != value:
+            updates[name] = new_value
     if updates:
         node = dataclasses.replace(node, **updates)
     result = fn(node)

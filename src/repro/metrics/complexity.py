@@ -75,33 +75,44 @@ class ComplexityMetrics:
         return sum(c.short_circuit for c in self.per_subprogram.values())
 
 
-def _decision_points(node: ast.Node) -> int:
-    count = 0
-    for n in ast.walk(node):
-        if isinstance(n, ast.If):
-            count += len(n.branches)
-        elif isinstance(n, (ast.For, ast.While)):
-            count += 1
-        elif isinstance(n, ast.BinOp) and n.op in ("and_then", "or_else"):
-            count += 1
-    return count
+_SHORT_CIRCUIT_OPS = ("and_then", "or_else")
+
+
+def _tally(sp: ast.Subprogram):
+    """One walk over ``sp``: (decisions, returns, short-circuit operators,
+    statement-complexity nodes).
+
+    Decisions count in ``body`` only (McCabe's decisions are in code, not
+    annotations); returns and short-circuit operators count over the
+    whole subprogram; the node count covers ``body`` minus its top-level
+    ``Assert`` roots (annotations, not code)."""
+    decisions = returns = short_circuit = nodes = 0
+    for stmt in sp.body:
+        counted = not isinstance(stmt, ast.Assert)
+        for n in ast.walk(stmt):
+            nodes += counted
+            if isinstance(n, ast.If):
+                decisions += len(n.branches)
+            elif isinstance(n, (ast.For, ast.While)):
+                decisions += 1
+            elif isinstance(n, ast.BinOp) and n.op in _SHORT_CIRCUIT_OPS:
+                decisions += 1
+                short_circuit += 1
+            elif isinstance(n, ast.Return):
+                returns += 1
+    for part in (sp.params, sp.decls, sp.pre, sp.post):
+        for root in part:
+            for n in ast.walk(root):
+                if isinstance(n, ast.BinOp) and n.op in _SHORT_CIRCUIT_OPS:
+                    short_circuit += 1
+                elif isinstance(n, ast.Return):
+                    returns += 1
+    return decisions, returns, short_circuit, nodes
 
 
 def mccabe(sp: ast.Subprogram) -> int:
     """Cyclomatic complexity: decisions + 1."""
-    return 1 + sum(_decision_points(s) for s in sp.body)
-
-
-def _essential(sp: ast.Subprogram) -> int:
-    """1 for fully structured code, +1 per early return (extra exit)."""
-    returns = [n for n in ast.walk(sp) if isinstance(n, ast.Return)]
-    extra_exits = max(0, len(returns) - (1 if sp.is_function else 0))
-    return 1 + extra_exits
-
-
-def _short_circuit(sp: ast.Subprogram) -> int:
-    return sum(1 for n in ast.walk(sp)
-               if isinstance(n, ast.BinOp) and n.op in ("and_then", "or_else"))
+    return 1 + _tally(sp)[0]
 
 
 def _loop_nesting(stmts, depth=0) -> int:
@@ -116,24 +127,20 @@ def _loop_nesting(stmts, depth=0) -> int:
     return deepest
 
 
-def _statement_complexity(sp: ast.Subprogram) -> float:
-    statements = count_statements(sp.body)
-    if statements == 0:
-        return 0.0
-    nodes = sum(ast.count_nodes(s) for s in sp.body
-                if not isinstance(s, ast.Assert))
-    return nodes / statements
-
-
 def complexity_metrics(pkg: ast.Package) -> ComplexityMetrics:
     per = {}
     for sp in pkg.subprograms:
+        decisions, returns, short_circuit, nodes = _tally(sp)
+        # Essential: 1 for fully structured code, +1 per early return
+        # (extra exit).
+        extra_exits = max(0, returns - (1 if sp.is_function else 0))
+        statements = count_statements(sp.body)
         per[sp.name] = SubprogramComplexity(
             name=sp.name,
-            mccabe=mccabe(sp),
-            essential=_essential(sp),
-            statement_complexity=_statement_complexity(sp),
-            short_circuit=_short_circuit(sp),
+            mccabe=1 + decisions,
+            essential=1 + extra_exits,
+            statement_complexity=nodes / statements if statements else 0.0,
+            short_circuit=short_circuit,
             loop_nesting=_loop_nesting(sp.body),
         )
     return ComplexityMetrics(per_subprogram=per)

@@ -12,6 +12,7 @@ the paper's counts exclude annotations ("1365 lines without annotations").
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from ..lang import ast
 from ..lang.printer import print_package
@@ -59,8 +60,12 @@ def construct_nesting(stmts, depth: int = 0) -> int:
     return deepest
 
 
-def element_metrics(pkg: ast.Package) -> ElementMetrics:
-    text = print_package(pkg)
+def element_metrics(pkg: ast.Package, *,
+                    source: Optional[str] = None) -> ElementMetrics:
+    """Element metrics of ``pkg``.  ``source`` is ``print_package(pkg)``
+    when the caller already printed it (the planner fingerprints the same
+    text); it is printed here otherwise."""
+    text = print_package(pkg) if source is None else source
     loc = sum(1 for line in text.splitlines()
               if line.strip() and not line.strip().startswith("--#"))
     declarations = len(pkg.decls) + sum(len(sp.decls) + len(sp.params)

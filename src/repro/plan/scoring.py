@@ -178,7 +178,11 @@ def evaluate_candidate(package, package_fp: str, transformation,
                 applicable=False, reason=str(exc)).to_json()
 
     from ..exec.cache import package_fingerprint
-    fingerprint = package_fingerprint(child)
+    from ..lang import print_package
+    # One print per state: the fingerprint and the line counts read the
+    # same text.
+    source = print_package(child.package)
+    fingerprint = package_fingerprint(child, source=source)
 
     if transformation is not None \
             and getattr(transformation, "match_neutral", False) \
@@ -187,7 +191,7 @@ def evaluate_candidate(package, package_fp: str, transformation,
     else:
         match_fraction, match_total = _match_components(child, reference)
 
-    elements = element_metrics(child.package)
+    elements = element_metrics(child.package, source=source)
     complexity = complexity_metrics(child.package)
     evaluation = dict(
         applicable=True, fingerprint=fingerprint,

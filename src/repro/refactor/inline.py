@@ -76,9 +76,9 @@ def _match_expr(pattern: ast.Expr, expr: ast.Expr, params: frozenset,
         return pattern.id == expr.id
     if not dataclasses.is_dataclass(pattern):
         return False
-    for field in dataclasses.fields(pattern):
-        p_val = getattr(pattern, field.name)
-        e_val = getattr(expr, field.name)
+    for name in ast.field_names(type(pattern)):
+        p_val = getattr(pattern, name)
+        e_val = getattr(expr, name)
         if isinstance(p_val, ast.Node):
             if not isinstance(e_val, ast.Node) or \
                     not _match_expr(p_val, e_val, params, binding):

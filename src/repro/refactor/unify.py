@@ -48,9 +48,9 @@ def _anti_unify(nodes: Sequence[ast.Node]) -> ast.Node:
     if not dataclasses.is_dataclass(first):
         raise AntiUnifyError(f"cannot anti-unify {type(first).__name__}")
     updates = {}
-    for field in dataclasses.fields(first):
-        vals = [getattr(n, field.name) for n in nodes]
-        updates[field.name] = _anti_unify_value(vals, field.name)
+    for name in ast.field_names(type(first)):
+        vals = [getattr(n, name) for n in nodes]
+        updates[name] = _anti_unify_value(vals, name)
     return dataclasses.replace(first, **updates)
 
 

@@ -12,6 +12,8 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from ..lang.ast import child_fields
+
 __all__ = [
     "SNode", "SType", "NatType", "BoolType", "SubrangeType", "ArrayTypeS",
     "NamedType",
@@ -189,18 +191,30 @@ class Theory(SNode):
 
 
 def walk_spec(node: SNode):
-    """Yield node and all descendants."""
-    yield node
-    if dataclasses.is_dataclass(node):
-        for field in dataclasses.fields(node):
-            value = getattr(node, field.name)
+    """Yield node and all descendants, preorder.
+
+    Iterative (an explicit stack), so depth is bounded by memory, not by
+    the C stack of the calling thread."""
+    stack = [node]
+    pop = stack.pop
+    while stack:
+        current = pop()
+        yield current
+        if not dataclasses.is_dataclass(current):
+            continue
+        kids = []
+        for name in child_fields(type(current)):
+            value = getattr(current, name)
             if isinstance(value, SNode):
-                yield from walk_spec(value)
+                kids.append(value)
             elif isinstance(value, tuple):
                 for item in value:
                     if isinstance(item, SNode):
-                        yield from walk_spec(item)
+                        kids.append(item)
                     elif isinstance(item, tuple):
                         for sub in item:
                             if isinstance(sub, SNode):
-                                yield from walk_spec(sub)
+                                kids.append(sub)
+        if kids:
+            kids.reverse()
+            stack.extend(kids)

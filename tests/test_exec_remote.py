@@ -245,12 +245,21 @@ class TestRemoteScheduling:
                             key=make_key("farm-cache", str(i)))
                         for i in range(4)]
 
-            first = _scheduler(addresses, cache=cache).run(obs())
-            second = _scheduler(addresses, cache=cache).run(obs())
+            cold, warm = Telemetry(), Telemetry()
+            first = _scheduler(addresses, cache=cache,
+                               telemetry=cold).run(obs())
+            second = _scheduler(addresses, cache=cache,
+                                telemetry=warm).run(obs())
             assert [o.value for o in first] == [0, 1, 4, 9]
             assert [o.status for o in first] == ["ok"] * 4
             assert [o.status for o in second] == ["cached"] * 4
             assert [o.value for o in second] == [0, 1, 4, 9]
+            # A worker result's detail reads ``worker=... served=...
+            # keyed``.
+            assert (cold.stats().cache_misses,
+                    cold.stats().cache_hits) == (4, 0)
+            assert (warm.stats().cache_misses,
+                    warm.stats().cache_hits) == (0, 4)
 
     def test_worker_local_cache_warm_across_runs(self):
         """A persistent (listen-mode) worker keeps its local result tier

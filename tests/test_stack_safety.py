@@ -244,6 +244,17 @@ class TestSmallStackThreads:
         depth = _run_in_small_stack_thread(lambda: max_depth(term))
         assert depth == 2 * DEEP_N + 1
 
+    def test_walk_spec_deep_term_small_stack(self):
+        """A left-leaning MiniPVS ``+`` chain of depth ``2 * DEEP_N + 1``:
+        the recursive ``yield from`` walk nested one generator per level."""
+        from repro.spec import ast as s
+        term = s.Var("x")
+        for i in range(2 * DEEP_N):
+            term = s.Bin("+", term, s.Num(i))
+        nodes = _run_in_small_stack_thread(
+            lambda: sum(1 for _ in s.walk_spec(term)))
+        assert nodes == 4 * DEEP_N + 1
+
     def test_implementation_proof_jobs2_small_stack(self, aes_corpus):
         """The ISSUE's headline scenario: threaded discharge of the deepest
         refactored-AES subprogram on 512 KiB worker stacks."""
