@@ -6,9 +6,9 @@ Three legs:
 * **rewrite microbench** -- the prover's actual hot path, reproduced
   exactly: one *fresh* rewriter per VC (as ``AutoProver._prove`` builds a
   fresh ``Simplifier`` per obligation) over the full refactored-AES VC
-  corpus.  The linear-scan reference (``index=False``, no shared cache)
-  races the optimized configuration (head-op dispatch + a
-  :class:`~repro.logic.normcache.NormalizationCache` scope per
+  corpus.  The linear-scan reference (``tests/rewriter_reference.py``,
+  no shared cache) races the optimized configuration (head-op dispatch
+  + a :class:`~repro.logic.normcache.NormalizationCache` scope per
   subprogram).  The optimized path must be at least
   ``_MIN_SPEEDUP``x faster *and* bit-identical;
 * **implementation proof** -- the full 6.2.3 pipeline end to end (serial
@@ -46,6 +46,11 @@ from repro.prover import ImplementationProof
 from repro.vcgen import generate_obligations
 from repro.vcgen.simplifier import TypeBoundHook
 
+# The linear-scan reference lives with the tests; a standalone run needs
+# the repository root on the path to import it.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.rewriter_reference import LinearRewriter  # noqa: E402
+
 CHECK_MODE = os.environ.get("REPRO_BENCH_CHECK", "") not in ("", "0")
 
 #: The optimized configuration (indexing + cross-obligation cache) must
@@ -74,7 +79,7 @@ def _run_linear(typed, corpus, collect=None):
     for name, terms in corpus:
         hook = TypeBoundHook(typed, name)
         for t in terms:
-            rw = Rewriter(default_rules(hook=hook), index=False)
+            rw = LinearRewriter(default_rules(hook=hook))
             results.append(rw.normalize(t))
             if collect is not None:
                 collect.append(rw.stats)

@@ -23,6 +23,7 @@ from repro.logic.rewriter import _MAX_FIXPOINT_ITERS
 from repro.logic.substitute import rebuild_smart
 from repro.vcgen import generate_obligations
 from repro.vcgen.simplifier import TypeBoundHook
+from tests.rewriter_reference import LinearRewriter
 
 #: The recursive baseline must not be >25% faster than the iterative
 #: engine on the realistic corpus (i.e. iterative is "no slower" modulo
@@ -32,7 +33,7 @@ _SLOWDOWN_TOLERANCE = 1.25
 _DEEP_N = 4000  # chain depth 8001: far beyond any default recursion limit
 
 
-class _RecursiveRewriter(Rewriter):
+class _RecursiveRewriter(LinearRewriter):
     """The seed's recursive ``normalize``, verbatim (baseline only)."""
 
     def normalize(self, term):

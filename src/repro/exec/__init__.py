@@ -22,7 +22,7 @@ Callers configure all of this through one value object,
 parameter of every proof entry point.
 """
 
-from .atomicio import atomic_write_json, atomic_write_text
+from .durable import atomic_write_json, atomic_write_text
 from .cache import (
     ResultCache, default_cache, make_key, package_fingerprint,
     theory_fingerprint,

@@ -13,6 +13,9 @@ configuration.  Two layers:
   conventionally ``.repro-cache/``) -- makes runs incremental *across*
   processes.  Only obligations that declare JSON codecs
   (:attr:`~repro.exec.obligation.Obligation.encode`/``decode``) use it.
+  Each entry is a :mod:`~repro.exec.durable` record of schema
+  :data:`CACHE_SCHEMA` whose scope is its own key, written without
+  fsync: a lost entry is only a miss.
 
 Correctness stance: a hit replays the recorded result verbatim -- the same
 ``ProofResult``/``LemmaOutcome`` contents the original discharge produced
@@ -24,17 +27,22 @@ lemma evidence levels) is identical to a cold run.  See DESIGN.md
 from __future__ import annotations
 
 import hashlib
-import json
 import os
-import tempfile
 import threading
-import time
 from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Callable, Optional, Tuple
 
+from .durable import load_record, sweep_tmp, write_record
+
 __all__ = ["make_key", "ResultCache", "default_cache",
-           "package_fingerprint", "theory_fingerprint"]
+           "package_fingerprint", "theory_fingerprint", "CACHE_SCHEMA"]
+
+#: ``v1`` was the untagged ``{"key", "value"}`` layout.
+CACHE_SCHEMA = "repro-cache/v2"
+
+#: Temp files of interrupted ``put`` calls, relative to the disk tier.
+_TMP_PATTERN = "*/*.tmp"
 
 _MISS = object()
 
@@ -84,35 +92,21 @@ def theory_fingerprint(theory) -> str:
 class ResultCache:
     """Two-layer (memory + optional disk) content-addressed result store."""
 
-    #: ``.tmp`` files older than this at store open are orphans of a
-    #: writer that died between ``mkstemp`` and ``os.replace``; younger
-    #: ones may belong to a concurrent live writer and are left alone.
-    STALE_TMP_SECONDS = 600.0
-
-    #: An mtime more than this far in the *future* of a fresh wall-clock
-    #: sample can only come from a clock step (files are stamped with the
-    #: clock of their creation instant); its presence means wall-clock
-    #: ages are untrustworthy for this sweep.
-    CLOCK_STEP_SLACK_SECONDS = 5.0
-
     def __init__(self, disk_dir: Optional[os.PathLike] = None,
                  max_memory_entries: Optional[int] = None):
         """``max_memory_entries`` bounds the in-memory layer with
         least-recently-used eviction (``None``: unbounded, the historical
         behaviour).  Disk entries are never evicted: a memory-evicted key
         that was written through to disk is still a (slower) hit."""
-        if max_memory_entries is not None and max_memory_entries < 1:
-            raise ValueError(f"max_memory_entries must be >= 1, got "
-                             f"{max_memory_entries!r}")
         self._lock = threading.Lock()
         self._memory: "OrderedDict[str, Any]" = OrderedDict()
-        self.max_memory_entries = max_memory_entries
+        self.set_memory_limit(max_memory_entries)
         self._hits = 0
         self._misses = 0
         self.disk_dir = Path(disk_dir) if disk_dir is not None else None
         if self.disk_dir is not None:
             self.disk_dir.mkdir(parents=True, exist_ok=True)
-            self._sweep_tmp(older_than=self.STALE_TMP_SECONDS)
+            sweep_tmp(self.disk_dir, _TMP_PATTERN)
 
     # -- core ---------------------------------------------------------------
 
@@ -128,11 +122,10 @@ class ResultCache:
                 self._hits += 1
                 return True, value
         if self.disk_dir is not None and decode is not None:
-            path = self._path(key)
-            if path.is_file():
+            record, _ = load_record(self._path(key), CACHE_SCHEMA, key)
+            if record is not None:
                 try:
-                    payload = json.loads(path.read_text())
-                    value = decode(payload["value"])
+                    value = decode(record["value"])
                 except (ValueError, KeyError, TypeError):
                     pass   # corrupt entry: treat as a miss, will be rewritten
                 else:
@@ -151,9 +144,14 @@ class ResultCache:
         if key in memory:
             memory.move_to_end(key)
         memory[key] = value
+        self._evict()
+
+    def _evict(self) -> None:
+        """Drop least recently used entries over the cap.  Caller holds
+        the lock."""
         if self.max_memory_entries is not None:
-            while len(memory) > self.max_memory_entries:
-                memory.popitem(last=False)
+            while len(self._memory) > self.max_memory_entries:
+                self._memory.popitem(last=False)
 
     def set_memory_limit(self, max_memory_entries: Optional[int]) -> None:
         """(Re)bound the in-memory layer, evicting the least recently
@@ -163,83 +161,25 @@ class ResultCache:
                              f"{max_memory_entries!r}")
         with self._lock:
             self.max_memory_entries = max_memory_entries
-            if max_memory_entries is not None:
-                while len(self._memory) > max_memory_entries:
-                    self._memory.popitem(last=False)
+            self._evict()
 
     def put(self, key: str, value: Any,
             encode: Optional[Callable[[Any], Any]] = None) -> None:
         with self._lock:
             self._store(key, value)
         if self.disk_dir is not None and encode is not None:
-            path = self._path(key)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            payload = json.dumps({"key": key, "value": encode(value)})
             # Atomic publish: concurrent writers of the same key race to an
             # identical final state.
-            fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
             try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(payload)
-                os.replace(tmp, path)
+                write_record(self._path(key), CACHE_SCHEMA, key,
+                             {"value": encode(value)}, fsync=False)
             except OSError:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
+                pass   # the disk tier is best-effort: a lost entry is a miss
 
     def _path(self, key: str) -> Path:
         return self.disk_dir / key[:2] / f"{key}.json"
 
     # -- maintenance / stats -------------------------------------------------
-
-    def _sweep_tmp(self, older_than: float = 0.0) -> int:
-        """Unlink orphaned ``.tmp`` files (a writer died between
-        ``mkstemp`` and the atomic ``os.replace``).  With ``older_than``,
-        only files whose mtime is at least that many seconds old go --
-        the store-open sweep uses this so a concurrent writer's live
-        temp file survives.  Returns the number removed.
-
-        The age gate is robust to wall-clock steps: the clock is
-        re-sampled per file (a single cutoff computed before a backwards
-        step would make files stamped *after* the step look ancient),
-        future-dated files are never deleted (they are live writers seen
-        across a backwards step, not orphans), and any future-dated file
-        is evidence the clock stepped during the window -- every age in
-        the sweep is then suspect, so the grace period doubles."""
-        if self.disk_dir is None:
-            return 0
-        removed = 0
-        if not older_than:
-            # clear(): the caller asserts no live writers -- unconditional.
-            for entry in self.disk_dir.glob("*/*.tmp"):
-                try:
-                    entry.unlink()
-                    removed += 1
-                except OSError:
-                    pass   # already gone, or racing with its writer
-            return removed
-        ages = []
-        suspicious = False
-        for entry in self.disk_dir.glob("*/*.tmp"):
-            try:
-                mtime = entry.stat().st_mtime
-            except OSError:
-                continue   # already gone
-            age = time.time() - mtime   # fresh sample per file
-            if age < -self.CLOCK_STEP_SLACK_SECONDS:
-                suspicious = True
-            ages.append((entry, age))
-        grace = older_than * (2.0 if suspicious else 1.0)
-        for entry, age in ages:
-            if age < grace:
-                continue
-            try:
-                entry.unlink()
-                removed += 1
-            except OSError:
-                pass   # already gone, or racing with its writer
-        return removed
 
     def clear(self, memory_only: bool = False) -> None:
         with self._lock:
@@ -251,8 +191,8 @@ class ResultCache:
                     entry.unlink()
                 except OSError:
                     pass
-            self._sweep_tmp()   # orphaned temp files accumulate forever
-                                # otherwise: clear() only globbed *.json
+            # clear() asserts no live writers: every orphan goes.
+            sweep_tmp(self.disk_dir, _TMP_PATTERN, older_than=0)
 
     def __len__(self) -> int:
         with self._lock:

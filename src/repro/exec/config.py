@@ -25,9 +25,10 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple, Union
 
+from .cache import default_cache
 from .retry import RetryPolicy
 from .scheduler import BACKENDS, ObligationScheduler
-from .telemetry import Telemetry
+from .telemetry import Telemetry, default_telemetry
 
 __all__ = ["ExecConfig", "RetryPolicy", "coerce_exec_config"]
 
@@ -196,6 +197,20 @@ class ExecConfig:
     def scheduler(self) -> ObligationScheduler:
         """A scheduler configured by this config (one per run)."""
         return ObligationScheduler(self)
+
+    def resolved_cache(self):
+        """The :class:`~repro.exec.cache.ResultCache` this config runs
+        against: ``cache=None`` is the process-wide default,
+        ``cache=False`` none at all."""
+        if self.cache is None:
+            return default_cache()
+        return None if self.cache is False else self.cache
+
+    def resolved_telemetry(self) -> Telemetry:
+        """The telemetry this config records into (``None``: the
+        process-wide log)."""
+        return self.telemetry if self.telemetry is not None \
+            else default_telemetry()
 
     def with_telemetry(self, telemetry: Telemetry) -> "ExecConfig":
         """This config with ``telemetry`` bound (components that own a

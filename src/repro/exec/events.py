@@ -28,6 +28,12 @@ Fault-tolerance events extend the life cycle (DESIGN.md §12):
   per-item execution walls -- the pickling/wire/queue cost the batching
   layer (DESIGN.md §18) exists to amortize.  ``detail`` is
   ``items=<K>``; ``K > 1`` marks a batched dispatch.
+* ``STORE_MISS`` -- a durable store fell back to cold (``kind`` names
+  the store: ``manifest`` or ``plan_cache``; non-terminal bookkeeping).
+  ``detail`` is the reason: a :func:`repro.exec.durable.load_record`
+  miss reason (``absent``, ``torn``, ``schema``, ``scope``) for a load,
+  or ``evicted`` when a manifest entry's verdict is gone from the result
+  cache.
 
 Live subscription: a :class:`~repro.exec.telemetry.Telemetry` is not only
 a log to post-process after the run -- callers can attach a callback with
@@ -48,7 +54,8 @@ __all__ = [
     "ObligationEvent", "EventSubscription",
     "SUBMITTED", "STARTED", "FINISHED", "CACHED", "TIMED_OUT", "ERRORED",
     "RETRIED", "SKIPPED", "CRASHED", "QUARANTINED", "DEGRADED",
-    "RETRIED_OK", "WORKER_ABANDONED", "DISPATCHED", "TERMINAL_EVENTS",
+    "RETRIED_OK", "WORKER_ABANDONED", "DISPATCHED", "STORE_MISS",
+    "TERMINAL_EVENTS",
 ]
 
 SUBMITTED = "submitted"
@@ -65,6 +72,7 @@ DEGRADED = "degraded"
 RETRIED_OK = "retried_ok"
 WORKER_ABANDONED = "worker_abandoned"
 DISPATCHED = "dispatched"
+STORE_MISS = "store_miss"
 
 #: Events that end an obligation's life (used for queue-depth accounting).
 #: ``CRASHED`` is deliberately absent -- a crashed-once obligation is

@@ -191,7 +191,8 @@ def _serve_connection(sock: socket.socket, name: str,
 def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.exec.remote.worker",
-        description="Proof-farm worker process (DESIGN.md §16).")
+        description="Proof-farm worker process (DESIGN.md §16).",
+        allow_abbrev=False)
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--connect", metavar="HOST:PORT",
                       help="dial a coordinator (exit when the "

@@ -62,11 +62,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from . import events as ev
-from .cache import default_cache
 from .obligation import Obligation
 from .payload import make_batch
 from .retry import RetryPolicy
-from .telemetry import default_telemetry
 
 if TYPE_CHECKING:
     from .config import ExecConfig
@@ -553,16 +551,10 @@ class ObligationScheduler:
         self.config = config
         self.jobs = config.jobs or os.cpu_count() or 1
         self.backend = config.backend
-        if config.cache is None:
-            self.cache = default_cache()
-        elif config.cache is False:
-            self.cache = None
-        else:
-            self.cache = config.cache
+        self.cache = config.resolved_cache()
         if self.cache is not None and config.cache_memory_entries is not None:
             self.cache.set_memory_limit(config.cache_memory_entries)
-        self.telemetry = config.telemetry if config.telemetry is not None \
-            else default_telemetry()
+        self.telemetry = config.resolved_telemetry()
         self.timeout_seconds = config.timeout_seconds
         self.retry_policy = config.retries
         self.on_error = config.on_error

@@ -23,11 +23,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .atomicio import atomic_write_text
+from .durable import atomic_write_text
 from .events import (
     CACHED, CRASHED, DEGRADED, DISPATCHED, ERRORED, FINISHED, QUARANTINED,
-    RETRIED, RETRIED_OK, SKIPPED, STARTED, SUBMITTED, TERMINAL_EVENTS,
-    TIMED_OUT, WORKER_ABANDONED, EventSubscription, ObligationEvent,
+    RETRIED, RETRIED_OK, SKIPPED, STARTED, STORE_MISS, SUBMITTED,
+    TERMINAL_EVENTS, TIMED_OUT, WORKER_ABANDONED, EventSubscription,
+    ObligationEvent,
 )
 
 __all__ = ["ExecStats", "Telemetry", "default_telemetry", "percentile"]
@@ -80,7 +81,7 @@ class ExecStats:
     #: fault-tolerance taxonomy (DESIGN.md §12) ------------------------------
     crashes: int = 0            # worker-killing crash blames (non-terminal)
     quarantined: int = 0        # obligations pulled after a second kill
-    degraded: int = 0           # backend fallbacks (process→thread→serial)
+    degraded: int = 0           # backend fallbacks (remote→process→serial)
     retried_ok: int = 0         # obligations that succeeded after retries
     abandoned_workers: int = 0  # unresponsive workers left behind at shutdown
     wall_seconds: float = 0.0       # telemetry epoch -> last event
@@ -93,6 +94,9 @@ class ExecStats:
     batch_items: int = 0            # obligations shipped inside those units
     dispatch_p50_seconds: float = 0.0   # percentile of dispatch overheads
     dispatch_p95_seconds: float = 0.0   # (all units, solo and batched)
+    #: durable-store cold fallbacks (DESIGN.md §20) -------------------------
+    #: by reason: ``absent``, ``torn``, ``schema``, ``scope``, ``evicted``.
+    store_misses: Dict[str, int] = field(default_factory=dict)
 
     @property
     def total(self) -> int:
@@ -151,6 +155,10 @@ class ExecStats:
             if self.abandoned_workers:
                 lines.append(f"abandoned workers          "
                              f"{self.abandoned_workers}")
+        if self.store_misses:
+            lines.append("store misses               " + ", ".join(
+                f"{reason}: {n}"
+                for reason, n in sorted(self.store_misses.items())))
         return "\n".join(lines)
 
     def to_json(self) -> dict:
@@ -176,6 +184,7 @@ class ExecStats:
             "batch_items": self.batch_items,
             "dispatch_p50_seconds": self.dispatch_p50_seconds,
             "dispatch_p95_seconds": self.dispatch_p95_seconds,
+            "store_misses": dict(self.store_misses),
         }
 
 
@@ -287,6 +296,9 @@ class Telemetry:
                 stats.retried_ok += 1
             elif ev.event == WORKER_ABANDONED:
                 stats.abandoned_workers += 1
+            elif ev.event == STORE_MISS:
+                stats.store_misses[ev.detail] = \
+                    stats.store_misses.get(ev.detail, 0) + 1
             elif ev.event == DISPATCHED:
                 dispatch_walls.append(ev.wall)
                 items = 1

@@ -21,11 +21,11 @@ pstats table (schema: ``{"stage", "total_seconds", "rows": [{"function",
 
 from __future__ import annotations
 
+import argparse
 import cProfile
 import io
 import json
 import pstats
-import sys
 from typing import Callable, Dict
 
 __all__ = ["STAGES", "profile_stage", "main"]
@@ -105,54 +105,33 @@ def _rows(stats: pstats.Stats, top: int):
 
 
 def main(argv=None) -> int:
-    argv = argv if argv is not None else sys.argv[1:]
-    as_json = "--json" in argv
-    top = 25
-    positional = []
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg == "--json":
-            pass
-        elif arg == "--top" and i + 1 < len(argv):
-            i += 1
-            try:
-                top = int(argv[i])
-            except ValueError:
-                raise SystemExit(f"error: --top expects an integer, "
-                                 f"got {argv[i]!r}")
-        elif arg.startswith("--top="):
-            try:
-                top = int(arg.split("=", 1)[1])
-            except ValueError:
-                raise SystemExit(f"error: --top expects an integer, "
-                                 f"got {arg!r}")
-        elif arg.startswith("--"):
-            raise SystemExit(f"error: unknown flag {arg!r}")
-        else:
-            positional.append(arg)
-        i += 1
-    if top < 1:
-        raise SystemExit(f"error: --top must be >= 1, got {top}")
-    if len(positional) != 1:
-        raise SystemExit(f"usage: python -m repro.harness.profile "
-                         f"{{{'|'.join(sorted(STAGES))}}} [--top N] [--json]")
-    stage = positional[0]
-    try:
-        stats = profile_stage(stage)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
-    if as_json:
+    def count(text: str) -> int:   # argparse names the type in errors
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        return value
+
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.harness.profile", allow_abbrev=False,
+        description="Profile one pipeline stage under cProfile.")
+    parser.add_argument("stage", choices=sorted(STAGES))
+    parser.add_argument("--top", type=count, default=25,
+                        help="functions to show (default 25)")
+    parser.add_argument("--json", action="store_true",
+                        help="emit the rows as JSON")
+    args = parser.parse_args(argv)
+    stats = profile_stage(args.stage)
+    if args.json:
         print(json.dumps({
-            "stage": stage,
+            "stage": args.stage,
             "total_seconds": round(stats.total_tt, 6),
-            "rows": _rows(stats, top),
+            "rows": _rows(stats, args.top),
         }, indent=2))
     else:
         buffer = io.StringIO()
         stats.stream = buffer
-        stats.sort_stats("cumulative").print_stats(top)
-        print(f"stage: {stage} ({stats.total_tt:.3f} s total)")
+        stats.sort_stats("cumulative").print_stats(args.top)
+        print(f"stage: {args.stage} ({stats.total_tt:.3f} s total)")
         print(buffer.getvalue())
     return 0
 

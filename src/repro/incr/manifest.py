@@ -1,15 +1,15 @@
 """The run manifest: what the previous run proved, addressably.
 
-One JSON file per package name under the store root
-(``<root>/<package>.json``), published atomically
-(:func:`~repro.exec.atomicio.atomic_write_json`) so a crashed writer can
-never leave a half-manifest behind.  Schema ``repro-incr/v1``::
+One :mod:`~repro.exec.durable` record per package name under the store
+root (``<root>/<package>.json``), published atomically and fsynced so a
+crashed writer can never leave a half-manifest behind.  Schema
+``repro-incr/v2`` (``v1`` named the scope field ``config_digest``)::
 
     {
-      "schema": "repro-incr/v1",
+      "schema": "repro-incr/v2",
+      "scope": "<sha256 over prover config + examiner limits>",
       "package": "AES",
       "package_fp": "<sha256 of the printed package at save time>",
-      "config_digest": "<sha256 over prover config + examiner limits>",
       "subprograms": {
         "<name>": {
           "cone_fp": "<sha256>",
@@ -29,7 +29,7 @@ never leave a half-manifest behind.  Schema ``repro-incr/v1``::
 ``cache_key`` is the load-bearing field: VC cache keys embed the
 *whole-package* fingerprint, so after any edit the re-derived keys all
 change -- replay must use the key recorded when the verdict was stored.
-``config_digest`` scopes the manifest the same way
+``scope`` (:func:`run_config_digest`) scopes the manifest the same way
 ``simplifier_rules_key`` scopes the normalization cache: a manifest
 written under a different prover configuration (timeouts, scripts,
 examiner limits) never validates.
@@ -42,17 +42,17 @@ and the caller falls back to a full run.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from pathlib import Path
 from typing import Optional, Union
 
-from ..exec.atomicio import atomic_write_json
+from ..exec.durable import load_record, sweep_tmp, write_record
+from ..exec.events import STORE_MISS
 
 __all__ = ["MANIFEST_SCHEMA", "run_config_digest", "ManifestStore",
            "coerce_manifest_store"]
 
-MANIFEST_SCHEMA = "repro-incr/v1"
+MANIFEST_SCHEMA = "repro-incr/v2"
 
 
 def run_config_digest(prover_config: str, limits=None) -> str:
@@ -76,51 +76,52 @@ class ManifestStore:
 
     def __init__(self, root: Union[str, os.PathLike]):
         self.root = Path(root)
+        sweep_tmp(self.root, "*.json.*.tmp")
 
     def path_for(self, package_name: str) -> Path:
         return self.root / f"{package_name}.json"
 
-    def load(self, package_name: str,
-             config_digest: str) -> Optional[dict]:
+    def load(self, package_name: str, config_digest: str,
+             telemetry=None) -> Optional[dict]:
         """The manifest for ``package_name`` under ``config_digest``, or
-        ``None`` for *any* defect: absent file, unparseable JSON (torn or
-        truncated write by a non-atomic foreign writer), wrong schema,
-        wrong package, a different configuration scope, or a structurally
-        malformed subprogram table.  ``None`` always means "run cold"."""
-        path = self.path_for(package_name)
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, ValueError):
+        ``None`` for *any* defect: any record miss, a manifest of another
+        package, or a structurally malformed subprogram table.  ``None``
+        always means "run cold"; with ``telemetry`` the reason is
+        recorded as a ``store_miss`` event."""
+        record, reason = load_record(self.path_for(package_name),
+                                     MANIFEST_SCHEMA, config_digest)
+        if record is not None:
+            reason = _defect(record, package_name)
+        if reason:
+            if telemetry is not None:
+                telemetry.record(STORE_MISS, "manifest", package_name,
+                                 detail=reason)
             return None
-        if not isinstance(data, dict):
-            return None
-        if data.get("schema") != MANIFEST_SCHEMA:
-            return None
-        if data.get("package") != package_name:
-            return None
-        if data.get("config_digest") != config_digest:
-            return None
-        subprograms = data.get("subprograms")
-        if not isinstance(subprograms, dict):
-            return None
-        for entry in subprograms.values():
-            if not isinstance(entry, dict) or \
-                    not isinstance(entry.get("cone_fp"), str) or \
-                    not isinstance(entry.get("vcs"), list):
-                return None
-        return data
+        return record
 
     def save(self, package_name: str, package_fp: str, config_digest: str,
              subprograms: dict) -> Path:
         path = self.path_for(package_name)
-        atomic_write_json(path, {
-            "schema": MANIFEST_SCHEMA,
+        write_record(path, MANIFEST_SCHEMA, config_digest, {
             "package": package_name,
             "package_fp": package_fp,
-            "config_digest": config_digest,
             "subprograms": subprograms,
         })
         return path
+
+
+def _defect(record: dict, package_name: str) -> str:
+    """The miss reason of a well-tagged manifest, or ``""``."""
+    if record.get("package") != package_name:
+        return "scope"
+    subprograms = record.get("subprograms")
+    if not isinstance(subprograms, dict) or not all(
+            isinstance(entry, dict)
+            and isinstance(entry.get("cone_fp"), str)
+            and isinstance(entry.get("vcs"), list)
+            for entry in subprograms.values()):
+        return "schema"
+    return ""
 
 
 def coerce_manifest_store(manifest) -> Optional[ManifestStore]:

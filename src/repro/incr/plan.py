@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..exec.events import STORE_MISS
 from ..exec.obligation import _decode_vc_result
 from ..lang.typecheck import TypedPackage
 from ..vcgen.examiner import SubprogramAnalysis, VCRecord
@@ -112,7 +113,7 @@ def _replay_one(entry: dict, name: str, cache) -> \
 
 
 def plan_incremental(manifest: Optional[dict], typed: TypedPackage,
-                     names: Sequence[str], cache
+                     names: Sequence[str], cache, telemetry=None
                      ) -> Tuple[Dict[str, ReplayedSubprogram],
                                 IncrementalStats]:
     """Split ``names`` into replayable and re-checkable subprograms.
@@ -123,6 +124,8 @@ def plan_incremental(manifest: Optional[dict], typed: TypedPackage,
     Returns ``(replayed, stats)``; every name absent from ``replayed``
     must be re-examined.  ``stats.rechecked_vcs`` is left at zero --
     the session fills it in once the re-examined VCs are counted.
+    With ``telemetry``, each evicted fallback is recorded as a
+    ``store_miss`` event with detail ``evicted``.
     """
     stats = IncrementalStats()
     replayed: Dict[str, ReplayedSubprogram] = {}
@@ -144,6 +147,9 @@ def plan_incremental(manifest: Optional[dict], typed: TypedPackage,
         if rebuilt is None:
             stats.rechecked_subprograms += 1
             stats.evicted_fallbacks += 1
+            if telemetry is not None:
+                telemetry.record(STORE_MISS, "manifest", name,
+                                 detail="evicted")
             continue
         analysis, outcomes, _ = rebuilt
         replayed[name] = ReplayedSubprogram(analysis=analysis,

@@ -34,7 +34,6 @@ the key), it only bounds memory.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from typing import Iterable, List, Optional, Tuple
@@ -158,12 +157,9 @@ _DEFAULT_LOCK = threading.Lock()
 
 def default_norm_cache() -> NormalizationCache:
     """The process-wide cache (used by process-pool workers, where the
-    session object that owns a per-run instance does not exist).
-    ``REPRO_NORM_CACHE_SIZE`` overrides the capacity."""
+    session object that owns a per-run instance does not exist)."""
     global _DEFAULT
     with _DEFAULT_LOCK:
         if _DEFAULT is None:
-            size = int(os.environ.get("REPRO_NORM_CACHE_SIZE", "0")) \
-                or DEFAULT_NORM_CACHE_ENTRIES
-            _DEFAULT = NormalizationCache(max_entries=size)
+            _DEFAULT = NormalizationCache()
         return _DEFAULT

@@ -16,8 +16,7 @@ stacks cannot absorb term-deep native recursion.  Normalization depth is
 therefore bounded by heap, not by the interpreter stack, and no
 recursion-limit escape hatch exists anywhere in the package.
 
-Two hot-path optimizations sit on top (DESIGN.md §13), both off-switchable
-back to the retained linear-scan reference:
+Two hot-path optimizations sit on top (DESIGN.md §13):
 
 * **Head-op rule indexing** -- every :class:`Rule` may declare the
   frozenset of root operators it can fire on; the rewriter builds an
@@ -26,8 +25,8 @@ back to the retained linear-scan reference:
   fixpoint iteration scans only the rules that could possibly apply.
   Rule order is preserved within each bucket, so the chosen rule -- and
   therefore every normal form, memo entry, and work count -- is identical
-  to the linear scan's.  ``index=False`` (or ``REPRO_REWRITE_INDEX=0``)
-  selects the original scan-all-rules path.
+  to the original scan of every rule, which the tests keep as their
+  differential reference (``tests/rewriter_reference.py``).
 
 * **Cross-obligation sharing** -- an optional ``shared`` scope (see
   :mod:`repro.logic.normcache`) consulted by canonical fingerprint before
@@ -38,7 +37,6 @@ back to the retained linear-scan reference:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -118,28 +116,19 @@ class RewriteStats:
                 + _FIXPOINT_EXHAUSTED_COST * self.fixpoint_exhausted)
 
 
-def _index_default() -> bool:
-    """Head-op indexing defaults on; ``REPRO_REWRITE_INDEX=0`` restores
-    the linear scan (read at construction time so process-pool workers
-    inherit the differential harness's choice through the environment)."""
-    return os.environ.get("REPRO_REWRITE_INDEX", "1") != "0"
-
-
 class Rewriter:
     """Bottom-up fixpoint rewriter with DAG memoization and a work budget."""
 
     def __init__(self, rules: Sequence[Rule], max_work: Optional[int] = None,
-                 *, index: Optional[bool] = None, shared=None):
-        """``index`` selects head-op dispatch (None: the
-        ``REPRO_REWRITE_INDEX`` environment default).  ``shared`` is an
-        optional cross-obligation scope (:meth:`repro.logic.normcache
-        .NormalizationCache.scope`) consulted by canonical fingerprint;
-        it must be keyed to this exact rule set."""
+                 *, shared=None):
+        """``shared`` is an optional cross-obligation scope
+        (:meth:`repro.logic.normcache.NormalizationCache.scope`) consulted
+        by canonical fingerprint; it must be keyed to this exact rule
+        set."""
         self.rules: List[Rule] = list(rules)
         self.max_work = max_work
         self.stats = RewriteStats()
         self._memo: Dict[int, Term] = {}
-        self.indexed = _index_default() if index is None else bool(index)
         self._shared = shared
         # The dispatch table: op -> tuple of candidate rules, in rule-list
         # order (wildcard rules appear in every bucket).  Built eagerly
@@ -148,15 +137,13 @@ class Rewriter:
         self._wildcard: Tuple[Rule, ...] = tuple(
             r for r in self.rules if r.ops is None)
         self._dispatch: Dict[str, Tuple[Rule, ...]] = {}
-        if self.indexed:
-            declared = set()
-            for rule in self.rules:
-                if rule.ops is not None:
-                    declared.update(rule.ops)
-            for op in declared:
-                self._dispatch[op] = tuple(
-                    r for r in self.rules
-                    if r.ops is None or op in r.ops)
+        declared = set()
+        for rule in self.rules:
+            if rule.ops is not None:
+                declared.update(rule.ops)
+        for op in declared:
+            self._dispatch[op] = tuple(
+                r for r in self.rules if r.ops is None or op in r.ops)
 
     def _bucket(self, op: str) -> Tuple[Rule, ...]:
         """Candidate rules for a root operator never seen at construction:
@@ -181,121 +168,18 @@ class Rewriter:
     def normalize(self, term: Term) -> Term:
         """Return the normal form of ``term`` under this rewriter's rules.
 
-        Dispatches to the indexed fast path or to the retained
-        linear-scan reference; both produce identical normal forms, memo
-        contents, and work counts (the differential gate in
-        ``tests/test_logic_rewriting.py`` pins this over the full AES VC
-        corpus).
-        """
-        if self.indexed:
-            return self._normalize_indexed(term)
-        return self._normalize_linear(term)
-
-    # -- linear-scan reference path ------------------------------------------
-
-    def _normalize_linear(self, term: Term) -> Term:
-        """The original engine: every fixpoint iteration scans the full
-        rule list.  Kept verbatim as the differential reference for the
-        indexed path (and selectable via ``REPRO_REWRITE_INDEX=0``).
-
-        The traversal is an explicit-stack DFS over the DAG -- the exact
+        The traversal is an explicit-stack DFS over the DAG with the
         recursion structure of the classic algorithm (preorder charging,
         left-to-right children, postorder rebuild, per-node fixpoint with
         suspension when a replacement needs normalizing first), so memo
-        contents, term-creation order, and stats are bit-identical to the
-        recursive formulation while depth is bounded by heap only.
-        """
-        memo = self._memo
-        hit = memo.get(term._id)
-        if hit is not None:
-            return hit
-        stack = [(_EXPAND, term, None)]
-        while stack:
-            state, node, pending = stack.pop()
-            if state == _EXPAND:
-                if node._id in memo:
-                    continue
-                self._charge(nodes=1)
-                if node.args:
-                    stack.append((_REBUILD, node, None))
-                    for a in reversed(node.args):
-                        if a._id not in memo:
-                            stack.append((_EXPAND, a, None))
-                    continue
-                suspended = self._fixpoint(node, node, _MAX_FIXPOINT_ITERS)
-            elif state == _REBUILD:
-                # Always rebuild through the smart constructors: terms
-                # built with the raw constructor (e.g. by shape-preserving
-                # substitution in the WP calculus) fold only here.
-                current = rebuild_smart(
-                    node.op, tuple(memo[a._id] for a in node.args),
-                    node.value)
-                if current is not node and current._id in memo:
-                    memo[node._id] = memo[current._id]
-                    continue
-                suspended = self._fixpoint(node, current,
-                                           _MAX_FIXPOINT_ITERS)
-            else:  # _RESUME: the suspended replacement is normalized now.
-                replacement, iters = pending
-                suspended = self._fixpoint(node, memo[replacement._id],
-                                           iters)
-            if suspended is not None:
-                stack.append((_RESUME, node, suspended))
-                stack.append((_EXPAND, suspended[0], None))
-        return memo[term._id]
-
-    def _fixpoint(self, node: Term, current: Term, iters: int):
-        """Drive ``node``'s rewrite fixpoint starting from ``current``.
-
-        Returns ``None`` once ``node`` is memoized, or ``(replacement,
-        iters_left)`` to suspend so the caller can normalize a freshly
-        built replacement -- its spine may expose further redexes even
-        though its leaves are already normal -- before resuming.
-        """
-        memo = self._memo
-        while iters:
-            iters -= 1
-            replacement = self._apply_one(current)
-            if replacement is None:
-                break
-            if replacement._id in memo:
-                current = memo[replacement._id]
-            elif replacement.args and any(
-                a._id not in memo or memo[a._id] is not a
-                for a in replacement.args
-            ):
-                return replacement, iters
-            else:
-                current = replacement
-        else:
-            # The fixpoint did not converge: memoizing ``current`` below
-            # caches a possibly-reducible term as "normal".  Count it and
-            # charge the budget so the overrun shows up in the examiner
-            # report (or trips RewriteBudgetExceeded) instead of hiding.
-            self._charge(exhausted=1)
-        memo[node._id] = current
-        memo[current._id] = current
-        return None
-
-    def _apply_one(self, term: Term) -> Optional[Term]:
-        for rule in self.rules:
-            result = rule(term)
-            if result is not None and result is not term:
-                self._charge(applications=1, rule=rule.name)
-                return result
-        return None
-
-    # -- indexed fast path ---------------------------------------------------
-
-    def _normalize_indexed(self, term: Term) -> Term:
-        """Same DFS, same charges, same memo writes as
-        :meth:`_normalize_linear`, but each fixpoint consults only the
-        dispatch bucket for the node's root operator -- and a node whose
-        bucket is empty skips the fixpoint machinery entirely (no rule
-        could fire; the memo writes below are exactly the ones an empty
-        fixpoint run performs).  When a ``shared`` scope is attached,
-        compound subterms are looked up by canonical fingerprint before
-        expansion and published once converged.
+        contents, term-creation order, and stats match the recursive
+        formulation while depth is bounded by heap only.  Each fixpoint
+        consults only the dispatch bucket for the node's root operator --
+        and a node whose bucket is empty skips the fixpoint machinery
+        entirely (no rule could fire; the memo writes below are exactly
+        the ones an empty fixpoint run performs).  When a ``shared``
+        scope is attached, compound subterms are looked up by canonical
+        fingerprint before expansion and published once converged.
         """
         memo = self._memo
         hit = memo.get(term._id)
@@ -335,8 +219,7 @@ class Rewriter:
                     stats.index_skipped_rules += nrules
                     memo[node._id] = node
                     continue
-                suspended = self._fixpoint_indexed(
-                    node, node, _MAX_FIXPOINT_ITERS)
+                suspended = self._fixpoint(node, node, _MAX_FIXPOINT_ITERS)
             elif state == _REBUILD:
                 current = rebuild_smart(
                     node.op, tuple(memo[a._id] for a in node.args),
@@ -358,12 +241,12 @@ class Rewriter:
                     if shared is not None:
                         shared.put(fingerprint(node), current)
                     continue
-                suspended = self._fixpoint_indexed(node, current,
-                                                   _MAX_FIXPOINT_ITERS)
+                suspended = self._fixpoint(node, current,
+                                           _MAX_FIXPOINT_ITERS)
             else:  # _RESUME
                 replacement, iters = pending
-                suspended = self._fixpoint_indexed(
-                    node, memo[replacement._id], iters)
+                suspended = self._fixpoint(node, memo[replacement._id],
+                                           iters)
             if suspended is not None:
                 stack.append((_RESUME, node, suspended))
                 stack.append((_EXPAND, suspended[0], None))
@@ -371,10 +254,16 @@ class Rewriter:
                 shared.put(fingerprint(node), memo[node._id])
         return memo[term._id]
 
-    def _fixpoint_indexed(self, node: Term, current: Term, iters: int):
-        """:meth:`_fixpoint` with the rule scan replaced by a dispatch
-        lookup.  The bucket preserves rule-list order, so the first rule
-        that fires is the same rule the linear scan would have chosen."""
+    def _fixpoint(self, node: Term, current: Term, iters: int):
+        """Drive ``node``'s rewrite fixpoint starting from ``current``.
+
+        Returns ``None`` once ``node`` is memoized, or ``(replacement,
+        iters_left)`` to suspend so the caller can normalize a freshly
+        built replacement -- its spine may expose further redexes even
+        though its leaves are already normal -- before resuming.  Each
+        iteration scans the dispatch bucket of the current root
+        operator; the bucket preserves rule-list order, so the first
+        rule that fires is the one a scan of every rule would choose."""
         memo = self._memo
         dispatch = self._dispatch
         stats = self.stats

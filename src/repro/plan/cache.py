@@ -8,11 +8,12 @@ the same program re-requests the *same* obligations.  A
 ``python -m repro.plan --plan-cache plan.json`` twice runs the whole
 search the second time without scheduling a single evaluation.
 
-One JSON file, schema ``repro-plan-cache/v1``::
+One :mod:`~repro.exec.durable` record, schema ``repro-plan-cache/v2``
+(``v1`` named the scope field ``scoring``)::
 
     {
-      "schema": "repro-plan-cache/v1",
-      "scoring": "<sha256 scoring-config digest>",
+      "schema": "repro-plan-cache/v2",
+      "scope": "<sha256 scoring-config digest>",
       "evaluations": {"<obligation cache key>": {...StateEvaluation...}},
       "validations": {"<edge key>": {"ok": bool, "reason": "..."}}
     }
@@ -23,7 +24,7 @@ reference_fp, parent_match, tier)`` -- so an entry is scoped to the
 exact (candidate program, transformation, probe budget) it measured.
 Validation entries key the *edge*: ``make_key("plan_validate",
 parent_fp, child_fp, candidate_token, check, trials, seed,
-observables)``.  The file-level ``scoring`` digest
+observables)``.  The file-level ``scope`` digest
 (:func:`scoring_digest`) covers the run-shaping inputs the per-entry
 keys do not: the reference theory, the probe budgets, and the
 validation-engine configuration.  :class:`~repro.plan.scoring
@@ -31,11 +32,13 @@ validation-engine configuration.  :class:`~repro.plan.scoring
 store raw measured components, and scores are recomputed from the
 weights at search time, so a weight tweak replans warm.
 
-**Durability.**  Saves go through
-:func:`~repro.exec.atomicio.atomic_write_json`; loading is defensive by
-construction (the :mod:`repro.incr.manifest` discipline): a missing,
-torn, wrong-schema, or wrong-scope file loads as *empty*, never as an
-error -- a broken cache means a cold replan, not a broken plan.
+**Durability.**  Saves are fsynced atomic publications; loading is
+defensive by construction (the :mod:`repro.incr.manifest` discipline):
+any record miss loads as *empty*, never as an error -- a broken cache
+means a cold replan, not a broken plan.  An entry is kept only if it is
+well formed: an evaluation that :meth:`StateEvaluation.from_json
+<repro.plan.scoring.StateEvaluation.from_json>` accepts, a validation
+with a boolean ``ok``.
 
 **Soundness.**  A cached ``ok`` validation lets the planner replay the
 edge *mechanically* (apply the transformation, skip the differential
@@ -47,17 +50,19 @@ planner falls back to full validation.
 
 from __future__ import annotations
 
-import json
+import glob
 import os
 from pathlib import Path
 from typing import Dict, Optional, Union
 
-from ..exec.atomicio import atomic_write_json
 from ..exec.cache import make_key
+from ..exec.durable import load_record, sweep_tmp, write_record
+from ..exec.events import STORE_MISS
+from .scoring import StateEvaluation
 
 __all__ = ["PLAN_CACHE_SCHEMA", "PlanCache", "scoring_digest"]
 
-PLAN_CACHE_SCHEMA = "repro-plan-cache/v1"
+PLAN_CACHE_SCHEMA = "repro-plan-cache/v2"
 
 
 def scoring_digest(reference_fp: str, probe_tree_bytes: int,
@@ -77,9 +82,11 @@ def scoring_digest(reference_fp: str, probe_tree_bytes: int,
 
 class PlanCache:
     """Load-on-construct, save-on-demand store of plan evaluations and
-    validation verdicts, scoped to one scoring-config digest."""
+    validation verdicts, scoped to one scoring-config digest.  With
+    ``telemetry``, a load that misses records a ``store_miss`` event."""
 
-    def __init__(self, path: Union[str, os.PathLike], scoring: str):
+    def __init__(self, path: Union[str, os.PathLike], scoring: str,
+                 telemetry=None):
         self.path = Path(path)
         self.scoring = scoring
         self._evaluations: Dict[str, dict] = {}
@@ -90,30 +97,29 @@ class PlanCache:
         self.eval_misses = 0
         self.validation_hits = 0
         self.validation_misses = 0
-        self._load()
+        sweep_tmp(self.path.parent, glob.escape(self.path.name) + ".*.tmp")
+        self._load(telemetry)
 
     # -- persistence --------------------------------------------------------
 
-    def _load(self) -> None:
+    def _load(self, telemetry) -> None:
         """Ingest the file if -- and only if -- it is a well-formed cache
         under this scoring digest; any defect loads as empty."""
-        try:
-            data = json.loads(self.path.read_text())
-        except (OSError, ValueError):
+        record, reason = load_record(self.path, PLAN_CACHE_SCHEMA,
+                                     self.scoring)
+        if record is not None and not (
+                isinstance(record.get("evaluations"), dict)
+                and isinstance(record.get("validations"), dict)):
+            record, reason = None, "schema"
+        if record is None:
+            if telemetry is not None:
+                telemetry.record(STORE_MISS, "plan_cache", str(self.path),
+                                 detail=reason)
             return
-        if not isinstance(data, dict) \
-                or data.get("schema") != PLAN_CACHE_SCHEMA \
-                or data.get("scoring") != self.scoring:
-            return
-        evaluations = data.get("evaluations")
-        validations = data.get("validations")
-        if not isinstance(evaluations, dict) \
-                or not isinstance(validations, dict):
-            return
-        for key, value in evaluations.items():
-            if isinstance(key, str) and isinstance(value, dict):
+        for key, value in record["evaluations"].items():
+            if isinstance(key, str) and _is_evaluation(value):
                 self._evaluations[key] = value
-        for key, value in validations.items():
+        for key, value in record["validations"].items():
             if isinstance(key, str) and isinstance(value, dict) \
                     and isinstance(value.get("ok"), bool):
                 self._validations[key] = value
@@ -122,9 +128,7 @@ class PlanCache:
         """Publish atomically; a no-op while nothing changed."""
         if not self.dirty:
             return
-        atomic_write_json(self.path, {
-            "schema": PLAN_CACHE_SCHEMA,
-            "scoring": self.scoring,
+        write_record(self.path, PLAN_CACHE_SCHEMA, self.scoring, {
             "evaluations": self._evaluations,
             "validations": self._validations,
         })
@@ -171,3 +175,13 @@ class PlanCache:
 
     def __len__(self) -> int:
         return len(self._evaluations) + len(self._validations)
+
+
+def _is_evaluation(value) -> bool:
+    """Whether the planner can rebuild a :class:`StateEvaluation` from
+    ``value`` (a malformed entry would abort the plan instead)."""
+    try:
+        StateEvaluation.from_json(value)
+    except TypeError:
+        return False
+    return True

@@ -1,40 +1,21 @@
 """Command line for the automated planner: ``python -m repro.plan``.
 
 Plans the AES case study by default and prints the discovered chain as
-a human-readable report (or JSON with ``--json``).  Execution flags
-mirror the harness: ``--jobs``/``--backend`` configure the obligation
+a human-readable report (or JSON with ``--json``).  The execution flags
+are the harness's (:mod:`repro.exec.cli`): they configure the obligation
 scheduler the planner fans candidate evaluations out on.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
-import sys
 import time
 from typing import List, Optional
 
-from ..exec import ExecConfig
+from ..exec.cli import add_exec_arguments, exec_config
 
 __all__ = ["main"]
-
-
-def _flag_value(argv: List[str], flag: str) -> Optional[str]:
-    for i, arg in enumerate(argv):
-        if arg == flag and i + 1 < len(argv):
-            return argv[i + 1]
-        if arg.startswith(flag + "="):
-            return arg.split("=", 1)[1]
-    return None
-
-
-def _int_flag(argv: List[str], flag: str, default: int) -> int:
-    raw = _flag_value(argv, flag)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(f"{flag} needs an integer, got {raw!r}")
 
 
 def render_report(result, elapsed: float) -> str:
@@ -78,41 +59,30 @@ def render_report(result, elapsed: float) -> str:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if "--help" in argv or "-h" in argv:
-        print("usage: python -m repro.plan [--jobs N] [--backend B] "
-              "[--trials N] [--beam N] [--top-k N] [--max-expansions N] "
-              "[--batch-size N] [--batch-bytes-cap N] "
-              "[--plan-cache PATH] [--json] [--quiet]")
-        return 0
-    jobs = _int_flag(argv, "--jobs", 1)
-    backend = _flag_value(argv, "--backend") or "serial"
-    trials = _int_flag(argv, "--trials", 2)
-    beam = _int_flag(argv, "--beam", 12)
-    top_k = _int_flag(argv, "--top-k", 6)
-    max_expansions = _int_flag(argv, "--max-expansions", 256)
-    batch_size = _int_flag(argv, "--batch-size", 16)
-    batch_bytes_cap = _int_flag(argv, "--batch-bytes-cap", 4 * 1024 * 1024)
-    plan_cache = _flag_value(argv, "--plan-cache")
-    quiet = "--quiet" in argv or "--json" in argv
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.plan", allow_abbrev=False,
+        description="Plan a verification-refactoring chain for AES.")
+    add = parser.add_argument
+    add("--trials", type=int, default=2, help="trials per validation")
+    add("--beam", type=int, default=12, help="frontier width")
+    add("--top-k", type=int, default=6, help="children per expansion")
+    add("--max-expansions", type=int, default=256)
+    add("--plan-cache", metavar="PATH", help="warm probe/verdict store")
+    add("--json", action="store_true", help="JSON output (implies --quiet)")
+    add("--quiet", action="store_true", help="no progress log")
+    add_exec_arguments(parser)
+    args = parser.parse_args(argv)
+    config = exec_config(parser, args)
 
     from . import plan_aes
-    try:
-        config = ExecConfig(jobs=jobs, backend=backend,
-                            batch_size=batch_size,
-                            batch_bytes_cap=batch_bytes_cap)
-    except ValueError as exc:
-        # Loud failure over silent degradation: a nonsensical batching
-        # knob must stop the run, not quietly drop work.
-        raise SystemExit(str(exc))
-    log = (lambda message: None) if quiet \
+    log = (lambda message: None) if args.quiet or args.json \
         else (lambda message: print(f"  {message}", flush=True))
     started = time.monotonic()
-    result = plan_aes(trials=trials, exec=config, beam_width=beam,
-                      top_k=top_k, max_expansions=max_expansions,
-                      plan_cache=plan_cache, log=log)
+    result = plan_aes(trials=args.trials, exec=config, beam_width=args.beam,
+                      top_k=args.top_k, max_expansions=args.max_expansions,
+                      plan_cache=args.plan_cache, log=log)
     elapsed = time.monotonic() - started
-    if "--json" in argv:
+    if args.json:
         payload = result.to_json()
         payload["wall_seconds"] = round(elapsed, 3)
         print(json.dumps(payload, indent=2))

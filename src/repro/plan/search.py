@@ -151,7 +151,8 @@ class Planner:
         else:
             self._cache = PlanCache(plan_cache, scoring_digest(
                 self._reference_fp, probe_tree_bytes, probe_vcs,
-                check, trials, seed, self.observables))
+                check, trials, seed, self.observables),
+                self.exec.resolved_telemetry())
         self._root_fp = ""
         self._evaluations = 0
         self._validations = 0

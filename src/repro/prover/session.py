@@ -16,9 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..exec import VCPayload, package_fingerprint, vc_obligation
 from ..exec import events as ev
-from ..exec.cache import default_cache
 from ..exec.config import ExecConfig, coerce_exec_config
-from ..exec.telemetry import default_telemetry
 from ..incr.fingerprint import cone_fingerprints
 from ..incr.manifest import coerce_manifest_store, run_config_digest
 from ..incr.plan import IncrementalStats, plan_incremental
@@ -186,10 +184,12 @@ class ImplementationProof:
         if self.manifest is not None:
             config_digest = run_config_digest(config, self.limits)
         if self.incremental:
+            telemetry = self.exec.resolved_telemetry()
             previous = self.manifest.load(self.typed.package.name,
-                                          config_digest)
+                                          config_digest, telemetry)
             replayed, incr_stats = plan_incremental(
-                previous, self.typed, names, self._resolved_cache())
+                previous, self.typed, names, self.exec.resolved_cache(),
+                telemetry)
 
         check_names = [n for n in names if n not in replayed]
         examiner = Examiner(self.typed, limits=self.limits,
@@ -304,24 +304,11 @@ class ImplementationProof:
             incremental=incr_stats,
         )
 
-    def _resolved_cache(self):
-        """The :class:`~repro.exec.ResultCache` the scheduler will use
-        (mirrors the scheduler's own resolution): ``None`` in the config
-        selects the process default, ``False`` disables caching -- and
-        with it, incremental replay."""
-        cache = self.exec.cache
-        if cache is None:
-            return default_cache()
-        if cache is False:
-            return None
-        return cache
-
     def _record_replays(self, replayed) -> None:
         """Mirror the scheduler's cache-hit telemetry for replayed VCs:
         one submitted/cached pair per scheduler-bound VC, tagged so the
         counters distinguish manifest replay from ordinary warm hits."""
-        telemetry = self.exec.telemetry if self.exec.telemetry is not None \
-            else default_telemetry()
+        telemetry = self.exec.resolved_telemetry()
         for name, entry in replayed.items():
             for outcome in entry.outcomes:
                 if outcome.vc.discharged_by_simplifier:

@@ -6,145 +6,86 @@ Run as::
     python -m repro.serve --port 0 --state-dir state/ \\
         --lanes interactive=2,bulk=1 --max-queue 32
 
-Flags (every validation failure is a loud ``SystemExit`` naming the bad
-value -- the same stance as the harness's ``--jobs 0`` rejection):
-
-``--stdio``             serve one client over stdin/stdout (default when
-                        no ``--port`` is given).
-``--host`` / ``--port`` serve TCP; ``--port 0`` binds an ephemeral port,
-                        announced as a ``listening`` line on stdout.
-``--state-dir DIR``     durable mode: journal, result store, per-tenant
-                        disk caches live here.  Omit for memory-only.
-``--lanes SPEC``        per-lane worker counts, e.g. ``interactive=2,bulk=1``
-                        (a lane at 0 is admit-only; total must be >= 1).
-``--max-queue N``       pending-depth bound per lane (N >= 1); beyond it
-                        submits are rejected with ``backpressure``.
-``--telemetry-out F``   dump request/lane metrics to F (atomic JSON).
-``--jobs`` / ``--backend`` / ``--timeout``
-                        the server-side default :class:`ExecConfig` for
-                        requests that do not carry their own ``exec``.
+``--port 0`` binds an ephemeral port, announced as a ``listening`` line
+on stdout; with no ``--port`` the daemon serves one client over
+stdin/stdout.  The execution flags (:mod:`repro.exec.cli`, the harness's
+set) build the server-side default :class:`~repro.exec.ExecConfig` for
+requests that do not carry their own ``exec``.  Every bad value is a
+usage error (exit status 2) naming it; the bounds are
+:class:`~repro.serve.config.ServeConfig`'s and ``ExecConfig``'s own.
 """
 
 from __future__ import annotations
 
+import argparse
 import asyncio
 import sys
-from pathlib import Path
 from typing import Optional
 
-from ..exec.config import ExecConfig
-from ..exec.scheduler import BACKENDS
-from .config import DEFAULT_LANES, ServeConfig, parse_lanes
+from ..exec.cli import add_exec_arguments, exec_config
+from .config import ServeConfig, parse_lanes
 from .net import serve_stdio, serve_tcp
 from .service import VerificationService
 
 __all__ = ["main", "build_config"]
 
 
-def _flag_value(argv, flag: str) -> Optional[str]:
-    raw = None
-    for i, arg in enumerate(argv):
-        if arg == flag and i + 1 < len(argv):
-            raw = argv[i + 1]
-        elif arg.startswith(flag + "="):
-            raw = arg.split("=", 1)[1]
-    return raw
+def _parser() -> argparse.ArgumentParser:
+    def port(text: str) -> int:   # argparse names the type in errors
+        value = int(text)
+        if not 0 <= value <= 65535:
+            raise argparse.ArgumentTypeError(
+                f"port must be in [0, 65535], got {value}")
+        return value
+
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.serve", allow_abbrev=False,
+        description="The verification daemon.")
+    add = parser.add_argument
+    add("--stdio", action="store_true",
+        help="serve one client on stdin/stdout (the default)")
+    add("--host", default="127.0.0.1", help="TCP bind host")
+    add("--port", type=port, help="serve TCP (0: an ephemeral port)")
+    add("--state-dir", metavar="DIR", help="durable state (omit: memory)")
+    add("--lanes", metavar="SPEC",
+        help="per-lane workers, e.g. interactive=2,bulk=1")
+    add("--max-queue", type=int, metavar="N",
+        help="pending-depth bound per lane (default 64)")
+    add("--telemetry-out", metavar="FILE", help="request/lane metrics")
+    add_exec_arguments(parser)
+    return parser
 
 
-def _parse_lanes_flag(argv) -> dict:
-    raw = _flag_value(argv, "--lanes")
-    if raw is None:
-        return dict(DEFAULT_LANES)
+def _serve_config(parser: argparse.ArgumentParser,
+                  args: argparse.Namespace) -> ServeConfig:
+    fields = {"default_exec": exec_config(parser, args)}
+    for name in ("state_dir", "max_queue", "telemetry_out"):
+        if getattr(args, name) is not None:
+            fields[name] = getattr(args, name)
     try:
-        return parse_lanes(raw)
+        if args.lanes is not None:
+            fields["lanes"] = parse_lanes(args.lanes)
+        return ServeConfig(**fields)
     except ValueError as exc:
-        raise SystemExit(f"error: --lanes: {exc}")
-
-
-def _parse_max_queue(argv) -> int:
-    raw = _flag_value(argv, "--max-queue")
-    if raw is None:
-        return 64
-    try:
-        value = int(raw)
-    except ValueError:
-        raise SystemExit(f"error: --max-queue expects an integer, "
-                         f"got {raw!r}")
-    if value < 1:
-        # Same loud-failure stance as --jobs 0: a bound of 0 would
-        # reject every submit as backpressure.
-        raise SystemExit(f"error: --max-queue must be >= 1, got {raw!r}")
-    return value
-
-
-def _parse_port(argv) -> Optional[int]:
-    raw = _flag_value(argv, "--port")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise SystemExit(f"error: --port expects an integer, got {raw!r}")
-    if not 0 <= value <= 65535:
-        raise SystemExit(f"error: --port must be in [0, 65535], "
-                         f"got {raw!r}")
-    return value
-
-
-def _parse_default_exec(argv) -> ExecConfig:
-    jobs_raw = _flag_value(argv, "--jobs")
-    jobs = 1
-    if jobs_raw is not None:
-        try:
-            jobs = int(jobs_raw)
-        except ValueError:
-            raise SystemExit(f"error: --jobs expects an integer, "
-                             f"got {jobs_raw!r}")
-        if jobs < 1:
-            raise SystemExit(f"error: --jobs must be >= 1, got {jobs_raw!r}")
-    backend = _flag_value(argv, "--backend") or "serial"
-    if backend not in BACKENDS:
-        raise SystemExit(f"error: --backend expects one of "
-                         f"{', '.join(sorted(BACKENDS))}, got {backend!r}")
-    timeout_raw = _flag_value(argv, "--timeout")
-    timeout = None
-    if timeout_raw is not None:
-        try:
-            timeout = float(timeout_raw)
-        except ValueError:
-            raise SystemExit(f"error: --timeout expects seconds, "
-                             f"got {timeout_raw!r}")
-        if timeout <= 0:
-            raise SystemExit(f"error: --timeout must be positive, "
-                             f"got {timeout_raw!r}")
-    return ExecConfig(jobs=jobs, backend=backend, timeout_seconds=timeout)
+        parser.error(str(exc))
 
 
 def build_config(argv) -> ServeConfig:
     """The validated :class:`ServeConfig` for ``argv`` (exposed for the
     flag-validation unit tests)."""
-    state_dir = _flag_value(argv, "--state-dir")
-    telemetry_out = _flag_value(argv, "--telemetry-out")
-    return ServeConfig(
-        state_dir=Path(state_dir) if state_dir else None,
-        lanes=_parse_lanes_flag(argv),
-        max_queue=_parse_max_queue(argv),
-        default_exec=_parse_default_exec(argv),
-        telemetry_out=Path(telemetry_out) if telemetry_out else None,
-    )
+    parser = _parser()
+    return _serve_config(parser, parser.parse_args(argv))
 
 
-async def _run(config: ServeConfig, argv) -> int:
+async def _run(config: ServeConfig, host: str, port: Optional[int]) -> int:
     service = VerificationService(config)
     replayed = await service.start()
     if replayed:
         sys.stderr.write(f"repro.serve: replayed {replayed} journaled "
                          f"request(s)\n")
-    port = _parse_port(argv)
     try:
         if port is not None:
-            await serve_tcp(service, _flag_value(argv, "--host")
-                            or "127.0.0.1", port)
+            await serve_tcp(service, host, port)
         else:
             await serve_stdio(service)
     finally:
@@ -153,13 +94,13 @@ async def _run(config: ServeConfig, argv) -> int:
 
 
 def main(argv=None) -> int:
-    argv = argv if argv is not None else sys.argv[1:]
-    config = build_config(argv)
-    if _parse_port(argv) is None and "--stdio" not in argv \
-            and not any(a.startswith("--port") for a in argv):
+    parser = _parser()
+    args = parser.parse_args(argv)
+    config = _serve_config(parser, args)
+    if args.port is None and not args.stdio:
         sys.stderr.write("repro.serve: no --port given; "
                          "serving stdio (pass --stdio to silence this)\n")
-    return asyncio.run(_run(config, argv))
+    return asyncio.run(_run(config, args.host, args.port))
 
 
 if __name__ == "__main__":

@@ -70,8 +70,6 @@ class ServeConfig:
     ``telemetry_out``   where request/lane metrics are dumped (atomic
                         JSON, same schema as the harness's
                         ``results/telemetry.json``); None disables.
-    ``cache_memory_entries`` / ``norm_cache_entries``
-                        per-tenant cache bounds (None: library defaults).
     """
 
     state_dir: Optional[Path] = None
@@ -80,8 +78,6 @@ class ServeConfig:
     max_queue: int = 64
     default_exec: ExecConfig = field(default_factory=ExecConfig)
     telemetry_out: Optional[Path] = None
-    cache_memory_entries: Optional[int] = None
-    norm_cache_entries: Optional[int] = None
 
     def __post_init__(self):
         if self.state_dir is not None:

@@ -13,12 +13,17 @@ re-executed on the next start.  Three pieces:
   only the *last* line can be torn, and a torn ``enqueue`` was never
   acknowledged to any client.
 * ``results/<id>.json`` -- the full ``result`` reply of each finished
-  request, published atomically (temp + ``os.replace``), so a client
-  reconnecting after a restart can ``wait`` for an id and get the exact
-  message it would have streamed live.
+  request, published atomically and fsynced (the
+  :mod:`~repro.exec.durable` publish), so a client reconnecting after a
+  restart can ``wait`` for an id and get the exact message it would have
+  streamed live.  These files are plain JSON, not records: their layout
+  is the ``result`` reply itself.
 * startup compaction -- after replay the journal is rewritten (again
   atomically) to hold only the still-pending ``enqueue`` records, so it
   cannot grow without bound across restarts.
+
+Opening a durable journal sweeps the temp files of publishes that a
+killed writer never finished.
 
 With no ``state_dir`` the journal is a no-op shell: the service runs
 memory-only (accepted work dies with the process) -- the README documents
@@ -34,7 +39,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Set
 
-from ..exec.atomicio import atomic_write_text
+from ..exec.durable import atomic_write_text, read_json, sweep_tmp
 
 __all__ = ["QueueItem", "Journal"]
 
@@ -78,6 +83,8 @@ class Journal:
         if self.state_dir is not None:
             self.state_dir.mkdir(parents=True, exist_ok=True)
             self.results_dir.mkdir(parents=True, exist_ok=True)
+            sweep_tmp(self.state_dir, "journal.jsonl.*.tmp")
+            sweep_tmp(self.results_dir, "*.json.*.tmp")
 
     @property
     def durable(self) -> bool:
@@ -130,14 +137,10 @@ class Journal:
     def load_result(self, request_id: str) -> Optional[dict]:
         if self.state_dir is None:
             return None
-        path = self.results_dir / f"{request_id}.json"
-        if not path.is_file():
-            return None
-        try:
-            return json.loads(path.read_text())
-        except ValueError:
-            return None   # atomic publication makes this near-impossible;
-                          # treat a damaged result as absent (re-runnable)
+        # A damaged result (near-impossible under atomic publication) reads
+        # as absent: the request is re-runnable.
+        result, _ = read_json(self.results_dir / f"{request_id}.json")
+        return result
 
     def result_ids(self) -> Set[str]:
         if self.state_dir is None:

@@ -262,10 +262,7 @@ class VerificationService:
         self.config = config if config is not None else ServeConfig()
         self.journal = Journal(self.config.state_dir)
         self.board = LaneBoard(self.config.lanes, self.config.max_queue)
-        self.tenants = TenantRegistry(
-            state_dir=self.config.state_dir,
-            cache_memory_entries=self.config.cache_memory_entries,
-            norm_entries=self.config.norm_cache_entries)
+        self.tenants = TenantRegistry(state_dir=self.config.state_dir)
         #: Service-level request telemetry: one submitted/started/
         #: finished-or-errored triple per request (kind ``request``), so
         #: queue depth, latency percentiles and failure counts fall out

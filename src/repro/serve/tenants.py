@@ -63,17 +63,11 @@ class TenantRegistry:
     ``state_dir`` (when given) adds a per-tenant on-disk result-cache
     tier under ``state_dir/cache/<namespace>``, so warm verdicts survive
     daemon restarts -- a replayed request after ``kill -9`` re-proves
-    only what was never finished.  ``cache_memory_entries`` bounds each
-    tenant's in-memory result layer (LRU); ``norm_entries`` each
-    tenant's normalization cache.
+    only what was never finished.
     """
 
-    def __init__(self, state_dir: Optional[Path] = None,
-                 cache_memory_entries: Optional[int] = None,
-                 norm_entries: Optional[int] = None):
+    def __init__(self, state_dir: Optional[Path] = None):
         self.state_dir = Path(state_dir) if state_dir is not None else None
-        self.cache_memory_entries = cache_memory_entries
-        self.norm_entries = norm_entries
         self._lock = threading.Lock()
         self._tenants: Dict[str, TenantCaches] = {}
 
@@ -89,14 +83,10 @@ class TenantRegistry:
                     disk = self.state_dir / "cache" / namespace
                     manifests = ManifestStore(
                         self.state_dir / "manifest" / namespace)
-                norm_kwargs = {} if self.norm_entries is None else \
-                    {"max_entries": self.norm_entries}
                 tenant = TenantCaches(
                     namespace=namespace,
-                    result_cache=ResultCache(
-                        disk_dir=disk,
-                        max_memory_entries=self.cache_memory_entries),
-                    norm_cache=NormalizationCache(**norm_kwargs),
+                    result_cache=ResultCache(disk_dir=disk),
+                    norm_cache=NormalizationCache(),
                     manifest_store=manifests)
                 self._tenants[namespace] = tenant
             return tenant

@@ -241,16 +241,20 @@ class TestCLIBatchFlags:
         ["--batch-size", "many"],
         ["--batch-bytes-cap", "0"], ["--batch-bytes-cap", "-1"],
         ["--batch-bytes-cap", "huge"]])
-    def test_plan_cli_rejects_bad_knobs(self, argv):
+    def test_plan_cli_rejects_bad_knobs(self, argv, capsys):
         from repro.plan.cli import main
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as err:
             main(argv)
+        assert err.value.code == 2
+        assert argv[1] in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["--batch-size", "0"], ["--batch-size", "oops"],
         ["--batch-bytes-cap", "0"], ["--batch-bytes-cap", "-5"],
         ["--batch-bytes-cap", "oops"]])
-    def test_harness_runner_rejects_bad_knobs(self, argv):
+    def test_harness_runner_rejects_bad_knobs(self, argv, capsys):
         from repro.harness.runner import main
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as err:
             main(argv)
+        assert err.value.code == 2
+        assert argv[1] in capsys.readouterr().err

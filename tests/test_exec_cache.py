@@ -11,6 +11,7 @@ from repro.exec import (
     ExecConfig, ObligationScheduler, Obligation, ResultCache, Telemetry,
     make_key, package_fingerprint,
 )
+from repro.exec.durable import STALE_TMP_SECONDS
 from repro.lang import analyze, parse_package
 from repro.logic import add, canonical_text, fingerprint, intc, mk, var
 from repro.prover import ImplementationProof
@@ -310,7 +311,7 @@ class TestTmpSweep:
         store = tmp_path / "store"
         ResultCache(disk_dir=store)   # create the directory
         stale = self._orphan(store, "stale.tmp",
-                             age_seconds=ResultCache.STALE_TMP_SECONDS + 60)
+                             age_seconds=STALE_TMP_SECONDS + 60)
         fresh = self._orphan(store, "fresh.tmp")
         ResultCache(disk_dir=store)   # re-open: the sweep runs
         assert not stale.exists()
@@ -321,7 +322,7 @@ class TestTmpSweep:
         store = tmp_path / "store"
         cache = ResultCache(disk_dir=store)
         self._orphan(store, "dead-writer.tmp",
-                     age_seconds=ResultCache.STALE_TMP_SECONDS + 1)
+                     age_seconds=STALE_TMP_SECONDS + 1)
         reopened = ResultCache(disk_dir=store)
         assert not list(store.rglob("*.tmp"))
         key = make_key("post", "sweep")

@@ -317,3 +317,78 @@ class TestPublicSurface:
             EchoResult, EchoVerifier, ExecConfig, ResultCache, Telemetry,
             verify_aes,
         )
+
+
+class _Planned(Exception):
+    """Raised by the stub planner with the ExecConfig it was handed."""
+
+
+def _runner_exec(argv):
+    from repro.exec.cli import exec_config
+    from repro.harness import runner
+    parser = runner.build_parser()
+    return exec_config(parser, parser.parse_args(argv))
+
+
+def _plan_exec(argv):
+    from repro.plan import cli
+    with pytest.raises(_Planned) as planned:
+        cli.main(argv)
+    return planned.value.args[0]
+
+
+def _serve_exec(argv):
+    from repro.serve.cli import build_config
+    return build_config(argv).default_exec
+
+
+class TestExecFlags:
+    """The one execution flag set (:mod:`repro.exec.cli`), on each of
+    the three command lines that take it."""
+
+    @pytest.fixture(params=["runner", "plan", "serve"])
+    def cli(self, request, monkeypatch):
+        def stub_plan(**kwargs):
+            raise _Planned(kwargs["exec"])
+        monkeypatch.setattr("repro.plan.plan_aes", stub_plan)
+        return {"runner": _runner_exec, "plan": _plan_exec,
+                "serve": _serve_exec}[request.param]
+
+    def _usage_error(self, cli, argv, capsys) -> str:
+        with pytest.raises(SystemExit) as err:
+            cli(argv)
+        assert err.value.code == 2
+        return capsys.readouterr().err
+
+    def test_misspelled_flag_is_rejected(self, cli, capsys):
+        # argparse's prefix matching would have read --job as --jobs
+        assert "unrecognized arguments: --job" in \
+            self._usage_error(cli, ["--job", "4"], capsys)
+
+    def test_repeated_flag_takes_its_last_value(self, cli):
+        assert cli(["--jobs", "2", "--jobs=3"]).jobs == 3
+
+    def test_remote_without_a_worker_is_a_usage_error(self, cli, capsys):
+        assert "needs a worker source" in \
+            self._usage_error(cli, ["--backend", "remote"], capsys)
+
+    def test_remote_workers_are_named(self, cli):
+        config = cli(["--backend", "remote", "--remote-worker", "h:1",
+                      "--remote-worker", "h:2", "--lease-timeout", "9",
+                      "--no-remote-shared-cache"])
+        assert config.remote_workers == ("h:1", "h:2")
+        assert config.lease_timeout_seconds == 9.0
+        assert config.remote_shared_cache is False
+
+    def test_defaults_are_exec_config_defaults(self, cli):
+        assert cli([]) == ExecConfig()
+
+    def test_bounds_name_the_value(self, cli, capsys):
+        assert "timeout_seconds must be positive, got -1.0" in \
+            self._usage_error(cli, ["--timeout", "-1"], capsys)
+
+    def test_help_lists_the_flag_set(self, cli, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli(["--help"])
+        assert err.value.code == 0
+        assert "--remote-worker" in capsys.readouterr().out

@@ -519,49 +519,58 @@ class TestChaosDifferentialAES:
 # Runner CLI guards (satellites)
 # ---------------------------------------------------------------------------
 
+def _runner_config(argv):
+    from repro.exec.cli import exec_config
+    from repro.harness import runner
+    parser = runner.build_parser()
+    return exec_config(parser, parser.parse_args(argv))
+
+
+def _usage_error(capsys, argv) -> str:
+    """stderr of a runner invocation that must exit with status 2."""
+    with pytest.raises(SystemExit) as err:
+        _runner_config(argv)
+    assert err.value.code == 2
+    return capsys.readouterr().err
+
+
 class TestRunnerFlags:
-    def test_jobs_zero_is_an_error(self):
-        from repro.harness import runner
-        with pytest.raises(SystemExit, match="--jobs must be >= 1"):
-            runner._parse_jobs(["--jobs", "0"])
+    def test_jobs_zero_is_an_error(self, capsys):
+        assert "jobs must be >= 1, got 0" in \
+            _usage_error(capsys, ["--jobs", "0"])
 
-    def test_jobs_negative_is_an_error(self):
-        from repro.harness import runner
-        with pytest.raises(SystemExit, match="--jobs must be >= 1"):
-            runner._parse_jobs(["--jobs=-3"])
+    def test_jobs_negative_is_an_error(self, capsys):
+        assert "jobs must be >= 1, got -3" in \
+            _usage_error(capsys, ["--jobs=-3"])
 
-    def test_jobs_non_integer_is_an_error(self):
-        from repro.harness import runner
-        with pytest.raises(SystemExit, match="expects an integer"):
-            runner._parse_jobs(["--jobs", "many"])
+    def test_jobs_non_integer_is_an_error(self, capsys):
+        assert "invalid int value: 'many'" in \
+            _usage_error(capsys, ["--jobs", "many"])
 
     def test_jobs_valid_and_default(self):
-        from repro.harness import runner
-        assert runner._parse_jobs(["--jobs", "4"]) == 4
-        assert runner._parse_jobs([]) == 1
+        assert _runner_config(["--jobs", "4"]).jobs == 4
+        assert _runner_config([]).jobs == 1
 
     def test_retry_flags_build_a_policy(self):
-        from repro.harness import runner
-        policy = runner._parse_retry_policy(
-            ["--retries", "3", "--max-retry-delay", "0.5"])
+        policy = _runner_config(
+            ["--retries", "3", "--max-retry-delay", "0.5"]).retries
         assert policy == RetryPolicy(retries=3, max_delay=0.5)
-        assert runner._parse_retry_policy([]) == RetryPolicy()
+        assert _runner_config([]).retries == RetryPolicy()
 
-    def test_retry_flags_invalid(self):
-        from repro.harness import runner
-        with pytest.raises(SystemExit, match="--retries"):
-            runner._parse_retry_policy(["--retries", "-1"])
-        with pytest.raises(SystemExit, match="--max-retry-delay"):
-            runner._parse_retry_policy(["--max-retry-delay", "-2"])
+    def test_retry_flags_invalid(self, capsys):
+        assert "retries must be >= 0, got -1" in \
+            _usage_error(capsys, ["--retries", "-1"])
+        assert "max_delay must be >= 0, got -2" in \
+            _usage_error(capsys, ["--max-retry-delay", "-2"])
 
-    def test_on_backend_failure_flag(self):
-        from repro.harness import runner
-        assert runner._parse_on_backend_failure([]) == "raise"
-        assert runner._parse_on_backend_failure(
-            ["--on-backend-failure", "degrade"]) == "degrade"
-        with pytest.raises(SystemExit, match="on-backend-failure"):
-            runner._parse_on_backend_failure(
-                ["--on-backend-failure", "panic"])
+    def test_on_backend_failure_flag(self, capsys):
+        assert _runner_config([]).on_backend_failure == "raise"
+        assert _runner_config(
+            ["--on-backend-failure", "degrade"]).on_backend_failure \
+            == "degrade"
+        assert "on_backend_failure must be 'raise' or 'degrade', got " \
+            "'panic'" in _usage_error(
+                capsys, ["--on-backend-failure", "panic"])
 
 
 # ---------------------------------------------------------------------------

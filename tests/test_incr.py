@@ -24,7 +24,7 @@ import time
 
 import pytest
 
-from repro.exec import ExecConfig, ResultCache
+from repro.exec import ExecConfig, ResultCache, Telemetry
 from repro.incr import (
     MANIFEST_SCHEMA, ManifestStore, cone_fingerprints, plan_incremental,
     run_config_digest,
@@ -262,6 +262,29 @@ class TestDegradation:
         assert incr.incremental.evicted_fallbacks == 1
         assert incr.incremental.replayed_subprograms == 1
         assert keys(incr) == keys(first)
+
+    def test_store_misses_tell_torn_from_evicted(self, tmp_path):
+        """The cold fallbacks read differently in telemetry: a torn
+        manifest is one ``torn`` miss, evicted verdicts are one
+        ``evicted`` miss per subprogram, a first run is ``absent``."""
+        def misses(cache):
+            telemetry = Telemetry()
+            ImplementationProof(
+                analyze(parse_package(SRC)), manifest=tmp_path / "m",
+                incremental=True,
+                exec=ExecConfig(jobs=1, cache=cache,
+                                telemetry=telemetry)).run()
+            return telemetry.stats().store_misses
+
+        cache = ResultCache()
+        assert misses(cache) == {"absent": 1}
+        assert misses(cache) == {}
+        path = ManifestStore(tmp_path / "m").path_for("P")
+        manifest = path.read_text()
+        path.write_text(manifest[:len(manifest) // 2])
+        assert misses(cache) == {"torn": 1}
+        cache.clear()
+        assert misses(cache) == {"evicted": 2}
 
     def test_incremental_without_manifest_is_loud(self):
         typed = analyze(parse_package(SRC))
@@ -501,6 +524,9 @@ class TestServeIncremental:
         assert cold["status"] == warm["status"] == "ok"
         assert verdict_keys(warm) == verdict_keys(cold)
         assert cold["result"]["incremental"]["incr_manifest_miss"] == 1
+        # the cold fallback's reason reaches the client
+        assert cold["exec_stats"]["store_misses"] == {"absent": 1}
+        assert warm["exec_stats"]["store_misses"] == {}
         stats = warm["result"]["incremental"]
         assert stats["incr_replayed"] == 12
         assert stats["incr_rechecked"] == 0

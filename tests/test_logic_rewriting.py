@@ -12,6 +12,7 @@ from repro.logic import (
     forall, implies, intc, interval_of, ite, le, lt, mk, modi, mul, neg,
     render, render_full, rule_families, select, shr, store, sub, var, xor,
 )
+from tests.rewriter_reference import LinearRewriter, use_linear_scan
 
 
 class TestRewriter:
@@ -134,15 +135,6 @@ class TestHeadOpIndexing:
                 assert rule.ops, \
                     f"{family}/{rule.name} must declare its root operators"
 
-    def test_env_flag_disables_indexing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REWRITE_INDEX", "0")
-        assert not Rewriter(default_rules()).indexed
-        monkeypatch.setenv("REPRO_REWRITE_INDEX", "1")
-        assert Rewriter(default_rules()).indexed
-        # an explicit argument beats the environment
-        monkeypatch.setenv("REPRO_REWRITE_INDEX", "0")
-        assert Rewriter(default_rules(), index=True).indexed
-
     def test_full_aes_corpus_indexed_identical_to_linear(self):
         from repro.vcgen.simplifier import TypeBoundHook
 
@@ -150,8 +142,8 @@ class TestHeadOpIndexing:
         total_hits = total_skipped = 0
         for name, terms in corpus:
             hook = TypeBoundHook(typed, name)
-            lin = Rewriter(default_rules(hook=hook), index=False)
-            idx = Rewriter(default_rules(hook=hook), index=True)
+            lin = LinearRewriter(default_rules(hook=hook))
+            idx = Rewriter(default_rules(hook=hook))
             ref = [lin.normalize(t) for t in terms]
             got = [idx.normalize(t) for t in terms]
             assert all(a is b for a, b in zip(ref, got))
@@ -176,8 +168,7 @@ class TestHeadOpIndexing:
             hook = TypeBoundHook(typed, name)
             scope = cache.scope(f"gate|{name}|")
             for t in terms:
-                ref = Rewriter(default_rules(hook=hook),
-                               index=False).normalize(t)
+                ref = LinearRewriter(default_rules(hook=hook)).normalize(t)
                 rw = Rewriter(default_rules(hook=hook), shared=scope)
                 assert rw.normalize(t) is ref
                 cross_hits += rw.stats.cross_vc_hits
@@ -187,7 +178,7 @@ class TestHeadOpIndexing:
 
     def test_examiner_verdicts_identical_without_indexing(self, monkeypatch):
         """Whole-pipeline differential: examination (vcgen + simplify)
-        with indexing disabled via REPRO_REWRITE_INDEX must reach the
+        with the linear-scan reference in place of indexing must reach the
         same discharge verdicts and the same simplified normal forms
         for every AES VC."""
         from repro.aes.annotations import annotated_package
@@ -202,7 +193,7 @@ class TestHeadOpIndexing:
 
         typed = annotated_package()
         indexed = Examiner(typed).examine()
-        monkeypatch.setenv("REPRO_REWRITE_INDEX", "0")
+        use_linear_scan(monkeypatch)
         linear = Examiner(typed).examine()
         assert signature(indexed) == signature(linear)
         assert indexed.discharged_count == linear.discharged_count
@@ -231,7 +222,7 @@ class TestHeadOpIndexing:
 
         serial = run("serial", jobs=1)
         process = run("process")
-        monkeypatch.setenv("REPRO_REWRITE_INDEX", "0")
+        use_linear_scan(monkeypatch)
         linear = run("serial", jobs=1)
         assert signature(process) == signature(serial)
         assert signature(linear) == signature(serial)

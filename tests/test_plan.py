@@ -7,6 +7,7 @@ import time
 import pytest
 
 from repro.exec import ExecConfig, ResultCache, package_fingerprint
+from repro.exec.durable import sweep_tmp
 from repro.lang import analyze, parse_package
 from repro.extract.skeleton import extract_skeleton
 from repro.plan import (
@@ -246,6 +247,10 @@ class TestHarnessMonotonicTiming:
 
 
 class TestSweepTmpClockRobustness:
+    """The shared sweep rule (:func:`repro.exec.durable.sweep_tmp`) on
+    the result cache's disk tier; ``tests/test_durable.py`` runs the same
+    ages against every store."""
+
     def _tmp_file(self, cache, name, age):
         bucket = cache.disk_dir / "ab"
         bucket.mkdir(exist_ok=True)
@@ -258,7 +263,7 @@ class TestSweepTmpClockRobustness:
     def test_ancient_orphans_are_swept(self, tmp_path):
         cache = ResultCache(disk_dir=tmp_path / "c")
         old = self._tmp_file(cache, "dead.tmp", age=7200)
-        assert cache._sweep_tmp(older_than=600) == 1
+        assert sweep_tmp(cache.disk_dir, "*/*.tmp", older_than=600) == 1
         assert not old.exists()
 
     def test_future_dated_tmp_survives(self, tmp_path):
@@ -268,7 +273,7 @@ class TestSweepTmpClockRobustness:
         # never deleted.
         cache = ResultCache(disk_dir=tmp_path / "c")
         future = self._tmp_file(cache, "fresh.tmp", age=-3600)
-        assert cache._sweep_tmp(older_than=600) == 0
+        assert sweep_tmp(cache.disk_dir, "*/*.tmp", older_than=600) == 0
         assert future.exists()
 
     def test_clock_step_doubles_the_grace_period(self, tmp_path):
@@ -277,11 +282,11 @@ class TestSweepTmpClockRobustness:
         self._tmp_file(cache, "fresh.tmp", age=-3600)         # step evidence
         # With a detected step, every age is suspect: the mid-aged file
         # survives the doubled grace period.
-        assert cache._sweep_tmp(older_than=600) == 0
+        assert sweep_tmp(cache.disk_dir, "*/*.tmp", older_than=600) == 0
         assert mid.exists()
         # Without step evidence the same file is an orphan and goes.
         (cache.disk_dir / "ab" / "fresh.tmp").unlink()
-        assert cache._sweep_tmp(older_than=600) == 1
+        assert sweep_tmp(cache.disk_dir, "*/*.tmp", older_than=600) == 1
         assert not mid.exists()
 
     def test_clear_sweeps_unconditionally(self, tmp_path):

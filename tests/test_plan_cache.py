@@ -8,8 +8,13 @@ import json
 import pytest
 
 from repro.exec import ExecConfig, Telemetry
-from repro.plan import PLAN_CACHE_SCHEMA, PlanCache, plan_aes, \
-    scoring_digest
+from repro.plan import PLAN_CACHE_SCHEMA, PlanCache, StateEvaluation, \
+    plan_aes, scoring_digest
+
+
+#: A well-formed evaluation entry, as the planner stores it.
+_EVALUATION = StateEvaluation(applicable=True, fingerprint="fp",
+                              match_fraction=0.5).to_json()
 
 
 def _digest(tag="ref-fp"):
@@ -49,7 +54,7 @@ class TestPlanCachePersistence:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "plan.json"
         cache = PlanCache(path, _digest())
-        cache.put_evaluation("k1", {"match_fraction": 0.5})
+        cache.put_evaluation("k1", _EVALUATION)
         key = PlanCache.validation_key("p", "c", "tok", "differential",
                                        2, 7, ["Cipher"])
         cache.put_validation(key, True, "")
@@ -60,7 +65,7 @@ class TestPlanCachePersistence:
 
         clone = PlanCache(path, _digest())
         assert len(clone) == 3
-        assert clone.get_evaluation("k1") == {"match_fraction": 0.5}
+        assert clone.get_evaluation("k1") == _EVALUATION
         assert clone.get_validation(key) == {"ok": True, "reason": ""}
         assert clone.get_validation("bad-edge") == \
             {"ok": False, "reason": "mismatch at trial 1"}
@@ -89,7 +94,7 @@ class TestPlanCachePersistence:
         config must not leak entries into this run."""
         path = tmp_path / "plan.json"
         cache = PlanCache(path, _digest("fp-a"))
-        cache.put_evaluation("k", {"x": 1})
+        cache.put_evaluation("k", _EVALUATION)
         cache.save()
         assert len(PlanCache(path, _digest("fp-a"))) == 1
         assert len(PlanCache(path, _digest("fp-b"))) == 0
@@ -97,20 +102,22 @@ class TestPlanCachePersistence:
     def test_malformed_entries_dropped_not_fatal(self, tmp_path):
         path = tmp_path / "plan.json"
         path.write_text(json.dumps({
-            "schema": PLAN_CACHE_SCHEMA, "scoring": _digest(),
-            "evaluations": {"good": {"x": 1}, "bad": "not-a-dict"},
+            "schema": PLAN_CACHE_SCHEMA, "scope": _digest(),
+            "evaluations": {"good": _EVALUATION, "bad": "not-a-dict",
+                            "foreign": {"x": 1}},
             "validations": {"good": {"ok": True, "reason": ""},
                             "bad": {"ok": "yes"}}}))
         cache = PlanCache(path, _digest())
         assert len(cache) == 2
-        assert cache.get_evaluation("good") == {"x": 1}
+        assert cache.get_evaluation("good") == _EVALUATION
         assert cache.get_evaluation("bad") is None
+        assert cache.get_evaluation("foreign") is None
         assert cache.get_validation("bad") is None
 
     def test_non_dict_sections_load_empty(self, tmp_path):
         path = tmp_path / "plan.json"
         path.write_text(json.dumps({
-            "schema": PLAN_CACHE_SCHEMA, "scoring": _digest(),
+            "schema": PLAN_CACHE_SCHEMA, "scope": _digest(),
             "evaluations": [1, 2], "validations": {}}))
         assert len(PlanCache(path, _digest())) == 0
 
@@ -185,3 +192,26 @@ class TestWarmReplay:
         assert "injected rejection" in reasons
         # (the same *description* may still be accepted via a different
         # parent edge -- validation verdicts key the edge, not the move)
+
+    def test_malformed_entry_is_re_evaluated(self, cold_and_warm, tmp_path):
+        """A malformed evaluation under a real key is dropped at load and
+        re-evaluated: the plan is unchanged instead of aborting."""
+        path, cold, _, _, _ = cold_and_warm
+        data = json.loads(path.read_text())
+        key = sorted(data["evaluations"])[0]
+        data["evaluations"][key] = {"bogus": 1}
+        damaged = tmp_path / "damaged.json"
+        damaged.write_text(json.dumps(data))
+        telemetry = Telemetry()
+        result = plan_aes(exec=ExecConfig(jobs=1, telemetry=telemetry),
+                          plan_cache=str(damaged), **_PLAN_KW)
+        assert result.chain_digest == cold.chain_digest
+        # the dropped entry went back to the scheduler (whose process-wide
+        # result cache still holds it)
+        assert [e.event for e in telemetry.events()
+                if e.kind == "plan_eval"] == ["submitted", "cached"]
+
+    def test_store_misses_counted_by_reason(self, cold_and_warm):
+        _, _, _, cold_tel, warm_tel = cold_and_warm
+        assert cold_tel.stats().store_misses == {"absent": 1}
+        assert warm_tel.stats().store_misses == {}

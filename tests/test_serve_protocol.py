@@ -273,10 +273,11 @@ class TestCliFlags:
         ["--backend", "quantum"], ["--timeout", "-1"],
         ["--timeout", "soon"],
     ])
-    def test_rejections_are_loud(self, argv):
+    def test_rejections_are_loud(self, argv, capsys):
         with pytest.raises(SystemExit) as err:
             build_config(argv)
-        assert "error:" in str(err.value)
+        assert err.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestAtomicWrites:

@@ -37,6 +37,7 @@ from repro.logic.substitute import _rebuild_raw, rebuild_smart, rename_bound
 from repro.prover import ImplementationProof
 from repro.vcgen import generate_obligations
 from repro.vcgen.simplifier import TypeBoundHook
+from tests.rewriter_reference import LinearRewriter
 
 SMALL_STACK = 512 * 1024
 
@@ -57,7 +58,7 @@ def _deep_recursion_allowed(limit=100_000):
         sys.setrecursionlimit(old)
 
 
-class _RecursiveRewriter(Rewriter):
+class _RecursiveRewriter(LinearRewriter):
     """The seed's recursive ``normalize``, verbatim."""
 
     def normalize(self, term):
