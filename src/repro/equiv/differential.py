@@ -49,8 +49,11 @@ def _run(typed: TypedPackage, name: str, initial: State):
 
 
 def _compare(left_typed, left_name, right_typed, right_name, initial,
-             ) -> Optional[Counterexample]:
-    left, left_err = _run(left_typed, left_name, initial)
+             left=None) -> Optional[Counterexample]:
+    """``left`` is the left side's ``_run`` result when the caller
+    already has it (the same run on the same content)."""
+    left, left_err = _run(left_typed, left_name, initial) if left is None \
+        else left
     right, right_err = _run(right_typed, right_name, initial)
     if left_err or right_err:
         # A fault on one side only, or differing faults, is a difference;

@@ -28,6 +28,7 @@ import hashlib
 import re
 from typing import Dict, FrozenSet
 
+from ..lang.memo import ObjectMemo
 from ..lang.printer import print_subprogram
 from ..lang.typecheck import TypedPackage
 
@@ -47,11 +48,24 @@ def _subprogram_text(sp) -> str:
     return "\n".join(print_subprogram(sp))
 
 
+#: subprogram -> (digest of its printed text, identifiers in that text).
+_TEXT_FACTS = ObjectMemo()
+
+
+def _text_facts(sp):
+    facts = _TEXT_FACTS.get(sp)
+    if facts is None:
+        text = _subprogram_text(sp)
+        facts = _TEXT_FACTS.put(
+            sp, (_sha(text), frozenset(_IDENT_RE.findall(text))))
+    return facts
+
+
 def _signature_line(sp) -> str:
     """The header of a subprogram's printed form: name, parameter modes
     and types, return type -- everything the package-wide type-bound
     hook can observe without looking at the body."""
-    return _subprogram_text(sp).splitlines()[0]
+    return print_subprogram(sp)[0]
 
 
 def package_context_fingerprint(typed: TypedPackage) -> str:
@@ -69,8 +83,7 @@ def package_context_fingerprint(typed: TypedPackage) -> str:
 def subprogram_fingerprints(typed: TypedPackage) -> Dict[str, str]:
     """name -> digest of the subprogram's full printed text (header,
     ``--#`` annotations, body)."""
-    return {sp.name: _sha(_subprogram_text(sp))
-            for sp in typed.package.subprograms}
+    return {sp.name: _text_facts(sp)[0] for sp in typed.package.subprograms}
 
 
 def reference_closure(typed: TypedPackage) -> Dict[str, FrozenSet[str]]:
@@ -85,8 +98,7 @@ def reference_closure(typed: TypedPackage) -> Dict[str, FrozenSet[str]]:
     names = {sp.name for sp in typed.package.subprograms}
     direct: Dict[str, FrozenSet[str]] = {}
     for sp in typed.package.subprograms:
-        tokens = set(_IDENT_RE.findall(_subprogram_text(sp)))
-        direct[sp.name] = frozenset(tokens & names) | {sp.name}
+        direct[sp.name] = (_text_facts(sp)[1] & names) | {sp.name}
     closure: Dict[str, FrozenSet[str]] = {}
     for name in direct:
         seen = set()

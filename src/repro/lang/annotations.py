@@ -18,6 +18,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from . import ast
+from .memo import ObjectMemo
 
 __all__ = ["AnnotationCounts", "count_annotations", "strip_annotations",
            "with_true_postconditions"]
@@ -88,8 +89,23 @@ def strip_annotations(pkg: ast.Package) -> ast.Package:
 def with_true_postconditions(pkg: ast.Package) -> ast.Package:
     """The paper's pre-annotation measurement configuration: drop user
     pre/post (equivalent to setting postconditions to ``true``) but keep the
-    code, so only exception-freedom and cut-point VCs are generated."""
-    subprograms = tuple(
-        dataclasses.replace(sp, pre=(), post=())
-        for sp in pkg.subprograms)
-    return dataclasses.replace(pkg, subprograms=subprograms)
+    code, so only exception-freedom and cut-point VCs are generated.
+
+    A subprogram object is stripped once: stripping the same object
+    again returns the same stripped object, so a later ``analyze`` can
+    reuse its earlier resolution (see :mod:`repro.lang.typecheck`)."""
+    return dataclasses.replace(pkg, subprograms=tuple(
+        _without_contract(sp) for sp in pkg.subprograms))
+
+
+#: subprogram -> the same subprogram without pre/postconditions.
+_STRIPPED = ObjectMemo()
+
+
+def _without_contract(sp: ast.Subprogram) -> ast.Subprogram:
+    if not sp.pre and not sp.post:
+        return sp
+    stripped = _STRIPPED.get(sp)
+    if stripped is None:
+        stripped = _STRIPPED.put(sp, dataclasses.replace(sp, pre=(), post=()))
+    return stripped

@@ -126,7 +126,7 @@ class Interpreter:
     def _exec(self, stmt: ast.Stmt, env, ctx):
         self._step()
         if isinstance(stmt, ast.Assign):
-            t = ctx.infer(stmt.target)
+            t = self._typeof(stmt.target, ctx)
             value = self._eval_in_type(stmt.value, env, ctx, t)
             if isinstance(value, list):
                 # Value semantics: `A := B;` must not alias B's storage.
@@ -209,7 +209,7 @@ class Interpreter:
 
     def _locate(self, ref: ast.ArrayRef, env, ctx):
         """Return (python list, index offset) for an array component."""
-        base_t = ctx.infer(ref.base)
+        base_t = self._typeof(ref.base, ctx)
         idx = self._eval(ref.index, env, ctx)
         if not (base_t.lo <= idx <= base_t.hi):
             raise RuntimeFault(

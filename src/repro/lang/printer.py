@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from . import ast
+from .memo import ObjectMemo
 
 __all__ = ["print_package", "print_subprogram", "print_expr", "print_stmt"]
 
@@ -178,7 +179,23 @@ def _print_param(p: ast.Param) -> str:
     return f"{p.name} : {p.mode} {p.type_name}"
 
 
+#: subprogram -> its lines at depth 1; declaration -> its lines.  A
+#: package prints as the concatenation of these, so a state that differs
+#: from its parent in one subprogram prints only that one afresh.
+_SUBPROGRAM_LINES = ObjectMemo()
+_DECL_LINES = ObjectMemo()
+
+
 def print_subprogram(sp: ast.Subprogram, depth: int = 1) -> List[str]:
+    if depth != 1:
+        return _subprogram_lines(sp, depth)
+    lines = _SUBPROGRAM_LINES.get(sp)
+    if lines is None:
+        lines = _SUBPROGRAM_LINES.put(sp, tuple(_subprogram_lines(sp, 1)))
+    return list(lines)
+
+
+def _subprogram_lines(sp: ast.Subprogram, depth: int) -> List[str]:
     indent = _INDENT * depth
     lines = []
     if sp.params:
@@ -205,44 +222,53 @@ def print_subprogram(sp: ast.Subprogram, depth: int = 1) -> List[str]:
     return lines
 
 
+def _decl_lines(d: ast.Decl) -> Tuple[str, ...]:
+    lines = _DECL_LINES.get(d)
+    if lines is not None:
+        return lines
+    lines: List[str] = []
+    if isinstance(d, ast.ModTypeDecl):
+        lines.append(f"{_INDENT}type {d.name} is mod {d.modulus};")
+    elif isinstance(d, ast.RangeTypeDecl):
+        lines.append(f"{_INDENT}type {d.name} is range {d.lo} .. {d.hi};")
+    elif isinstance(d, ast.SubtypeDecl):
+        lines.append(
+            f"{_INDENT}subtype {d.name} is {d.base} range {d.lo} .. {d.hi};")
+    elif isinstance(d, ast.ArrayTypeDecl):
+        lines.append(f"{_INDENT}type {d.name} is array ({d.lo} .. {d.hi}) "
+                     f"of {d.elem_type};")
+    elif isinstance(d, ast.ConstDecl):
+        if isinstance(d.value, ast.Aggregate):
+            _wrap_aggregate(f"{d.name} : constant {d.type_name} := ",
+                            d.value, _INDENT, lines)
+        else:
+            lines.append(f"{_INDENT}{d.name} : constant {d.type_name} := "
+                         f"{print_expr(d.value)};")
+    elif isinstance(d, ast.ProofFunctionDecl):
+        if d.params:
+            params = "; ".join(_print_param(p) for p in d.params)
+            lines.append(f"{_INDENT}--# function {d.name} ({params}) "
+                         f"return {d.return_type};")
+        else:
+            lines.append(f"{_INDENT}--# function {d.name} "
+                         f"return {d.return_type};")
+    elif isinstance(d, ast.ProofRuleDecl):
+        if d.params:
+            params = "; ".join(_print_param(p) for p in d.params)
+            lines.append(f"{_INDENT}--# rule {d.name} ({params}): "
+                         f"{print_expr(d.expr)};")
+        else:
+            lines.append(
+                f"{_INDENT}--# rule {d.name}: {print_expr(d.expr)};")
+    else:  # pragma: no cover - defensive
+        raise TypeError(f"cannot print declaration {type(d).__name__}")
+    return _DECL_LINES.put(d, tuple(lines))
+
+
 def print_package(pkg: ast.Package) -> str:
     lines = [f"package {pkg.name} is", ""]
     for d in pkg.decls:
-        if isinstance(d, ast.ModTypeDecl):
-            lines.append(f"{_INDENT}type {d.name} is mod {d.modulus};")
-        elif isinstance(d, ast.RangeTypeDecl):
-            lines.append(f"{_INDENT}type {d.name} is range {d.lo} .. {d.hi};")
-        elif isinstance(d, ast.SubtypeDecl):
-            lines.append(
-                f"{_INDENT}subtype {d.name} is {d.base} range {d.lo} .. {d.hi};")
-        elif isinstance(d, ast.ArrayTypeDecl):
-            lines.append(f"{_INDENT}type {d.name} is array ({d.lo} .. {d.hi}) "
-                         f"of {d.elem_type};")
-        elif isinstance(d, ast.ConstDecl):
-            if isinstance(d.value, ast.Aggregate):
-                _wrap_aggregate(f"{d.name} : constant {d.type_name} := ",
-                                d.value, _INDENT, lines)
-            else:
-                lines.append(f"{_INDENT}{d.name} : constant {d.type_name} := "
-                             f"{print_expr(d.value)};")
-        elif isinstance(d, ast.ProofFunctionDecl):
-            if d.params:
-                params = "; ".join(_print_param(p) for p in d.params)
-                lines.append(f"{_INDENT}--# function {d.name} ({params}) "
-                             f"return {d.return_type};")
-            else:
-                lines.append(f"{_INDENT}--# function {d.name} "
-                             f"return {d.return_type};")
-        elif isinstance(d, ast.ProofRuleDecl):
-            if d.params:
-                params = "; ".join(_print_param(p) for p in d.params)
-                lines.append(f"{_INDENT}--# rule {d.name} ({params}): "
-                             f"{print_expr(d.expr)};")
-            else:
-                lines.append(
-                    f"{_INDENT}--# rule {d.name}: {print_expr(d.expr)};")
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"cannot print declaration {type(d).__name__}")
+        lines.extend(_decl_lines(d))
     lines.append("")
     for sp in pkg.subprograms:
         lines.extend(print_subprogram(sp))

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import ast
 from .errors import TypeError_
+from .memo import ObjectMemo
 from .types import (
     ArrayType, BOOLEAN, BooleanType, INTEGER, ModularType,
     RangeType, Type, UNIV_INT, compatible, is_integerish,
@@ -435,6 +436,51 @@ class _BodyChecker:
         return stmt
 
 
+#: resolved subprogram -> the environment key pass 5 produced it under.
+_RESOLVED_UNDER = ObjectMemo()
+
+
+class _Environment:
+    """Everything pass 5 reads besides the subprogram itself: the
+    resolved declarations (types, constants, proof functions and rules)
+    and every subprogram's ``(name, params, return_type)``."""
+
+    def __init__(self, package: ast.Package):
+        self.key = (package.decls,
+                    tuple((sp.name, sp.params, sp.return_type)
+                          for sp in package.subprograms))
+        #: id(earlier key) -> whether it equals this one; most reused
+        #: subprograms share one earlier key, so one deep comparison
+        #: serves them all.
+        self._verdicts: Dict[int, bool] = {}
+
+    def resolved(self, sp: ast.Subprogram) -> bool:
+        """Did an earlier pass 5 produce ``sp`` under this environment?"""
+        earlier = _RESOLVED_UNDER.get(sp)
+        if earlier is None:
+            return False
+        verdict = self._verdicts.get(id(earlier))
+        if verdict is None:
+            verdict = self._verdicts[id(earlier)] = earlier == self.key
+        return verdict
+
+
+def _check_subprogram(typed: TypedPackage, ctx: SubprogramContext,
+                      sp: ast.Subprogram) -> ast.Subprogram:
+    """Resolve and check one subprogram's annotations, locals and body."""
+    checker = _BodyChecker(typed, ctx)
+    pre = tuple(checker.resolve_expr(e, BOOLEAN) for e in sp.pre)
+    post = tuple(checker.resolve_expr(e, BOOLEAN) for e in sp.post)
+    decls = []
+    for d in sp.decls:
+        want = typed.type_named(d.type_name)
+        init = checker.resolve_expr(d.init, want) if d.init is not None else None
+        decls.append(ast.VarDecl(name=d.name, type_name=d.type_name, init=init))
+    body = checker.check_stmts(sp.body)
+    return dataclasses.replace(
+        sp, pre=pre, post=post, decls=tuple(decls), body=body)
+
+
 def analyze(package: ast.Package) -> TypedPackage:
     """Resolve and type-check ``package``; raises TypeError_ on any error."""
     typed = TypedPackage(package)
@@ -494,33 +540,34 @@ def analyze(package: ast.Package) -> TypedPackage:
                     typed.errors.append(f"proof rule {d.name} is not Boolean")
             except TypeError_ as exc:
                 typed.errors.append(f"proof rule {d.name}: {exc}")
-            d = ast.ProofRuleDecl(name=d.name, expr=resolved, params=d.params)
+            if resolved is not d.expr:
+                d = ast.ProofRuleDecl(name=d.name, expr=resolved,
+                                      params=d.params)
             typed.proof_rules.append(d)
         new_decls.append(d)
     package = dataclasses.replace(package, decls=tuple(new_decls))
     typed.package = package
 
     # Pass 5: subprogram bodies (resolve Apps, check statements and
-    # annotations), producing a fully resolved package.
+    # annotations), producing a fully resolved package.  A subprogram an
+    # earlier pass 5 produced, under an equal environment, comes back
+    # unchanged: resolving it again would rebuild an equal object.
+    env = _Environment(package)
     new_subprograms = []
     for sp in package.subprograms:
+        errors_before = len(typed.errors)
         ctx = SubprogramContext(typed, sp)
         typed._contexts[sp.name] = ctx
-        checker = _BodyChecker(typed, ctx)
         # 'Result' names the function result in postconditions.
         if sp.is_function:
             ctx.vars.setdefault("Result", typed.type_named(sp.return_type))
             ctx.modes.setdefault("Result", "result")
-        pre = tuple(checker.resolve_expr(e, BOOLEAN) for e in sp.pre)
-        post = tuple(checker.resolve_expr(e, BOOLEAN) for e in sp.post)
-        decls = []
-        for d in sp.decls:
-            want = typed.type_named(d.type_name)
-            init = checker.resolve_expr(d.init, want) if d.init is not None else None
-            decls.append(ast.VarDecl(name=d.name, type_name=d.type_name, init=init))
-        body = checker.check_stmts(sp.body)
-        new_sp = dataclasses.replace(
-            sp, pre=pre, post=post, decls=tuple(decls), body=body)
+        if env.resolved(sp):
+            new_sp = sp
+        else:
+            new_sp = _check_subprogram(typed, ctx, sp)
+            if len(typed.errors) == errors_before:
+                _RESOLVED_UNDER.put(new_sp, env.key)
         new_subprograms.append(new_sp)
         ctx.subprogram = new_sp
 

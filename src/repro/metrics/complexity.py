@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from ..lang import ast
+from ..lang.memo import ObjectMemo
 from .elements import count_statements
 
 __all__ = ["ComplexityMetrics", "SubprogramComplexity", "complexity_metrics",
@@ -127,20 +128,29 @@ def _loop_nesting(stmts, depth=0) -> int:
     return deepest
 
 
+#: subprogram -> its SubprogramComplexity (a pure function of the node).
+_MEASURED = ObjectMemo()
+
+
+def _subprogram_complexity(sp: ast.Subprogram) -> SubprogramComplexity:
+    measured = _MEASURED.get(sp)
+    if measured is not None:
+        return measured
+    decisions, returns, short_circuit, nodes = _tally(sp)
+    # Essential: 1 for fully structured code, +1 per early return
+    # (extra exit).
+    extra_exits = max(0, returns - (1 if sp.is_function else 0))
+    statements = count_statements(sp.body)
+    return _MEASURED.put(sp, SubprogramComplexity(
+        name=sp.name,
+        mccabe=1 + decisions,
+        essential=1 + extra_exits,
+        statement_complexity=nodes / statements if statements else 0.0,
+        short_circuit=short_circuit,
+        loop_nesting=_loop_nesting(sp.body),
+    ))
+
+
 def complexity_metrics(pkg: ast.Package) -> ComplexityMetrics:
-    per = {}
-    for sp in pkg.subprograms:
-        decisions, returns, short_circuit, nodes = _tally(sp)
-        # Essential: 1 for fully structured code, +1 per early return
-        # (extra exit).
-        extra_exits = max(0, returns - (1 if sp.is_function else 0))
-        statements = count_statements(sp.body)
-        per[sp.name] = SubprogramComplexity(
-            name=sp.name,
-            mccabe=1 + decisions,
-            essential=1 + extra_exits,
-            statement_complexity=nodes / statements if statements else 0.0,
-            short_circuit=short_circuit,
-            loop_nesting=_loop_nesting(sp.body),
-        )
-    return ComplexityMetrics(per_subprogram=per)
+    return ComplexityMetrics(per_subprogram={
+        sp.name: _subprogram_complexity(sp) for sp in pkg.subprograms})

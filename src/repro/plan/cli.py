@@ -29,6 +29,8 @@ def render_report(result, elapsed: float) -> str:
         f"{result.validations} theorem validations, "
         f"{len(result.rejected)} rejected)",
         f"chain digest: {result.chain_digest}",
+        "reused: " + ", ".join(f"{kind} {count}"
+                               for kind, count in result.reused.items()),
         f"wall time: {elapsed:.1f} s",
         "",
         "| # | step | origin | match % | score |",

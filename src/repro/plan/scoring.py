@@ -149,8 +149,8 @@ def evaluate_candidate(package, package_fp: str, transformation,
                        reference, parent_match: Optional[tuple] = None,
                        probe: bool = False,
                        probe_tree_bytes: int = DEFAULT_PROBE_TREE_BYTES,
-                       probe_vcs: int = DEFAULT_PROBE_VCS
-                       ) -> Dict[str, Any]:
+                       probe_vcs: int = DEFAULT_PROBE_VCS,
+                       *, memo=None) -> Dict[str, Any]:
     """Mechanically apply ``transformation`` to ``package`` and measure
     the result state; with ``transformation=None``, measure ``package``
     itself (the root state).
@@ -160,13 +160,19 @@ def evaluate_candidate(package, package_fp: str, transformation,
     ``(match_fraction, match_total)``; a ``match_neutral`` transformation
     reuses it instead of re-extracting the skeleton.  Inapplicability
     (``TransformationError``, type errors) is a result, not an exception.
+
+    ``memo`` is the search's :class:`~repro.plan.reuse.SearchMemo` when
+    the planner evaluates in its own process: the parent's typed form
+    and the probe's per-subprogram analyses then come from it.  It never
+    changes the result.
     """
     from ..lang import analyze
     from ..lang.errors import MiniAdaError
     from ..metrics import complexity_metrics, element_metrics
     from ..refactor.engine import TransformationError
 
-    typed = _typed_package(package_fp, package)
+    typed = _typed_package(package_fp, package) if memo is None \
+        else memo.typed(package_fp, package)
     if transformation is None:
         child = typed
     else:
@@ -201,7 +207,7 @@ def evaluate_candidate(package, package_fp: str, transformation,
         average_mccabe=complexity.average_mccabe,
     )
     if probe:
-        evaluation.update(_probe(child, probe_tree_bytes, probe_vcs))
+        evaluation.update(_probe(child, probe_tree_bytes, probe_vcs, memo))
     return StateEvaluation(**evaluation).to_json()
 
 
@@ -221,21 +227,35 @@ def _match_components(typed, reference) -> tuple:
     return ratio.ratio, ratio.total
 
 
-def _probe(typed, probe_tree_bytes: int, probe_vcs: int) -> Dict[str, Any]:
+def _probe(typed, probe_tree_bytes: int, probe_vcs: int,
+           memo=None) -> Dict[str, Any]:
     """The expensive tier: budgeted examiner + bounded auto-prover pass.
 
     Protocol follows figure 2's measurement: postconditions set to true,
     VCs generated and simplified under the (reduced) resource budget.
     The deliberately-small budget keeps the probe ~0.1 s even on the
     fully unrolled AES; deep states report ``feasible=False`` plus their
-    partial work, which the score penalizes."""
+    partial work, which the score penalizes.
+
+    With a search ``memo``, a subprogram whose cone fingerprint in the
+    stripped package was examined before under the same budget reuses
+    that analysis: the analysis reads nothing outside its cone."""
     from ..lang import analyze, with_true_postconditions
     from ..prover.auto import AutoProver
     from ..vcgen import Examiner, ExaminerLimits
 
     stripped = analyze(with_true_postconditions(typed.package))
     limits = ExaminerLimits(max_tree_bytes=probe_tree_bytes)
-    report = Examiner(stripped, limits=limits).examine()
+    reuse = None
+    if memo is not None:
+        from ..incr.fingerprint import cone_fingerprints
+        cones = cone_fingerprints(stripped)
+
+        def reuse(name, examine_one):
+            return memo.get("probe_subprograms",
+                            (name, cones[name], probe_tree_bytes),
+                            examine_one)
+    report = Examiner(stripped, limits=limits, reuse=reuse).examine()
 
     vcs = [vc for analysis in report.per_subprogram.values()
            for vc in analysis.vcs]

@@ -43,12 +43,13 @@ from ..exec import (
     CallPayload, ExecConfig, Obligation, coerce_exec_config, make_key,
     package_fingerprint, theory_fingerprint,
 )
-from ..lang import TypedPackage, analyze, ast, print_package
+from ..lang import analyze, ast, print_package
 from ..refactor import RefactoringEngine, TransformationError
 from .cache import PlanCache, scoring_digest
 from .candidates import Candidate, enumerate_candidates
 from .catalog import Catalog
 from .frontier import Frontier, PlanStep, PlanState
+from .reuse import REUSE_KINDS, SearchMemo
 from .scoring import (
     DEFAULT_PROBE_TREE_BYTES, DEFAULT_PROBE_VCS, ScoreWeights,
     StateEvaluation, candidate_token, evaluate_candidate,
@@ -78,6 +79,12 @@ class PlanResult:
     #: Theorem-rejected edges: (token, description, reason) -- the
     #: planner's rollback log.
     rejected: List[Tuple[str, str, str]] = field(default_factory=list)
+    #: Results the search reused instead of recomputing, by kind
+    #: (:data:`~repro.plan.reuse.REUSE_KINDS`): subprogram analyses in
+    #: the probe tier and before-side differential runs.  Only
+    #: in-process work is counted; work shipped to workers is not.
+    reused: Dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(REUSE_KINDS, 0))
 
     @property
     def step_count(self) -> int:
@@ -96,6 +103,7 @@ class PlanResult:
             "evaluations": self.evaluations,
             "validations": self.validations,
             "rejected": [list(r) for r in self.rejected],
+            "reused": dict(self.reused),
         }
 
 
@@ -156,16 +164,24 @@ class Planner:
         self._root_fp = ""
         self._evaluations = 0
         self._validations = 0
-        #: Typed forms of validated states, keyed by fingerprint
-        #: (validation already analyzed the package; expansion reuses it).
-        self._typed_of: Dict[str, TypedPackage] = {}
+        #: The running search's memo (it also holds the typed forms of
+        #: validated states, which expansion reuses); None outside
+        #: :meth:`plan`.
+        self._memo: Optional[SearchMemo] = None
 
     # -- search -------------------------------------------------------------
 
     def plan(self) -> PlanResult:
+        # One memo per search, dropped on return: nothing it holds may
+        # warm the next search.
+        self._memo = SearchMemo()
         try:
-            return self._plan()
+            result = self._plan()
+            self._log("reused: " + ", ".join(
+                f"{kind} {count}" for kind, count in result.reused.items()))
+            return result
         finally:
+            self._memo = None
             # Persist whatever was learned even when the search raises:
             # a partial cache still warms the next replan.
             if self._cache is not None:
@@ -173,8 +189,8 @@ class Planner:
 
     def _plan(self) -> PlanResult:
         root_fp = self._root_fp = package_fingerprint(self.typed)
+        self._memo.remember_typed(root_fp, self.typed)
         root_eval = StateEvaluation.from_json(self._measure_root(root_fp))
-        self._typed_of[root_fp] = self.typed
         frontier = Frontier(self.beam_width)
         frontier.push(PlanState(
             fingerprint=root_fp, evaluation=root_eval,
@@ -259,7 +275,7 @@ class Planner:
             state.parent_package, observables=self.observables,
             check=self.check, trials=self.trials, seed=self.seed,
             samplers=self.samplers, exec=self.exec,
-            check_observables=True)
+            check_observables=True, memo=self._memo)
         try:
             engine.apply(state.transformation)
         except TransformationError as exc:
@@ -275,7 +291,7 @@ class Planner:
         if cache_key is not None:
             self._cache.put_validation(cache_key, True)
         state.package = engine.package
-        self._typed_of[state.fingerprint] = engine.typed
+        self._memo.remember_typed(state.fingerprint, engine.typed)
         last = state.chain[-1]
         self._log(f"step {state.depth}: {last.description} "
                   f"(score {state.score:+.4f}, "
@@ -289,10 +305,7 @@ class Planner:
         result against the fingerprint the evaluation promised.  False
         -- with nothing mutated -- sends the caller to full validation."""
         try:
-            typed_parent = self._typed_of.get(parent_fp)
-            if typed_parent is None:
-                typed_parent = analyze(state.parent_package)
-                self._typed_of[parent_fp] = typed_parent
+            typed_parent = self._memo.typed(parent_fp, state.parent_package)
             new_package = state.transformation.apply(typed_parent)
             typed = analyze(new_package)
         except Exception:   # noqa: BLE001 - cached-replay fault boundary
@@ -300,14 +313,11 @@ class Planner:
         if package_fingerprint(typed) != state.fingerprint:
             return False
         state.package = new_package
-        self._typed_of[state.fingerprint] = typed
+        self._memo.remember_typed(state.fingerprint, typed)
         return True
 
     def _expand(self, state: PlanState, visited) -> List[PlanState]:
-        typed = self._typed_of.get(state.fingerprint)
-        if typed is None:
-            typed = analyze(state.package)
-            self._typed_of[state.fingerprint] = typed
+        typed = self._memo.typed(state.fingerprint, state.package)
         candidates = enumerate_candidates(
             typed, state.evaluation.match_fraction, self.catalog,
             state.applied_entries, self.reference,
@@ -423,11 +433,12 @@ class Planner:
                       probe_tree_bytes=self.probe_tree_bytes,
                       probe_vcs=self.probe_vcs)
         package = state.package
+        memo = self._memo
 
         def thunk(package=package, fp=state.fingerprint,
                   transformation=transformation, kwargs=kwargs):
             return evaluate_candidate(package, fp, transformation,
-                                      self.reference, **kwargs)
+                                      self.reference, memo=memo, **kwargs)
 
         return Obligation(
             kind=PLAN_EVAL, label=f"eval:{transformation.describe()}",
@@ -451,7 +462,7 @@ class Planner:
         value = evaluate_candidate(
             self.typed.package, root_fp, None, self.reference,
             probe=True, probe_tree_bytes=self.probe_tree_bytes,
-            probe_vcs=self.probe_vcs)
+            probe_vcs=self.probe_vcs, memo=self._memo)
         if self._cache is not None:
             self._cache.put_evaluation(key, value)
         return value
@@ -481,7 +492,8 @@ class Planner:
             final_evaluation=state.evaluation if state is not None else None,
             final_source=source,
             expansions=expansions, evaluations=self._evaluations,
-            validations=self._validations, rejected=list(rejected))
+            validations=self._validations, rejected=list(rejected),
+            reused=dict(self._memo.reused))
 
 
 def _identity(value):

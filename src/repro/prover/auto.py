@@ -176,6 +176,10 @@ class AutoProver:
         from ``(typed, subprogram_name)`` -- a caller-supplied ``hook``
         changes normal forms in ways the scope key cannot see.
 
+        ``timeout_seconds`` budgets each :meth:`prove` call in CPU time
+        of the calling thread (``time.thread_time``), so contention for
+        cores cannot turn a decided VC into a give-up.
+
         An instance accumulates *search history* -- the fresh-name
         counter behind ``_forall_intro`` and the per-term memo caches --
         so proving a second goal on the same instance can take a
@@ -280,7 +284,9 @@ class AutoProver:
 
     def prove(self, term: Term) -> ProofResult:
         if self.timeout_seconds is not None:
-            self._deadline = time.monotonic() + self.timeout_seconds
+            # CPU time of this thread, not wall time: a VC decided within
+            # the budget stays decided however many workers share a core.
+            self._deadline = time.thread_time() + self.timeout_seconds
         try:
             return self._prove(term)
         except _ProveTimeout:
@@ -335,7 +341,7 @@ class AutoProver:
 
     def _attempt_core(self, hyps: List[Term], concl: Term,
                       depth: int) -> ProofResult:
-        if self._deadline is not None and time.monotonic() > self._deadline:
+        if self._deadline is not None and time.thread_time() > self._deadline:
             raise _ProveTimeout()
         if concl.is_true:
             return ProofResult(True, "trivial")

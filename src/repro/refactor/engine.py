@@ -251,7 +251,8 @@ class RefactoringEngine:
                  seed: int = 20090701,
                  samplers: Optional[dict] = None,
                  exec: Optional[ExecConfig] = None,
-                 check_observables: bool = False):
+                 check_observables: bool = False,
+                 memo=None):
         self.typed = analyze(package)
         self.observables = list(observables)
         self.check = check
@@ -272,6 +273,10 @@ class RefactoringEngine:
         #: one obligation per trial when ``jobs > 1`` (see
         #: ``_differential``).
         self.exec = coerce_exec_config(exec, owner="RefactoringEngine")
+        #: A planner search's :class:`~repro.plan.reuse.SearchMemo`: the
+        #: before side of an in-process differential trial runs once per
+        #: (package fingerprint, subprogram, initial state) per search.
+        self.memo = memo
 
     @property
     def package(self) -> ast.Package:
@@ -379,11 +384,16 @@ class RefactoringEngine:
         counterexample -- exactly the historical work and result; with
         ``jobs>1`` all trials run concurrently and the earliest
         counterexample (by trial index) is reported, so the
-        ``DifferentialResult`` is the same either way."""
+        ``DifferentialResult`` is the same either way.
+
+        With a search memo, an in-process trial takes the before side's
+        run from it: siblings validated against the same parent with the
+        same seed draw the same initial states.  The after side runs on
+        every trial."""
         import random as _random
 
-        from ..equiv.differential import DifferentialResult, _compare
-        from ..equiv.model import input_params, random_state
+        from ..equiv.differential import DifferentialResult, _compare, _run
+        from ..equiv.model import input_params, random_state, state_key
         from ..exec import EquivTrialPayload, equiv_trial_obligation, \
             package_fingerprint
 
@@ -400,10 +410,20 @@ class RefactoringEngine:
 
         left_fp = package_fingerprint(before)
         right_fp = package_fingerprint(after)
+        memo = self.memo
+
+        def left_run(state):
+            if memo is None:
+                return None
+            return memo.get("differential_runs",
+                            (left_fp, name, state_key(state)),
+                            lambda: _run(before, name, state))
+
         obligations = [
             equiv_trial_obligation(
                 i, name, state,
-                (lambda s=state: _compare(before, name, after, name, s)),
+                (lambda s=state: _compare(before, name, after, name, s,
+                                          left=left_run(s))),
                 left_fp=left_fp, right_fp=right_fp,
                 payload=EquivTrialPayload(
                     left_package=before.package,

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from ..lang import TypedPackage, ast
+from ..lang.memo import ObjectMemo
 from .engine import Transformation, TransformationError, bound_loop_vars, \
     get_block, iter_blocks, names_in, replace_block
 from .unify import AntiUnifyError, anti_unify_groups
@@ -58,32 +59,11 @@ class RerollLoop(Transformation):
         covering fewer than ``_MIN_COVERAGE`` statements are noise, not
         unrolled loops."""
         for sp in typed.package.subprograms:
-            ctx = typed.context(sp.name)
-            for path, block in iter_blocks(sp.body):
-                # "Fresh" is per block, not per context: loop variables
-                # of enclosing loops (along ``path``) and identifiers
-                # already used inside the block are not in the declared
-                # context but reusing them would capture -- an inner
-                # loop named like its enclosing loop rebinds the outer
-                # occurrences in the rerolled statements.
-                taken = bound_loop_vars(sp.body, path) | names_in(block)
-                var = next((v for v in _FRESH_VARS
-                            if ctx.var_type(v) is None and v not in taken),
-                           None)
-                if var is None:
-                    continue
-                max_group = min(_MAX_GROUP_SIZE, len(block) // 2)
-                for group_size in range(1, max_group + 1):
-                    start = 0
-                    while start + 2 * group_size <= len(block):
-                        count = _run_length(block, start, group_size, var)
-                        if count >= 2 and count * group_size >= _MIN_COVERAGE:
-                            yield cls(subprogram=sp.name, start=start,
-                                      group_size=group_size, count=count,
-                                      var=var, path=path)
-                            start += count * group_size
-                        else:
-                            start += 1
+            for start, group_size, count, var, path in \
+                    _reroll_sites(typed, sp):
+                yield cls(subprogram=sp.name, start=start,
+                          group_size=group_size, count=count, var=var,
+                          path=path)
 
     def describe(self) -> str:
         return (f"reroll {self.count}x{self.group_size} statements in "
@@ -125,6 +105,46 @@ class RerollLoop(Transformation):
         new_body = replace_block(sp.body, self.path, new_block)
         new_sp = dataclasses.replace(sp, body=new_body)
         return typed.package.replace_subprogram(self.subprogram, new_sp)
+
+
+#: subprogram -> (the fresh names package constants take, its sites).
+_SITES = ObjectMemo()
+
+
+def _reroll_sites(typed: TypedPackage, sp: ast.Subprogram) -> Tuple:
+    """``(start, group_size, count, var, path)`` of every reroll site of
+    ``sp``.  They depend on ``sp`` and on which fresh names are package
+    constants (``var_type`` reads the subprogram's own variables and the
+    package's constants), so a subprogram object is scanned once per
+    set of such constants."""
+    constants = frozenset(v for v in _FRESH_VARS if v in typed.constants)
+    memo = _SITES.get(sp)
+    if memo is not None and memo[0] == constants:
+        return memo[1]
+    ctx = typed.context(sp.name)
+    sites = []
+    for path, block in iter_blocks(sp.body):
+        # "Fresh" is per block, not per context: loop variables of
+        # enclosing loops (along ``path``) and identifiers already used
+        # inside the block are not in the declared context but reusing
+        # them would capture -- an inner loop named like its enclosing
+        # loop rebinds the outer occurrences in the rerolled statements.
+        taken = bound_loop_vars(sp.body, path) | names_in(block)
+        var = next((v for v in _FRESH_VARS
+                    if ctx.var_type(v) is None and v not in taken), None)
+        if var is None:
+            continue
+        max_group = min(_MAX_GROUP_SIZE, len(block) // 2)
+        for group_size in range(1, max_group + 1):
+            start = 0
+            while start + 2 * group_size <= len(block):
+                count = _run_length(block, start, group_size, var)
+                if count >= 2 and count * group_size >= _MIN_COVERAGE:
+                    sites.append((start, group_size, count, var, path))
+                    start += count * group_size
+                else:
+                    start += 1
+    return _SITES.put(sp, (constants, tuple(sites)))[1]
 
 
 def _run_length(block, start: int, group_size: int, var: str) -> int:

@@ -6,9 +6,10 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import FrozenSet, Optional, Tuple
 
 from ..lang import TypedPackage, ast
+from ..lang.memo import ObjectMemo
 from ..lang.parser import parse_expression
 from ..lang.errors import MiniAdaError
 from .dataflow import reads_of_expr, reads_writes
@@ -168,18 +169,25 @@ def _referents(pkg: ast.Package, name: str) -> Tuple[str, ...]:
     """Package locations that still call ``name``: other subprograms (via
     FuncCall/ProcCall anywhere in their decls, body, pre or post) and
     package-level declarations whose initializer mentions it."""
-    out = []
-    for sp in pkg.subprograms:
-        if sp.name == name:
-            continue
-        if any(isinstance(node, (ast.FuncCall, ast.ProcCall))
-               and node.name == name for node in ast.walk(sp)):
-            out.append(sp.name)
-    for decl in pkg.decls:
-        if any(isinstance(node, ast.FuncCall) and node.name == name
-               for node in ast.walk(decl)):
-            out.append(getattr(decl, "name", None) or type(decl).__name__)
+    out = [sp.name for sp in pkg.subprograms
+           if sp.name != name and name in _called_names(sp)]
+    out.extend(getattr(decl, "name", None) or type(decl).__name__
+               for decl in pkg.decls if name in _called_names(decl))
     return tuple(out)
+
+
+#: node -> the names it calls (FuncCall and ProcCall, at any depth; a
+#: declaration holds no statements, so only its FuncCalls count).
+_CALLED = ObjectMemo()
+
+
+def _called_names(node: ast.Node) -> FrozenSet[str]:
+    names = _CALLED.get(node)
+    if names is None:
+        names = _CALLED.put(node, frozenset(
+            n.name for n in ast.walk(node)
+            if isinstance(n, (ast.FuncCall, ast.ProcCall))))
+    return names
 
 
 @dataclass

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..lang.typecheck import TypedPackage
 from ..logic import RewriteBudgetExceeded
@@ -178,15 +178,24 @@ class Examiner:
     def __init__(self, typed: TypedPackage,
                  limits: Optional[ExaminerLimits] = None,
                  exclude_rule_families: Tuple[str, ...] = (),
-                 shared=None):
+                 shared=None,
+                 reuse: Optional[Callable[
+                     [str, Callable[[], SubprogramAnalysis]],
+                     SubprogramAnalysis]] = None):
         """``shared`` is an optional :class:`~repro.logic.normcache
         .NormalizationCache` threaded into each subprogram's simplifier
         (the implementation-proof session passes its per-run cache so
-        examination warms the cache the prover then reuses)."""
+        examination warms the cache the prover then reuses).
+
+        ``reuse(name, compute)`` returns the subprogram's analysis,
+        calling ``compute()`` only when it has none from an earlier
+        examination of the same content (the planner's probe passes a
+        search-scoped memo keyed by cone fingerprint)."""
         self.typed = typed
         self.limits = limits or ExaminerLimits()
         self.exclude_rule_families = exclude_rule_families
         self.shared = shared
+        self.reuse = reuse
 
     def examine(self, subprogram_names: Optional[Sequence[str]] = None
                 ) -> ExaminerReport:
@@ -195,7 +204,11 @@ class Examiner:
         started = time.perf_counter()
         per: Dict[str, SubprogramAnalysis] = {}
         for name in names:
-            per[name] = self._examine_one(name)
+            if self.reuse is None:
+                per[name] = self._examine_one(name)
+            else:
+                per[name] = self.reuse(
+                    name, lambda name=name: self._examine_one(name))
         return ExaminerReport(
             per_subprogram=per,
             wall_seconds=time.perf_counter() - started,

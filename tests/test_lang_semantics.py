@@ -199,6 +199,27 @@ class TestInterpreter:
         out = self.interp.call_procedure("SumAll", [[1, 2, 3, 4], None])
         assert out["Total"] == 10
 
+    def test_nested_array_target_in_for_loop(self):
+        # The target's type and each base's bounds come from the
+        # interpreter's type cache, filled on the first iteration.
+        typed = analyzed("""
+package P is
+   type Byte is mod 256;
+   type Row is array (0 .. 3) of Byte;
+   type Grid is array (0 .. 1) of Row;
+   procedure Fill (G : out Grid; V : in Byte) is
+   begin
+      for I in 0 .. 1 loop
+         for J in 0 .. 3 loop
+            G (I) (J) := V + Byte (4 * I + J);
+         end loop;
+      end loop;
+   end Fill;
+end P;
+""")
+        out = Interpreter(typed).call_procedure("Fill", [None, 250])
+        assert out["G"] == [[250, 251, 252, 253], [254, 255, 0, 1]]
+
     def test_uninitialized_read_faults(self):
         typed = analyzed("""
 package P is

@@ -141,6 +141,45 @@ class TestAutoProver:
         goal = eq(var("mystery"), intc(0))
         assert not self.prover.prove(goal).proved
 
+    def _clocked(self, monkeypatch, wall_step, cpu_step):
+        """Patch the prover's clock: every reading advances wall time by
+        ``wall_step`` and thread CPU time by ``cpu_step`` seconds."""
+        import types
+        import repro.prover.auto as auto
+        readings = {"wall": 0.0, "cpu": 0.0}
+
+        def monotonic():
+            readings["wall"] += wall_step
+            return readings["wall"]
+
+        def thread_time():
+            readings["cpu"] += cpu_step
+            return readings["cpu"]
+
+        monkeypatch.setattr(auto, "time", types.SimpleNamespace(
+            monotonic=monotonic, thread_time=thread_time))
+        return readings
+
+    BUDGETED_GOAL = implies(conj(le(intc(0), var("x")),
+                                 le(var("x"), intc(10))),
+                            le(var("x"), intc(255)))
+
+    def test_budget_is_cpu_time_not_wall_time(self, monkeypatch):
+        # Wall time races past the 1 s budget on every reading (a
+        # loaded host); thread CPU time barely moves.  The VC is decided.
+        readings = self._clocked(monkeypatch, wall_step=100.0,
+                                 cpu_step=1e-6)
+        result = AutoProver(TABLE_PKG, timeout_seconds=1.0).prove(
+            self.BUDGETED_GOAL)
+        assert result.proved
+        assert readings["cpu"] > 1e-6      # the deadline was checked
+
+    def test_cpu_time_past_budget_gives_up(self, monkeypatch):
+        self._clocked(monkeypatch, wall_step=0.0, cpu_step=100.0)
+        result = AutoProver(TABLE_PKG, timeout_seconds=1.0).prove(
+            self.BUDGETED_GOAL)
+        assert not result.proved and result.method == "timeout"
+
     def test_forall_small_range_expansion(self):
         k = var("k?")
         goal = forall(
