@@ -6,18 +6,20 @@ Legs:
 * **differential gate** -- verdicts under ``backend="remote"`` must be
   bit-identical to the in-process serial reference on all 467 VCs, in
   every farm shape: one worker, four workers, a two-worker farm with a
-  cold then warm shared cache tier, and a two-worker farm that loses a
+  cold then warm parent result cache, and a two-worker farm that loses a
   worker to ``SIGKILL`` mid-run (the coordinator blames the in-flight
   obligations and re-runs them on the survivor);
 * **scaling** -- four workers must beat one worker by at least
   ``_MIN_SPEEDUP``x wall clock (the acceptance floor; the workload is
   embarrassingly parallel, so healthy farms measure well above it);
-* **shared cache tier** -- the warm repeat over the same corpus must be
-  served from the coordinator's cache without recomputing.
+* **warm cache** -- the warm repeat over the same corpus must beat the
+  cold fill: the parent's ``ResultCache`` settles every hit before
+  dispatch, so the warm run ships no lease.  The JSON keeps the leg's
+  historical key, ``shared_cache``.
 
-Every timing leg spawns *fresh* worker processes: ``--listen`` workers
-keep a local result cache that is warm across runs, which is a feature
-in production and a contaminant in a scaling measurement.
+Every timing leg spawns *fresh* worker processes: a ``--listen`` worker
+keeps its analyzed packages and normalization cache warm across runs,
+which is a contaminant in a scaling measurement.
 
 Results are written to ``BENCH_pr8.json`` at the repo root
 (``bench-farm/v1``).  Runnable standalone
@@ -46,7 +48,7 @@ CHECK_MODE = os.environ.get("REPRO_BENCH_CHECK", "") not in ("", "0")
 #: Four workers must beat one worker by at least this factor.
 _MIN_SPEEDUP = 1.5
 
-#: The warm shared-cache repeat must beat its cold first run.
+#: The warm parent-cache repeat must beat its cold first run.
 _MIN_WARM_SPEEDUP = 2.0
 
 _OUT = Path(__file__).resolve().parent.parent / "BENCH_pr8.json"
@@ -112,7 +114,7 @@ def run_farm_bench(check: bool):
     scaling = one_seconds / four_seconds if four_seconds > 0 \
         else float("inf")
 
-    # -- shared cache tier: cold fill, then a warm repeat ----------------
+    # -- parent cache: cold fill, then a warm repeat ----------------------
     cache = ResultCache()
     with _farm(2, "duo") as (_, addresses):
         cold, cold_seconds = _run(
@@ -122,9 +124,9 @@ def run_farm_bench(check: bool):
             typed, scripts,
             _remote_config(addresses, cache=cache, jobs=4))
     assert _keys(cold) == reference, \
-        "cold shared-cache farm verdicts diverge from the reference"
+        "cold-cache farm verdicts diverge from the reference"
     assert _keys(warm) == reference, \
-        "warm shared-cache farm verdicts diverge from the reference"
+        "warm-cache farm verdicts diverge from the reference"
     warm_speedup = cold_seconds / warm_seconds if warm_seconds > 0 \
         else float("inf")
 
@@ -169,7 +171,7 @@ def run_farm_bench(check: bool):
     print(f"1 worker      {one_seconds:.1f} s")
     print(f"4 workers     {four_seconds:.1f} s "
           f"(scaling {scaling:.2f}x over 1 worker)")
-    print(f"shared cache  cold {cold_seconds:.1f} s, "
+    print(f"warm cache    cold {cold_seconds:.1f} s, "
           f"warm {warm_seconds:.1f} s (speedup {warm_speedup:.1f}x)")
     print(f"worker loss   {crash_seconds:.1f} s "
           f"(1 of 2 workers SIGKILLed mid-run)")
@@ -183,7 +185,7 @@ def run_farm_bench(check: bool):
             f"4-worker scaling {scaling:.2f}x below the "
             f"{_MIN_SPEEDUP}x floor over 1 worker")
         assert warm_ok, (
-            f"warm shared-cache speedup {warm_speedup:.2f}x below the "
+            f"warm-cache speedup {warm_speedup:.2f}x below the "
             f"{_MIN_WARM_SPEEDUP}x floor")
     else:
         if not scaling_ok:

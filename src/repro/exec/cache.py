@@ -29,9 +29,8 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
-from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from .durable import load_record, sweep_tmp, write_record
 
@@ -92,15 +91,9 @@ def theory_fingerprint(theory) -> str:
 class ResultCache:
     """Two-layer (memory + optional disk) content-addressed result store."""
 
-    def __init__(self, disk_dir: Optional[os.PathLike] = None,
-                 max_memory_entries: Optional[int] = None):
-        """``max_memory_entries`` bounds the in-memory layer with
-        least-recently-used eviction (``None``: unbounded, the historical
-        behaviour).  Disk entries are never evicted: a memory-evicted key
-        that was written through to disk is still a (slower) hit."""
+    def __init__(self, disk_dir: Optional[os.PathLike] = None):
         self._lock = threading.Lock()
-        self._memory: "OrderedDict[str, Any]" = OrderedDict()
-        self.set_memory_limit(max_memory_entries)
+        self._memory: Dict[str, Any] = {}
         self._hits = 0
         self._misses = 0
         self.disk_dir = Path(disk_dir) if disk_dir is not None else None
@@ -118,7 +111,6 @@ class ResultCache:
         with self._lock:
             value = self._memory.get(key, _MISS)
             if value is not _MISS:
-                self._memory.move_to_end(key)
                 self._hits += 1
                 return True, value
         if self.disk_dir is not None and decode is not None:
@@ -130,43 +122,17 @@ class ResultCache:
                     pass   # corrupt entry: treat as a miss, will be rewritten
                 else:
                     with self._lock:
-                        self._store(key, value)
+                        self._memory[key] = value
                         self._hits += 1
                     return True, value
         with self._lock:
             self._misses += 1
         return False, None
 
-    def _store(self, key: str, value: Any) -> None:
-        """Insert as most recently used and evict over the cap.  Caller
-        holds the lock."""
-        memory = self._memory
-        if key in memory:
-            memory.move_to_end(key)
-        memory[key] = value
-        self._evict()
-
-    def _evict(self) -> None:
-        """Drop least recently used entries over the cap.  Caller holds
-        the lock."""
-        if self.max_memory_entries is not None:
-            while len(self._memory) > self.max_memory_entries:
-                self._memory.popitem(last=False)
-
-    def set_memory_limit(self, max_memory_entries: Optional[int]) -> None:
-        """(Re)bound the in-memory layer, evicting the least recently
-        used entries immediately if already over the new cap."""
-        if max_memory_entries is not None and max_memory_entries < 1:
-            raise ValueError(f"max_memory_entries must be >= 1, got "
-                             f"{max_memory_entries!r}")
-        with self._lock:
-            self.max_memory_entries = max_memory_entries
-            self._evict()
-
     def put(self, key: str, value: Any,
             encode: Optional[Callable[[Any], Any]] = None) -> None:
         with self._lock:
-            self._store(key, value)
+            self._memory[key] = value
         if self.disk_dir is not None and encode is not None:
             # Atomic publish: concurrent writers of the same key race to an
             # identical final state.

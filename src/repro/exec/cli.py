@@ -26,8 +26,7 @@ __all__ = ["add_exec_arguments", "exec_config"]
 
 #: Destinations that map one-to-one onto ``ExecConfig`` fields.
 _FIELDS = ("jobs", "backend", "timeout_seconds", "on_backend_failure",
-           "remote_workers", "remote_listen", "lease_timeout_seconds",
-           "remote_shared_cache", "batch_size", "batch_bytes_cap")
+           "remote_workers", "remote_listen", "batch_size")
 
 
 def add_exec_arguments(parser: argparse.ArgumentParser) -> None:
@@ -48,15 +47,8 @@ def add_exec_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="HOST:PORT", help="a listening farm worker (repeatable)")
     add("--remote-listen", metavar="[HOST]:PORT",
         help="bind for dial-in farm workers")
-    add("--lease-timeout", dest="lease_timeout_seconds", type=float,
-        metavar="S", help="bound on one remote obligation lease")
-    add("--no-remote-shared-cache", dest="remote_shared_cache",
-        action="store_false", default=None,
-        help="farm workers do not read through to this result cache")
     add("--batch-size", type=int, metavar="N",
         help="obligations per dispatch unit (1 disables batching)")
-    add("--batch-bytes-cap", type=int, metavar="BYTES",
-        help="estimated bytes of one batch")
 
 
 def exec_config(parser: argparse.ArgumentParser,

@@ -64,10 +64,6 @@ class ExecConfig:
     ``cache``            a :class:`~repro.exec.cache.ResultCache`, None
                          for the process-wide default, or False to
                          disable caching outright.
-    ``cache_memory_entries``  LRU cap applied to the resolved cache's
-                         in-memory layer (None leaves the cache's own
-                         setting; long harness runs bound their footprint
-                         with this).
     ``telemetry``        a :class:`~repro.exec.telemetry.Telemetry`, or
                          None for the component's default (the verifier
                          allocates one per run; bare schedulers fall back
@@ -76,7 +72,9 @@ class ExecConfig:
                          given (0 would silently *disable* the worker's
                          SIGALRM instead of enforcing a bound).  The
                          process and remote backends enforce it
-                         preemptively (SIGALRM in the worker).
+                         preemptively (SIGALRM in the worker); it also
+                         derives the farm's lease bound, so without it
+                         a remote lease never expires.
     ``retries``          a :class:`RetryPolicy`, or an int coerced to one
                          (that many retries, default exponential backoff).
     ``on_error``         'raise' (propagate, the historical behaviour) or
@@ -89,12 +87,9 @@ class ExecConfig:
                          (every obligation keeps its own dispatch unit,
                          the pre-batching wire behaviour); must be an
                          integer >= 1.  Batching never changes verdicts
-                         -- only how many round trips carry them.
-    ``batch_bytes_cap``  upper bound (bytes) on one batch's estimated
-                         pickled size; also sets the per-item join
-                         threshold ``batch_bytes_cap // batch_size``
-                         above which a payload is too large to join a
-                         batch and ships solo.  Must be positive.
+                         -- only how many round trips carry them.  A
+                         unit's bytes are bounded by
+                         :data:`~repro.exec.scheduler.BATCH_BYTES_CAP`.
 
     Remote-backend fields (ignored by the local backends):
 
@@ -104,21 +99,11 @@ class ExecConfig:
     ``remote_listen``    a ``"host:port"`` bind address (port 0 for
                          ephemeral) workers dial in to
                          (``... --connect host:port``).
-    ``lease_timeout_seconds``  coordinator-side bound on one obligation
-                         lease; an expired lease closes the worker's
-                         connection and re-runs its in-flight work.  None
-                         derives a bound from ``timeout_seconds`` when
-                         that is set, else leases never expire.
-    ``remote_shared_cache``  when True (the default) workers read through
-                         to the coordinator's content-addressed
-                         :class:`~repro.exec.cache.ResultCache`, so any
-                         worker's verdict is every worker's warm hit.
     """
 
     jobs: Optional[int] = 1
     backend: str = "serial"
     cache: Any = None
-    cache_memory_entries: Optional[int] = None
     telemetry: Optional[Telemetry] = None
     timeout_seconds: Optional[float] = None
     retries: Union[int, RetryPolicy] = 0
@@ -126,10 +111,7 @@ class ExecConfig:
     on_backend_failure: str = "raise"
     remote_workers: Tuple[str, ...] = ()
     remote_listen: Optional[str] = None
-    lease_timeout_seconds: Optional[float] = None
-    remote_shared_cache: bool = True
     batch_size: int = 16
-    batch_bytes_cap: int = 4 * 1024 * 1024
 
     def __post_init__(self):
         if self.backend not in BACKENDS:
@@ -143,10 +125,6 @@ class ExecConfig:
         if self.on_backend_failure not in ("raise", "degrade"):
             raise ValueError(f"on_backend_failure must be 'raise' or "
                              f"'degrade', got {self.on_backend_failure!r}")
-        if self.cache_memory_entries is not None \
-                and self.cache_memory_entries < 1:
-            raise ValueError(f"cache_memory_entries must be >= 1, got "
-                             f"{self.cache_memory_entries!r}")
         if self.timeout_seconds is not None and self.timeout_seconds <= 0:
             raise ValueError(f"timeout_seconds must be positive, got "
                              f"{self.timeout_seconds!r} (0 would disable "
@@ -167,24 +145,12 @@ class ExecConfig:
             _check_address("remote_workers", address)
         if self.remote_listen is not None:
             _check_address("remote_listen", self.remote_listen)
-        if self.lease_timeout_seconds is not None \
-                and self.lease_timeout_seconds <= 0:
-            raise ValueError(f"lease_timeout_seconds must be positive, "
-                             f"got {self.lease_timeout_seconds!r}")
-        if not isinstance(self.remote_shared_cache, bool):
-            raise ValueError(f"remote_shared_cache must be a boolean, "
-                             f"got {self.remote_shared_cache!r}")
         if isinstance(self.batch_size, bool) \
                 or not isinstance(self.batch_size, int) \
                 or self.batch_size < 1:
             raise ValueError(f"batch_size must be an integer >= 1, "
                              f"got {self.batch_size!r} (1 disables "
                              f"batching; 0 would silently drop work)")
-        if isinstance(self.batch_bytes_cap, bool) \
-                or not isinstance(self.batch_bytes_cap, int) \
-                or self.batch_bytes_cap <= 0:
-            raise ValueError(f"batch_bytes_cap must be a positive integer "
-                             f"(bytes), got {self.batch_bytes_cap!r}")
         if self.backend == "remote" and not workers \
                 and self.remote_listen is None:
             raise ValueError(
@@ -224,10 +190,8 @@ class ExecConfig:
     #: absent: they are live objects owned by the executing side -- a
     #: remote client must never be able to name another tenant's cache.
     JSON_FIELDS = ("jobs", "backend", "timeout_seconds", "retries",
-                   "on_error", "on_backend_failure", "cache_memory_entries",
-                   "remote_workers", "remote_listen",
-                   "lease_timeout_seconds", "remote_shared_cache",
-                   "batch_size", "batch_bytes_cap")
+                   "on_error", "on_backend_failure", "remote_workers",
+                   "remote_listen", "batch_size")
 
     def to_json(self) -> dict:
         """The JSON-portable fields of this config (see

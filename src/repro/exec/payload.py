@@ -27,19 +27,18 @@ deterministic -- ``analyze`` of the same AST, ``build_map``/
 worker produces the same result the parent-side thunk would have
 produced.
 
-Results travel back through ``encode_result``/``decode_result``:
-``encode_result`` runs worker-side and maps the raw value onto plain
-data (the same codecs the on-disk cache layer uses, where those exist);
-``decode_result`` runs parent-side.  The scheduler prefers the
-obligation's own ``decode`` when one is declared, so e.g. a lemma outcome
-is re-attached to the *parent's* lemma object exactly as a disk-cache
-replay would be.
+Results travel back through ``encode_result``, which runs worker-side
+and maps the raw value onto plain data (the same codecs the on-disk
+cache layer uses, where those exist).  The parent inverts it with the
+obligation's own ``decode``, so e.g. a lemma outcome is re-attached to
+the *parent's* lemma object exactly as a disk-cache replay would be; an
+obligation without ``decode`` receives the wire value as-is.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 __all__ = [
@@ -69,13 +68,9 @@ class ObligationPayload:
         raise NotImplementedError
 
     def encode_result(self, value: Any) -> Any:
-        """Worker-side: map the raw result onto picklable plain data."""
+        """Worker-side: map the raw result onto picklable plain data
+        (inverted parent-side by the obligation's ``decode``)."""
         return value
-
-    def decode_result(self, wire: Any) -> Any:
-        """Parent-side inverse of :meth:`encode_result` (used only when
-        the obligation declares no ``decode`` of its own)."""
-        return wire
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +218,6 @@ class VCPayload(ObligationPayload):
         from .obligation import _encode_vc_result
         return _encode_vc_result(value)
 
-    def decode_result(self, wire):
-        from .obligation import _decode_vc_result
-        return _decode_vc_result(wire)
-
 
 # ---------------------------------------------------------------------------
 # Equivalence trials
@@ -289,13 +280,6 @@ class LemmaPayload(ObligationPayload):
         from .obligation import _encode_lemma_outcome
         return _encode_lemma_outcome(value)
 
-    def decode_result(self, wire):
-        # Without a parent-side lemma to re-attach (the obligation's own
-        # decode does that), rebuild the outcome around the worker-shipped
-        # scalar fields with no lemma object.
-        from ..implication.prover import LemmaOutcome
-        return LemmaOutcome(lemma=None, **wire)
-
 
 # ---------------------------------------------------------------------------
 # Batched dispatch
@@ -308,11 +292,9 @@ class BatchPayload:
     A batch is *not* an obligation -- it is a transport envelope the
     scheduler wraps around several already-admitted obligations so they
     share one pickle/wire/lease round trip.  Each entry is
-    ``(index, payload, token, cache_key)``: the scheduler's obligation
-    index, the item's :class:`ObligationPayload`, the per-item alarm
-    token, and the item's cache key (``None`` when uncacheable; remote
-    workers use keys for their local served-result tier, the process
-    backend ignores them).
+    ``(index, payload, token)``: the scheduler's obligation index, the
+    item's :class:`ObligationPayload`, and the per-item alarm token.  A
+    solo dispatch is a batch of one.
 
     ``warm`` carries the batch's *hoisted* warm normalization batches:
     the distinct ``(warm_key, warm_norms)`` pairs of the bundled
@@ -328,7 +310,7 @@ class BatchPayload:
     blame stay attributable to individual obligations.
     """
 
-    entries: Tuple[Tuple[int, Any, str, Optional[Any]], ...]
+    entries: Tuple[Tuple[int, Any, str], ...]
     warm: Tuple[Tuple[str, Any], ...] = ()
 
     def __len__(self) -> int:
@@ -336,7 +318,7 @@ class BatchPayload:
 
 
 def make_batch(entries) -> BatchPayload:
-    """Bundle ``(index, payload, token, cache_key)`` tuples into a
+    """Bundle ``(index, payload, token)`` tuples into a
     :class:`BatchPayload`, hoisting shared warm normalization batches.
 
     Hoisting replaces each item's ``warm_norms`` with ``None`` on a
@@ -350,7 +332,7 @@ def make_batch(entries) -> BatchPayload:
     from dataclasses import replace
     hoisted: Dict[tuple, Tuple[str, Any]] = {}
     stripped = []
-    for index, payload, token, key in entries:
+    for index, payload, token in entries:
         warm_key = getattr(payload, "warm_key", None)
         warm_norms = getattr(payload, "warm_norms", None)
         if warm_key is not None and warm_norms is not None:
@@ -358,7 +340,7 @@ def make_batch(entries) -> BatchPayload:
             if memo not in hoisted:
                 hoisted[memo] = (warm_key, warm_norms)
             payload = replace(payload, warm_norms=None)
-        stripped.append((index, payload, token, key))
+        stripped.append((index, payload, token))
     return BatchPayload(entries=tuple(stripped),
                         warm=tuple(hoisted.values()))
 

@@ -5,9 +5,9 @@
 other hosts over sockets.  Three pieces:
 
 * :mod:`~repro.exec.remote.coordinator` -- connection registry,
-  versioned ``hello``/``welcome`` handshake, obligation lease/ack
-  protocol with per-worker in-flight bounds, lease-expiry monitoring,
-  flapping-host quarantine, and the shared networked cache tier;
+  versioned ``hello``/``welcome`` handshake, batch lease/ack protocol
+  with per-worker in-flight bounds, lease-expiry monitoring, and
+  flapping-host quarantine;
 * :mod:`~repro.exec.remote.worker` -- the worker entry point
   (``python -m repro.exec.remote.worker --connect host:port``), running
   the process backend's exact execution function;

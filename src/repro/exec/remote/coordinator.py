@@ -1,4 +1,4 @@
-"""The proof-farm coordinator: worker registry, leases, shared cache.
+"""The proof-farm coordinator: worker registry and leases.
 
 One :class:`RemoteCoordinator` lives inside the scheduler's
 ``backend='remote'`` run (the socket transport of
@@ -15,34 +15,24 @@ version (:func:`~repro.protocol.check_protocol_version` with
 ``required=True``): a version-skewed worker is rejected loudly with a
 ``protocol_mismatch`` error, never silently tolerated.
 
-**Leases.**  An obligation is *leased* to a worker: the lease record is
-registered before the lease message is sent (journal-before-send, the
-discipline :mod:`repro.serve.journal` uses for requests), the worker
-``ack``\\ s receipt, and the terminal ``result`` message retires the
-lease.  A lease that outlives its deadline marks the whole connection
-suspect -- the coordinator closes it and blames every lease the worker
-held, exactly as if the host had died.  Since protocol version 3 a
-lease may carry a whole :class:`~repro.exec.payload.BatchPayload`
-(``lease_batch``/``result_batch``, DESIGN.md §18): one wire round trip,
-one worker slot, per-obligation bookkeeping -- the coordinator
-decomposes the batched results back into per-obligation events, and a
-dead connection blames every member of a batched lease.
+**Leases.**  A dispatch unit is *leased* to a worker as one
+:class:`~repro.exec.payload.BatchPayload` (a solo obligation is a batch
+of one, DESIGN.md §18): the lease record is registered before the
+``lease`` message is sent (journal-before-send, the discipline
+:mod:`repro.serve.journal` uses for requests), the worker ``ack``\\ s
+receipt, and the terminal ``result`` message -- one result tuple per
+member -- retires the lease.  A lease that outlives its deadline marks
+the whole connection suspect -- the coordinator closes it and blames
+every lease the worker held, exactly as if the host had died.
 
 **Failure taxonomy.**  A dead connection (EOF, send failure, protocol
-violation, expired lease) is one event: ``("lost", name, indices,
+violation, expired lease) is one event: ``("lost", name, units,
 reason)`` -- the scheduler blames those obligations and re-runs them
 solo, per PR 4's crash machinery.  A worker that loses leases
 ``FLAP_STRIKES`` times is *quarantined by name*: its re-registrations
 are rejected (``("quarantined", name, reason)`` tells the scheduler to
 record telemetry).  An idle disconnect (no leases held) is not a
 strike -- reconnect churn on a quiet farm is not flapping.
-
-**Shared cache tier.**  A worker may ask ``cache_get`` before
-computing; the coordinator answers from the scheduler's
-content-addressed :class:`~repro.exec.cache.ResultCache` via the
-``cache_lookup`` callback (read-through).  The write-through half is
-the normal result path: the parent caches every verdict on receipt, so
-any worker's result is every later lease's warm hit.
 """
 
 from __future__ import annotations
@@ -51,7 +41,7 @@ import queue
 import socket
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from ...protocol import PROTOCOL_VERSION, ProtocolError, \
     check_protocol_version
@@ -70,19 +60,15 @@ class _Worker:
 
 
 class _Lease:
-    """One dispatch unit on one worker: a solo obligation
-    (``indices == (i,)``) or a :class:`~repro.exec.payload.BatchPayload`
-    bundle.  ``keys`` maps member index -> cache key (for the
-    write-through of delivered verdicts); a lost connection blames every
-    member."""
+    """One dispatch unit on one worker; a lost connection blames every
+    member of ``indices``."""
 
     def __init__(self, lease_id: str, indices: tuple, worker: _Worker,
-                 deadline: Optional[float], keys: Dict[int, str]):
+                 deadline: Optional[float]):
         self.lease_id = lease_id
         self.indices = indices
         self.worker = worker
         self.deadline = deadline
-        self.keys = keys
 
 
 class RemoteCoordinator:
@@ -97,19 +83,17 @@ class RemoteCoordinator:
 
     def __init__(self, listen: Optional[str] = None,
                  dial: Sequence[str] = (),
-                 cache_lookup: Optional[Callable[[str], object]] = None,
                  lease_timeout: Optional[float] = None,
                  per_worker: int = 2):
         if listen is None and not dial:
             raise ValueError("coordinator needs listen= or dial= workers")
         self._listen = listen
         self._dial = tuple(dial)
-        self._cache_lookup = cache_lookup
         self._lease_timeout = lease_timeout
         self._per_worker = max(1, per_worker)
         #: Farm events for the scheduler: ("joined", name) |
-        #: ("result", index, result_tuple, name, served) |
-        #: ("lost", name, [indices], reason) |
+        #: ("result", name, indices, result_tuples) |
+        #: ("lost", name, [indices of each lease], reason) |
         #: ("quarantined", name, reason).
         self.events: "queue.Queue[tuple]" = queue.Queue()
         #: "host:port" actually bound when listening (port 0 resolved).
@@ -118,11 +102,6 @@ class RemoteCoordinator:
         self._joined = threading.Condition(self._lock)
         self._workers: Dict[str, _Worker] = {}
         self._leases: Dict[str, _Lease] = {}
-        #: Wire-form results already received this run, by cache key.
-        #: The read-through consults this before ``cache_lookup`` so a
-        #: ``cache_get`` racing the scheduler's own ``cache.put`` of a
-        #: just-delivered verdict still hits.
-        self._result_wire: Dict[str, object] = {}
         self._strikes: Dict[str, int] = {}
         self._quarantined: Set[str] = set()
         self._sequence = 0
@@ -201,55 +180,24 @@ class RemoteCoordinator:
         except queue.Empty:
             return None
 
-    def lease(self, index: int, payload, retry_policy,
-              timeout_seconds: Optional[float], token: str,
-              cache_key: Optional[str],
-              avoid: Sequence[str] = ()) -> Optional[str]:
-        """Lease one obligation to the least-loaded worker with an open
-        slot, preferring workers not in ``avoid`` (the solo re-run of a
-        blamed obligation avoids the host that lost it, when another is
-        alive).  Returns the worker's name, or ``None`` when no worker
-        has capacity."""
-        return self._lease_unit(
-            (index,), {index: cache_key} if cache_key is not None else {},
-            lambda lease_id: {
-                "op": "lease", "lease": lease_id, "index": index,
-                "blob": encode_blob((payload, retry_policy)),
-                "timeout": timeout_seconds, "token": token,
-                "key": cache_key,
-            }, avoid)
-
-    def lease_batch(self, indices: Sequence[int], batch, retry_policy,
+    def lease_batch(self, batch, retry_policy,
                     timeout_seconds: Optional[float],
                     avoid: Sequence[str] = ()) -> Optional[str]:
-        """Lease one :class:`~repro.exec.payload.BatchPayload` as a
-        single dispatch unit occupying *one* slot on its worker (the
-        batch is one wire message and one ``ack``/``result_batch`` round
-        trip -- amortizing the per-obligation dispatch cost is its whole
-        point).  Member bookkeeping stays per-obligation: the lease
-        records every member index, so a dead connection blames each of
-        them and the scheduler re-runs them solo.  Returns the worker's
-        name, or ``None`` when no worker has capacity."""
-        indices = tuple(indices)
-        return self._lease_unit(
-            indices, {index: key for index, _, _, key in batch.entries
-                      if key is not None},
-            lambda lease_id: {
-                "op": "lease_batch", "lease": lease_id,
-                "indices": list(indices),
-                "blob": encode_blob((batch, retry_policy)),
-                "timeout": timeout_seconds,
-            }, avoid)
+        """Lease one :class:`~repro.exec.payload.BatchPayload` to the
+        least-loaded worker with an open slot, preferring workers not in
+        ``avoid`` (the solo re-run of a blamed obligation avoids the host
+        that lost it, when another is alive).  The batch occupies *one*
+        slot and one ``ack``/``result`` round trip; the lease records
+        every member index, so a dead connection blames each of them.
+        Returns the worker's name, or ``None`` when no worker has
+        capacity.
 
-    def _lease_unit(self, indices: tuple, keys: Dict[int, str],
-                    message: Callable[[str], dict],
-                    avoid: Sequence[str]) -> Optional[str]:
-        """Pick a slot, register the lease, then send ``message(lease
-        id)``.  The lease is registered before the send
-        (journal-before-send); a send that fails retires the lease
-        *before* dropping the worker -- it never reached the worker, so
-        its members are not blamed, only the worker's delivered leases
-        are -- and another worker is tried."""
+        The lease is registered before the send (journal-before-send); a
+        send that fails retires the lease *before* dropping the worker --
+        it never reached the worker, so its members are not blamed, only
+        the worker's delivered leases are -- and another worker is
+        tried."""
+        indices = tuple(index for index, _, _ in batch.entries)
         while True:
             with self._lock:
                 open_slots = [w for w in self._workers.values()
@@ -267,10 +215,13 @@ class RemoteCoordinator:
                             + self._lease_timeout * len(indices)
                             if self._lease_timeout is not None else None)
                 self._leases[lease_id] = _Lease(lease_id, indices, worker,
-                                                deadline, keys)
+                                                deadline)
                 worker.lease_ids.add(lease_id)
             try:
-                worker.link.send(message(lease_id))
+                worker.link.send({
+                    "op": "lease", "lease": lease_id,
+                    "blob": encode_blob((batch, retry_policy)),
+                    "timeout": timeout_seconds})
                 return worker.name
             except OSError as exc:
                 with self._lock:
@@ -348,9 +299,7 @@ class RemoteCoordinator:
             # scheduler races to send it.
             try:
                 link.send({"reply": "welcome",
-                           "protocol": PROTOCOL_VERSION,
-                           "shared_cache":
-                               self._cache_lookup is not None})
+                           "protocol": PROTOCOL_VERSION})
             except OSError:
                 link.close()
                 return "rejected"
@@ -382,55 +331,24 @@ class RemoteCoordinator:
     def _handle(self, worker: _Worker, message: dict) -> None:
         # An ``ack`` needs no bookkeeping: the lease is already journaled,
         # and only its result (or the connection's loss) retires it.
-        if message.get("reply") in ("result", "result_batch"):
-            with self._lock:
-                lease = self._leases.pop(message.get("lease"), None)
-                if lease is not None:
-                    lease.worker.lease_ids.discard(lease.lease_id)
-            if lease is None:
-                return   # stale: lease expired/blamed before the results
-            # Decompose a batch into per-obligation ("result", ...) events
-            # -- batching is invisible above the coordinator except for
-            # its telemetry.  A solo result is a batch of one.
-            solo = message["reply"] == "result"
-            served = message.get("served")
-            try:
-                results = decode_blob(message["blob"])
-                results = (results,) if solo else tuple(results)
-            except Exception as exc:   # noqa: BLE001 - wire-data boundary
-                results = tuple(
-                    (index, "errored", f"undecodable result blob from "
-                                       f"{worker.name}: {exc}",
-                     0.0, 1, (), None) for index in lease.indices)
-            if solo:
-                served = [served or "computed"]
-            elif not isinstance(served, list) or len(served) != len(results):
-                served = ["computed"] * len(results)
-            for result, tier in zip(results, served):
-                index = result[0]
-                key = lease.keys.get(index)
-                if key is not None and len(result) > 2 \
-                        and result[1] == "ok":
-                    with self._lock:
-                        self._result_wire[key] = result[2]
-                self.events.put(("result", index, result, worker.name,
-                                 tier))
-        elif message.get("op") == "cache_get":
-            wire = None
-            key = message.get("key")
-            if isinstance(key, str):
-                with self._lock:
-                    wire = self._result_wire.get(key)
-            if wire is None and self._cache_lookup is not None \
-                    and isinstance(key, str):
-                wire = self._cache_lookup(key)
-            reply = {"reply": "cache_value",
-                     "lease": message.get("lease"), "hit": wire is not None,
-                     "wire": encode_blob(wire) if wire is not None
-                     else None}
-            worker.link.send(reply)
         # Unknown messages are ignored: forward compatibility within a
         # protocol generation.
+        if message.get("reply") != "result":
+            return
+        with self._lock:
+            lease = self._leases.pop(message.get("lease"), None)
+            if lease is not None:
+                lease.worker.lease_ids.discard(lease.lease_id)
+        if lease is None:
+            return   # stale: lease expired/blamed before the results
+        try:
+            results = tuple(decode_blob(message["blob"]))
+        except Exception as exc:   # noqa: BLE001 - wire-data boundary
+            results = tuple(
+                (index, "errored", f"undecodable result blob from "
+                                   f"{worker.name}: {exc}",
+                 0.0, 1, (), None) for index in lease.indices)
+        self.events.put(("result", worker.name, lease.indices, results))
 
     # -- failure paths ------------------------------------------------------
 
@@ -453,13 +371,13 @@ class RemoteCoordinator:
                 worker.link.close()
                 return   # already dropped (monitor/reader race)
             del self._workers[worker.name]
-            indices = []
+            units = []
             for lease_id in sorted(worker.lease_ids):
                 lease = self._leases.pop(lease_id, None)
                 if lease is not None:
-                    indices.extend(lease.indices)
+                    units.append(lease.indices)
             worker.lease_ids.clear()
-            if indices and not self._stopping.is_set():
+            if units and not self._stopping.is_set():
                 strikes = self._strikes.get(worker.name, 0) + 1
                 self._strikes[worker.name] = strikes
                 if strikes >= self.FLAP_STRIKES \
@@ -469,8 +387,8 @@ class RemoteCoordinator:
         worker.link.close()
         if self._stopping.is_set():
             return
-        if indices:
-            self.events.put(("lost", worker.name, indices, reason))
+        if units:
+            self.events.put(("lost", worker.name, units, reason))
         if newly_quarantined:
             self.events.put((
                 "quarantined", worker.name,

@@ -1,39 +1,23 @@
 """The proof-farm worker: ``python -m repro.exec.remote.worker``.
 
-One worker process serves one coordinator connection at a time,
-executing leased obligations with *exactly* the process backend's
-semantics -- it runs :func:`repro.exec.scheduler._process_worker`
-verbatim, so the SIGALRM hard timeout, the retry policy with
-deterministic jitter, and the result-tuple shape are all identical to a
-local pool worker.  Two connection modes::
+One worker process serves one coordinator connection at a time.  Every
+lease carries a :class:`~repro.exec.payload.BatchPayload` (a solo
+obligation is a batch of one), which the worker runs through
+:func:`repro.exec.scheduler._batch_worker` -- the function a local pool
+worker runs -- so the warm-norm absorption, the SIGALRM hard timeout,
+the retry policy with deterministic jitter, and the result-tuple shape
+are all identical to the process backend.  The worker keeps no result
+cache: the parent's :class:`~repro.exec.cache.ResultCache` settles every
+hit before a lease is sent.  Two connection modes::
 
     python -m repro.exec.remote.worker --connect HOST:PORT   # dial in
     python -m repro.exec.remote.worker --listen  [HOST:]PORT # be dialed
 
 ``--listen`` prints ``{"listening": "host:port"}`` on stdout once bound
 (port 0 resolves to an ephemeral port) and keeps serving connections --
-a persistent farm worker whose local result cache stays warm across
-runs.  ``--connect`` exits when the connection ends (a supervisor or
-test respawns it); a rejected handshake (version mismatch, quarantined
-name) exits with status :data:`REJECTED_EXIT`.
-
-Per lease, the worker answers from three tiers, cheapest first:
-
-1. **local** -- its own in-process cache of wire-form results, warm
-   across connections (and across runs, in ``--listen`` mode);
-2. **tier** -- a ``cache_get`` read-through to the coordinator's
-   content-addressed cache (when the coordinator enabled the shared
-   tier), so any other worker's verdict is this worker's warm hit;
-3. **computed** -- :func:`_process_worker` on the shipped payload.
-
-The served tier travels back on the ``result`` message, so telemetry
-can attribute farm-level cache behaviour.
-
-Batched leases (protocol version 3): a ``lease_batch`` ships many small
-obligations in one message; the worker absorbs the hoisted warm-norm
-caches once, answers each member from its local tier or computes it,
-and replies with one ``result_batch``.  See :func:`_handle_lease_batch`
-for why the coordinator ``cache_get`` tier is skipped inside a batch.
+a persistent farm worker.  ``--connect`` exits when the connection ends
+(a supervisor or test respawns it); a rejected handshake (version
+mismatch, quarantined name) exits with status :data:`REJECTED_EXIT`.
 """
 
 from __future__ import annotations
@@ -44,12 +28,11 @@ import socket
 import subprocess
 import sys
 import time
-from collections import deque
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from ...protocol import PROTOCOL_VERSION, ProtocolError, \
     check_protocol_version
-from ..scheduler import _process_worker
+from ..scheduler import _batch_worker
 from .link import Link, decode_blob, encode_blob, parse_address
 
 __all__ = ["main", "spawn_worker", "REJECTED_EXIT"]
@@ -62,88 +45,7 @@ def _log(message: str) -> None:
     print(f"[farm-worker] {message}", file=sys.stderr, flush=True)
 
 
-def _await_cache_value(link: Link, pending: deque,
-                       lease_id: str) -> Optional[dict]:
-    """Block until the ``cache_value`` reply for ``lease_id``; other
-    messages (further leases) queue in ``pending``.  ``None`` when the
-    connection dies first -- the caller falls back to computing."""
-    while True:
-        try:
-            message = link.recv()
-        except (ProtocolError, OSError):
-            return None
-        if message is None:
-            return None
-        if message.get("reply") == "cache_value" \
-                and message.get("lease") == lease_id:
-            return message
-        pending.append(message)
-
-
-def _answer(index: int, payload, retry_policy, timeout, token: str,
-            key: Optional[str], local_cache: Dict[str, object]) -> tuple:
-    """``(result, served)`` for one obligation: the worker's local tier,
-    else :func:`_process_worker` (whose verdict then warms the tier)."""
-    if key is not None and key in local_cache:
-        return (index, "ok", local_cache[key], 0.0, 1, (), None), "local"
-    result = _process_worker(index, payload, retry_policy, timeout, token)
-    if key is not None and result[1] == "ok":
-        local_cache[key] = result[2]
-    return result, "computed"
-
-
-def _handle_lease(link: Link, message: dict, shared_cache: bool,
-                  local_cache: Dict[str, object],
-                  pending: deque) -> None:
-    lease_id = message.get("lease")
-    index = message.get("index")
-    key = message.get("key")
-    link.send({"reply": "ack", "lease": lease_id})
-    result = None
-    if key is not None and shared_cache and key not in local_cache:
-        link.send({"op": "cache_get", "lease": lease_id, "key": key})
-        value = _await_cache_value(link, pending, lease_id)
-        if value is not None and value.get("hit"):
-            wire = decode_blob(value["wire"])
-            local_cache[key] = wire
-            result, served = (index, "ok", wire, 0.0, 1, (), None), "tier"
-    if result is None:
-        payload, retry_policy = decode_blob(message["blob"])
-        result, served = _answer(index, payload, retry_policy,
-                                 message.get("timeout"),
-                                 message.get("token", ""), key, local_cache)
-    link.send({"reply": "result", "lease": lease_id, "index": index,
-               "served": served, "blob": encode_blob(result)})
-
-
-def _handle_lease_batch(link: Link, message: dict,
-                        local_cache: Dict[str, object]) -> None:
-    """Execute one :class:`~repro.exec.payload.BatchPayload` lease
-    (protocol version 3): absorb the hoisted warm-norm caches exactly
-    once, then run every member through the same per-item machinery as a
-    solo lease.  The coordinator ``cache_get`` tier is deliberately *not*
-    consulted per member -- a per-item read-through round trip would
-    reintroduce exactly the per-obligation wire latency batching exists
-    to amortize; the worker's own local cache (warm across leases) still
-    answers repeats, and the coordinator's write-through keeps the shared
-    tier warm for later solo leases."""
-    from ..payload import _absorb_warm
-
-    lease_id = message.get("lease")
-    link.send({"reply": "ack", "lease": lease_id})
-    batch, retry_policy = decode_blob(message["blob"])
-    for warm_key, warm_norms in batch.warm:
-        _absorb_warm(warm_key, warm_norms)
-    answers = [_answer(index, payload, retry_policy, message.get("timeout"),
-                       token, key, local_cache)
-               for index, payload, token, key in batch.entries]
-    link.send({"reply": "result_batch", "lease": lease_id,
-               "served": [served for _, served in answers],
-               "blob": encode_blob(tuple(result for result, _ in answers))})
-
-
-def _serve_connection(sock: socket.socket, name: str,
-                      local_cache: Dict[str, object]) -> bool:
+def _serve_connection(sock: socket.socket, name: str) -> bool:
     """Handshake and serve leases until the stream ends.  Returns False
     when the coordinator rejected us (do not reconnect)."""
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -163,17 +65,18 @@ def _serve_connection(sock: socket.socket, name: str,
             return False
         check_protocol_version(reply.get("protocol"),
                                surface="farm-worker", required=True)
-        shared_cache = bool(reply.get("shared_cache"))
-        pending: deque = deque()
         while True:
-            message = pending.popleft() if pending else link.recv()
+            message = link.recv()
             if message is None or message.get("op") == "bye":
                 return True
             if message.get("op") == "lease":
-                _handle_lease(link, message, shared_cache, local_cache,
-                              pending)
-            elif message.get("op") == "lease_batch":
-                _handle_lease_batch(link, message, local_cache)
+                lease_id = message.get("lease")
+                link.send({"reply": "ack", "lease": lease_id})
+                batch, retry_policy = decode_blob(message["blob"])
+                results = _batch_worker(batch, retry_policy,
+                                        message.get("timeout"))
+                link.send({"reply": "result", "lease": lease_id,
+                           "blob": encode_blob(results)})
             # Anything else: ignore (forward compatibility).
     except ProtocolError as exc:
         if exc.code == "protocol_mismatch":
@@ -210,7 +113,6 @@ def main(argv: Optional[list] = None) -> int:
                              "(default 30)")
     args = parser.parse_args(argv)
     name = args.name or f"{socket.gethostname()}-{os.getpid()}"
-    local_cache: Dict[str, object] = {}
 
     if args.connect is not None:
         address = parse_address(args.connect)
@@ -225,7 +127,7 @@ def main(argv: Optional[list] = None) -> int:
                     return 1
                 time.sleep(0.1)
                 continue
-            accepted = _serve_connection(sock, name, local_cache)
+            accepted = _serve_connection(sock, name)
             return 0 if accepted else REJECTED_EXIT
 
     listen = args.listen if ":" in args.listen else f":{args.listen}"
@@ -241,7 +143,7 @@ def main(argv: Optional[list] = None) -> int:
             sock, _ = server.accept()
         except OSError:
             return 0
-        accepted = _serve_connection(sock, name, local_cache)
+        accepted = _serve_connection(sock, name)
         if not accepted:
             return REJECTED_EXIT
         if args.once:

@@ -89,6 +89,11 @@ CRASHED = "crashed"
 #: Lost-worker blames after which an obligation is quarantined.
 QUARANTINE_AFTER = 2
 
+#: Upper bound (bytes) on one dispatch unit's estimated pickled size; a
+#: payload whose marginal size exceeds ``BATCH_BYTES_CAP // batch_size``
+#: ships solo (DESIGN.md §18).
+BATCH_BYTES_CAP = 4 * 1024 * 1024
+
 
 @dataclass
 class ObligationOutcome:
@@ -191,19 +196,19 @@ def _process_worker(index: int, payload, retry_policy: RetryPolicy,
 def _batch_worker(batch, retry_policy: RetryPolicy,
                   timeout_seconds: Optional[float]) -> tuple:
     """Execute one :class:`~repro.exec.payload.BatchPayload` in a pool
-    worker: absorb the hoisted warm normalization batches exactly once,
-    then run each entry through the same per-item machinery a solo
-    dispatch uses (:func:`_process_worker` installs and clears its own
-    alarm per entry, so per-item timeout, retry, and jitter accounting
-    are identical to unbatched dispatch).  Returns one standard result
-    tuple per entry, in entry order."""
+    or farm worker: absorb the hoisted warm normalization batches
+    exactly once, then run each entry through the same per-item
+    machinery a solo dispatch uses (:func:`_process_worker` installs and
+    clears its own alarm per entry, so per-item timeout, retry, and
+    jitter accounting are identical to unbatched dispatch).  Returns one
+    standard result tuple per entry, in entry order."""
     from .payload import _absorb_warm
     for warm_key, warm_norms in batch.warm:
         _absorb_warm(warm_key, warm_norms)
     return tuple(
         _process_worker(index, payload, retry_policy, timeout_seconds,
                         token)
-        for index, payload, token, _key in batch.entries)
+        for index, payload, token in batch.entries)
 
 
 class _BatchSizer:
@@ -250,8 +255,8 @@ class _BatchSizer:
 
 def _batch(obligations, members: tuple):
     """The :class:`~repro.exec.payload.BatchPayload` of a unit."""
-    return make_batch([(i, obligations[i].payload, obligations[i].label,
-                        obligations[i].cache_key) for i in members])
+    return make_batch([(i, obligations[i].payload, obligations[i].label)
+                       for i in members])
 
 
 class _PoolTransport:
@@ -381,51 +386,24 @@ class _SocketTransport:
     lease timeout, the workers' join grace
     (``REMOTE_WORKER_GRACE``), steering a blamed obligation's re-run away
     from the host that lost it, host-quarantine telemetry, and each
-    result's ``worker=… served=…`` detail.  A lost connection is reported
-    for exactly that worker's leases; other workers keep going.
+    result's ``worker=…`` detail.  A lost connection is reported for
+    exactly that worker's leases; other workers keep going.
     """
 
-    def __init__(self, sched: "ObligationScheduler", obligations,
-                 remaining: Sequence[int]):
+    def __init__(self, sched: "ObligationScheduler", obligations):
         from .remote.coordinator import RemoteCoordinator
 
         self._sched = sched
         self._obligations = obligations
         config = sched.config
-        # The shared cache tier: workers ask the coordinator for a key
-        # before computing; the lookup runs against this scheduler's own
-        # cache, re-encoded to the obligation's wire form.
-        by_key: Dict[str, Obligation] = {}
-        for i in remaining:
-            ob = obligations[i]
-            if ob.cache_key is not None and ob.payload is not None:
-                by_key.setdefault(ob.cache_key, ob)
-
-        def cache_lookup(key):
-            ob = by_key.get(key)
-            if ob is None:
-                return None
-            hit, value = sched.cache.get(key, decode=ob.decode)
-            if not hit:
-                return None
-            try:
-                return ob.encode(value) if ob.encode is not None \
-                    else ob.payload.encode_result(value)
-            except Exception:   # noqa: BLE001 - a cache miss, not a fault
-                return None
-
-        # Explicit lease_timeout_seconds wins; otherwise a worker's
-        # REMOTE_PER_WORKER_INFLIGHT leases, each bounded worker-side by
-        # SIGALRM, bound it; with neither, leases never expire.
-        lease_timeout = config.lease_timeout_seconds
-        if lease_timeout is None and sched.timeout_seconds is not None:
-            lease_timeout = (sched.REMOTE_PER_WORKER_INFLIGHT
-                             * sched.timeout_seconds * 1.5
-                             + sched.TIMEOUT_FALLBACK_SLACK)
+        # A worker's REMOTE_PER_WORKER_INFLIGHT leases, each bounded
+        # worker-side by SIGALRM, bound one lease; without a timeout,
+        # leases never expire.
+        lease_timeout = None if sched.timeout_seconds is None \
+            else (sched.REMOTE_PER_WORKER_INFLIGHT * sched.timeout_seconds
+                  * 1.5 + sched.TIMEOUT_FALLBACK_SLACK)
         self._coordinator = RemoteCoordinator(
             listen=config.remote_listen, dial=config.remote_workers,
-            cache_lookup=(cache_lookup if config.remote_shared_cache
-                          and sched.cache is not None else None),
             lease_timeout=lease_timeout,
             per_worker=sched.REMOTE_PER_WORKER_INFLIGHT)
         try:
@@ -433,8 +411,7 @@ class _SocketTransport:
         except OSError as exc:
             raise BackendUnusableError(
                 "remote", f"cannot start coordinator: {exc}")
-        self._in_flight: Dict[int, tuple] = {}   # index -> its unit
-        self._delivered: Dict[tuple, dict] = {}  # in-flight unit -> results
+        self._leased: set = set()                # units in flight
         self._blamed_on: Dict[int, str] = {}     # index -> host that lost it
         if not self._coordinator.wait_for_workers(
                 1, sched.REMOTE_WORKER_GRACE):
@@ -445,32 +422,24 @@ class _SocketTransport:
 
     @property
     def busy(self) -> bool:
-        return bool(self._in_flight)
+        return bool(self._leased)
 
     def submit(self, members: tuple) -> bool:
-        if len(self._delivered) >= self._sched.jobs:
+        if len(self._leased) >= self._sched.jobs:
             return False
-        obligations, sched = self._obligations, self._sched
+        sched = self._sched
         avoid = {self._blamed_on[i] for i in members if i in self._blamed_on}
-        if len(members) == 1:
-            ob = obligations[members[0]]
-            name = self._coordinator.lease(
-                members[0], ob.payload, sched.retry_policy,
-                sched.timeout_seconds, ob.label, ob.cache_key, avoid=avoid)
-        else:
-            name = self._coordinator.lease_batch(
-                members, _batch(obligations, members), sched.retry_policy,
-                sched.timeout_seconds, avoid=avoid)
+        name = self._coordinator.lease_batch(
+            _batch(self._obligations, members), sched.retry_policy,
+            sched.timeout_seconds, avoid=avoid)
         if name is None:
             return False
-        for i in members:
-            self._in_flight[i] = members
-        self._delivered[members] = {}
+        self._leased.add(members)
         return True
 
     def poll(self) -> List[tuple]:
         coordinator = self._coordinator
-        if not self._in_flight and coordinator.live_workers() == 0:
+        if not self._leased and coordinator.live_workers() == 0:
             # Pending work, no workers left (all lost or quarantined):
             # grant joiners one grace period.
             grace = self._sched.REMOTE_WORKER_GRACE
@@ -487,31 +456,20 @@ class _SocketTransport:
         return events
 
     def _translate(self, event: tuple, events: List[tuple]) -> None:
+        # The coordinator retires each lease exactly once, by its
+        # ``result`` or by its worker's loss.
         if event[0] == "result":
-            _, index, result, name, served = event
-            unit = self._in_flight.pop(index, None)
-            if unit is None:
-                return   # stale: already blamed and requeued
-            delivered = self._delivered[unit]
-            delivered[index] = (result, f"worker={name} served={served}")
-            if len(delivered) == len(unit):
-                del self._delivered[unit]
-                events.append(("done",
-                               tuple(delivered[i][0] for i in unit),
-                               tuple(delivered[i][1] for i in unit)))
+            _, name, unit, results = event
+            self._leased.discard(unit)
+            events.append(("done", results,
+                           (f"worker={name}",) * len(results)))
         elif event[0] == "lost":
-            # A lease's results arrive in one message, so a lost lease
-            # never has delivered members: the unit is lost whole.
-            _, name, indices, reason = event
-            units: Dict[tuple, List[int]] = {}
-            for index in indices:
-                unit = self._in_flight.pop(index, None)
-                if unit is not None:
+            _, name, units, reason = event
+            for unit in units:
+                self._leased.discard(unit)
+                for index in unit:
                     self._blamed_on[index] = name
-                    units.setdefault(unit, []).append(index)
-            for unit, members in units.items():
-                self._delivered.pop(unit, None)
-                events.append(("lost", tuple(members),
+                events.append(("lost", unit,
                                f"worker {name} lost ({reason})"))
         elif event[0] == "quarantined":
             _, name, reason = event
@@ -552,14 +510,11 @@ class ObligationScheduler:
         self.jobs = config.jobs or os.cpu_count() or 1
         self.backend = config.backend
         self.cache = config.resolved_cache()
-        if self.cache is not None and config.cache_memory_entries is not None:
-            self.cache.set_memory_limit(config.cache_memory_entries)
         self.telemetry = config.resolved_telemetry()
         self.timeout_seconds = config.timeout_seconds
         self.retry_policy = config.retries
         self.on_error = config.on_error
         self.batch_size = config.batch_size
-        self.batch_bytes_cap = config.batch_bytes_cap
 
     # -- public -------------------------------------------------------------
 
@@ -652,9 +607,9 @@ class ObligationScheduler:
         level is what is ready.  A unit thus holds at most one member of
         a group and waits only on units of the level before, so the unit
         order never deadlocks.  A payload whose marginal pickled size
-        exceeds ``batch_bytes_cap // batch_size`` closes the forming unit
+        exceeds ``BATCH_BYTES_CAP // batch_size`` closes the forming unit
         and opens the next; a unit whose measured size reaches
-        ``batch_bytes_cap`` is closed.  Payloadless and unpicklable
+        ``BATCH_BYTES_CAP`` is closed.  Payloadless and unpicklable
         obligations are units of their own."""
         levels: Dict[int, List[int]] = {}    # filled in level order
         depth: Dict[str, int] = {}
@@ -664,7 +619,7 @@ class ObligationScheduler:
             if group is not None:
                 depth[group] = level + 1
             levels.setdefault(level, []).append(i)
-        join_cap = max(1, self.batch_bytes_cap // self.batch_size)
+        join_cap = max(1, BATCH_BYTES_CAP // self.batch_size)
         sizer = _BatchSizer()
         units: List[tuple] = []
         pending: List[int] = []
@@ -681,7 +636,7 @@ class ObligationScheduler:
                 payload = obligations[i].payload
                 if payload is not None and chunk > 1:
                     if len(pending) >= chunk \
-                            or sizer.total >= self.batch_bytes_cap:
+                            or sizer.total >= BATCH_BYTES_CAP:
                         close()
                     size = sizer.measure(payload)
                     if size is not None and pending and size > join_cap:
@@ -733,7 +688,7 @@ class ObligationScheduler:
             return
         transport = _PoolTransport(self, obligations) \
             if backend == "process" \
-            else _SocketTransport(self, obligations, pending)
+            else _SocketTransport(self, obligations)
         try:
             self._dispatch_loop(transport, obligations, pending, stop_on,
                                 outcomes)
@@ -899,8 +854,7 @@ class ObligationScheduler:
                                   detail=message)
         if status == OK:
             try:
-                value = ob.decode(wire) if ob.decode is not None \
-                    else ob.payload.decode_result(wire)
+                value = wire if ob.decode is None else ob.decode(wire)
             except Exception as exc:   # noqa: BLE001 - bad wire data
                 status, wire, exc_obj = \
                     ERRORED, f"undecodable result: {exc}", exc

@@ -268,8 +268,8 @@ class Telemetry:
                     stats.obligations.get(ev.kind, 0) + 1
             if ev.event == FINISHED:
                 stats.computed[ev.kind] = stats.computed.get(ev.kind, 0) + 1
-                # Process and remote results prefix the detail with
-                # ``worker=... served=...``; ``keyed`` is the last token.
+                # Remote results prefix the detail with ``worker=...``;
+                # ``keyed`` is the last token.
                 keyed = ev.detail.rpartition(" ")[2] == "keyed"
                 stats.cache_misses += 1 if keyed else 0
                 stats.busy_seconds += ev.wall

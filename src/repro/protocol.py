@@ -35,12 +35,15 @@ __all__ = [
 #: The wire-protocol generation.  Version 1 was the PR-6 serve protocol
 #: (no version field on the wire); version 2 added the explicit
 #: ``protocol`` field and the remote-worker handshake that requires it;
-#: version 3 adds the batched lease generation (``lease_batch`` /
-#: ``result_batch``, DESIGN.md §18).  A version-2 worker cannot decode a
-#: ``lease_batch``, so the handshake must reject it -- bumping here is
-#: what turns that skew into a loud ``protocol_mismatch`` instead of a
-#: silently stalled batch.
-PROTOCOL_VERSION = 3
+#: version 3 added the batched lease generation (``lease_batch`` /
+#: ``result_batch``, DESIGN.md §18) beside the solo ``lease``/``result``
+#: and the workers' read-through to the coordinator's cache; version 4
+#: keeps one lease shape -- every ``lease`` carries a batch and every
+#: ``result`` one result tuple per member -- and drops the read-through.
+#: A peer of another generation would misread or stall on the lease
+#: messages, so the handshake rejects it: bumping here is what turns
+#: that skew into a loud ``protocol_mismatch``.
+PROTOCOL_VERSION = 4
 
 #: The machine-readable ``code`` vocabulary of ``error`` replies, shared
 #: by the serve daemon and the farm coordinator.  ``protocol_mismatch``

@@ -1,7 +1,8 @@
 """Micro-obligation batching tests (DESIGN.md §18): batch formation and
 warm-cache hoisting, the worker-side absorb-once discipline, outcome
 identity across batch sizes and backends, the dispatch telemetry, and
-loud validation of the batching knobs in ExecConfig and both CLIs."""
+loud validation of the batching knobs in ExecConfig and both CLIs, and
+the byte cap on one dispatch unit."""
 
 import json
 from dataclasses import dataclass
@@ -15,6 +16,7 @@ from repro.exec import (
 )
 from repro.exec.payload import ObligationPayload, _WARM_ABSORBED
 from repro.exec.retry import RetryPolicy
+from repro.exec import scheduler as scheduler_mod
 from repro.exec.scheduler import _batch_worker
 from repro.logic import add, encode_terms, fingerprint, intc, var
 from repro.logic.normcache import NormalizationCache
@@ -57,14 +59,14 @@ class TestMakeBatch:
         norms = _warm_norms()
         payloads = [_WarmPayload(i, warm_key="k", warm_norms=norms)
                     for i in range(3)]
-        batch = make_batch([(i, p, f"t{i}", None)
+        batch = make_batch([(i, p, f"t{i}")
                             for i, p in enumerate(payloads)])
         assert len(batch) == 3
         # one hoisted entry for the shared (key, fingerprints) pair
         assert len(batch.warm) == 1
         assert batch.warm[0] == ("k", norms)
         # members ship without their own copy...
-        for _, payload, _, _ in batch.entries:
+        for _, payload, _ in batch.entries:
             assert payload.warm_norms is None
             assert payload.warm_key == "k"
         # ...but the caller's payloads are untouched (blamed solo
@@ -74,18 +76,16 @@ class TestMakeBatch:
     def test_distinct_warm_scopes_each_hoisted(self):
         norms_a, norms_b = _warm_norms(), _warm_norms()
         batch = make_batch([
-            (0, _WarmPayload(0, warm_key="a", warm_norms=norms_a), "t0",
-             None),
-            (1, _WarmPayload(1, warm_key="b", warm_norms=norms_b), "t1",
-             None),
+            (0, _WarmPayload(0, warm_key="a", warm_norms=norms_a), "t0"),
+            (1, _WarmPayload(1, warm_key="b", warm_norms=norms_b), "t1"),
         ])
         assert {key for key, _ in batch.warm} == {"a", "b"}
 
     def test_payloads_without_warm_pass_through(self):
         payload = CallPayload(_square, (2,))
-        batch = make_batch([(0, payload, "t0", "key0")])
+        batch = make_batch([(0, payload, "t0")])
         assert batch.warm == ()
-        assert batch.entries == ((0, payload, "t0", "key0"),)
+        assert batch.entries == ((0, payload, "t0"),)
 
 
 class TestBatchWorker:
@@ -102,7 +102,7 @@ class TestBatchWorker:
         monkeypatch.setattr(payload_mod, "_WARM_ABSORBED", set())
         norms = _warm_norms()
         entries = [(i, _WarmPayload(i, warm_key="scope", warm_norms=norms),
-                    f"t{i}", None) for i in range(4)]
+                    f"t{i}") for i in range(4)]
         results = _batch_worker(make_batch(entries), RetryPolicy(), None)
         assert [r[1] for r in results] == ["ok"] * 4
         assert calls == ["scope"]
@@ -117,18 +117,18 @@ class TestBatchWorker:
         solo.absorb("scope", zip(fps, decode_terms(wire)))
         batch = make_batch([
             (i, _WarmPayload(i, warm_key="scope", warm_norms=(fps, wire)),
-             f"t{i}", None) for i in range(3)])
+             f"t{i}") for i in range(3)])
         (key, norms), = batch.warm
         batched.absorb(key, zip(norms[0], decode_terms(norms[1])))
         assert solo.export("scope") == batched.export("scope")
 
     def test_results_match_solo_worker_runs(self):
         from repro.exec.scheduler import _process_worker
-        entries = [(i, CallPayload(_square, (i,)), f"t{i}", None)
+        entries = [(i, CallPayload(_square, (i,)), f"t{i}")
                    for i in range(5)]
         batched = _batch_worker(make_batch(entries), RetryPolicy(), None)
         solo = tuple(_process_worker(i, p, RetryPolicy(), None, t)
-                     for i, p, t, _ in entries)
+                     for i, p, t in entries)
         # identical index/status/wire triples (walls differ, of course)
         assert [r[:3] for r in batched] == [r[:3] for r in solo]
 
@@ -206,33 +206,38 @@ class TestBatchKnobValidation:
 
     @pytest.mark.parametrize("value", [0, -1, False, True, 0.5, "big"])
     def test_config_rejects_bad_batch_bytes_cap(self, value):
-        with pytest.raises(ValueError, match="batch_bytes_cap"):
+        # The byte cap is the scheduler's BATCH_BYTES_CAP constant, not a
+        # field: any value for the removed keyword is refused.
+        with pytest.raises(TypeError, match="batch_bytes_cap"):
             ExecConfig(batch_bytes_cap=value)
 
     @pytest.mark.parametrize("kwargs", [
         {"batch_size": 0}, {"batch_size": -3},
         {"batch_bytes_cap": 0}, {"batch_bytes_cap": -1}])
     def test_scheduler_rejects_bad_knobs(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises((ValueError, TypeError), match=next(iter(kwargs))):
             ObligationScheduler(ExecConfig(jobs=1, backend="serial",
                                            **kwargs))
 
     def test_config_json_round_trip(self):
-        config = ExecConfig(jobs=3, backend="process", batch_size=7,
-                            batch_bytes_cap=123456)
+        config = ExecConfig(jobs=3, backend="process", batch_size=7)
         clone = ExecConfig.from_json(json.loads(
             json.dumps(config.to_json())))
         assert clone.batch_size == 7
-        assert clone.batch_bytes_cap == 123456
         assert clone == config
 
-    def test_config_defaults(self):
+    def test_config_defaults(self, monkeypatch):
         config = ExecConfig()
         assert config.batch_size == 16
-        assert config.batch_bytes_cap == 4 * 1024 * 1024
-        scheduler = config.scheduler()
-        assert scheduler.batch_size == 16
-        assert scheduler.batch_bytes_cap == 4 * 1024 * 1024
+        assert scheduler_mod.BATCH_BYTES_CAP == 4 * 1024 * 1024
+        scheduler = ObligationScheduler(ExecConfig(jobs=2))
+        obs = _obs(6)
+        assert scheduler._form_units(obs, range(6)) == [(0, 1, 2),
+                                                        (3, 4, 5)]
+        # A cap below one payload's marginal size ships every item solo.
+        monkeypatch.setattr(scheduler_mod, "BATCH_BYTES_CAP", 16)
+        assert scheduler._form_units(obs, range(6)) == [(i,)
+                                                        for i in range(6)]
 
 
 class TestCLIBatchFlags:

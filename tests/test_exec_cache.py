@@ -190,96 +190,6 @@ class TestDiskStore:
         assert not list((tmp_path / "c").rglob("*.json"))
 
 
-class TestMemoryLRU:
-    """The in-memory layer's least-recently-used bound (PR 5): long
-    harness runs cap their footprint without losing the hottest keys."""
-
-    def test_eviction_order_is_least_recently_used(self):
-        cache = ResultCache(max_memory_entries=3)
-        for i in range(3):
-            cache.put(f"k{i}", i)
-        cache.put("k3", 3)                      # k0 is the oldest: evicted
-        hit, _ = cache.get("k0")
-        assert not hit
-        assert [cache.get(f"k{i}")[0] for i in (1, 2, 3)] == [True] * 3
-
-    def test_get_refreshes_recency(self):
-        cache = ResultCache(max_memory_entries=3)
-        for i in range(3):
-            cache.put(f"k{i}", i)
-        assert cache.get("k0")[0]               # k0 now most recently used
-        cache.put("k3", 3)                      # k1 is the LRU: evicted
-        assert cache.get("k0")[0]
-        assert not cache.get("k1")[0]
-
-    def test_put_of_existing_key_refreshes_and_updates(self):
-        cache = ResultCache(max_memory_entries=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("a", 10)                      # refresh, not insert
-        cache.put("c", 3)                       # evicts b, not a
-        assert cache.get("a") == (True, 10)
-        assert not cache.get("b")[0]
-        assert len(cache) == 2
-
-    def test_set_memory_limit_evicts_immediately(self):
-        cache = ResultCache()                   # unbounded
-        for i in range(10):
-            cache.put(f"k{i}", i)
-        cache.set_memory_limit(4)
-        assert len(cache) == 4
-        # the four *most recently used* keys survive
-        assert all(cache.get(f"k{i}")[0] for i in (6, 7, 8, 9))
-        assert not cache.get("k0")[0]
-
-    def test_memory_eviction_keeps_disk_entry(self, tmp_path):
-        """A memory-evicted key written through to disk is still a hit
-        (slower), and the hit repopulates the memory layer as MRU."""
-        cache = ResultCache(disk_dir=tmp_path, max_memory_entries=1)
-        cache.put("a", {"v": 1}, encode=lambda v: v)
-        cache.put("b", {"v": 2}, encode=lambda v: v)   # evicts a from memory
-        hit, value = cache.get("a", decode=lambda p: p)
-        assert hit and value == {"v": 1}
-        cache.put("c", {"v": 3}, encode=lambda v: v)   # now evicts a again
-        assert cache.get("c", decode=lambda p: p)[0]
-
-    def test_invalid_limits_rejected(self):
-        with pytest.raises(ValueError):
-            ResultCache(max_memory_entries=0)
-        with pytest.raises(ValueError):
-            ResultCache().set_memory_limit(0)
-        with pytest.raises(ValueError):
-            ExecConfig(cache_memory_entries=0)
-
-    def test_exec_config_applies_cap_to_scheduler_cache(self):
-        cache = ResultCache()
-        for i in range(8):
-            cache.put(f"k{i}", i)
-        config = ExecConfig(jobs=1, cache=cache, cache_memory_entries=5)
-        scheduler = config.scheduler()
-        assert scheduler.cache is cache
-        assert cache.max_memory_entries == 5
-        assert len(cache) == 5
-
-    def test_bounded_cache_on_real_proof_run(self):
-        """End to end: a tightly bounded cache still yields a correct
-        (if partially cold) second run."""
-        cache = ResultCache()
-        t1, t2 = Telemetry(), Telemetry()
-        r1 = ImplementationProof(
-            small_package(),
-            exec=ExecConfig(cache=cache, telemetry=t1,
-                            cache_memory_entries=2)).run()
-        r2 = ImplementationProof(
-            small_package(),
-            exec=ExecConfig(cache=cache, telemetry=t2,
-                            cache_memory_entries=2)).run()
-        assert len(cache) <= 2
-        # outcomes identical whether each obligation hit or recomputed
-        assert [(o.vc.name, o.stage) for o in r1.outcomes] == \
-               [(o.vc.name, o.stage) for o in r2.outcomes]
-
-
 class TestTmpSweep:
     """Regression: ``*.tmp`` files orphaned by a writer that died between
     ``mkstemp`` and the atomic ``os.replace`` used to accumulate forever

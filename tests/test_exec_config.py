@@ -30,8 +30,6 @@ class TestExecConfig:
         assert config.on_backend_failure == "raise"
         assert config.remote_workers == ()
         assert config.remote_listen is None
-        assert config.lease_timeout_seconds is None
-        assert config.remote_shared_cache is True
 
     def test_scheduler_derivation(self):
         telemetry = Telemetry()
@@ -50,9 +48,7 @@ class TestExecConfig:
     def test_scheduler_derivation_remote_fields(self):
         config = ExecConfig(
             backend="remote", jobs=4, cache=False, telemetry=Telemetry(),
-            remote_workers=("farm1:9000", "farm2:9000"),
-            lease_timeout_seconds=30.0,
-            remote_shared_cache=False)
+            remote_workers=("farm1:9000", "farm2:9000"))
         scheduler = config.scheduler()
         assert scheduler.backend == "remote"
         assert scheduler.config is config
@@ -129,12 +125,6 @@ class TestRemoteFields:
         with pytest.raises(ValueError, match="remote_workers"):
             ExecConfig(remote_workers="host:1")   # a bare string is a bug
 
-    def test_lease_timeout_and_shared_cache_validation(self):
-        with pytest.raises(ValueError, match="lease_timeout_seconds"):
-            ExecConfig(lease_timeout_seconds=0)
-        with pytest.raises(ValueError, match="remote_shared_cache"):
-            ExecConfig(remote_shared_cache="yes")
-
     def test_remote_is_never_effectively_serial(self, monkeypatch):
         """Even ``jobs=1`` ships to the farm: with no worker joining, the
         run fails as an unusable farm instead of running inline."""
@@ -156,9 +146,7 @@ class TestJsonWireForm:
             jobs=6, backend="remote", timeout_seconds=4.5,
             retries=RetryPolicy(retries=2, base_delay=0.01),
             on_error="record", on_backend_failure="degrade",
-            cache_memory_entries=128,
-            remote_workers=("farm1:9000", "farm2:9000"),
-            lease_timeout_seconds=20.0, remote_shared_cache=False)
+            remote_workers=("farm1:9000", "farm2:9000"))
         data = config.to_json()
         assert data["remote_workers"] == ["farm1:9000", "farm2:9000"]
         assert ExecConfig.from_json(data) == config
@@ -361,9 +349,13 @@ class TestExecFlags:
         return capsys.readouterr().err
 
     def test_misspelled_flag_is_rejected(self, cli, capsys):
-        # argparse's prefix matching would have read --job as --jobs
-        assert "unrecognized arguments: --job" in \
-            self._usage_error(cli, ["--job", "4"], capsys)
+        # argparse's prefix matching would have read --job as --jobs;
+        # the other flags name removed ExecConfig fields.
+        for argv in (["--job", "4"], ["--lease-timeout", "1"],
+                     ["--no-remote-shared-cache"],
+                     ["--batch-bytes-cap", "1"]):
+            assert f"unrecognized arguments: {argv[0]}" in \
+                self._usage_error(cli, argv, capsys)
 
     def test_repeated_flag_takes_its_last_value(self, cli):
         assert cli(["--jobs", "2", "--jobs=3"]).jobs == 3
@@ -374,11 +366,8 @@ class TestExecFlags:
 
     def test_remote_workers_are_named(self, cli):
         config = cli(["--backend", "remote", "--remote-worker", "h:1",
-                      "--remote-worker", "h:2", "--lease-timeout", "9",
-                      "--no-remote-shared-cache"])
+                      "--remote-worker", "h:2"])
         assert config.remote_workers == ("h:1", "h:2")
-        assert config.lease_timeout_seconds == 9.0
-        assert config.remote_shared_cache is False
 
     def test_defaults_are_exec_config_defaults(self, cli):
         assert cli([]) == ExecConfig()

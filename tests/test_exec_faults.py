@@ -100,9 +100,6 @@ class ChaosPayload(ObligationPayload):
     def encode_result(self, value):
         return self.inner.encode_result(value)
 
-    def decode_result(self, wire):
-        return self.inner.decode_result(wire)
-
 
 def _chaos_wrap(ob, state_dir, plan):
     if not plan:

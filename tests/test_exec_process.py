@@ -128,7 +128,7 @@ class TestProcessScheduling:
         assert [o.status for o in first] == ["ok"] * 4
         assert [o.status for o in second] == ["cached"] * 4
         assert [o.value for o in second] == [0, 1, 4, 9]
-        # A worker result's detail reads ``worker=... served=... keyed``.
+        # A keyed worker result's detail ends in ``keyed``: a cache miss.
         assert (cold.stats().cache_misses, cold.stats().cache_hits) == (4, 0)
         assert (warm.stats().cache_misses, warm.stats().cache_hits) == (0, 4)
 

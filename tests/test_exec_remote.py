@@ -1,8 +1,8 @@
 """Distributed proof-farm tests (DESIGN.md §16): scheduler semantics
-over socket-connected workers, the versioned handshake, the shared
-networked cache tier, and the remote failure matrix -- kill -9 mid
-obligation, lease expiry, flapping-host quarantine, degradation to the
-process backend -- with verdicts bit-identical to serial throughout."""
+over socket-connected workers, the versioned handshake, and the remote
+failure matrix -- kill -9 mid obligation, lease expiry, flapping-host
+quarantine, degradation to the process backend -- with verdicts
+bit-identical to serial throughout."""
 
 import contextlib
 import os
@@ -15,7 +15,7 @@ import pytest
 
 from repro.exec import (
     CallPayload, ExecConfig, Obligation, ObligationScheduler, ResultCache,
-    RetryPolicy, Telemetry, make_key,
+    Telemetry, make_key,
 )
 from repro.exec.remote import (
     REJECTED_EXIT, Link, RemoteCoordinator, spawn_worker,
@@ -53,6 +53,13 @@ def _wait_for(path, value, limit=30.0):
             raise RuntimeError(f"release file {path} never appeared")
         time.sleep(0.02)
     return value
+
+
+def _ignore_alarm_and_wait(release, value):
+    """Disarm the worker's per-obligation SIGALRM, then wait for the
+    release file: a worker that no longer honours its timeout."""
+    signal.signal(signal.SIGALRM, signal.SIG_IGN)
+    return _wait_for(release, value)
 
 
 def _write_pid_and_wait(marker, release, value, limit=30.0):
@@ -254,78 +261,40 @@ class TestRemoteScheduling:
             assert [o.status for o in first] == ["ok"] * 4
             assert [o.status for o in second] == ["cached"] * 4
             assert [o.value for o in second] == [0, 1, 4, 9]
-            # A worker result's detail reads ``worker=... served=...
-            # keyed``.
+            # A worker result's detail reads ``worker=... keyed``.
             assert (cold.stats().cache_misses,
                     cold.stats().cache_hits) == (4, 0)
             assert (warm.stats().cache_misses,
                     warm.stats().cache_hits) == (0, 4)
 
-    def test_worker_local_cache_warm_across_runs(self):
-        """A persistent (listen-mode) worker keeps its local result tier
-        across scheduler runs: the second run's keyed obligation is
-        answered from the worker's own cache -- its payload never runs
-        (it would raise)."""
+    def test_uncached_rerun_recomputes_on_every_backend(self):
+        """With the parent's cache off nothing answers for a payload: the
+        second run of the same keyed obligations executes payloads that
+        raise, so it is ``errored`` on serial, on process, and on a
+        persistent listen-mode worker that computed the first run."""
+        keys = [make_key("uncached-rerun", str(i)) for i in range(2)]
+
+        def rerun(config):
+            first = ObligationScheduler(config).run(
+                [_ob(f"square{i}", CallPayload(_square, (i + 5,)), key=key)
+                 for i, key in enumerate(keys)])
+            second = ObligationScheduler(config).run(
+                [_ob(f"boom{i}", CallPayload(_boom, (i,)), key=key)
+                 for i, key in enumerate(keys)])
+            assert [(o.status, o.value) for o in first] == \
+                [("ok", 25), ("ok", 36)]
+            return [o.status for o in second]
+
+        def config(**kw):
+            return ExecConfig(jobs=2, cache=False, on_error="record",
+                              telemetry=Telemetry(), **kw)
+
+        assert rerun(config(backend="serial")) == ["errored"] * 2
+        assert rerun(config(backend="process")) == ["errored"] * 2
         with farm(1) as addresses:
-            key = make_key("farm-local", "k")
-            first = _scheduler(addresses).run(
-                [_ob("compute", CallPayload(_square, (6,)), key=key)])
-            assert first[0].value == 36
-            telemetry = Telemetry()
-            second = _scheduler(addresses, telemetry=telemetry).run(
-                [_ob("hit", CallPayload(_boom, (0,)), key=key)])
-            assert second[0].status == "ok" and second[0].value == 36
-            assert any("served=local" in d
-                       for d in _details(telemetry, "finished"))
-
-
-class TestSharedCacheTier:
-    def test_concurrent_duplicate_key_served_from_tier(self, tmp_path):
-        """Two in-flight obligations share a cache key on different
-        workers: the second worker's ``cache_get`` read-through hits the
-        coordinator's result memo (populated by the first worker's
-        verdict) -- its payload, which would raise, never runs."""
-        with farm(2, prefix="t") as addresses:
-            key = make_key("farm-tier", "k")
-            coordinator = RemoteCoordinator(
-                dial=addresses, cache_lookup=lambda _key: None,
-                per_worker=2)
-            coordinator.start()
-            try:
-                assert coordinator.wait_for_workers(2, 10.0)
-                blocker_release = str(tmp_path / "release")
-                policy = RetryPolicy()
-                # t0 is blocked behind a release file; the duplicate-key
-                # obligation queues behind it on the same worker.
-                assert coordinator.lease(
-                    0, CallPayload(_wait_for, (blocker_release, 0)),
-                    policy, None, "blocker", None, avoid=("t1",)) == "t0"
-                assert coordinator.lease(
-                    1, CallPayload(_square, (11,)), policy, None,
-                    "compute", key, avoid=("t0",)) == "t1"
-                assert coordinator.lease(
-                    2, CallPayload(_boom, (2,)), policy, None,
-                    "duplicate", key, avoid=("t1",)) == "t0"
-                results = {}
-                deadline = time.monotonic() + 20.0
-                while 1 not in results:
-                    event = coordinator.poll(timeout=0.25)
-                    assert time.monotonic() < deadline
-                    if event and event[0] == "result":
-                        results[event[1]] = event
-                with open(blocker_release, "w"):
-                    pass
-                while 0 not in results or 2 not in results:
-                    event = coordinator.poll(timeout=0.25)
-                    assert time.monotonic() < deadline
-                    if event and event[0] == "result":
-                        results[event[1]] = event
-                assert results[1][2][1] == "ok"
-                assert results[2][2][1] == "ok"
-                assert results[2][4] == "tier"          # served tier
-                assert results[2][2][2] == results[1][2][2]   # same wire
-            finally:
-                coordinator.stop()
+            assert rerun(config(backend="remote",
+                                remote_workers=tuple(addresses))) == \
+                ["errored"] * 2
 
 
 class TestRemoteHandshake:
@@ -402,8 +371,7 @@ class TestRemoteHandshake:
             hello = link.recv(timeout=10.0)
             assert hello["op"] == "hello"
             assert hello["protocol"] == PROTOCOL_VERSION
-            link.send({"reply": "welcome", "protocol": 99,
-                       "shared_cache": False})
+            link.send({"reply": "welcome", "protocol": 99})
             assert proc.wait(timeout=15.0) == REJECTED_EXIT
             link.close()
         finally:
@@ -413,26 +381,28 @@ class TestRemoteHandshake:
                 proc.wait()
 
     def test_previous_protocol_version_rejected(self):
-        """Protocol 3 added the batched lease generation; a version-2
-        hello therefore cannot be grandfathered in -- the worker would
-        sit on ``lease_batch`` messages it cannot decode."""
-        assert PROTOCOL_VERSION >= 3
+        """Protocol 3 added the batched lease generation and protocol 4
+        made it the only lease shape; an older hello therefore cannot be
+        grandfathered in -- a version-2 worker cannot decode a batch,
+        and a version-3 worker would misread a ``lease`` as solo."""
+        assert PROTOCOL_VERSION >= 4
         coordinator = RemoteCoordinator(listen="127.0.0.1:0")
         coordinator.start()
         try:
-            link = self._dial(coordinator)
-            link.send({"op": "hello", "protocol": 2,
-                       "name": "relic", "pid": 1})
-            reply = link.recv(timeout=5.0)
-            assert reply["reply"] == "error"
-            assert reply["code"] == "protocol_mismatch"
-            link.close()
+            for version in (2, 3):
+                link = self._dial(coordinator)
+                link.send({"op": "hello", "protocol": version,
+                           "name": f"relic{version}", "pid": 1})
+                reply = link.recv(timeout=5.0)
+                assert reply["reply"] == "error"
+                assert reply["code"] == "protocol_mismatch"
+                link.close()
         finally:
             coordinator.stop()
 
     def test_old_version_worker_process_exits_cleanly(self):
-        """End to end: a worker binary from before the batching protocol
-        (simulated by pinning ``PROTOCOL_VERSION = 2`` before the worker
+        """End to end: a worker binary from before the single lease shape
+        (simulated by pinning ``PROTOCOL_VERSION = 3`` before the worker
         module binds it) dials a current coordinator and exits
         ``REJECTED_EXIT`` -- a clean, diagnosable rejection rather than
         a hang or a garbled lease."""
@@ -442,7 +412,7 @@ class TestRemoteHandshake:
         coordinator.start()
         script = (
             "import sys, repro.protocol as protocol\n"
-            "protocol.PROTOCOL_VERSION = 2\n"
+            "protocol.PROTOCOL_VERSION = 3\n"
             "from repro.exec.remote import worker\n"
             "sys.exit(worker.main(['--connect', sys.argv[1],"
             " '--name', 'relic']))\n")
@@ -497,21 +467,27 @@ class TestRemoteFailureMatrix:
             crashed = _details(telemetry, "crashed")
             assert crashed and all("lost" in d for d in crashed)
 
-    def test_lease_expiry_drops_worker_and_reruns(self, tmp_path):
-        """A lease that outlives its deadline is treated as a dead host:
-        the connection is closed, the obligation blamed and re-run after
-        the worker rejoins."""
+    def test_lease_expiry_drops_worker_and_reruns(self, tmp_path,
+                                                  monkeypatch):
+        """A lease that outlives its deadline -- derived from
+        ``timeout_seconds`` -- is treated as a dead host: the connection
+        is closed, the obligation blamed and re-run after the worker
+        rejoins.  The payload ignores its alarm, so only the lease bound
+        (2 leases x 0.4 s x 1.5 + 0.2 s slack = 1.4 s) can end it."""
+        monkeypatch.setattr(ObligationScheduler, "TIMEOUT_FALLBACK_SLACK",
+                            0.2)
         release = str(tmp_path / "release")
         with farm(1, prefix="e") as addresses:
             telemetry = Telemetry()
             scheduler = _scheduler(addresses, jobs=1, telemetry=telemetry,
-                                   lease_timeout_seconds=1.0)
+                                   timeout_seconds=0.4)
             timer = threading.Timer(
-                2.5, lambda: open(release, "w").close())
+                3.0, lambda: open(release, "w").close())
             timer.start()
             try:
                 outcomes = scheduler.run(
-                    [_ob("stuck", CallPayload(_wait_for, (release, 7)))])
+                    [_ob("stuck", CallPayload(_ignore_alarm_and_wait,
+                                              (release, 7)))])
             finally:
                 timer.cancel()
             assert outcomes[0].status == "ok" and outcomes[0].value == 7
@@ -612,8 +588,8 @@ class TestRemoteFailureMatrix:
 
 class TestRemoteDifferential:
     """The acceptance gate: backend='remote' verdicts are bit-identical
-    to serial on the sampled AES corpus -- cold, warm (shared cache),
-    and after a worker crash."""
+    to serial on the sampled AES corpus -- cold, warm (the parent's
+    cache), and after a worker crash."""
 
     def _keys(self, result):
         return [outcome_key(o) for o in result.outcomes]

@@ -190,6 +190,16 @@ class TestNormalizeSubmit:
             with pytest.raises(ProtocolError) as exc:
                 normalize_submit(submit_msg(exec=bad))
             assert exc.value.code == "bad_request"
+        # Removed ExecConfig fields are unknown keys, named as such.
+        for key, value in (("cache_memory_entries", 10),
+                           ("lease_timeout_seconds", 1.0),
+                           ("remote_shared_cache", False),
+                           ("batch_bytes_cap", 1024)):
+            with pytest.raises(ProtocolError) as exc:
+                normalize_submit(submit_msg(exec={key: value}))
+            assert exc.value.code == "bad_request"
+            assert f"unknown exec config keys: ['{key}']" in \
+                exc.value.detail
 
     def test_exec_cannot_name_caches(self):
         # The isolation boundary: a request must never smuggle a cache
@@ -358,13 +368,12 @@ class TestExecConfigCodec:
     def test_round_trip(self):
         config = ExecConfig(jobs=3, backend="process", timeout_seconds=1.5,
                             retries=RetryPolicy(retries=2),
-                            on_error="record", cache_memory_entries=10)
+                            on_error="record")
         clone = ExecConfig.from_json(config.to_json())
         assert clone.jobs == 3 and clone.backend == "process"
         assert clone.timeout_seconds == 1.5
         assert clone.retries.retries == 2
         assert clone.on_error == "record"
-        assert clone.cache_memory_entries == 10
 
     def test_json_is_plain_data(self):
         json.dumps(ExecConfig(retries=RetryPolicy()).to_json())
