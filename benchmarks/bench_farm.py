@@ -40,7 +40,7 @@ from pathlib import Path
 from repro.aes.annotations import annotated_package
 from repro.aes.proof_scripts import aes_proof_scripts
 from repro.exec import ExecConfig, ResultCache, Telemetry
-from repro.exec.remote import spawn_worker
+from repro.exec.remote.worker import spawn_worker
 from repro.prover import ImplementationProof
 
 CHECK_MODE = os.environ.get("REPRO_BENCH_CHECK", "") not in ("", "0")

@@ -8,14 +8,12 @@ The three proof layers of the Echo pipeline -- VC discharge
 :class:`~repro.exec.scheduler.ObligationScheduler`, which runs them on
 one of three backends -- inline (``backend='serial'`` or ``jobs=1``,
 bit-identical to the historical serial path), a process pool
-(``backend='process'``, true
-multi-core proving via the declarative payloads of
-:mod:`repro.exec.payload`), or a distributed proof farm
-(``backend='remote'``, socket-connected worker hosts with a shared
-networked cache tier, :mod:`repro.exec.remote`) -- consults a
-content-addressed
-:class:`~repro.exec.cache.ResultCache`, and records structured
-:class:`~repro.exec.telemetry.Telemetry` events.
+(``backend='process'``, true multi-core proving via the declarative
+payloads of :mod:`repro.exec.payload`), or a distributed proof farm
+(``backend='remote'``, socket-connected worker hosts,
+:mod:`repro.exec.remote`) -- answers hits from the parent's
+content-addressed :class:`~repro.exec.cache.ResultCache`, and records
+structured :class:`~repro.exec.telemetry.Telemetry` events.
 
 Callers configure all of this through one value object,
 :class:`~repro.exec.config.ExecConfig`, threaded as the ``exec=``
@@ -35,8 +33,8 @@ from .obligation import (
     lemma_obligation, vc_obligation,
 )
 from .payload import (
-    BatchPayload, CallPayload, EquivTrialPayload, LemmaPayload,
-    ObligationPayload, VCPayload, make_batch,
+    CallPayload, EquivTrialPayload, LemmaPayload, ObligationPayload,
+    VCPayload,
 )
 from .remote import RemoteCoordinator
 from .scheduler import (
@@ -55,7 +53,7 @@ __all__ = [
     "package_fingerprint", "theory_fingerprint",
     "vc_obligation", "equiv_trial_obligation", "lemma_obligation",
     "ObligationPayload", "VCPayload", "EquivTrialPayload", "LemmaPayload",
-    "CallPayload", "BatchPayload", "make_batch",
+    "CallPayload",
     "VC", "EQUIV_TRIAL", "LEMMA",
     "RemoteCoordinator",
 ]

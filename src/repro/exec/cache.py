@@ -52,40 +52,37 @@ def make_key(*parts: str) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def package_fingerprint(typed, *, source: Optional[str] = None) -> str:
-    """Stable digest of a typed MiniAda package (its printed source).
-
-    Memoized on the object: packages are immutable after analysis and a
-    fingerprint is needed once per obligation batch, not once per VC.
-    ``source`` is ``print_package(typed.package)`` when the caller already
-    printed it; it is printed here otherwise.
-    """
-    cached = getattr(typed, "_exec_fingerprint", None)
+def _memo_fingerprint(obj, source: Callable[[], str]) -> str:
+    """SHA-256 of ``source()``, memoized on ``obj`` (immutable once
+    analyzed, so a digest is needed once per obligation batch, not once
+    per obligation)."""
+    cached = getattr(obj, "_exec_fingerprint", None)
     if cached is not None:
         return cached
-    if source is None:
-        from ..lang import print_package
-        source = print_package(typed.package)
-    digest = hashlib.sha256(source.encode()).hexdigest()
+    digest = hashlib.sha256(source().encode()).hexdigest()
     try:
-        typed._exec_fingerprint = digest
+        obj._exec_fingerprint = digest
     except AttributeError:   # __slots__-restricted object: recompute next time
         pass
     return digest
 
 
+def package_fingerprint(typed, *, source: Optional[str] = None) -> str:
+    """Stable digest of a typed MiniAda package (its printed source).
+    ``source`` is ``print_package(typed.package)`` when the caller already
+    printed it; it is printed here otherwise."""
+    def printed() -> str:
+        from ..lang import print_package
+        return print_package(typed.package) if source is None else source
+    return _memo_fingerprint(typed, printed)
+
+
 def theory_fingerprint(theory) -> str:
     """Stable digest of a MiniPVS theory (its printed source)."""
-    cached = getattr(theory, "_exec_fingerprint", None)
-    if cached is not None:
-        return cached
-    from ..spec import print_theory
-    digest = hashlib.sha256(print_theory(theory).encode()).hexdigest()
-    try:
-        theory._exec_fingerprint = digest
-    except AttributeError:
-        pass
-    return digest
+    def printed() -> str:
+        from ..spec import print_theory
+        return print_theory(theory)
+    return _memo_fingerprint(theory, printed)
 
 
 class ResultCache:
@@ -147,11 +144,11 @@ class ResultCache:
 
     # -- maintenance / stats -------------------------------------------------
 
-    def clear(self, memory_only: bool = False) -> None:
+    def clear(self) -> None:
         with self._lock:
             self._memory.clear()
             self._hits = self._misses = 0
-        if not memory_only and self.disk_dir is not None:
+        if self.disk_dir is not None:
             for entry in self.disk_dir.glob("*/*.json"):
                 try:
                     entry.unlink()

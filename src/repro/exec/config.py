@@ -26,28 +26,12 @@ from dataclasses import dataclass
 from typing import Any, Optional, Tuple, Union
 
 from .cache import default_cache
+from .remote.link import parse_address
 from .retry import RetryPolicy
 from .scheduler import BACKENDS, ObligationScheduler
 from .telemetry import Telemetry, default_telemetry
 
 __all__ = ["ExecConfig", "RetryPolicy", "coerce_exec_config"]
-
-
-def _check_address(owner: str, value: Any) -> str:
-    """Validate a ``"host:port"`` address string (hostless ``":0"`` is
-    allowed for listen addresses -- bind all interfaces, ephemeral
-    port)."""
-    if not isinstance(value, str) or ":" not in value:
-        raise ValueError(f"{owner} addresses must be 'host:port' strings, "
-                         f"got {value!r}")
-    host, _, port = value.rpartition(":")
-    try:
-        port_num = int(port)
-    except ValueError:
-        raise ValueError(f"{owner}: port in {value!r} is not an integer")
-    if not 0 <= port_num <= 65535:
-        raise ValueError(f"{owner}: port in {value!r} out of range")
-    return value
 
 
 @dataclass(frozen=True)
@@ -142,9 +126,9 @@ class ExecConfig:
             raise ValueError(f"remote_workers must be a tuple of "
                              f"'host:port' strings, got {workers!r}")
         for address in workers:
-            _check_address("remote_workers", address)
+            parse_address(address)
         if self.remote_listen is not None:
-            _check_address("remote_listen", self.remote_listen)
+            parse_address(self.remote_listen)   # ":0" = any interface
         if isinstance(self.batch_size, bool) \
                 or not isinstance(self.batch_size, int) \
                 or self.batch_size < 1:
@@ -197,14 +181,9 @@ class ExecConfig:
         """The JSON-portable fields of this config (see
         :attr:`JSON_FIELDS`; ``retries`` dumps as the policy's dict,
         ``remote_workers`` as a list)."""
-        out = {}
-        for name in self.JSON_FIELDS:
-            value = getattr(self, name)
-            if name == "retries":
-                value = value.to_json()
-            elif name == "remote_workers":
-                value = list(value)
-            out[name] = value
+        out = {name: getattr(self, name) for name in self.JSON_FIELDS}
+        out.update(retries=self.retries.to_json(),
+                   remote_workers=list(self.remote_workers))
         return out
 
     @classmethod

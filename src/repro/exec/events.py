@@ -21,9 +21,9 @@ Fault-tolerance events extend the life cycle (DESIGN.md §12):
 * ``WORKER_ABANDONED`` -- pool shutdown left an unresponsive worker
   behind (``kind='exec'``; the obligation itself was already recorded
   ``timed_out``).
-* ``DISPATCHED`` -- one dispatch unit (a solo obligation or a
-  :class:`~repro.exec.payload.BatchPayload` bundle) completed its round
-  trip to a worker (``kind='exec'``; non-terminal bookkeeping).  ``wall``
+* ``DISPATCHED`` -- one dispatch unit (a solo obligation or a batch of
+  ``(index, payload, token)`` entries) completed its round trip to a
+  worker (``kind='exec'``; non-terminal bookkeeping).  ``wall``
   carries the *dispatch overhead*: round-trip wall minus the summed
   per-item execution walls -- the pickling/wire/queue cost the batching
   layer (DESIGN.md §18) exists to amortize.  ``detail`` is

@@ -43,7 +43,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 __all__ = [
     "ObligationPayload", "VCPayload", "EquivTrialPayload", "LemmaPayload",
-    "CallPayload", "BatchPayload", "make_batch",
+    "CallPayload",
 ]
 
 
@@ -194,7 +194,9 @@ class VCPayload(ObligationPayload):
     #: Optional warm normalization batch: the parent examiner's subterm
     #: normal forms for this subprogram, as (scope key, (fingerprint
     #: tuple, wire-encoded terms)).  Absorbed once per worker; purely an
-    #: accelerator -- results are identical without it.
+    #: accelerator -- results are identical without it.  Every VC payload
+    #: of one subprogram holds the same tuple object, so pickle's memo
+    #: ships it once per dispatch unit (DESIGN.md §18).
     warm_key: Optional[str] = None
     warm_norms: Any = None
 
@@ -279,70 +281,6 @@ class LemmaPayload(ObligationPayload):
     def encode_result(self, value):
         from .obligation import _encode_lemma_outcome
         return _encode_lemma_outcome(value)
-
-
-# ---------------------------------------------------------------------------
-# Batched dispatch
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BatchPayload:
-    """K small obligations bundled into one dispatch unit (DESIGN.md §18).
-
-    A batch is *not* an obligation -- it is a transport envelope the
-    scheduler wraps around several already-admitted obligations so they
-    share one pickle/wire/lease round trip.  Each entry is
-    ``(index, payload, token)``: the scheduler's obligation index, the
-    item's :class:`ObligationPayload`, and the per-item alarm token.  A
-    solo dispatch is a batch of one.
-
-    ``warm`` carries the batch's *hoisted* warm normalization batches:
-    the distinct ``(warm_key, warm_norms)`` pairs of the bundled
-    :class:`VCPayload` items, each shipped and absorbed exactly once per
-    dispatch instead of once per item (:func:`make_batch` strips the
-    per-item copies).  Because one batch's items typically share a
-    package AST and warm batch, pickling the envelope also serializes
-    those shared objects once -- the bulk of the wire saving.
-
-    Per-item semantics are preserved: the worker runs each entry through
-    the same per-item timeout/retry machinery a solo dispatch uses and
-    returns one result tuple per entry, so timeouts, retries, and fault
-    blame stay attributable to individual obligations.
-    """
-
-    entries: Tuple[Tuple[int, Any, str], ...]
-    warm: Tuple[Tuple[str, Any], ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def make_batch(entries) -> BatchPayload:
-    """Bundle ``(index, payload, token)`` tuples into a
-    :class:`BatchPayload`, hoisting shared warm normalization batches.
-
-    Hoisting replaces each item's ``warm_norms`` with ``None`` on a
-    *copy* of the payload (the caller's obligations are untouched, so a
-    blamed batch's solo re-runs still ship their own warm batch) and
-    records each distinct ``(warm_key, fingerprint-tuple)`` batch once
-    in :attr:`BatchPayload.warm`.  The worker absorbs the hoisted
-    batches before running any entry, so items observe exactly the warm
-    cache state they would have installed themselves.
-    """
-    from dataclasses import replace
-    hoisted: Dict[tuple, Tuple[str, Any]] = {}
-    stripped = []
-    for index, payload, token in entries:
-        warm_key = getattr(payload, "warm_key", None)
-        warm_norms = getattr(payload, "warm_norms", None)
-        if warm_key is not None and warm_norms is not None:
-            memo = (warm_key, warm_norms[0])
-            if memo not in hoisted:
-                hoisted[memo] = (warm_key, warm_norms)
-            payload = replace(payload, warm_norms=None)
-        stripped.append((index, payload, token))
-    return BatchPayload(entries=tuple(stripped),
-                        warm=tuple(hoisted.values()))
 
 
 # ---------------------------------------------------------------------------

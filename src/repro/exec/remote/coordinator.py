@@ -1,10 +1,10 @@
-"""The proof-farm coordinator: worker registry and leases.
+"""The proof-farm coordinator: the remote backend's socket transport.
 
-One :class:`RemoteCoordinator` lives inside the scheduler's
-``backend='remote'`` run (the socket transport of
-:mod:`repro.exec.scheduler`).  It owns the farm's connection
-state and speaks the versioned wire protocol of :mod:`repro.protocol`
--- the scheduler only sees a lease API and an event queue:
+One :class:`RemoteCoordinator` serves one ``backend='remote'`` pass of
+the scheduler: it is the transport under the shared dispatch loop of
+:mod:`repro.exec.scheduler` (``busy``/``submit``/``poll``/``close``,
+DESIGN.md §11).  It owns the farm's connection state and leases and
+speaks the versioned wire protocol of :mod:`repro.protocol`:
 
 **Connections.**  Workers either dial in (``listen='host:port'``) or
 are dialed out to (``dial=('host:port', ...)`` -- each address gets a
@@ -15,60 +15,63 @@ version (:func:`~repro.protocol.check_protocol_version` with
 ``required=True``): a version-skewed worker is rejected loudly with a
 ``protocol_mismatch`` error, never silently tolerated.
 
-**Leases.**  A dispatch unit is *leased* to a worker as one
-:class:`~repro.exec.payload.BatchPayload` (a solo obligation is a batch
-of one, DESIGN.md §18): the lease record is registered before the
-``lease`` message is sent (journal-before-send, the discipline
-:mod:`repro.serve.journal` uses for requests), the worker ``ack``\\ s
-receipt, and the terminal ``result`` message -- one result tuple per
-member -- retires the lease.  A lease that outlives its deadline marks
-the whole connection suspect -- the coordinator closes it and blames
-every lease the worker held, exactly as if the host had died.
+**Leases.**  A dispatch unit is *leased* to a worker as the job the
+scheduler built for it -- its ``(index, payload, token)`` entries (a
+solo obligation is a unit of one, DESIGN.md §18), the retry policy and
+the timeout -- at most ``jobs`` leases in flight and
+:attr:`~RemoteCoordinator.PER_WORKER` per worker: the lease record is
+registered before the ``lease`` message is sent (journal-before-send,
+the discipline :mod:`repro.serve.journal` uses for requests), the worker
+``ack``\\ s receipt, and the terminal ``result`` message -- one result
+tuple per member -- retires the lease.  A lease found past its
+deadline (derived from the per-obligation timeout) on a poll marks the
+whole connection suspect -- the coordinator closes it and blames every
+lease the worker held, exactly as if the host had died.
 
 **Failure taxonomy.**  A dead connection (EOF, send failure, protocol
-violation, expired lease) is one event: ``("lost", name, units,
-reason)`` -- the scheduler blames those obligations and re-runs them
-solo, per PR 4's crash machinery.  A worker that loses leases
-``FLAP_STRIKES`` times is *quarantined by name*: its re-registrations
-are rejected (``("quarantined", name, reason)`` tells the scheduler to
-record telemetry).  An idle disconnect (no leases held) is not a
-strike -- reconnect churn on a quiet farm is not flapping.
+violation, expired lease) reports each of its leases ``lost`` -- the
+scheduler blames those obligations and re-runs them solo, steered away
+from the host that lost them while another is alive.  A worker that
+loses leases ``FLAP_STRIKES`` times is *quarantined by name*: its
+re-registrations are rejected and a ``quarantined`` telemetry event
+records it.  An idle disconnect (no leases held) is not a strike --
+reconnect churn on a quiet farm is not flapping.
 """
 
 from __future__ import annotations
 
-import queue
+import itertools
 import socket
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Set
+from collections import Counter
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from ...protocol import PROTOCOL_VERSION, ProtocolError, \
     check_protocol_version
+from .. import events as ev
+from ..scheduler import BackendUnusableError, _unit_errored
+from ..telemetry import default_telemetry
 from .link import Link, decode_blob, encode_blob, parse_address
 
 __all__ = ["RemoteCoordinator"]
 
 
-class _Worker:
-    """One live connection's registry entry."""
+class _Worker(NamedTuple):
+    """One live connection's registry entry (its leases are the
+    coordinator's ``_leases`` that name it)."""
 
-    def __init__(self, name: str, link: Link):
-        self.name = name
-        self.link = link
-        self.lease_ids: Set[str] = set()
+    name: str
+    link: Link
 
 
-class _Lease:
+class _Lease(NamedTuple):
     """One dispatch unit on one worker; a lost connection blames every
     member of ``indices``."""
 
-    def __init__(self, lease_id: str, indices: tuple, worker: _Worker,
-                 deadline: Optional[float]):
-        self.lease_id = lease_id
-        self.indices = indices
-        self.worker = worker
-        self.deadline = deadline
+    indices: tuple
+    worker: _Worker
+    deadline: Optional[float]
 
 
 class RemoteCoordinator:
@@ -78,33 +81,48 @@ class RemoteCoordinator:
     FLAP_STRIKES = 2
     #: Pause between reconnect attempts of a dialer thread.
     DIAL_BACKOFF = 0.25
-    #: Lease-expiry scan period.
-    MONITOR_PERIOD = 0.1
+    #: Seconds :meth:`poll` waits for a worker to register while work is
+    #: pending (at start-up, and again after losing every worker) before
+    #: declaring the backend unusable.  Tests shrink this.
+    WORKER_GRACE = 10.0
+    #: Leases one worker may hold at once.  2 keeps one unit queued
+    #: behind the one executing, so the worker never idles waiting on
+    #: the coordinator's dispatch latency.
+    PER_WORKER = 2
 
     def __init__(self, listen: Optional[str] = None,
-                 dial: Sequence[str] = (),
-                 lease_timeout: Optional[float] = None,
-                 per_worker: int = 2):
+                 dial: Sequence[str] = (), *, jobs: int = 1,
+                 timeout: Optional[float] = None, slack: float = 0.0,
+                 telemetry=None):
+        """At most ``jobs`` leases in flight; ``timeout`` is the
+        per-obligation timeout and ``slack`` the parent-side slack on top
+        of it, from which lease deadlines derive; ``telemetry`` records
+        quarantines (default: the process-wide log)."""
         if listen is None and not dial:
             raise ValueError("coordinator needs listen= or dial= workers")
         self._listen = listen
         self._dial = tuple(dial)
-        self._lease_timeout = lease_timeout
-        self._per_worker = max(1, per_worker)
-        #: Farm events for the scheduler: ("joined", name) |
-        #: ("result", name, indices, result_tuples) |
-        #: ("lost", name, [indices of each lease], reason) |
-        #: ("quarantined", name, reason).
-        self.events: "queue.Queue[tuple]" = queue.Queue()
+        self._jobs = jobs
+        self._telemetry = telemetry if telemetry is not None \
+            else default_telemetry()
+        # PER_WORKER leases, each bounded worker-side by SIGALRM, bound
+        # one lease; without a timeout, leases never expire.
+        self._lease_timeout = None if timeout is None else (
+            self.PER_WORKER * timeout * 1.5 + slack)
         #: "host:port" actually bound when listening (port 0 resolved).
         self.bound_address: Optional[str] = None
-        self._lock = threading.RLock()
-        self._joined = threading.Condition(self._lock)
+        #: Guards the registry; notified on every join, result and loss.
+        self._lock = threading.Condition(threading.RLock())
         self._workers: Dict[str, _Worker] = {}
         self._leases: Dict[str, _Lease] = {}
+        #: Transport events not yet polled: ("done", results, details) |
+        #: ("lost", members, reason).
+        self._events: List[tuple] = []
+        #: obligation index -> name of the worker that last lost it.
+        self._blamed_on: Dict[int, str] = {}
+        #: worker name -> leases lost; FLAP_STRIKES quarantines the name.
         self._strikes: Dict[str, int] = {}
-        self._quarantined: Set[str] = set()
-        self._sequence = 0
+        self._lease_ids = itertools.count(1)
         self._stopping = threading.Event()
         self._server: Optional[socket.socket] = None
         self._threads: List[threading.Thread] = []
@@ -126,7 +144,6 @@ class RemoteCoordinator:
             self._spawn(self._accept_loop, "farm-accept")
         for address in self._dial:
             self._spawn(self._dial_loop, f"farm-dial-{address}", address)
-        self._spawn(self._monitor_loop, "farm-monitor")
 
     def stop(self) -> None:
         """Close every connection and stop the threads.  Idempotent."""
@@ -155,79 +172,83 @@ class RemoteCoordinator:
         thread.start()
         self._threads.append(thread)
 
-    # -- scheduler-facing API -----------------------------------------------
+    # -- the transport ------------------------------------------------------
 
-    def live_workers(self) -> int:
+    @property
+    def busy(self) -> bool:
         with self._lock:
-            return len(self._workers)
+            return bool(self._leases or self._events)
 
-    def wait_for_workers(self, count: int, timeout: float) -> bool:
-        """Block until ``count`` workers are registered (True) or the
-        timeout passes (False)."""
-        deadline = time.monotonic() + timeout
-        with self._joined:
-            while len(self._workers) < count:
-                left = deadline - time.monotonic()
-                if left <= 0 or self._stopping.is_set():
-                    return False
-                self._joined.wait(timeout=left)
-            return True
-
-    def poll(self, timeout: Optional[float] = None) -> Optional[tuple]:
-        """The next farm event, or ``None`` after ``timeout``."""
-        try:
-            return self.events.get(timeout=timeout)
-        except queue.Empty:
-            return None
-
-    def lease_batch(self, batch, retry_policy,
-                    timeout_seconds: Optional[float],
-                    avoid: Sequence[str] = ()) -> Optional[str]:
-        """Lease one :class:`~repro.exec.payload.BatchPayload` to the
-        least-loaded worker with an open slot, preferring workers not in
-        ``avoid`` (the solo re-run of a blamed obligation avoids the host
-        that lost it, when another is alive).  The batch occupies *one*
-        slot and one ``ack``/``result`` round trip; the lease records
-        every member index, so a dead connection blames each of them.
-        Returns the worker's name, or ``None`` when no worker has
-        capacity.
+    def submit(self, members: tuple, job: tuple) -> bool:
+        """Lease one unit to the least-loaded worker with an open slot,
+        preferring workers that did not lose a member before (the solo
+        re-run of a blamed obligation avoids the host that lost it, when
+        another is alive).  The unit occupies *one* slot and one
+        ``ack``/``result`` round trip; the lease records every member, so
+        a dead connection blames each of them.  False when ``jobs``
+        leases are in flight or no worker has capacity.
 
         The lease is registered before the send (journal-before-send); a
         send that fails retires the lease *before* dropping the worker --
         it never reached the worker, so its members are not blamed, only
         the worker's delivered leases are -- and another worker is
         tried."""
-        indices = tuple(index for index, _, _ in batch.entries)
         while True:
             with self._lock:
+                load = Counter(lease.worker for lease in self._leases.values())
                 open_slots = [w for w in self._workers.values()
-                              if len(w.lease_ids) < self._per_worker]
-                if not open_slots:
-                    return None
-                preferred = [w for w in open_slots
-                             if w.name not in avoid] or open_slots
-                worker = min(preferred, key=lambda w: len(w.lease_ids))
-                self._sequence += 1
-                lease_id = f"L{self._sequence}"
-                # A batch's deadline scales with its size: K obligations
+                              if load[w] < self.PER_WORKER]
+                if len(self._leases) >= self._jobs or not open_slots:
+                    return False
+                avoid = {self._blamed_on.get(i) for i in members}
+                worker = min([w for w in open_slots if w.name not in avoid]
+                             or open_slots, key=load.__getitem__)
+                lease_id = f"L{next(self._lease_ids)}"
+                # A unit's deadline scales with its size: K obligations
                 # legitimately take K times one obligation's budget.
                 deadline = (time.monotonic()
-                            + self._lease_timeout * len(indices)
+                            + self._lease_timeout * len(members)
                             if self._lease_timeout is not None else None)
-                self._leases[lease_id] = _Lease(lease_id, indices, worker,
-                                                deadline)
-                worker.lease_ids.add(lease_id)
+                self._leases[lease_id] = _Lease(members, worker, deadline)
             try:
-                worker.link.send({
-                    "op": "lease", "lease": lease_id,
-                    "blob": encode_blob((batch, retry_policy)),
-                    "timeout": timeout_seconds})
-                return worker.name
+                worker.link.send({"op": "lease", "lease": lease_id,
+                                  "blob": encode_blob(job)})
+                return True
             except OSError as exc:
                 with self._lock:
                     self._leases.pop(lease_id, None)
-                    worker.lease_ids.discard(lease_id)
                 self._drop_worker(worker, f"send failed: {exc}")
+
+    def poll(self) -> List[tuple]:
+        """The transport events since the last poll, waiting briefly for
+        one.  A lease past its deadline drops its worker first.  With
+        work pending and no worker registered (none joined yet, or every
+        one lost or quarantined), a worker gets :attr:`WORKER_GRACE`
+        seconds to join."""
+        now = time.monotonic()
+        with self._lock:
+            expired = {lease.worker for lease in self._leases.values()
+                       if lease.deadline is not None
+                       and lease.deadline <= now}
+        for worker in expired:
+            self._drop_worker(worker, "lease expired")
+        with self._lock:
+            if not (self._leases or self._events or self._workers):
+                if not self._lock.wait_for(lambda: self._workers,
+                                           self.WORKER_GRACE):
+                    raise BackendUnusableError(
+                        "remote", f"no workers joined within "
+                                  f"{self.WORKER_GRACE}s "
+                                  f"(none came, or all were lost or "
+                                  f"quarantined)")
+                return []
+            if not self._events:
+                self._lock.wait(timeout=0.25)
+            events, self._events = self._events, []
+        return events
+
+    def close(self) -> None:
+        self.stop()
 
     # -- connection service -------------------------------------------------
 
@@ -265,8 +286,7 @@ class RemoteCoordinator:
         try:
             hello = link.recv(timeout=self.HELLO_TIMEOUT)
         except (ProtocolError, OSError, socket.timeout):
-            link.close()
-            return "rejected"
+            hello = None
         if hello is None or hello.get("op") != "hello":
             link.close()
             return "rejected"
@@ -283,7 +303,7 @@ class RemoteCoordinator:
             self._reject(link, exc)
             return "rejected"
         with self._lock:
-            if name in self._quarantined:
+            if self._strikes.get(name, 0) >= self.FLAP_STRIKES:
                 self._reject(link, ProtocolError(
                     "quarantined",
                     f"worker {name!r} is quarantined (lost leases "
@@ -305,8 +325,7 @@ class RemoteCoordinator:
                 return "rejected"
             worker = _Worker(name, link)
             self._workers[name] = worker
-            self._joined.notify_all()
-        self.events.put(("joined", name))
+            self._lock.notify_all()
         reason = "connection closed"
         try:
             while not self._stopping.is_set():
@@ -335,62 +354,49 @@ class RemoteCoordinator:
         # protocol generation.
         if message.get("reply") != "result":
             return
+        try:
+            results, error = tuple(decode_blob(message["blob"])), None
+        except Exception as exc:   # noqa: BLE001 - wire-data boundary
+            results, error = None, exc
+        # Retiring the lease and queueing its results is one step, so
+        # ``busy`` never reads False while results are unpolled.
         with self._lock:
             lease = self._leases.pop(message.get("lease"), None)
-            if lease is not None:
-                lease.worker.lease_ids.discard(lease.lease_id)
-        if lease is None:
-            return   # stale: lease expired/blamed before the results
-        try:
-            results = tuple(decode_blob(message["blob"]))
-        except Exception as exc:   # noqa: BLE001 - wire-data boundary
-            results = tuple(
-                (index, "errored", f"undecodable result blob from "
-                                   f"{worker.name}: {exc}",
-                 0.0, 1, (), None) for index in lease.indices)
-        self.events.put(("result", worker.name, lease.indices, results))
+            if lease is None:
+                return   # stale: lease expired/blamed before the results
+            if results is None:
+                results = _unit_errored(
+                    lease.indices, f"undecodable result blob from "
+                                   f"{worker.name}: {error}")
+            self._events.append(("done", results,
+                                 (f"worker={worker.name}",) * len(results)))
+            self._lock.notify_all()
 
     # -- failure paths ------------------------------------------------------
 
-    def _monitor_loop(self) -> None:
-        while not self._stopping.wait(self.MONITOR_PERIOD):
-            now = time.monotonic()
-            with self._lock:
-                victims = {lease.worker for lease in self._leases.values()
-                           if lease.deadline is not None
-                           and lease.deadline <= now}
-            for worker in victims:
-                self._drop_worker(worker, "lease expired")
-
     def _drop_worker(self, worker: _Worker, reason: str) -> None:
-        """Unified lost-connection path: unregister, blame every lease
-        the worker held, strike (and maybe quarantine) the name."""
-        newly_quarantined = False
+        """Unified lost-connection path: unregister, report every lease
+        the worker held lost, strike (and maybe quarantine) the name."""
+        name = worker.name
+        strikes = 0
         with self._lock:
-            if self._workers.get(worker.name) is not worker:
+            if self._workers.get(name) is not worker:
                 worker.link.close()
-                return   # already dropped (monitor/reader race)
-            del self._workers[worker.name]
-            units = []
-            for lease_id in sorted(worker.lease_ids):
-                lease = self._leases.pop(lease_id, None)
-                if lease is not None:
-                    units.append(lease.indices)
-            worker.lease_ids.clear()
+                return   # already dropped (poll/reader race)
+            del self._workers[name]
+            units = [self._leases.pop(lease_id).indices
+                     for lease_id, lease in list(self._leases.items())
+                     if lease.worker is worker]
             if units and not self._stopping.is_set():
-                strikes = self._strikes.get(worker.name, 0) + 1
-                self._strikes[worker.name] = strikes
-                if strikes >= self.FLAP_STRIKES \
-                        and worker.name not in self._quarantined:
-                    self._quarantined.add(worker.name)
-                    newly_quarantined = True
+                strikes = self._strikes[name] = self._strikes.get(name, 0) + 1
+                for unit in units:
+                    self._blamed_on.update(dict.fromkeys(unit, name))
+                    self._events.append(
+                        ("lost", unit, f"worker {name} lost ({reason})"))
+            self._lock.notify_all()
         worker.link.close()
-        if self._stopping.is_set():
-            return
-        if units:
-            self.events.put(("lost", worker.name, units, reason))
-        if newly_quarantined:
-            self.events.put((
-                "quarantined", worker.name,
-                f"lost in-flight leases {self._strikes[worker.name]} "
-                f"times (flapping); re-registration rejected"))
+        if strikes == self.FLAP_STRIKES:   # a quarantined name never returns
+            self._telemetry.record(
+                ev.QUARANTINED, "exec", f"worker:{name}",
+                detail=f"lost in-flight leases {strikes} times "
+                       f"(flapping); re-registration rejected")

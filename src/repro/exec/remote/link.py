@@ -37,6 +37,8 @@ def decode_blob(data: str) -> Any:
 def parse_address(address: str) -> Tuple[str, int]:
     """``"host:port"`` → ``(host, port)``.  A bare ``":port"`` means all
     interfaces (bind) / localhost (connect)."""
+    if not isinstance(address, str) or ":" not in address:
+        raise ValueError(f"bad address {address!r}: expected 'host:port'")
     host, _, port = address.rpartition(":")
     try:
         port_num = int(port)

@@ -1,10 +1,11 @@
 """The proof-farm worker: ``python -m repro.exec.remote.worker``.
 
 One worker process serves one coordinator connection at a time.  Every
-lease carries a :class:`~repro.exec.payload.BatchPayload` (a solo
-obligation is a batch of one), which the worker runs through
-:func:`repro.exec.scheduler._batch_worker` -- the function a local pool
-worker runs -- so the warm-norm absorption, the SIGALRM hard timeout,
+lease carries the arguments of
+:func:`repro.exec.scheduler._batch_worker`, the function a local pool
+worker runs -- one dispatch unit's ``(index, payload, token)`` entries
+(a solo obligation is a unit of one), the retry policy and the timeout
+-- so the warm-norm absorption, the SIGALRM hard timeout,
 the retry policy with deterministic jitter, and the result-tuple shape
 are all identical to the process backend.  The worker keeps no result
 cache: the parent's :class:`~repro.exec.cache.ResultCache` settles every
@@ -15,9 +16,10 @@ hit before a lease is sent.  Two connection modes::
 
 ``--listen`` prints ``{"listening": "host:port"}`` on stdout once bound
 (port 0 resolves to an ephemeral port) and keeps serving connections --
-a persistent farm worker.  ``--connect`` exits when the connection ends
-(a supervisor or test respawns it); a rejected handshake (version
-mismatch, quarantined name) exits with status :data:`REJECTED_EXIT`.
+a persistent farm worker.  ``--connect`` retries the dial for
+:data:`DIAL_TIMEOUT` seconds and exits when the connection ends (a
+supervisor or test respawns it); a rejected handshake (version mismatch,
+quarantined name) exits with status :data:`REJECTED_EXIT`.
 """
 
 from __future__ import annotations
@@ -39,6 +41,9 @@ __all__ = ["main", "spawn_worker", "REJECTED_EXIT"]
 
 #: Exit status when the coordinator rejects the handshake.
 REJECTED_EXIT = 3
+
+#: Seconds ``--connect`` keeps retrying to reach the coordinator.
+DIAL_TIMEOUT = 30.0
 
 
 def _log(message: str) -> None:
@@ -72,9 +77,7 @@ def _serve_connection(sock: socket.socket, name: str) -> bool:
             if message.get("op") == "lease":
                 lease_id = message.get("lease")
                 link.send({"reply": "ack", "lease": lease_id})
-                batch, retry_policy = decode_blob(message["blob"])
-                results = _batch_worker(batch, retry_policy,
-                                        message.get("timeout"))
+                results = _batch_worker(*decode_blob(message["blob"]))
                 link.send({"reply": "result", "lease": lease_id,
                            "blob": encode_blob(results)})
             # Anything else: ignore (forward compatibility).
@@ -106,29 +109,23 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--name", default=None,
                         help="worker identity for the coordinator's "
                              "registry/quarantine (default: host-pid)")
-    parser.add_argument("--once", action="store_true",
-                        help="serve a single connection, then exit")
-    parser.add_argument("--dial-timeout", type=float, default=30.0,
-                        help="seconds to keep retrying --connect "
-                             "(default 30)")
     args = parser.parse_args(argv)
     name = args.name or f"{socket.gethostname()}-{os.getpid()}"
 
     if args.connect is not None:
         address = parse_address(args.connect)
-        deadline = time.monotonic() + args.dial_timeout
+        deadline = time.monotonic() + DIAL_TIMEOUT
         while True:
             try:
                 sock = socket.create_connection(address, timeout=5.0)
+                break
             except OSError:
                 if time.monotonic() >= deadline:
                     _log(f"could not reach coordinator at "
-                         f"{args.connect} within {args.dial_timeout}s")
+                         f"{args.connect} within {DIAL_TIMEOUT}s")
                     return 1
                 time.sleep(0.1)
-                continue
-            accepted = _serve_connection(sock, name)
-            return 0 if accepted else REJECTED_EXIT
+        return 0 if _serve_connection(sock, name) else REJECTED_EXIT
 
     listen = args.listen if ":" in args.listen else f":{args.listen}"
     host, port = parse_address(listen)
@@ -143,16 +140,12 @@ def main(argv: Optional[list] = None) -> int:
             sock, _ = server.accept()
         except OSError:
             return 0
-        accepted = _serve_connection(sock, name)
-        if not accepted:
+        if not _serve_connection(sock, name):
             return REJECTED_EXIT
-        if args.once:
-            return 0
 
 
 def spawn_worker(*, connect: Optional[str] = None,
                  listen: Optional[str] = None, name: Optional[str] = None,
-                 once: bool = False, python: Optional[str] = None,
                  pythonpath_extra: Tuple[str, ...] = ()
                  ) -> Tuple[subprocess.Popen, Optional[str]]:
     """Launch a worker subprocess (the helper tests, benchmarks and the
@@ -173,7 +166,7 @@ def spawn_worker(*, connect: Optional[str] = None,
     if env.get("PYTHONPATH"):
         parts.append(env["PYTHONPATH"])
     env["PYTHONPATH"] = os.pathsep.join(parts)
-    command = [python or sys.executable, "-m", "repro.exec.remote.worker"]
+    command = [sys.executable, "-m", "repro.exec.remote.worker"]
     if (connect is None) == (listen is None):
         raise ValueError("pass exactly one of connect= or listen=")
     if connect is not None:
@@ -182,8 +175,6 @@ def spawn_worker(*, connect: Optional[str] = None,
         command += ["--listen", listen]
     if name is not None:
         command += ["--name", name]
-    if once:
-        command += ["--once"]
     process = subprocess.Popen(command, stdout=subprocess.PIPE, env=env)
     address = None
     if listen is not None:

@@ -2,8 +2,9 @@
 deterministic jitter.
 
 A transiently failing obligation (a raising thunk, or one requeued after
-a worker crash) is re-fired after a delay that grows exponentially with
-the attempt number, saturating at ``max_delay``.  The jitter share that
+a worker crash) is re-fired after a delay that grows by
+:data:`BACKOFF_FACTOR` per attempt, saturating at ``max_delay``.  The
+jitter share (up to :data:`JITTER` of the delay) that
 de-synchronizes concurrent retry storms is *deterministic*: it is derived
 from a SHA-256 over the obligation's identity token and the attempt
 number, never from ``random`` or the wall clock, so the same obligation
@@ -19,7 +20,12 @@ import hashlib
 from dataclasses import dataclass
 from typing import Union
 
-__all__ = ["RetryPolicy"]
+__all__ = ["RetryPolicy", "BACKOFF_FACTOR", "JITTER"]
+
+#: Growth of the delay per further retry.
+BACKOFF_FACTOR = 2.0
+#: Largest fraction of the delay added as deterministic jitter.
+JITTER = 0.1
 
 
 @dataclass(frozen=True)
@@ -28,10 +34,7 @@ class RetryPolicy:
 
     ``retries``     re-runs granted after the first failing attempt.
     ``base_delay``  seconds slept before the first retry.
-    ``factor``      exponential growth of the delay per further retry.
     ``max_delay``   hard cap on any single delay (backoff saturates here).
-    ``jitter``      fraction of the delay added as deterministic jitter
-                    (see the module docstring).
 
     The zero policy (``retries=0``) never sleeps and never re-fires --
     exactly the historical behaviour of ``retries=0``.  Plain ints coerce
@@ -40,9 +43,7 @@ class RetryPolicy:
 
     retries: int = 0
     base_delay: float = 0.05
-    factor: float = 2.0
     max_delay: float = 2.0
-    jitter: float = 0.1
 
     def __post_init__(self):
         if self.retries < 0:
@@ -50,14 +51,9 @@ class RetryPolicy:
         if self.base_delay < 0:
             raise ValueError(f"base_delay must be >= 0, "
                              f"got {self.base_delay!r}")
-        if self.factor < 1.0:
-            raise ValueError(f"factor must be >= 1, got {self.factor!r}")
         if self.max_delay < 0:
             raise ValueError(f"max_delay must be >= 0, "
                              f"got {self.max_delay!r}")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError(f"jitter must be within [0, 1], "
-                             f"got {self.jitter!r}")
 
     @classmethod
     def coerce(cls, value: Union[int, "RetryPolicy"]) -> "RetryPolicy":
@@ -79,13 +75,10 @@ class RetryPolicy:
         if self.base_delay == 0.0:
             return 0.0
         raw = min(self.max_delay,
-                  self.base_delay * self.factor ** (attempt - 1))
-        if self.jitter:
-            digest = hashlib.sha256(
-                f"{token}\x1f{attempt}".encode()).hexdigest()
-            fraction = int(digest[:8], 16) / 0xFFFFFFFF
-            raw = min(self.max_delay, raw * (1.0 + self.jitter * fraction))
-        return raw
+                  self.base_delay * BACKOFF_FACTOR ** (attempt - 1))
+        digest = hashlib.sha256(f"{token}\x1f{attempt}".encode()).hexdigest()
+        fraction = int(digest[:8], 16) / 0xFFFFFFFF
+        return min(self.max_delay, raw * (1.0 + JITTER * fraction))
 
     def to_json(self) -> dict:
         return dataclasses.asdict(self)

@@ -23,11 +23,13 @@ The process and remote backends share one dispatch loop
 (:meth:`ObligationScheduler._run_units`, DESIGN.md §11): it chains
 groups, settles cache hits and payloadless obligations in the parent,
 cuts the work into dispatch units before anything ships, decodes
-results, fills the cache, records telemetry, and runs the single blame
-→ solo re-run → quarantine sequence of DESIGN.md §12.  Below it sits a
-narrow transport -- submit a unit, poll for events, close -- with two
-implementations: :class:`_PoolTransport` (a local process pool) and
-:class:`_SocketTransport` (a :class:`~repro.exec.remote.RemoteCoordinator`).
+results, and runs the single blame → solo re-run → quarantine sequence
+of DESIGN.md §12.  Every result, inline or shipped, settles through one
+method (:meth:`ObligationScheduler._settle`) that builds the outcome, its
+telemetry and its cache fill.  Below the loop sits a narrow transport --
+submit a unit, poll for events, close -- with two implementations:
+:class:`_PoolTransport` (a local process pool) and
+:class:`~repro.exec.remote.RemoteCoordinator` (the farm's sockets).
 
 Obligations sharing a ``group`` execute serially in submission order on
 every backend; distinct groups and ungrouped obligations fan out freely.
@@ -63,7 +65,6 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from . import events as ev
 from .obligation import Obligation
-from .payload import make_batch
 from .retry import RetryPolicy
 
 if TYPE_CHECKING:
@@ -151,12 +152,13 @@ def _process_worker(index: int, payload, retry_policy: RetryPolicy,
                     timeout_seconds: Optional[float], token: str) -> tuple:
     """Execute one obligation payload in a worker.
 
-    Returns ``(index, status, wire_value, wall, attempts, retry_errors,
+    Returns ``(index, status, value, wall, attempts, retry_errors,
     exception-or-None)`` -- always plain picklable data; exceptions are
     only shipped as objects when they themselves pickle.  ``status`` is
-    ``'ok'``, ``'timed_out'`` (the hard per-obligation deadline fired) or
-    ``'errored'``.  The timeout budget covers the whole obligation,
-    retries *and their backoff sleeps* included.
+    ``'ok'`` (``value`` is the wire-encoded result), ``'timed_out'`` (the
+    hard per-obligation deadline fired) or ``'errored'``; for those two,
+    ``value`` is the outcome's error message.  The timeout budget covers
+    the whole obligation, retries *and their backoff sleeps* included.
     """
     started = time.perf_counter()
     retry_errors: List[str] = []
@@ -173,8 +175,9 @@ def _process_worker(index: int, payload, retry_policy: RetryPolicy,
             lambda: payload.encode_result(payload.run()), retry_policy,
             token, lambda exc: retry_errors.append(str(exc)))
     except _HardTimeout:
-        return (index, "timed_out", None, time.perf_counter() - started,
-                len(retry_errors) + 1, tuple(retry_errors), None)
+        return (index, "timed_out", f"hard timeout after {timeout_seconds}s",
+                time.perf_counter() - started, len(retry_errors) + 1,
+                tuple(retry_errors), None)
     finally:
         if alarmed:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
@@ -189,26 +192,45 @@ def _process_worker(index: int, payload, retry_policy: RetryPolicy,
         exc_obj = None
     else:
         exc_obj = exc
-    return (index, "errored", f"{type(exc).__name__}: {exc}", wall,
-            attempts, tuple(retry_errors), exc_obj)
+    return (index, "errored", _describe(exc), wall, attempts,
+            tuple(retry_errors), exc_obj)
 
 
-def _batch_worker(batch, retry_policy: RetryPolicy,
+def _describe(exc: BaseException) -> str:
+    """The ``errored`` message of an exception, on every backend."""
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _unit_errored(members: tuple, message: str, exc=None) -> tuple:
+    """Result tuples (see :func:`_process_worker`) marking every member
+    of a unit ``errored`` -- for a unit whose results never arrived
+    intact."""
+    return tuple((i, ERRORED, message, 0.0, 1, (), exc) for i in members)
+
+
+def _batch_worker(entries, retry_policy: RetryPolicy,
                   timeout_seconds: Optional[float]) -> tuple:
-    """Execute one :class:`~repro.exec.payload.BatchPayload` in a pool
-    or farm worker: absorb the hoisted warm normalization batches
-    exactly once, then run each entry through the same per-item
-    machinery a solo dispatch uses (:func:`_process_worker` installs and
-    clears its own alarm per entry, so per-item timeout, retry, and
-    jitter accounting are identical to unbatched dispatch).  Returns one
-    standard result tuple per entry, in entry order."""
-    from .payload import _absorb_warm
-    for warm_key, warm_norms in batch.warm:
-        _absorb_warm(warm_key, warm_norms)
+    """Execute one dispatch unit in a pool or farm worker: each entry
+    runs through :func:`_process_worker`, which installs and clears its
+    own alarm, so per-item timeout, retry, and jitter accounting are
+    identical to a solo dispatch.  Returns one result tuple per entry,
+    in entry order."""
     return tuple(
         _process_worker(index, payload, retry_policy, timeout_seconds,
                         token)
-        for index, payload, token in batch.entries)
+        for index, payload, token in entries)
+
+
+def _decoded(ob: Obligation, result: tuple) -> tuple:
+    """A worker result tuple with its wire value decoded by ``ob``'s
+    codec; undecodable wire data turns the result ``errored``."""
+    if result[1] != OK or ob.decode is None:
+        return result
+    try:
+        return result[:2] + (ob.decode(result[2]),) + result[3:]
+    except Exception as exc:   # noqa: BLE001 - bad wire data
+        return result[:1] + (ERRORED, f"undecodable result: {exc}") \
+            + result[3:6] + (exc,)
 
 
 class _BatchSizer:
@@ -253,27 +275,19 @@ class _BatchSizer:
         return self._buf.tell() - before
 
 
-def _batch(obligations, members: tuple):
-    """The :class:`~repro.exec.payload.BatchPayload` of a unit."""
-    return make_batch([(i, obligations[i].payload, obligations[i].label)
-                       for i in members])
-
-
 class _PoolTransport:
     """Dispatch units over a local ``ProcessPoolExecutor``.
 
     Every unit goes straight to the pool (no in-flight cap), so workers
     never idle waiting on a parent round trip.  A dead worker breaks the
     whole pool: everything in flight is reported lost and the pool is
-    respawned.  Owns the respawn budget (``POOL_SPAWN_ATTEMPTS``, via
-    :meth:`ObligationScheduler._spawn_pool`), the ``BARREN_CRASH_LIMIT``
-    on pools dying with nothing in flight, and the parent-side fallback
-    deadline behind the worker's ``SIGALRM``.
+    respawned (:meth:`ObligationScheduler._spawn_pool`).  Owns the
+    ``BARREN_CRASH_LIMIT`` on pools dying with nothing in flight, and the
+    parent-side fallback deadline behind the worker's ``SIGALRM``.
     """
 
-    def __init__(self, sched: "ObligationScheduler", obligations):
+    def __init__(self, sched: "ObligationScheduler"):
         self._sched = sched
-        self._obligations = obligations
         self._pool = sched._spawn_pool()
         #: Future -> (members, abandon-at on the perf_counter clock)
         self._in_flight: Dict[object, tuple] = {}
@@ -290,13 +304,9 @@ class _PoolTransport:
     def busy(self) -> bool:
         return bool(self._in_flight)
 
-    def submit(self, members: tuple) -> bool:
-        # A solo unit ships as a batch of one: same worker path, one
-        # result tuple per member either way.
+    def submit(self, members: tuple, job: tuple) -> bool:
         try:
-            future = self._pool.submit(
-                _batch_worker, _batch(self._obligations, members),
-                self._sched.retry_policy, self._sched.timeout_seconds)
+            future = self._pool.submit(_batch_worker, *job)
         except BrokenExecutor as exc:
             self._lost += self._recover(exc)
             return False
@@ -328,9 +338,7 @@ class _PoolTransport:
                     broken = exc
                     continue
                 except Exception as exc:   # noqa: BLE001 - unpicklable payload/result
-                    results = tuple(
-                        (i, ERRORED, f"{type(exc).__name__}: {exc}", 0.0, 1,
-                         (), exc) for i in members)
+                    results = _unit_errored(members, _describe(exc), exc)
                 else:
                     self._barren = 0
                     results = raw
@@ -378,127 +386,13 @@ class _PoolTransport:
         return lost
 
 
-class _SocketTransport:
-    """Dispatch units as leases over a
-    :class:`~repro.exec.remote.RemoteCoordinator` (DESIGN.md §16).
-
-    Owns the ``jobs`` cap on leases (dispatch units) in flight, the
-    lease timeout, the workers' join grace
-    (``REMOTE_WORKER_GRACE``), steering a blamed obligation's re-run away
-    from the host that lost it, host-quarantine telemetry, and each
-    result's ``worker=…`` detail.  A lost connection is reported for
-    exactly that worker's leases; other workers keep going.
-    """
-
-    def __init__(self, sched: "ObligationScheduler", obligations):
-        from .remote.coordinator import RemoteCoordinator
-
-        self._sched = sched
-        self._obligations = obligations
-        config = sched.config
-        # A worker's REMOTE_PER_WORKER_INFLIGHT leases, each bounded
-        # worker-side by SIGALRM, bound one lease; without a timeout,
-        # leases never expire.
-        lease_timeout = None if sched.timeout_seconds is None \
-            else (sched.REMOTE_PER_WORKER_INFLIGHT * sched.timeout_seconds
-                  * 1.5 + sched.TIMEOUT_FALLBACK_SLACK)
-        self._coordinator = RemoteCoordinator(
-            listen=config.remote_listen, dial=config.remote_workers,
-            lease_timeout=lease_timeout,
-            per_worker=sched.REMOTE_PER_WORKER_INFLIGHT)
-        try:
-            self._coordinator.start()
-        except OSError as exc:
-            raise BackendUnusableError(
-                "remote", f"cannot start coordinator: {exc}")
-        self._leased: set = set()                # units in flight
-        self._blamed_on: Dict[int, str] = {}     # index -> host that lost it
-        if not self._coordinator.wait_for_workers(
-                1, sched.REMOTE_WORKER_GRACE):
-            self._coordinator.stop()
-            raise BackendUnusableError(
-                "remote", f"no workers joined within "
-                          f"{sched.REMOTE_WORKER_GRACE}s")
-
-    @property
-    def busy(self) -> bool:
-        return bool(self._leased)
-
-    def submit(self, members: tuple) -> bool:
-        if len(self._leased) >= self._sched.jobs:
-            return False
-        sched = self._sched
-        avoid = {self._blamed_on[i] for i in members if i in self._blamed_on}
-        name = self._coordinator.lease_batch(
-            _batch(self._obligations, members), sched.retry_policy,
-            sched.timeout_seconds, avoid=avoid)
-        if name is None:
-            return False
-        self._leased.add(members)
-        return True
-
-    def poll(self) -> List[tuple]:
-        coordinator = self._coordinator
-        if not self._leased and coordinator.live_workers() == 0:
-            # Pending work, no workers left (all lost or quarantined):
-            # grant joiners one grace period.
-            grace = self._sched.REMOTE_WORKER_GRACE
-            if not coordinator.wait_for_workers(1, grace):
-                raise BackendUnusableError(
-                    "remote", f"every worker was lost or quarantined and "
-                              f"no replacement joined within {grace}s")
-            return []
-        events: List[tuple] = []
-        event = coordinator.poll(timeout=0.25)
-        while event is not None:
-            self._translate(event, events)
-            event = coordinator.poll(timeout=0)
-        return events
-
-    def _translate(self, event: tuple, events: List[tuple]) -> None:
-        # The coordinator retires each lease exactly once, by its
-        # ``result`` or by its worker's loss.
-        if event[0] == "result":
-            _, name, unit, results = event
-            self._leased.discard(unit)
-            events.append(("done", results,
-                           (f"worker={name}",) * len(results)))
-        elif event[0] == "lost":
-            _, name, units, reason = event
-            for unit in units:
-                self._leased.discard(unit)
-                for index in unit:
-                    self._blamed_on[index] = name
-                events.append(("lost", unit,
-                               f"worker {name} lost ({reason})"))
-        elif event[0] == "quarantined":
-            _, name, reason = event
-            self._sched.telemetry.record(ev.QUARANTINED, "exec",
-                                         f"worker:{name}", detail=reason)
-        # "joined" needs no action: capacity is re-checked on submit.
-
-    def close(self) -> None:
-        self._coordinator.stop()
-
-
 class ObligationScheduler:
-    #: (Re)spawn attempts granted to the process pool before the backend
-    #: is declared unusable.
-    POOL_SPAWN_ATTEMPTS = 2
     #: Consecutive pool breaks with *nothing in flight* (workers dying
     #: before executing anything) after which the backend is unusable.
     BARREN_CRASH_LIMIT = 2
     #: Parent-side slack (seconds) added on top of the per-obligation
     #: timeout before an unresponsive worker is abandoned.
     TIMEOUT_FALLBACK_SLACK = 5.0
-    #: Seconds the remote backend waits for at least one worker to join
-    #: (at start-up, and again after losing every worker mid-run) before
-    #: declaring the backend unusable.  Tests shrink this.
-    REMOTE_WORKER_GRACE = 10.0
-    #: Leases a single remote worker may hold at once.  2 keeps one
-    #: obligation queued behind the one executing, so the worker never
-    #: idles waiting on the coordinator's dispatch latency.
-    REMOTE_PER_WORKER_INFLIGHT = 2
 
     def __init__(self, config: "ExecConfig"):
         """``config`` is an :class:`~repro.exec.config.ExecConfig`, which
@@ -584,14 +478,13 @@ class ObligationScheduler:
     # -- the dispatch core (process and remote) -----------------------------
 
     def _spawn_pool(self) -> ProcessPoolExecutor:
-        last: Optional[BaseException] = None
-        for _ in range(self.POOL_SPAWN_ATTEMPTS):
-            try:
-                return ProcessPoolExecutor(max_workers=self.jobs)
-            except Exception as exc:   # noqa: BLE001 - backend boundary
-                last = exc
-        raise BackendUnusableError(
-            "process", f"cannot (re)spawn worker pool: {last}")
+        # The constructor starts no process (workers start at submit), so
+        # a failure here is not transient: one attempt.
+        try:
+            return ProcessPoolExecutor(max_workers=self.jobs)
+        except Exception as exc:   # noqa: BLE001 - backend boundary
+            raise BackendUnusableError(
+                "process", f"cannot (re)spawn worker pool: {exc}")
 
     def _form_units(self, obligations,
                     indices: Sequence[int]) -> List[tuple]:
@@ -686,9 +579,19 @@ class ObligationScheduler:
                 break    # later obligations are skipped by run()
         if not pending:
             return
-        transport = _PoolTransport(self, obligations) \
-            if backend == "process" \
-            else _SocketTransport(self, obligations)
+        if backend == "process":
+            transport = _PoolTransport(self)
+        else:
+            from .remote.coordinator import RemoteCoordinator
+            transport = RemoteCoordinator(
+                self.config.remote_listen, self.config.remote_workers,
+                jobs=self.jobs, timeout=self.timeout_seconds,
+                slack=self.TIMEOUT_FALLBACK_SLACK, telemetry=self.telemetry)
+            try:
+                transport.start()
+            except OSError as exc:
+                raise BackendUnusableError(
+                    "remote", f"cannot start coordinator: {exc}")
         try:
             self._dispatch_loop(transport, obligations, pending, stop_on,
                                 outcomes)
@@ -712,7 +615,7 @@ class ObligationScheduler:
             waiting[unit_of[j]] += 1
         ready = deque(members for u, members in enumerate(units)
                       if not waiting[u])
-        suspects: deque = deque()            # blamed, re-run solo
+        suspects: deque = deque()    # blamed members as solo units
         blames: Dict[int, int] = {}
         sent_at: Dict[int, float] = {}
         finished = 0
@@ -730,9 +633,7 @@ class ObligationScheduler:
                     ready.append(units[u])
             if outcome.status == ERRORED and self.on_error == "raise" \
                     and raise_exc is None:
-                raise_exc = getattr(
-                    outcome, "_exception",
-                    RuntimeError(outcome.error or "obligation errored"))
+                raise_exc = outcome._exception   # set by _settle
             if stop_on is not None and not stopped and stop_on(outcome):
                 stopped = True
 
@@ -747,8 +648,14 @@ class ObligationScheduler:
                     ship.append(i)
             if not ship or stopped or raise_exc is not None:
                 return ()
+            # A unit travels as its ``(index, payload, token)`` entries
+            # (the token feeds the retry jitter) with the retry policy and
+            # timeout: the arguments of the worker's ``_batch_worker``.
             ship = tuple(ship)
-            if not transport.submit(ship):
+            job = (tuple((i, obligations[i].payload, obligations[i].label)
+                         for i in ship),
+                   self.retry_policy, self.timeout_seconds)
+            if not transport.submit(ship, job):
                 return ship
             now = time.perf_counter()
             for i in ship:
@@ -760,20 +667,13 @@ class ObligationScheduler:
         while finished < len(pending):
             blocked = False
             while not stopped and raise_exc is None:
-                if suspects:
-                    if transport.busy:
-                        break
-                    unsent = dispatch((suspects.popleft(),))
-                    if unsent:
-                        suspects.appendleft(unsent[0])
-                        blocked = True
-                        break
-                    continue
-                if not ready:
+                # Suspects go first, one at a time with nothing in flight.
+                queue = suspects or ready
+                if not queue or (suspects and transport.busy):
                     break
-                unsent = dispatch(ready.popleft())
+                unsent = dispatch(queue.popleft())
                 if unsent:
-                    ready.appendleft(unsent)
+                    queue.appendleft(unsent)
                     blocked = True
                     break
             if finished >= len(pending) or raise_exc is not None:
@@ -786,9 +686,9 @@ class ObligationScheduler:
                     busy = sum(result[3] for result in results)
                     for result, detail in zip(results, details):
                         i = result[0]
-                        finalize(i, self._decode(
-                            obligations[i], result, detail,
-                            blames.get(i, 0)))
+                        finalize(i, self._settle(
+                            obligations[i], _decoded(obligations[i], result),
+                            detail, blames.get(i, 0)))
                     self.telemetry.record(
                         ev.DISPATCHED, "exec",
                         f"dispatch[{len(results)}]",
@@ -796,17 +696,12 @@ class ObligationScheduler:
                                  - sent_at[results[0][0]] - busy),
                         detail=f"items={len(results)}")
                 elif event[0] == "expired":
+                    message = f"no result within {self.timeout_seconds}s " \
+                              f"(worker unresponsive)"
                     for i in event[1]:
-                        ob = obligations[i]
-                        wall = self.timeout_seconds or 0.0
-                        self.telemetry.record(ev.TIMED_OUT, ob.kind,
-                                              ob.label, wall=wall)
-                        finalize(i, ObligationOutcome(
-                            obligation=ob, status=TIMED_OUT,
-                            wall_seconds=wall,
-                            error=f"no result within "
-                                  f"{self.timeout_seconds}s (worker "
-                                  f"unresponsive)"))
+                        finalize(i, self._settle(obligations[i], (
+                            i, TIMED_OUT, message,
+                            self.timeout_seconds or 0.0, 0, (), None)))
                 else:
                     _, members, reason = event
                     for i in members:
@@ -817,7 +712,7 @@ class ObligationScheduler:
                             detail=f"{reason}; blame "
                                    f"{blame}/{QUARANTINE_AFTER}")
                         if blame < QUARANTINE_AFTER:
-                            suspects.append(i)
+                            suspects.append((i,))
                             continue
                         self.telemetry.record(
                             ev.QUARANTINED, ob.kind, ob.label,
@@ -844,20 +739,15 @@ class ObligationScheduler:
         return ObligationOutcome(obligation=ob, status=CACHED, value=value,
                                  wall_seconds=wall)
 
-    def _decode(self, ob: Obligation, result: tuple, detail: str,
-                blames: int) -> ObligationOutcome:
-        """One worker result tuple (see :func:`_process_worker`) as an
-        outcome, with its telemetry and cache fill."""
-        _, status, wire, wall, attempts, retry_errors, exc_obj = result
+    def _settle(self, ob: Obligation, result: tuple, detail: str = "",
+                blames: int = 0) -> ObligationOutcome:
+        """One result tuple in the shape :func:`_process_worker` returns,
+        its value decoded, as an outcome -- with its telemetry and cache
+        fill.  Inline and shipped obligations settle here alike."""
+        _, status, value, wall, attempts, retry_errors, exc = result
         for message in retry_errors:
             self.telemetry.record(ev.RETRIED, ob.kind, ob.label,
                                   detail=message)
-        if status == OK:
-            try:
-                value = wire if ob.decode is None else ob.decode(wire)
-            except Exception as exc:   # noqa: BLE001 - bad wire data
-                status, wire, exc_obj = \
-                    ERRORED, f"undecodable result: {exc}", exc
         if status == OK:
             keyed = ob.cache_key is not None and self.cache is not None
             self.telemetry.record(
@@ -873,51 +763,37 @@ class ObligationScheduler:
                 self.cache.put(ob.cache_key, value, encode=ob.encode)
             return ObligationOutcome(obligation=ob, status=OK, value=value,
                                      wall_seconds=wall, attempts=attempts)
-        if status == TIMED_OUT:
-            self.telemetry.record(ev.TIMED_OUT, ob.kind, ob.label,
-                                  wall=wall)
-            return ObligationOutcome(
-                obligation=ob, status=TIMED_OUT, wall_seconds=wall,
-                attempts=attempts,
-                error=f"hard timeout after {self.timeout_seconds}s")
-        self.telemetry.record(ev.ERRORED, ob.kind, ob.label, wall=wall,
-                              detail=str(wire))
-        outcome = ObligationOutcome(obligation=ob, status=ERRORED,
+        # Timed out or errored: ``value`` is the error message.
+        timed_out = status == TIMED_OUT
+        self.telemetry.record(ev.TIMED_OUT if timed_out else ev.ERRORED,
+                              ob.kind, ob.label, wall=wall,
+                              detail="" if timed_out else value)
+        outcome = ObligationOutcome(obligation=ob, status=status,
                                     wall_seconds=wall, attempts=attempts,
-                                    error=str(wire))
-        outcome._exception = exc_obj if exc_obj is not None \
-            else RuntimeError(str(wire))   # type: ignore[attr-defined]
+                                    error=value)
+        if not timed_out:
+            outcome._exception = exc if exc is not None \
+                else RuntimeError(value)   # type: ignore[attr-defined]
         return outcome
 
     # -- one obligation -----------------------------------------------------
 
     def _execute(self, ob: Obligation) -> ObligationOutcome:
+        """Run ``ob``'s thunk inline (serial, or a payloadless obligation
+        on a parallel backend), retried live, then settle it."""
         cached = self._cached(ob)
         if cached is not None:
             return cached
-        keyed = ob.cache_key is not None and self.cache is not None
         self.telemetry.record(ev.STARTED, ob.kind, ob.label)
         started = time.perf_counter()
         value, attempts, exc = _retrying(
             ob.thunk, self.retry_policy, ob.label,
             lambda exc: self.telemetry.record(ev.RETRIED, ob.kind,
                                               ob.label, detail=str(exc)))
-        if exc is not None:
-            wall = time.perf_counter() - started
-            self.telemetry.record(ev.ERRORED, ob.kind, ob.label,
-                                  wall=wall, detail=str(exc))
-            outcome = ObligationOutcome(
-                obligation=ob, status=ERRORED, wall_seconds=wall,
-                attempts=attempts, error=f"{type(exc).__name__}: {exc}")
-            outcome._exception = exc   # type: ignore[attr-defined]
-            return outcome
         wall = time.perf_counter() - started
-        self.telemetry.record(ev.FINISHED, ob.kind, ob.label, wall=wall,
-                              detail="keyed" if keyed else "")
-        if attempts > 1:
-            self.telemetry.record(ev.RETRIED_OK, ob.kind, ob.label,
-                                  detail=f"succeeded on attempt {attempts}")
-        if keyed:
-            self.cache.put(ob.cache_key, value, encode=ob.encode)
-        return ObligationOutcome(obligation=ob, status=OK, value=value,
-                                 wall_seconds=wall, attempts=attempts)
+        if exc is None:
+            return self._settle(ob, (None, OK, value, wall, attempts, (),
+                                     None))
+        return self._settle(ob, (None, ERRORED, _describe(exc), wall,
+                                 attempts, (), exc))
+

@@ -16,6 +16,7 @@ experiment runner can report on everything that happened in the process.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import threading
@@ -33,9 +34,19 @@ from .events import (
 
 __all__ = ["ExecStats", "Telemetry", "default_telemetry", "percentile"]
 
+#: Events that only bump one :class:`ExecStats` counter.
+_COUNTERS = {
+    TIMED_OUT: "timeouts", ERRORED: "errors", RETRIED: "retries",
+    SKIPPED: "skipped", CRASHED: "crashes", QUARANTINED: "quarantined",
+    DEGRADED: "degraded", RETRIED_OK: "retried_ok",
+    WORKER_ABANDONED: "abandoned_workers",
+}
 
-def _percentile(sorted_values: List[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending list (0.0 when empty).
+
+def percentile(values: List[float], q: float) -> float:
+    """Nearest-rank percentile of a sample in any order (0.0 when empty);
+    sorts a copy, so the input is unchanged.  The exec stats and the
+    serve layer's per-lane request latencies both use it.
 
     Classical nearest-rank: the smallest value with at least ``q`` of the
     sample at or below it, i.e. ``values[ceil(q * n) - 1]``.  Deterministic
@@ -44,22 +55,12 @@ def _percentile(sorted_values: List[float], q: float) -> float:
     the lower and upper middle element as ``n`` grew.  The epsilon absorbs
     binary-float error in ``q * n`` so an exact rank never rounds up.
     """
-    if not sorted_values:
+    if not values:
         return 0.0
-    n = len(sorted_values)
+    ordered = sorted(values)
+    n = len(ordered)
     rank = math.ceil(q * n - 1e-9)
-    return sorted_values[max(0, min(n - 1, rank - 1))]
-
-
-def percentile(values: List[float], q: float) -> float:
-    """Nearest-rank percentile of an arbitrary sample (0.0 when empty).
-
-    The public face of the deterministic percentile the exec stats use,
-    for callers aggregating their own latency samples (the serve layer's
-    per-lane request latencies); sorts a copy, so the input order is
-    irrelevant and unchanged.
-    """
-    return _percentile(sorted(values), q)
+    return ordered[max(0, min(n - 1, rank - 1))]
 
 
 @dataclass
@@ -162,30 +163,10 @@ class ExecStats:
         return "\n".join(lines)
 
     def to_json(self) -> dict:
-        return {
-            "obligations": dict(self.obligations),
-            "computed": dict(self.computed),
-            "cached": dict(self.cached),
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "hit_rate": self.hit_rate,
-            "timeouts": self.timeouts,
-            "errors": self.errors,
-            "retries": self.retries,
-            "skipped": self.skipped,
-            "failures": self.failures,
-            "abandoned_workers": self.abandoned_workers,
-            "wall_seconds": self.wall_seconds,
-            "busy_seconds": self.busy_seconds,
-            "p50_seconds": self.p50_seconds,
-            "p95_seconds": self.p95_seconds,
-            "max_queue_depth": self.max_queue_depth,
-            "batched": self.batched,
-            "batch_items": self.batch_items,
-            "dispatch_p50_seconds": self.dispatch_p50_seconds,
-            "dispatch_p95_seconds": self.dispatch_p95_seconds,
-            "store_misses": dict(self.store_misses),
-        }
+        """Every field, plus ``hit_rate`` and the ``failures`` taxonomy."""
+        out = dataclasses.asdict(self)
+        out.update(hit_rate=self.hit_rate, failures=self.failures)
+        return out
 
 
 class Telemetry:
@@ -278,44 +259,22 @@ class Telemetry:
                 stats.cached[ev.kind] = stats.cached.get(ev.kind, 0) + 1
                 stats.cache_hits += 1
                 stats.busy_seconds += ev.wall
-            elif ev.event == TIMED_OUT:
-                stats.timeouts += 1
-            elif ev.event == ERRORED:
-                stats.errors += 1
-            elif ev.event == RETRIED:
-                stats.retries += 1
-            elif ev.event == SKIPPED:
-                stats.skipped += 1
-            elif ev.event == CRASHED:
-                stats.crashes += 1
-            elif ev.event == QUARANTINED:
-                stats.quarantined += 1
-            elif ev.event == DEGRADED:
-                stats.degraded += 1
-            elif ev.event == RETRIED_OK:
-                stats.retried_ok += 1
-            elif ev.event == WORKER_ABANDONED:
-                stats.abandoned_workers += 1
+            elif ev.event in _COUNTERS:
+                counter = _COUNTERS[ev.event]
+                setattr(stats, counter, getattr(stats, counter) + 1)
             elif ev.event == STORE_MISS:
                 stats.store_misses[ev.detail] = \
                     stats.store_misses.get(ev.detail, 0) + 1
             elif ev.event == DISPATCHED:
                 dispatch_walls.append(ev.wall)
-                items = 1
-                if ev.detail.startswith("items="):
-                    try:
-                        items = int(ev.detail[len("items="):])
-                    except ValueError:
-                        pass
-                if items > 1:
+                items = ev.detail.partition("items=")[2]
+                if items.isdigit() and int(items) > 1:
                     stats.batched += 1
-                    stats.batch_items += items
-        walls.sort()
-        stats.p50_seconds = _percentile(walls, 0.50)
-        stats.p95_seconds = _percentile(walls, 0.95)
-        dispatch_walls.sort()
-        stats.dispatch_p50_seconds = _percentile(dispatch_walls, 0.50)
-        stats.dispatch_p95_seconds = _percentile(dispatch_walls, 0.95)
+                    stats.batch_items += int(items)
+        stats.p50_seconds = percentile(walls, 0.50)
+        stats.p95_seconds = percentile(walls, 0.95)
+        stats.dispatch_p50_seconds = percentile(dispatch_walls, 0.50)
+        stats.dispatch_p95_seconds = percentile(dispatch_walls, 0.95)
         stats.wall_seconds = last_t
         return stats
 

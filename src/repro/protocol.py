@@ -39,11 +39,14 @@ __all__ = [
 #: ``result_batch``, DESIGN.md §18) beside the solo ``lease``/``result``
 #: and the workers' read-through to the coordinator's cache; version 4
 #: keeps one lease shape -- every ``lease`` carries a batch and every
-#: ``result`` one result tuple per member -- and drops the read-through.
+#: ``result`` one result tuple per member -- and drops the read-through;
+#: version 5 drops the batch envelope: a lease's blob is the unit's bare
+#: tuple of ``(index, payload, token)`` entries with the retry policy and
+#: timeout (no hoisted warm normalization batches, no ``timeout`` field).
 #: A peer of another generation would misread or stall on the lease
-#: messages, so the handshake rejects it: bumping here is what turns
-#: that skew into a loud ``protocol_mismatch``.
-PROTOCOL_VERSION = 4
+#: messages, so the handshake rejects it: bumping here is what turns that
+#: skew into a loud ``protocol_mismatch``.
+PROTOCOL_VERSION = 5
 
 #: The machine-readable ``code`` vocabulary of ``error`` replies, shared
 #: by the serve daemon and the farm coordinator.  ``protocol_mismatch``

@@ -1,25 +1,25 @@
-"""Micro-obligation batching tests (DESIGN.md §18): batch formation and
-warm-cache hoisting, the worker-side absorb-once discipline, outcome
-identity across batch sizes and backends, the dispatch telemetry, and
-loud validation of the batching knobs in ExecConfig and both CLIs, and
-the byte cap on one dispatch unit."""
+"""Micro-obligation batching tests (DESIGN.md §18): a shared warm batch
+crosses the wire once per unit, the worker-side absorb-once discipline,
+outcome identity across batch sizes and backends, the dispatch
+telemetry, loud validation of the batching knobs in ExecConfig and both
+CLIs, and the byte cap on one dispatch unit."""
 
 import json
+import pickle
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Any, Optional
 
 import pytest
 
 from repro.exec import (
-    BatchPayload, CallPayload, ExecConfig, Obligation, ObligationScheduler,
-    Telemetry, make_batch,
+    CallPayload, ExecConfig, Obligation, ObligationScheduler, Telemetry,
 )
-from repro.exec.payload import ObligationPayload, _WARM_ABSORBED
+from repro.exec import payload as payload_mod
+from repro.exec.payload import ObligationPayload, _absorb_warm
 from repro.exec.retry import RetryPolicy
 from repro.exec import scheduler as scheduler_mod
-from repro.exec.scheduler import _batch_worker
+from repro.exec.scheduler import _batch_worker, _process_worker
 from repro.logic import add, encode_terms, fingerprint, intc, var
-from repro.logic.normcache import NormalizationCache
 
 
 # -- module-level payload targets (picklable by qualified name) ------------
@@ -30,19 +30,22 @@ def _square(x):
 
 @dataclass(frozen=True)
 class _WarmPayload(ObligationPayload):
-    """Minimal payload with the VCPayload warm-shipping contract."""
+    """Minimal payload with the VCPayload warm-shipping contract: absorb
+    the warm batch (once per process), then compute."""
 
     value: int
     warm_key: Optional[str] = None
     warm_norms: Any = None
 
     def run(self):
+        if self.warm_key is not None and self.warm_norms is not None:
+            _absorb_warm(self.warm_key, self.warm_norms)
         return self.value * 10
 
 
-def _warm_norms():
-    """A real (fingerprints, wire) warm batch of two normal forms."""
-    terms = [add(var("x"), intc(1)), add(var("y"), intc(2))]
+def _warm_norms(n=2):
+    """A real (fingerprints, wire) warm batch of ``n`` normal forms."""
+    terms = [add(var(f"x{i}"), intc(i + 1)) for i in range(n)]
     fps = tuple(fingerprint(t) for t in terms)
     return (fps, encode_terms(terms))
 
@@ -54,79 +57,101 @@ def _obs(n):
             for i in range(n)]
 
 
-class TestMakeBatch:
-    def test_shared_warm_hoisted_once_and_stripped(self):
-        norms = _warm_norms()
-        payloads = [_WarmPayload(i, warm_key="k", warm_norms=norms)
-                    for i in range(3)]
-        batch = make_batch([(i, p, f"t{i}")
-                            for i, p in enumerate(payloads)])
-        assert len(batch) == 3
-        # one hoisted entry for the shared (key, fingerprints) pair
-        assert len(batch.warm) == 1
-        assert batch.warm[0] == ("k", norms)
-        # members ship without their own copy...
-        for _, payload, _ in batch.entries:
-            assert payload.warm_norms is None
-            assert payload.warm_key == "k"
-        # ...but the caller's payloads are untouched (blamed solo
-        # re-runs must still carry their own warm batch).
-        assert all(p.warm_norms is norms for p in payloads)
+class TestUnitEntries:
+    def test_shared_warm_tuple_pickles_once(self):
+        """A K-entry unit whose payloads share one warm tuple pickles to
+        less than a 1-entry unit plus the tuple's own size: pickle's memo
+        ships the tuple once, however many entries hold it."""
+        norms = _warm_norms(32)
+        units = {k: tuple((i, _WarmPayload(i, warm_key="k",
+                                           warm_norms=norms), f"t{i}")
+                          for i in range(k))
+                 for k in (1, 8)}
+        size = {k: len(pickle.dumps((unit, RetryPolicy())))
+                for k, unit in units.items()}
+        assert size[8] < size[1] + len(pickle.dumps(norms))
 
-    def test_distinct_warm_scopes_each_hoisted(self):
-        norms_a, norms_b = _warm_norms(), _warm_norms()
-        batch = make_batch([
-            (0, _WarmPayload(0, warm_key="a", warm_norms=norms_a), "t0"),
-            (1, _WarmPayload(1, warm_key="b", warm_norms=norms_b), "t1"),
-        ])
-        assert {key for key, _ in batch.warm} == {"a", "b"}
+    def test_real_vc_payloads_share_one_warm_tuple(self, monkeypatch):
+        """What the test above relies on, on a real proof: every shipped
+        VC payload of one subprogram holds the *same* warm tuple object,
+        so a unit of K of them carries the tuple once, not K times."""
+        from repro.aes.annotations import annotated_package
+        from repro.aes.proof_scripts import aes_proof_scripts
+        from repro.prover import ImplementationProof
 
-    def test_payloads_without_warm_pass_through(self):
-        payload = CallPayload(_square, (2,))
-        batch = make_batch([(0, payload, "t0")])
-        assert batch.warm == ()
-        assert batch.entries == ((0, payload, "t0"),)
+        class Captured(Exception):
+            pass
+
+        shipped = []
+
+        def capture(self, obligations, stop_on=None):
+            shipped.extend(obligations)
+            raise Captured()
+
+        monkeypatch.setattr(ObligationScheduler, "run", capture)
+        typed = annotated_package()
+        with pytest.raises(Captured):
+            ImplementationProof(
+                typed, scripts=aes_proof_scripts(),
+                exec=ExecConfig(jobs=2, backend="process", cache=False)
+            ).run(sorted(typed.signatures)[:6])
+        by_subprogram = {}
+        for ob in shipped:
+            by_subprogram.setdefault(ob.payload.subprogram, []).append(
+                ob.payload.warm_norms)
+        shared = [norms for norms in by_subprogram.values()
+                  if len(norms) > 1 and norms[0] is not None]
+        assert shared, "the sample ships no subprogram with 2+ warm VCs"
+        for norms in shared:
+            assert all(n is norms[0] for n in norms)
 
 
 class TestBatchWorker:
-    def test_warm_absorbed_exactly_once_per_batch(self, monkeypatch):
-        """The regression the hoisting exists for: a batch of K payloads
-        sharing one warm batch decodes and absorbs it once, not K
-        times."""
-        import repro.exec.payload as payload_mod
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        """The warm batches (wire form) this process decoded, in order."""
+        import repro.logic.wire as wire_mod
         calls = []
-        real = payload_mod._absorb_warm
-        monkeypatch.setattr(payload_mod, "_absorb_warm",
-                            lambda key, norms: (calls.append(key),
-                                                real(key, norms)))
+        real = wire_mod.decode_terms
+        monkeypatch.setattr(wire_mod, "decode_terms",
+                            lambda wire: (calls.append(wire), real(wire))[1])
         monkeypatch.setattr(payload_mod, "_WARM_ABSORBED", set())
-        norms = _warm_norms()
-        entries = [(i, _WarmPayload(i, warm_key="scope", warm_norms=norms),
-                    f"t{i}") for i in range(4)]
-        results = _batch_worker(make_batch(entries), RetryPolicy(), None)
-        assert [r[1] for r in results] == ["ok"] * 4
-        assert calls == ["scope"]
+        return calls
 
-    def test_absorbed_normal_forms_identical_to_unbatched(self):
-        """What lands in the worker's normalization cache is the same
-        whether the warm batch rides one hoisted slot or every payload:
-        hoisting moves the bytes, never the contents."""
-        from repro.logic.wire import decode_terms
-        fps, wire = _warm_norms()
-        solo, batched = NormalizationCache(), NormalizationCache()
-        solo.absorb("scope", zip(fps, decode_terms(wire)))
-        batch = make_batch([
-            (i, _WarmPayload(i, warm_key="scope", warm_norms=(fps, wire)),
-             f"t{i}") for i in range(3)])
-        (key, norms), = batch.warm
-        batched.absorb(key, zip(norms[0], decode_terms(norms[1])))
-        assert solo.export("scope") == batched.export("scope")
+    def test_warm_absorbed_exactly_once_per_batch(self, decodes):
+        """A unit of K payloads sharing one warm batch decodes and
+        absorbs it once, not K times, and again not at all on the next
+        unit in the same process."""
+        norms = _warm_norms()
+        entries = tuple((i, _WarmPayload(i, warm_key="scope",
+                                         warm_norms=norms), f"t{i}")
+                        for i in range(4))
+        results = _batch_worker(entries, RetryPolicy(), None)
+        assert [r[1] for r in results] == ["ok"] * 4
+        assert decodes == [norms[1]]
+        _batch_worker(entries, RetryPolicy(), None)
+        assert decodes == [norms[1]]
+
+    def test_distinct_warm_scopes_each_absorbed_once(self, decodes):
+        """Interleaved scopes: each distinct scope is decoded once per
+        process, and the unit's results equal K solo runs."""
+        norms = {"a": _warm_norms(), "b": _warm_norms()}
+        entries = tuple(
+            (i, _WarmPayload(i, warm_key=key, warm_norms=norms[key]),
+             f"t{i}")
+            for i, key in enumerate("abab"))
+        batched = _batch_worker(entries, RetryPolicy(), None)
+        assert len(decodes) == 2
+        solo = tuple(_process_worker(i, p, RetryPolicy(), None, t)
+                     for i, p, t in entries)
+        assert len(decodes) == 2
+        assert [r[:3] for r in batched] == [r[:3] for r in solo] == \
+            [(i, "ok", i * 10) for i in range(4)]
 
     def test_results_match_solo_worker_runs(self):
-        from repro.exec.scheduler import _process_worker
-        entries = [(i, CallPayload(_square, (i,)), f"t{i}")
-                   for i in range(5)]
-        batched = _batch_worker(make_batch(entries), RetryPolicy(), None)
+        entries = tuple((i, CallPayload(_square, (i,)), f"t{i}")
+                        for i in range(5))
+        batched = _batch_worker(entries, RetryPolicy(), None)
         solo = tuple(_process_worker(i, p, RetryPolicy(), None, t)
                      for i, p, t in entries)
         # identical index/status/wire triples (walls differ, of course)

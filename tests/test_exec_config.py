@@ -129,8 +129,9 @@ class TestRemoteFields:
         """Even ``jobs=1`` ships to the farm: with no worker joining, the
         run fails as an unusable farm instead of running inline."""
         from repro.exec import BackendUnusableError, CallPayload, Obligation
+        from repro.exec.remote import RemoteCoordinator
 
-        monkeypatch.setattr(ObligationScheduler, "REMOTE_WORKER_GRACE", 0.2)
+        monkeypatch.setattr(RemoteCoordinator, "WORKER_GRACE", 0.2)
         config = ExecConfig(backend="remote", jobs=1, cache=False,
                             remote_listen="127.0.0.1:0",
                             telemetry=Telemetry())

@@ -160,23 +160,25 @@ class TestRetryPolicy:
             assert policy.delay(attempt, "vc:Sub_Bytes/vc1") == \
                 policy.delay(attempt, "vc:Sub_Bytes/vc1")
 
-    def test_backoff_grows_exponentially_without_jitter(self):
-        policy = RetryPolicy(retries=5, base_delay=0.1, factor=2.0,
-                             max_delay=100.0, jitter=0.0)
+    def test_backoff_grows_exponentially_without_jitter(self, monkeypatch):
+        from repro.exec import retry
+        monkeypatch.setattr(retry, "JITTER", 0.0)
+        assert retry.BACKOFF_FACTOR == 2.0
+        policy = RetryPolicy(retries=5, base_delay=0.1, max_delay=100.0)
         assert [policy.delay(a) for a in (1, 2, 3, 4)] == \
             [0.1, 0.2, 0.4, 0.8]
 
     def test_max_delay_caps_backoff(self):
-        policy = RetryPolicy(retries=9, base_delay=0.1, factor=10.0,
-                             max_delay=0.5, jitter=0.1)
+        policy = RetryPolicy(retries=9, base_delay=0.1, max_delay=0.5)
         for attempt in range(1, 10):
             assert policy.delay(attempt, "x") <= 0.5
 
     def test_jitter_bounded_by_fraction(self):
-        policy = RetryPolicy(retries=1, base_delay=0.1, factor=2.0,
-                             max_delay=100.0, jitter=0.25)
+        from repro.exec.retry import JITTER
+        assert JITTER == 0.1
+        policy = RetryPolicy(retries=1, base_delay=0.1, max_delay=100.0)
         delay = policy.delay(1, "token")
-        assert 0.1 <= delay <= 0.1 * 1.25
+        assert 0.1 <= delay <= 0.1 * (1 + JITTER)
 
     def test_zero_policy_never_sleeps(self):
         policy = RetryPolicy()
@@ -197,19 +199,18 @@ class TestRetryPolicy:
     def test_validation(self):
         with pytest.raises(ValueError, match="base_delay"):
             RetryPolicy(base_delay=-0.1)
-        with pytest.raises(ValueError, match="factor"):
-            RetryPolicy(factor=0.5)
         with pytest.raises(ValueError, match="max_delay"):
             RetryPolicy(max_delay=-1.0)
-        with pytest.raises(ValueError, match="jitter"):
-            RetryPolicy(jitter=1.5)
         with pytest.raises(ValueError, match="attempt"):
             RetryPolicy(retries=1).delay(0)
+        # The backoff factor and jitter are module constants now.
+        for removed in ("factor", "jitter"):
+            with pytest.raises(TypeError, match=removed):
+                RetryPolicy(**{removed: 1.0})
 
     def test_to_json(self):
         assert RetryPolicy(retries=2).to_json() == {
-            "retries": 2, "base_delay": 0.05, "factor": 2.0,
-            "max_delay": 2.0, "jitter": 0.1}
+            "retries": 2, "base_delay": 0.05, "max_delay": 2.0}
 
 
 # ---------------------------------------------------------------------------

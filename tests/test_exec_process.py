@@ -186,7 +186,7 @@ class TestCrossBackendDifferential:
     def test_sampled_aes_corpus_identical(self):
         """serial jobs=1 vs process jobs=4 over a
         deterministic sample of the annotated AES package's subprograms
-        (the full corpus runs in benchmarks/bench_scheduler.py)."""
+        (the full corpus runs in benchmarks/bench_faults.py)."""
         from repro.aes.annotations import annotated_package
         from repro.aes.proof_scripts import aes_proof_scripts
 

@@ -15,11 +15,10 @@ import pytest
 
 from repro.exec import (
     CallPayload, ExecConfig, Obligation, ObligationScheduler, ResultCache,
-    Telemetry, make_key,
+    RetryPolicy, Telemetry, make_key,
 )
-from repro.exec.remote import (
-    REJECTED_EXIT, Link, RemoteCoordinator, spawn_worker,
-)
+from repro.exec.remote import Link, RemoteCoordinator
+from repro.exec.remote.worker import REJECTED_EXIT, main, spawn_worker
 from repro.exec.scheduler import BackendUnusableError
 from repro.prover import ImplementationProof
 from repro.protocol import PROTOCOL_VERSION
@@ -64,9 +63,12 @@ def _ignore_alarm_and_wait(release, value):
 
 def _write_pid_and_wait(marker, release, value, limit=30.0):
     """Publish the worker pid (so the test can kill -9 it), then wait
-    for the release file.  The blamed re-run returns immediately."""
-    with open(marker, "w") as handle:
+    for the release file.  The blamed re-run returns immediately.  The
+    pid is published by rename, so the test never reads it half
+    written."""
+    with open(marker + ".tmp", "w") as handle:
         handle.write(str(os.getpid()))
+    os.replace(marker + ".tmp", marker)
     return _wait_for(release, value, limit)
 
 
@@ -296,6 +298,32 @@ class TestRemoteScheduling:
                                 remote_workers=tuple(addresses))) == \
                 ["errored"] * 2
 
+    def test_error_text_identical_on_every_backend(self):
+        """A payload raising ``ValueError("boom 1")`` under
+        ``on_error="record"`` and one retry: the outcome's error, the
+        ``errored`` telemetry detail and the ``retried`` detail read the
+        same on serial, process and remote (serial used to record the
+        bare message as the ``errored`` detail)."""
+        def texts(**kw):
+            telemetry = Telemetry()
+            outcomes = ObligationScheduler(ExecConfig(
+                jobs=2, cache=False, on_error="record",
+                retries=RetryPolicy(retries=1, base_delay=0.0),
+                telemetry=telemetry, **kw)).run(
+                [_ob("bad", CallPayload(_boom, (1,))),
+                 _ob("ok", CallPayload(_square, (3,)))])
+            assert [o.status for o in outcomes] == ["errored", "ok"]
+            return (outcomes[0].error, _details(telemetry, "errored"),
+                    _details(telemetry, "retried"))
+
+        serial = texts(backend="serial")
+        assert serial == ("ValueError: boom 1", ["ValueError: boom 1"],
+                          ["boom 1"])
+        assert texts(backend="process") == serial
+        with farm(1) as addresses:
+            assert texts(backend="remote",
+                         remote_workers=tuple(addresses)) == serial
+
 
 class TestRemoteHandshake:
     def _dial(self, coordinator):
@@ -380,16 +408,26 @@ class TestRemoteHandshake:
                 proc.kill()
                 proc.wait()
 
+    @pytest.mark.parametrize("flag", [["--once"], ["--dial-timeout", "5"]])
+    def test_removed_worker_flags_are_usage_errors(self, flag, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["--connect", "127.0.0.1:1", *flag])
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in \
+            capsys.readouterr().err
+
     def test_previous_protocol_version_rejected(self):
-        """Protocol 3 added the batched lease generation and protocol 4
-        made it the only lease shape; an older hello therefore cannot be
-        grandfathered in -- a version-2 worker cannot decode a batch,
-        and a version-3 worker would misread a ``lease`` as solo."""
-        assert PROTOCOL_VERSION >= 4
+        """Protocol 3 added the batched lease generation, protocol 4
+        made it the only lease shape and protocol 5 dropped the batch
+        envelope; an older hello therefore cannot be grandfathered in --
+        a version-2 worker cannot decode a batch, a version-3 worker
+        would misread a ``lease`` as solo, and a version-4 worker
+        expects an envelope where a bare entry tuple arrives."""
+        assert PROTOCOL_VERSION >= 5
         coordinator = RemoteCoordinator(listen="127.0.0.1:0")
         coordinator.start()
         try:
-            for version in (2, 3):
+            for version in (2, 3, 4):
                 link = self._dial(coordinator)
                 link.send({"op": "hello", "protocol": version,
                            "name": f"relic{version}", "pid": 1})
@@ -401,8 +439,8 @@ class TestRemoteHandshake:
             coordinator.stop()
 
     def test_old_version_worker_process_exits_cleanly(self):
-        """End to end: a worker binary from before the single lease shape
-        (simulated by pinning ``PROTOCOL_VERSION = 3`` before the worker
+        """End to end: a worker binary from before the bare-entries lease
+        (simulated by pinning ``PROTOCOL_VERSION = 4`` before the worker
         module binds it) dials a current coordinator and exits
         ``REJECTED_EXIT`` -- a clean, diagnosable rejection rather than
         a hang or a garbled lease."""
@@ -412,7 +450,7 @@ class TestRemoteHandshake:
         coordinator.start()
         script = (
             "import sys, repro.protocol as protocol\n"
-            "protocol.PROTOCOL_VERSION = 3\n"
+            "protocol.PROTOCOL_VERSION = 4\n"
             "from repro.exec.remote import worker\n"
             "sys.exit(worker.main(['--connect', sys.argv[1],"
             " '--name', 'relic']))\n")
@@ -559,8 +597,7 @@ class TestRemoteFailureMatrix:
                     proc.wait()
 
     def test_no_workers_raises_backend_unusable(self, monkeypatch):
-        monkeypatch.setattr(ObligationScheduler, "REMOTE_WORKER_GRACE",
-                            0.3)
+        monkeypatch.setattr(RemoteCoordinator, "WORKER_GRACE", 0.3)
         scheduler = ObligationScheduler(ExecConfig(
             jobs=2, backend="remote", remote_listen="127.0.0.1:0",
             cache=False, telemetry=Telemetry()))
@@ -570,8 +607,7 @@ class TestRemoteFailureMatrix:
     def test_degrades_to_process_backend(self, monkeypatch):
         """The extended degradation chain: an unusable farm falls back
         to the process backend and finishes the run there."""
-        monkeypatch.setattr(ObligationScheduler, "REMOTE_WORKER_GRACE",
-                            0.3)
+        monkeypatch.setattr(RemoteCoordinator, "WORKER_GRACE", 0.3)
         telemetry = Telemetry()
         scheduler = ObligationScheduler(ExecConfig(
             jobs=2, backend="remote", remote_listen="127.0.0.1:0",

@@ -187,47 +187,47 @@ class TestPercentile:
     """
 
     def test_empty(self):
-        from repro.exec.telemetry import _percentile
-        assert _percentile([], 0.5) == 0.0
+        from repro.exec.telemetry import percentile
+        assert percentile([], 0.5) == 0.0
 
     def test_single_value(self):
-        from repro.exec.telemetry import _percentile
-        assert _percentile([7.0], 0.5) == 7.0
-        assert _percentile([7.0], 0.95) == 7.0
+        from repro.exec.telemetry import percentile
+        assert percentile([7.0], 0.5) == 7.0
+        assert percentile([7.0], 0.95) == 7.0
 
     def test_median_even_lengths_take_lower_middle(self):
-        from repro.exec.telemetry import _percentile
+        from repro.exec.telemetry import percentile
         # Nearest-rank median of an even n is element n/2 (1-based) --
         # the lower middle, for every even n, never the upper one.
-        assert _percentile([1.0, 2.0], 0.5) == 1.0
-        assert _percentile([1.0, 2.0, 3.0, 4.0], 0.5) == 2.0
-        assert _percentile([float(i) for i in range(1, 7)], 0.5) == 3.0
-        assert _percentile([float(i) for i in range(1, 9)], 0.5) == 4.0
+        assert percentile([1.0, 2.0], 0.5) == 1.0
+        assert percentile([1.0, 2.0, 3.0, 4.0], 0.5) == 2.0
+        assert percentile([float(i) for i in range(1, 7)], 0.5) == 3.0
+        assert percentile([float(i) for i in range(1, 9)], 0.5) == 4.0
 
     def test_median_odd_lengths_take_middle(self):
-        from repro.exec.telemetry import _percentile
-        assert _percentile([1.0, 2.0, 3.0], 0.5) == 2.0
-        assert _percentile([float(i) for i in range(1, 6)], 0.5) == 3.0
-        assert _percentile([float(i) for i in range(1, 8)], 0.5) == 4.0
+        from repro.exec.telemetry import percentile
+        assert percentile([1.0, 2.0, 3.0], 0.5) == 2.0
+        assert percentile([float(i) for i in range(1, 6)], 0.5) == 3.0
+        assert percentile([float(i) for i in range(1, 8)], 0.5) == 4.0
 
     def test_p95_adjacent_sizes(self):
-        from repro.exec.telemetry import _percentile
+        from repro.exec.telemetry import percentile
         # ceil(0.95 * n): 19 -> 19th of 19, 20 -> 19th, 21 -> 20th.
-        assert _percentile([float(i) for i in range(1, 20)], 0.95) == 19.0
-        assert _percentile([float(i) for i in range(1, 21)], 0.95) == 19.0
-        assert _percentile([float(i) for i in range(1, 22)], 0.95) == 20.0
+        assert percentile([float(i) for i in range(1, 20)], 0.95) == 19.0
+        assert percentile([float(i) for i in range(1, 21)], 0.95) == 19.0
+        assert percentile([float(i) for i in range(1, 22)], 0.95) == 20.0
 
     def test_extremes(self):
-        from repro.exec.telemetry import _percentile
+        from repro.exec.telemetry import percentile
         values = [float(i) for i in range(1, 11)]
-        assert _percentile(values, 0.0) == 1.0    # clamped to first rank
-        assert _percentile(values, 1.0) == 10.0
+        assert percentile(values, 0.0) == 1.0    # clamped to first rank
+        assert percentile(values, 1.0) == 10.0
 
     def test_exact_rank_no_float_drift(self):
-        from repro.exec.telemetry import _percentile
+        from repro.exec.telemetry import percentile
         # q * n lands exactly on an integer for many (q, n) pairs; the
         # epsilon must keep ceil from bumping the rank up.
         for n in (20, 40, 60, 100, 200):
             values = [float(i) for i in range(1, n + 1)]
-            assert _percentile(values, 0.05) == float(n // 20)
-            assert _percentile(values, 0.95) == float(19 * n // 20)
+            assert percentile(values, 0.05) == float(n // 20)
+            assert percentile(values, 0.95) == float(19 * n // 20)

@@ -200,6 +200,14 @@ class TestNormalizeSubmit:
             assert exc.value.code == "bad_request"
             assert f"unknown exec config keys: ['{key}']" in \
                 exc.value.detail
+        # RetryPolicy's backoff factor and jitter are module constants.
+        for key in ("factor", "jitter"):
+            with pytest.raises(ProtocolError) as exc:
+                normalize_submit(submit_msg(
+                    exec={"retries": {"retries": 1, key: 0.5}}))
+            assert exc.value.code == "bad_request"
+            assert "bad retries policy" in exc.value.detail
+            assert key in exc.value.detail
 
     def test_exec_cannot_name_caches(self):
         # The isolation boundary: a request must never smuggle a cache
