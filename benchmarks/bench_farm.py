@@ -4,7 +4,8 @@ differential gate on the full AES corpus (DESIGN.md §16).
 Legs:
 
 * **differential gate** -- verdicts under ``backend="remote"`` must be
-  bit-identical to the in-process serial reference on all 467 VCs, in
+  bit-identical to the in-process serial reference
+  (:func:`benchmarks.gates.aes_reference`) on all 467 VCs, in
   every farm shape: one worker, four workers, a two-worker farm with a
   cold then warm parent result cache, and a two-worker farm that loses a
   worker to ``SIGKILL`` mid-run (the coordinator blames the in-flight
@@ -14,28 +15,19 @@ Legs:
   embarrassingly parallel, so healthy farms measure well above it);
 * **warm cache** -- the warm repeat over the same corpus must beat the
   cold fill: the parent's ``ResultCache`` settles every hit before
-  dispatch, so the warm run ships no lease.  The JSON keeps the leg's
-  historical key, ``shared_cache``.
+  dispatch, so the warm run ships no lease.
 
 Every timing leg spawns *fresh* worker processes: a ``--listen`` worker
 keeps its analyzed packages and normalization cache warm across runs,
 which is a contaminant in a scaling measurement.
 
-Results are written to ``BENCH_pr8.json`` at the repo root
-(``bench-farm/v1``).  Runnable standalone
-(``python benchmarks/bench_farm.py [--check]``) or under pytest
-(``python -m pytest benchmarks/bench_farm.py -q -s``).  The
-differential gate always runs; the speedup floors are asserted in check
-mode (``--check`` / ``REPRO_BENCH_CHECK=1``) and reported otherwise.
+Results go to ``BENCH_gates.json`` under ``farm``.  Run with
+``python -m pytest benchmarks/bench_farm.py -q -s``.
 """
 
-import json
-import os
-import sys
 import threading
 import time
 from contextlib import contextmanager
-from pathlib import Path
 
 from repro.aes.annotations import annotated_package
 from repro.aes.proof_scripts import aes_proof_scripts
@@ -43,21 +35,13 @@ from repro.exec import ExecConfig, ResultCache, Telemetry
 from repro.exec.remote.worker import spawn_worker
 from repro.prover import ImplementationProof
 
-CHECK_MODE = os.environ.get("REPRO_BENCH_CHECK", "") not in ("", "0")
+from benchmarks.gates import aes_reference, record, verdict_keys
 
 #: Four workers must beat one worker by at least this factor.
 _MIN_SPEEDUP = 1.5
 
 #: The warm parent-cache repeat must beat its cold first run.
 _MIN_WARM_SPEEDUP = 2.0
-
-_OUT = Path(__file__).resolve().parent.parent / "BENCH_pr8.json"
-
-
-def _keys(result):
-    return [(o.vc.subprogram, o.vc.name, o.vc.kind, o.stage,
-             o.result.proved if o.result else None)
-            for o in result.outcomes]
 
 
 @contextmanager
@@ -91,25 +75,24 @@ def _remote_config(addresses, **kw):
     return ExecConfig(backend="remote", remote_workers=addresses, **kw)
 
 
-def run_farm_bench(check: bool):
+def bench_farm_scaling():
     typed = annotated_package()
     scripts = aes_proof_scripts()
 
-    serial, serial_seconds = _run(
-        typed, scripts, ExecConfig(jobs=1, backend="serial", cache=False))
-    reference = _keys(serial)
+    serial, serial_seconds = aes_reference()
+    reference = verdict_keys(serial)
     total_vcs = len(reference)
 
     # -- scaling: 1 worker vs 4 workers, fresh farms, no caches ----------
     with _farm(1, "solo") as (_, addresses):
         one, one_seconds = _run(typed, scripts, _remote_config(addresses))
-    assert _keys(one) == reference, \
+    assert verdict_keys(one) == reference, \
         "1-worker farm verdicts diverge from the serial reference"
 
     with _farm(4, "quad") as (_, addresses):
         four, four_seconds = _run(typed, scripts,
                                   _remote_config(addresses))
-    assert _keys(four) == reference, \
+    assert verdict_keys(four) == reference, \
         "4-worker farm verdicts diverge from the serial reference"
     scaling = one_seconds / four_seconds if four_seconds > 0 \
         else float("inf")
@@ -123,9 +106,9 @@ def run_farm_bench(check: bool):
         warm, warm_seconds = _run(
             typed, scripts,
             _remote_config(addresses, cache=cache, jobs=4))
-    assert _keys(cold) == reference, \
+    assert verdict_keys(cold) == reference, \
         "cold-cache farm verdicts diverge from the reference"
-    assert _keys(warm) == reference, \
+    assert verdict_keys(warm) == reference, \
         "warm-cache farm verdicts diverge from the reference"
     warm_speedup = cold_seconds / warm_seconds if warm_seconds > 0 \
         else float("inf")
@@ -140,29 +123,8 @@ def run_farm_bench(check: bool):
                                                          jobs=4))
         finally:
             assassin.cancel()
-    assert _keys(crashed) == reference, \
+    assert verdict_keys(crashed) == reference, \
         "verdicts moved after a worker was killed mid-run"
-
-    payload = {
-        "schema": "bench-farm/v1",
-        "min_speedup": _MIN_SPEEDUP,
-        "min_warm_speedup": _MIN_WARM_SPEEDUP,
-        "check_mode": check,
-        "total_vcs": total_vcs,
-        "auto_percent": serial.auto_percent,
-        "serial_seconds": serial_seconds,
-        "one_worker_seconds": one_seconds,
-        "four_worker_seconds": four_seconds,
-        "scaling_speedup": scaling,
-        "shared_cache": {
-            "cold_seconds": cold_seconds,
-            "warm_seconds": warm_seconds,
-            "warm_speedup": warm_speedup,
-        },
-        "worker_loss_seconds": crash_seconds,
-        "legs_identical_to_reference": True,
-    }
-    _OUT.write_text(json.dumps(payload, indent=2) + "\n")
 
     print()
     print(f"corpus        {total_vcs} VCs, "
@@ -176,45 +138,23 @@ def run_farm_bench(check: bool):
     print(f"worker loss   {crash_seconds:.1f} s "
           f"(1 of 2 workers SIGKILLed mid-run)")
     print("differential  every farm shape == serial reference")
-    print(f"results       {_OUT.name}")
+    record("farm", {
+        "min_speedup": _MIN_SPEEDUP,
+        "min_warm_speedup": _MIN_WARM_SPEEDUP,
+        "total_vcs": total_vcs,
+        "serial_seconds": round(serial_seconds, 3),
+        "one_worker_seconds": round(one_seconds, 3),
+        "four_worker_seconds": round(four_seconds, 3),
+        "scaling_speedup": round(scaling, 3),
+        "cold_cache_seconds": round(cold_seconds, 3),
+        "warm_cache_seconds": round(warm_seconds, 3),
+        "warm_speedup": round(warm_speedup, 1),
+        "worker_loss_seconds": round(crash_seconds, 3),
+    })
 
-    scaling_ok = scaling >= _MIN_SPEEDUP
-    warm_ok = warm_speedup >= _MIN_WARM_SPEEDUP
-    if check:
-        assert scaling_ok, (
-            f"4-worker scaling {scaling:.2f}x below the "
-            f"{_MIN_SPEEDUP}x floor over 1 worker")
-        assert warm_ok, (
-            f"warm-cache speedup {warm_speedup:.2f}x below the "
-            f"{_MIN_WARM_SPEEDUP}x floor")
-    else:
-        if not scaling_ok:
-            print(f"WARNING: scaling {scaling:.2f}x below the "
-                  f"{_MIN_SPEEDUP}x floor (non-fatal without --check)")
-        if not warm_ok:
-            print(f"WARNING: warm speedup {warm_speedup:.2f}x below the "
-                  f"{_MIN_WARM_SPEEDUP}x floor (non-fatal without "
-                  f"--check)")
-    return payload
-
-
-def bench_farm_scaling(benchmark):
-    """Pytest leg: the differential gate always runs; the scaling floors
-    are enforced in check mode and locally."""
-    benchmark.pedantic(lambda: run_farm_bench(check=True),
-                       rounds=1, iterations=1)
-
-
-def main(argv=None) -> int:
-    argv = argv if argv is not None else sys.argv[1:]
-    check = "--check" in argv or CHECK_MODE
-    unknown = [a for a in argv if a not in ("--check",)]
-    if unknown:
-        raise SystemExit(f"usage: python benchmarks/bench_farm.py "
-                         f"[--check] (got {unknown!r})")
-    run_farm_bench(check=check)
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    assert scaling >= _MIN_SPEEDUP, (
+        f"4-worker scaling {scaling:.2f}x below the "
+        f"{_MIN_SPEEDUP}x floor over 1 worker")
+    assert warm_speedup >= _MIN_WARM_SPEEDUP, (
+        f"warm-cache speedup {warm_speedup:.2f}x below the "
+        f"{_MIN_WARM_SPEEDUP}x floor")

@@ -2,9 +2,10 @@
 implementation proof on the serial and process backends, clean and
 under injected faults (DESIGN.md §12), plus the scheduler's cache modes.
 
-``bench_chaos_gate`` runs one clean serial reference and two process
-legs against it.  The clean legs run with no retries and must record
-no retry and no error; the clean process leg must produce bit-identical
+``bench_chaos_gate`` runs two process legs against the serial reference
+(:func:`benchmarks.gates.aes_reference`, which runs with no retries and
+raises on any error).  The clean process leg runs with no retries and
+must record no retry and no error; it must produce bit-identical
 per-VC outcomes (the cross-backend gate) and, on a multi-core machine,
 beat serial by at least 1.5x.  The chaos leg absorbs injected transient
 raises through the retry policy and survives worker-killing crashes
@@ -18,9 +19,10 @@ quarantines, no errors).
 on the process backend, then serial again from the warm cache, which
 must perform **zero** VC discharges and replay the cold run's stages.
 
-Check mode (``REPRO_BENCH_CHECK=1``, used by CI) caps ``jobs`` at the
-runner's core count and skips the speedup assertion -- CI runners make
-no timing promises; every differential gate always runs in full.
+On a CI host (``REPRO_BENCH_CHECK=1``) ``jobs`` is capped at the
+runner's core count and the speedup assertion is skipped -- CI runners
+make no timing promises; every differential gate always runs in full.
+Results go to ``BENCH_gates.json`` under ``chaos`` and ``cache_modes``.
 """
 
 import os
@@ -33,25 +35,13 @@ from repro.core.pipeline import verify_aes
 from repro.exec import ExecConfig, ResultCache, RetryPolicy, Telemetry
 from repro.prover import ImplementationProof
 
+from benchmarks.gates import aes_reference, record, verdict_keys
 from tests.test_exec_faults import _inject
 
-CHECK_MODE = os.environ.get("REPRO_BENCH_CHECK", "") not in ("", "0")
+_CI_HOST = os.environ.get("REPRO_BENCH_CHECK", "") not in ("", "0")
 
 #: Fast backoff so the chaos run measures recovery, not sleeping.
 RETRY = RetryPolicy(retries=2, base_delay=0.001, max_delay=0.01)
-
-
-def _vc_outcomes(result):
-    return [(o.vc.subprogram, o.vc.name, o.vc.kind, o.stage,
-             o.result.proved if o.result else None,
-             o.result.method if o.result else None)
-            for o in result.outcomes]
-
-
-def _outcome_stages(result):
-    return [(o.vc.subprogram, o.vc.name, o.stage,
-             o.result.proved if o.result else None)
-            for o in result.implementation.outcomes]
 
 
 def _hostile(i, ob):
@@ -66,13 +56,13 @@ def _hostile(i, ob):
     return ()
 
 
-def bench_chaos_gate(benchmark):
+def bench_chaos_gate():
     typed = annotated_package()
     scripts = aes_proof_scripts()
-    jobs = min(4, os.cpu_count() or 1) if CHECK_MODE else 4
+    jobs = min(4, os.cpu_count() or 1) if _CI_HOST else 4
 
-    def run(backend, n, planner=None):
-        # Clean legs get no retries, so no transient failure can pass
+    def run(planner=None):
+        # The clean leg gets no retries, so no transient failure can pass
         # the cross-backend gate; only the chaos leg absorbs its faults.
         telemetry = Telemetry()
         state = tempfile.mkdtemp(prefix="repro-chaos-")
@@ -80,15 +70,14 @@ def bench_chaos_gate(benchmark):
         with _inject(state, planner or (lambda i, ob: ())):
             result = ImplementationProof(
                 typed, scripts=scripts,
-                exec=ExecConfig(jobs=n, backend=backend, cache=False,
+                exec=ExecConfig(jobs=jobs, backend="process", cache=False,
                                 retries=RETRY if planner else 0,
                                 telemetry=telemetry)).run()
         return result, telemetry.stats(), time.perf_counter() - t0
 
-    serial, serial_stats, serial_s = benchmark.pedantic(
-        lambda: run("serial", 1), rounds=1, iterations=1)
-    process, process_stats, process_s = run("process", jobs)
-    chaos, chaos_stats, chaos_s = run("process", jobs, _hostile)
+    serial, serial_s = aes_reference()
+    process, process_stats, process_s = run()
+    chaos, chaos_stats, chaos_s = run(_hostile)
 
     print()
     print(f"serial (clean)       {serial_s:.1f} s "
@@ -99,16 +88,26 @@ def bench_chaos_gate(benchmark):
           f"(crashes {chaos_stats.crashes}, "
           f"retried-ok {chaos_stats.retried_ok}, "
           f"quarantined {chaos_stats.quarantined})")
+    record("chaos", {
+        "jobs": jobs,
+        "total_vcs": serial.total_vcs,
+        "serial_seconds": round(serial_s, 3),
+        "process_seconds": round(process_s, 3),
+        "chaos_seconds": round(chaos_s, 3),
+        "crashes": chaos_stats.crashes,
+        "retried_ok": chaos_stats.retried_ok,
+        "quarantined": chaos_stats.quarantined,
+    })
 
     # The cross-backend gate: bit-identical outcomes, reached cleanly.
-    for stats in (serial_stats, process_stats):
-        assert (stats.retries, stats.errors) == (0, 0)
-    assert _vc_outcomes(process) == _vc_outcomes(serial)
+    reference = verdict_keys(serial, method=True)
+    assert (process_stats.retries, process_stats.errors) == (0, 0)
+    assert verdict_keys(process, method=True) == reference
     assert process.auto_percent == serial.auto_percent
     assert process.fully_automatic_subprograms() == \
         serial.fully_automatic_subprograms()
     # The chaos gate: faults never change a verdict...
-    assert _vc_outcomes(chaos) == _vc_outcomes(serial)
+    assert verdict_keys(chaos, method=True) == reference
     assert chaos.auto_percent == serial.auto_percent
     # ...and the faults really happened and were really absorbed.
     assert chaos_stats.crashes >= 1
@@ -116,21 +115,19 @@ def bench_chaos_gate(benchmark):
     assert chaos_stats.quarantined == 0
     assert chaos_stats.errors == 0
 
-    if not CHECK_MODE and (os.cpu_count() or 1) >= 2:
+    if not _CI_HOST and (os.cpu_count() or 1) >= 2:
         assert serial_s / process_s >= 1.5, (
             f"process backend speedup {serial_s / process_s:.2f}x "
             f"< 1.5x on a {os.cpu_count()}-core machine")
 
 
-def bench_scheduler_modes(benchmark):
+def bench_scheduler_modes():
     cache = ResultCache()
     tel_serial, tel_parallel, tel_warm = (
         Telemetry(), Telemetry(), Telemetry())
 
-    serial = benchmark.pedantic(
-        lambda: verify_aes(exec=ExecConfig(jobs=1, cache=cache,
-                                           telemetry=tel_serial)),
-        rounds=1, iterations=1)
+    serial = verify_aes(exec=ExecConfig(jobs=1, cache=cache,
+                                        telemetry=tel_serial))
 
     t0 = time.perf_counter()
     parallel = verify_aes(exec=ExecConfig(jobs=4, backend="process",
@@ -153,11 +150,19 @@ def bench_scheduler_modes(benchmark):
           f"computed {dict(s_warm.computed)}; "
           f"cached {dict(s_warm.cached)}; "
           f"hit rate {100.0 * s_warm.hit_rate:.1f}%")
+    record("cache_modes", {
+        "cold_computed": dict(s_serial.computed),
+        "parallel_seconds": round(parallel_s, 3),
+        "warm_seconds": round(warm_s, 3),
+        "warm_computed": dict(s_warm.computed),
+        "warm_cached": dict(s_warm.cached),
+    })
 
     assert serial.verified and parallel.verified and warm.verified
     # parallel performs the same proof: identical per-VC outcomes.
-    assert _outcome_stages(parallel) == _outcome_stages(serial)
+    reference = verdict_keys(serial.implementation)
+    assert verdict_keys(parallel.implementation) == reference
     # warm run replays everything: zero auto-stage VC discharges.
     assert s_warm.computed.get("vc", 0) == 0
     assert s_warm.cached.get("vc", 0) == s_serial.computed.get("vc", 0)
-    assert _outcome_stages(warm) == _outcome_stages(serial)
+    assert verdict_keys(warm.implementation) == reference

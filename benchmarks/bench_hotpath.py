@@ -1,66 +1,48 @@
 """Hot-path benchmark: head-op rule indexing + the cross-obligation
-normalization cache (DESIGN.md section 13).
+normalization cache (DESIGN.md section 13), and the iterative engine
+against the recursive one it replaced.
 
-Three legs:
+The rewrite microbench reproduces the prover's actual hot path: one
+*fresh* rewriter per VC (as ``AutoProver._prove`` builds a fresh
+``Simplifier`` per obligation) over the full refactored-AES VC corpus.
+The linear-scan reference (``tests/rewriter_reference.py``, no shared
+cache) races the optimized configuration (head-op dispatch + a
+:class:`~repro.logic.normcache.NormalizationCache` scope per
+subprogram).  The optimized path must be bit-identical and at least
+``_MIN_SPEEDUP``x faster.  On the same corpus, one iterative rewriter
+per subprogram must be no more than ``_SLOWDOWN_TOLERANCE``x slower
+than the recursive reference of ``tests/test_stack_safety.py`` (which
+also pins their terms and stats, and the deep chain).
 
-* **rewrite microbench** -- the prover's actual hot path, reproduced
-  exactly: one *fresh* rewriter per VC (as ``AutoProver._prove`` builds a
-  fresh ``Simplifier`` per obligation) over the full refactored-AES VC
-  corpus.  The linear-scan reference (``tests/rewriter_reference.py``,
-  no shared cache) races the optimized configuration (head-op dispatch
-  + a :class:`~repro.logic.normcache.NormalizationCache` scope per
-  subprogram).  The optimized path must be at least
-  ``_MIN_SPEEDUP``x faster *and* bit-identical;
-* **implementation proof** -- the full 6.2.3 pipeline end to end (serial
-  backend), recording wall time, rewrite work units and the hot-path
-  counters;
-* **implication proof** -- the full 6.2.4 pipeline end to end.
-
-Results are written to ``BENCH_pr5.json`` at the repo root with a stable
-schema (``bench-hotpath/v1``): wall times, rewrite work units and cache
-hit rates per stage.
-
-Runnable standalone (``python benchmarks/bench_hotpath.py [--check]``)
-or under pytest (``python -m pytest benchmarks/bench_hotpath.py -q -s``).
-``--check`` -- the CI gate, same spirit as ``REPRO_BENCH_CHECK=1`` --
-runs the full differential gate and asserts the speedup floor; without
-it the floor failure is reported but non-fatal (exploratory runs on
-loaded machines).
+Results go to ``BENCH_gates.json`` under ``hotpath``
+(:func:`benchmarks.gates.record`).  Run with
+``python -m pytest benchmarks/bench_hotpath.py -q -s``.
 """
 
-import json
-import os
-import sys
 import time
-from pathlib import Path
 
 from repro.aes import refactored_package
-from repro.aes.annotations import annotated_package
-from repro.aes.fips197 import fips197_theory
-from repro.aes.proof_scripts import aes_proof_scripts
-from repro.exec import ExecConfig
-from repro.extract import extract_specification
-from repro.implication import prove_implication
 from repro.logic import NormalizationCache, Rewriter, default_rules
-from repro.prover import ImplementationProof
 from repro.vcgen import generate_obligations
 from repro.vcgen.simplifier import TypeBoundHook
 
-# The linear-scan reference lives with the tests; a standalone run needs
-# the repository root on the path to import it.
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-from tests.rewriter_reference import LinearRewriter  # noqa: E402
-
-CHECK_MODE = os.environ.get("REPRO_BENCH_CHECK", "") not in ("", "0")
+from benchmarks.gates import record
+from tests.rewriter_reference import LinearRewriter
+from tests.test_stack_safety import (
+    _RecursiveRewriter, _deep_recursion_allowed,
+)
 
 #: The optimized configuration (indexing + cross-obligation cache) must
 #: beat the linear-scan reference by at least this factor on the per-VC
 #: fresh protocol (the acceptance floor; measured ~2.4x on an idle core).
 _MIN_SPEEDUP = 1.3
 
-_ROUNDS = 5
+#: The recursive reference must not be >25% faster than the iterative
+#: engine on the realistic corpus (i.e. iterative is "no slower" modulo
+#: timer noise on sub-second workloads).
+_SLOWDOWN_TOLERANCE = 1.25
 
-_OUT = Path(__file__).resolve().parent.parent / "BENCH_pr5.json"
+_ROUNDS = 5
 
 
 def _corpus():
@@ -112,8 +94,7 @@ def _best_of(fn, rounds=_ROUNDS):
     return best
 
 
-def _microbench():
-    typed, corpus = _corpus()
+def _microbench(typed, corpus):
     vc_count = sum(len(terms) for _, terms in corpus)
 
     # Differential gate first (also warms the interning table so the
@@ -166,57 +147,32 @@ def _microbench():
     }
 
 
-def _impl_proof():
-    typed = annotated_package()
-    t0 = time.perf_counter()
-    result = ImplementationProof(
-        typed, scripts=aes_proof_scripts(),
-        exec=ExecConfig(jobs=1, backend="serial", cache=False)).run()
-    wall = time.perf_counter() - t0
-    report = result.report
-    assert result.feasible
+def _per_subprogram(typed, corpus, rewriter_cls):
+    """One rewriter per subprogram (the stack-safety differential's
+    protocol)."""
+    for name, terms in corpus:
+        rw = rewriter_cls(default_rules(hook=TypeBoundHook(typed, name)))
+        for t in terms:
+            rw.normalize(t)
+
+
+def _recursion_race(typed, corpus):
+    with _deep_recursion_allowed():
+        recursive_s = _best_of(
+            lambda: _per_subprogram(typed, corpus, _RecursiveRewriter))
+    iterative_s = _best_of(lambda: _per_subprogram(typed, corpus, Rewriter))
     return {
-        "wall_seconds": round(wall, 3),
-        "total_vcs": result.total_vcs,
-        "auto_percent": round(result.auto_percent, 2),
-        "work_units": report.work_units,
-        "index_hits": report.index_hits,
-        "index_skipped_rules": report.index_skipped_rules,
-        "cross_vc_hits": report.cross_vc_hits,
+        "recursive_ms": round(recursive_s * 1000, 3),
+        "iterative_ms": round(iterative_s * 1000, 3),
+        "ratio": round(iterative_s / recursive_s, 3),
     }
 
 
-def _implication_proof():
-    typed = annotated_package()
-    extraction = extract_specification(typed)
-    t0 = time.perf_counter()
-    result = prove_implication(
-        fips197_theory(), extraction.theory,
-        exec=ExecConfig(jobs=1, backend="serial", cache=False))
-    wall = time.perf_counter() - t0
-    assert result.holds
-    return {
-        "wall_seconds": round(wall, 3),
-        "lemma_count": result.lemma_count,
-        "tcc_total": result.tcc_total,
-        "holds": result.holds,
-    }
+def bench_hotpath_indexing():
+    typed, corpus = _corpus()
+    micro = _microbench(typed, corpus)
+    race = _recursion_race(typed, corpus)
 
-
-def run_hotpath_bench(check: bool):
-    payload = {
-        "schema": "bench-hotpath/v1",
-        "min_speedup": _MIN_SPEEDUP,
-        "check_mode": check,
-        "rewrite_microbench": _microbench(),
-        "implementation_proof": _impl_proof(),
-        "implication_proof": _implication_proof(),
-    }
-    _OUT.write_text(json.dumps(payload, indent=2) + "\n")
-
-    micro = payload["rewrite_microbench"]
-    impl = payload["implementation_proof"]
-    imp = payload["implication_proof"]
     print()
     print(f"corpus            {micro['vcs']} VCs over "
           f"{micro['subprograms']} subprograms")
@@ -226,41 +182,21 @@ def run_hotpath_bench(check: bool):
           f"{micro['index_skipped_rules']} rule scans skipped, "
           f"{micro['cross_vc_hits']} cross-VC hits, "
           f"cache hit rate {100 * micro['norm_cache_hit_rate']:.1f}%)")
-    print(f"impl proof        {impl['wall_seconds']:.1f} s end to end "
-          f"({impl['total_vcs']} VCs, {impl['auto_percent']:.1f}% auto, "
-          f"{impl['cross_vc_hits']} cross-VC hits)")
-    print(f"implication proof {imp['wall_seconds']:.1f} s end to end "
-          f"({imp['lemma_count']} lemmas, holds={imp['holds']})")
-    print(f"results           {_OUT.name}")
+    print(f"recursive         {race['recursive_ms']:.1f} ms "
+          f"(one rewriter per subprogram)")
+    print(f"iterative         {race['iterative_ms']:.1f} ms "
+          f"({race['ratio']:.2f}x recursive)")
+    record("hotpath", {
+        "min_speedup": _MIN_SPEEDUP,
+        "max_recursive_ratio": _SLOWDOWN_TOLERANCE,
+        "rewrite_microbench": micro,
+        "iterative_vs_recursive": race,
+    })
 
-    floor_ok = micro["speedup"] >= _MIN_SPEEDUP
-    if check:
-        assert floor_ok, (
-            f"indexed+shared speedup {micro['speedup']:.2f}x below the "
-            f"{_MIN_SPEEDUP}x floor over the linear-scan reference")
-    elif not floor_ok:
-        print(f"WARNING: speedup {micro['speedup']:.2f}x below the "
-              f"{_MIN_SPEEDUP}x floor (non-fatal without --check)")
-    return payload
-
-
-def bench_hotpath_indexing(benchmark):
-    """Pytest leg: the differential gate always runs; the speedup floor
-    is enforced in check mode (``REPRO_BENCH_CHECK=1``) and locally."""
-    benchmark.pedantic(lambda: run_hotpath_bench(check=True),
-                       rounds=1, iterations=1)
-
-
-def main(argv=None) -> int:
-    argv = argv if argv is not None else sys.argv[1:]
-    check = "--check" in argv or CHECK_MODE
-    unknown = [a for a in argv if a not in ("--check",)]
-    if unknown:
-        raise SystemExit(f"usage: python benchmarks/bench_hotpath.py "
-                         f"[--check] (got {unknown!r})")
-    run_hotpath_bench(check=check)
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    assert micro["speedup"] >= _MIN_SPEEDUP, (
+        f"indexed+shared speedup {micro['speedup']:.2f}x below the "
+        f"{_MIN_SPEEDUP}x floor over the linear-scan reference")
+    assert race["ratio"] <= _SLOWDOWN_TOLERANCE, (
+        f"iterative normalize {race['iterative_ms']:.1f} ms vs recursive "
+        f"{race['recursive_ms']:.1f} ms exceeds the "
+        f"{_SLOWDOWN_TOLERANCE}x tolerance")

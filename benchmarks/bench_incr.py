@@ -21,19 +21,12 @@ streams are comparable VC for VC):
   cone re-checks and the incremental verdicts (including the failures)
   match the cold reference.
 
-Results are written to ``BENCH_pr7.json`` at the repo root
-(``bench-incr/v1``).  Runnable standalone
-(``python benchmarks/bench_incr.py [--check]``) or under pytest.
-Verdict identity is asserted in every mode; the speedup floor is
-enforced under ``--check`` / ``REPRO_BENCH_CHECK=1`` and advisory
-otherwise (exploratory runs on loaded machines).
+Results go to ``BENCH_gates.json`` under ``incr``.  Run with
+``python -m pytest benchmarks/bench_incr.py -q -s``.
 """
 
 import dataclasses
-import json
-import os
 import random
-import sys
 import tempfile
 import time
 from pathlib import Path
@@ -46,24 +39,16 @@ from repro.incr import ManifestStore, reference_closure
 from repro.lang import analyze, ast
 from repro.prover import ImplementationProof
 
-CHECK_MODE = os.environ.get("REPRO_BENCH_CHECK", "") not in ("", "0")
+from benchmarks.gates import record, verdict_keys
 
 #: A one-procedure body edit must re-verify at least this much faster
 #: than the cold serial re-run (the acceptance floor; replaying ~95% of
 #: a ~467-VC corpus measures far above it on an idle core).
 _MIN_SPEEDUP = 10.0
 
-_OUT = Path(__file__).resolve().parent.parent / "BENCH_pr7.json"
-
 
 def _serial(cache):
     return ExecConfig(jobs=1, backend="serial", cache=cache)
-
-
-def _keys(result):
-    return [(o.vc.subprogram, o.vc.name, o.vc.kind, o.stage,
-             o.result.proved if o.result else None)
-            for o in result.outcomes]
 
 
 def _run(typed, scripts, *, cache=False, manifest=None,
@@ -144,11 +129,10 @@ def _scenario(title, typed, scripts, cache, store):
     incr, incr_s = _run(typed, scripts, cache=cache, manifest=store,
                         incremental=True)
     cold, cold_s = _run(typed, scripts)
-    assert _keys(incr) == _keys(cold), \
+    assert verdict_keys(incr) == verdict_keys(cold), \
         f"{title}: incremental verdicts diverged from the cold reference"
     stats = incr.incremental
     return {
-        "identical": True,
         "incremental_seconds": round(incr_s, 3),
         "cold_seconds": round(cold_s, 3),
         "replayed_vcs": stats.replayed_vcs,
@@ -160,7 +144,7 @@ def _scenario(title, typed, scripts, cache, store):
     }
 
 
-def run_incr_bench(check: bool):
+def bench_incremental_reverify():
     typed = annotated_package()
     scripts = aes_proof_scripts()
     cache = ResultCache()
@@ -219,21 +203,6 @@ def run_incr_bench(check: bool):
 
     body = scenarios["body_only"]
     speedup = body["cold_seconds"] / body["incremental_seconds"]
-    payload = {
-        "schema": "bench-incr/v1",
-        "min_speedup": _MIN_SPEEDUP,
-        "check_mode": check,
-        "corpus": {
-            "total_vcs": base.total_vcs,
-            "subprograms": len(base.report.per_subprogram),
-            "cold_seconds": round(base_s, 3),
-            "auto_percent": round(base.auto_percent, 2),
-        },
-        "body_edit_speedup": round(speedup, 2),
-        "scenarios": scenarios,
-    }
-    _OUT.write_text(json.dumps(payload, indent=2) + "\n")
-
     print()
     print(f"corpus            {base.total_vcs} VCs over "
           f"{len(base.report.per_subprogram)} subprograms, "
@@ -247,36 +216,19 @@ def run_incr_bench(check: bool):
               f"identical{edited}")
     print(f"body-edit speedup {speedup:.1f}x "
           f"(floor {_MIN_SPEEDUP:.0f}x)")
-    print(f"results           {_OUT.name}")
+    record("incr", {
+        "min_speedup": _MIN_SPEEDUP,
+        "corpus": {
+            "total_vcs": base.total_vcs,
+            "subprograms": len(base.report.per_subprogram),
+            "cold_seconds": round(base_s, 3),
+            "auto_percent": round(base.auto_percent, 2),
+        },
+        "body_edit_speedup": round(speedup, 2),
+        "scenarios": scenarios,
+    })
 
-    if check:
-        assert speedup >= _MIN_SPEEDUP, (
-            f"incremental re-check after a one-procedure body edit is "
-            f"only {speedup:.1f}x faster than cold (floor "
-            f"{_MIN_SPEEDUP:.0f}x)")
-    elif speedup < _MIN_SPEEDUP:
-        print(f"WARNING: speedup {speedup:.1f}x below the "
-              f"{_MIN_SPEEDUP:.0f}x floor (non-fatal without --check)")
-    return payload
-
-
-def bench_incremental_reverify(benchmark):
-    """Pytest leg: the identity gates always run; the speedup floor is
-    enforced in check mode (``REPRO_BENCH_CHECK=1``) and locally."""
-    benchmark.pedantic(lambda: run_incr_bench(check=True),
-                       rounds=1, iterations=1)
-
-
-def main(argv=None) -> int:
-    argv = argv if argv is not None else sys.argv[1:]
-    check = "--check" in argv or CHECK_MODE
-    unknown = [a for a in argv if a not in ("--check",)]
-    if unknown:
-        raise SystemExit(f"usage: python benchmarks/bench_incr.py "
-                         f"[--check] (got {unknown!r})")
-    run_incr_bench(check=check)
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    assert speedup >= _MIN_SPEEDUP, (
+        f"incremental re-check after a one-procedure body edit is "
+        f"only {speedup:.1f}x faster than cold (floor "
+        f"{_MIN_SPEEDUP:.0f}x)")

@@ -24,22 +24,15 @@ legs:
   least ``_MIN_AUTO_PERCENT`` of its VCs (the paper's figure-3 floor:
   93.6%).
 
-Results are written to ``BENCH_pr10.json`` at the repo root
-(``bench-plan/v2``), including ``cpu_count`` so single-core CI boxes --
-where a process farm cannot beat wall-clock serial no matter how little
-it dispatches -- are readable as such.  Runnable standalone
-(``python benchmarks/bench_plan.py [--check]``) or under pytest.  The
-identity gates are asserted unconditionally; the auto-discharge floor
-and the warm-replan speedup are enforced under ``--check`` /
-``REPRO_BENCH_CHECK=1`` and advisory otherwise.
+Results go to ``BENCH_gates.json`` under ``plan`` (the file records
+``cpu_count``, so single-core hosts -- where a process farm cannot beat
+wall-clock serial no matter how little it dispatches -- are readable as
+such).  Run with ``python -m pytest benchmarks/bench_plan.py -q -s``.
 """
 
-import json
 import os
-import sys
 import tempfile
 import time
-from pathlib import Path
 
 from repro.aes.annotations import build_annotated
 from repro.aes.proof_scripts import aes_proof_scripts
@@ -49,7 +42,7 @@ from repro.lang import parse_package, print_package
 from repro.plan import plan_aes
 from repro.prover import ImplementationProof
 
-CHECK_MODE = os.environ.get("REPRO_BENCH_CHECK", "") not in ("", "0")
+from benchmarks.gates import record
 
 #: The discovered program must auto-discharge at least this percentage
 #: of its implementation-proof VCs (the manual chain's figure-3 floor).
@@ -67,8 +60,6 @@ _MIN_WARM_SPEEDUP = 10.0
 
 #: Process-farm width for the farm discovery legs.
 _FARM_JOBS = max(2, min(8, (os.cpu_count() or 2) - 1))
-
-_OUT = Path(__file__).resolve().parent.parent / "BENCH_pr10.json"
 
 
 def _discover(label, config, plan_cache=None):
@@ -110,7 +101,7 @@ def _assert_identical(reference, other, label):
         f"final programs differ ({label})"
 
 
-def run_plan_bench(check: bool):
+def bench_plan_discovery():
     legs = {}
 
     def leg(name, config_kwargs, plan_cache=None):
@@ -170,32 +161,6 @@ def run_plan_bench(check: bool):
     proof_s = time.perf_counter() - t0
     auto = proof.auto_percent
 
-    payload = {
-        "schema": "bench-plan/v2",
-        "check_mode": check,
-        "cpu_count": os.cpu_count(),
-        "min_auto_percent": _MIN_AUTO_PERCENT,
-        "min_warm_speedup": _MIN_WARM_SPEEDUP,
-        "chain_digest": serial.chain_digest,
-        "identical_across_backends": True,
-        "identical_across_batch_sizes": True,
-        "reached_reference_source": reached_reference,
-        "farm_jobs": _FARM_JOBS,
-        "warm_replan_speedup": round(warm_speedup, 1),
-        "warm_replan_speedup_vs_farm": round(warm_vs_farm, 1),
-        "batched_vs_unbatched_farm_speedup": round(batch_speedup, 2),
-        "legs": legs,
-        "steps": [{"description": s.description, "origin": s.origin,
-                   "match_percent": round(s.match_percent, 1)}
-                  for s in serial.steps],
-        "proof": {
-            "total_vcs": proof.total_vcs,
-            "auto_percent": round(auto, 2),
-            "seconds": round(proof_s, 1),
-        },
-    }
-    _OUT.write_text(json.dumps(payload, indent=2) + "\n")
-
     print()
     print(f"chain digest      {serial.chain_digest} "
           f"(identical across backends, batch sizes, cache temperature)")
@@ -213,46 +178,29 @@ def run_plan_bench(check: bool):
           f"reference source reached: {reached_reference}")
     print(f"implementation    {proof.total_vcs} VCs, "
           f"auto {auto:.1f}% (floor {_MIN_AUTO_PERCENT}%)")
-    print(f"results           {_OUT.name} (cpu_count "
-          f"{payload['cpu_count']})")
+    record("plan", {
+        "min_auto_percent": _MIN_AUTO_PERCENT,
+        "min_warm_speedup": _MIN_WARM_SPEEDUP,
+        "chain_digest": serial.chain_digest,
+        "reached_reference_source": reached_reference,
+        "farm_jobs": _FARM_JOBS,
+        "warm_replan_speedup": round(warm_speedup, 1),
+        "warm_replan_speedup_vs_farm": round(warm_vs_farm, 1),
+        "batched_vs_unbatched_farm_speedup": round(batch_speedup, 2),
+        "legs": legs,
+        "steps": [{"description": s.description, "origin": s.origin,
+                   "match_percent": round(s.match_percent, 1)}
+                  for s in serial.steps],
+        "proof": {
+            "total_vcs": proof.total_vcs,
+            "auto_percent": round(auto, 2),
+            "seconds": round(proof_s, 1),
+        },
+    })
 
-    if check:
-        assert round(auto, 1) >= _MIN_AUTO_PERCENT, (
-            f"discovered program auto-discharges only {auto:.1f}% "
-            f"(floor {_MIN_AUTO_PERCENT}%)")
-        assert warm_speedup >= _MIN_WARM_SPEEDUP, (
-            f"warm replan only {warm_speedup:.1f}x faster than the cold "
-            f"serial leg (floor {_MIN_WARM_SPEEDUP}x)")
-    else:
-        if round(auto, 1) < _MIN_AUTO_PERCENT:
-            print(f"WARNING: auto-discharge {auto:.1f}% below the "
-                  f"{_MIN_AUTO_PERCENT}% floor (non-fatal without "
-                  f"--check)")
-        if warm_speedup < _MIN_WARM_SPEEDUP:
-            print(f"WARNING: warm replan speedup {warm_speedup:.1f}x "
-                  f"over the serial leg below the {_MIN_WARM_SPEEDUP}x "
-                  f"floor (non-fatal without --check)")
-    return payload
-
-
-def bench_plan_discovery(benchmark):
-    """Pytest leg: identity gates always run; the auto-discharge floor
-    and the warm-replan speedup are enforced in check mode
-    (``REPRO_BENCH_CHECK=1``)."""
-    benchmark.pedantic(lambda: run_plan_bench(check=True),
-                       rounds=1, iterations=1)
-
-
-def main(argv=None) -> int:
-    argv = argv if argv is not None else sys.argv[1:]
-    check = "--check" in argv or CHECK_MODE
-    unknown = [a for a in argv if a not in ("--check",)]
-    if unknown:
-        raise SystemExit(f"usage: python benchmarks/bench_plan.py "
-                         f"[--check] (got {unknown!r})")
-    run_plan_bench(check=check)
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    assert round(auto, 1) >= _MIN_AUTO_PERCENT, (
+        f"discovered program auto-discharges only {auto:.1f}% "
+        f"(floor {_MIN_AUTO_PERCENT}%)")
+    assert warm_speedup >= _MIN_WARM_SPEEDUP, (
+        f"warm replan only {warm_speedup:.1f}x faster than the cold "
+        f"serial leg (floor {_MIN_WARM_SPEEDUP}x)")

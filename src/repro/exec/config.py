@@ -27,7 +27,7 @@ from typing import Any, Optional, Tuple, Union
 
 from .cache import default_cache
 from .remote.link import parse_address
-from .retry import RetryPolicy
+from .retry import RetryPolicy, check_count
 from .scheduler import BACKENDS, ObligationScheduler
 from .telemetry import Telemetry, default_telemetry
 
@@ -101,17 +101,19 @@ class ExecConfig:
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, "
                              f"got {self.backend!r}")
-        if self.jobs is not None and self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs!r}")
+        if self.jobs is not None:
+            check_count("jobs", self.jobs, 1)
         if self.on_error not in ("raise", "record"):
             raise ValueError(f"on_error must be 'raise' or 'record', "
                              f"got {self.on_error!r}")
         if self.on_backend_failure not in ("raise", "degrade"):
             raise ValueError(f"on_backend_failure must be 'raise' or "
                              f"'degrade', got {self.on_backend_failure!r}")
-        if self.timeout_seconds is not None and self.timeout_seconds <= 0:
+        timeout = self.timeout_seconds
+        if timeout is not None and (isinstance(timeout, bool)
+                                    or timeout <= 0):
             raise ValueError(f"timeout_seconds must be positive, got "
-                             f"{self.timeout_seconds!r} (0 would disable "
+                             f"{timeout!r} (0 would disable "
                              f"the worker-side alarm, not enforce one)")
         # Coerce a plain-int retry count to the equivalent policy so every
         # downstream consumer sees one type (the frozen-dataclass dance).
@@ -129,12 +131,7 @@ class ExecConfig:
             parse_address(address)
         if self.remote_listen is not None:
             parse_address(self.remote_listen)   # ":0" = any interface
-        if isinstance(self.batch_size, bool) \
-                or not isinstance(self.batch_size, int) \
-                or self.batch_size < 1:
-            raise ValueError(f"batch_size must be an integer >= 1, "
-                             f"got {self.batch_size!r} (1 disables "
-                             f"batching; 0 would silently drop work)")
+        check_count("batch_size", self.batch_size, 1)
         if self.backend == "remote" and not workers \
                 and self.remote_listen is None:
             raise ValueError(

@@ -28,6 +28,14 @@ BACKOFF_FACTOR = 2.0
 JITTER = 0.1
 
 
+def check_count(name: str, value, minimum: int) -> None:
+    """``ValueError`` unless ``value`` is an int (not a bool) >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """How (and how patiently) a failing obligation is re-fired.
@@ -46,8 +54,7 @@ class RetryPolicy:
     max_delay: float = 2.0
 
     def __post_init__(self):
-        if self.retries < 0:
-            raise ValueError(f"retries must be >= 0, got {self.retries!r}")
+        check_count("retries", self.retries, 0)
         if self.base_delay < 0:
             raise ValueError(f"base_delay must be >= 0, "
                              f"got {self.base_delay!r}")

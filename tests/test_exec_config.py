@@ -77,6 +77,24 @@ class TestExecConfig:
             ExecConfig(timeout_seconds=-1.5)
         assert ExecConfig(timeout_seconds=0.5).timeout_seconds == 0.5
 
+    def test_counts_must_be_integers(self):
+        """Regression: a float ``jobs`` reached the process pool (which
+        failed, or degraded to serial), ``jobs=True`` ran serial, and a
+        bool timeout or a float retry count was accepted."""
+        for kwargs in (dict(jobs=2.5, backend="process"), dict(jobs=True),
+                       dict(jobs=2.5, backend="process",
+                            on_backend_failure="degrade"),
+                       dict(batch_size=2.0)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                ExecConfig(**kwargs)
+        with pytest.raises(ValueError, match="timeout_seconds"):
+            ExecConfig(timeout_seconds=True)
+        for retries in (2.5, True):
+            with pytest.raises(ValueError, match="retries must be an "
+                                                 "integer"):
+                RetryPolicy(retries=retries)
+        assert ExecConfig(jobs=None).jobs is None   # os.cpu_count()
+
     def test_retry_policy_accepted_and_preserved(self):
         policy = RetryPolicy(retries=3, base_delay=0.01, max_delay=0.2)
         config = ExecConfig(retries=policy)
@@ -176,6 +194,12 @@ class TestJsonWireForm:
             ExecConfig.from_json({"remote_workers": ["farm1:99999"]})
         with pytest.raises(ValueError, match="worker source"):
             ExecConfig.from_json({"backend": "remote"})
+        for data in ({"jobs": 2.5}, {"jobs": True},
+                     {"timeout_seconds": True},
+                     {"retries": {"retries": 2.5}},
+                     {"retries": {"retries": True}}):
+            with pytest.raises(ValueError):
+                ExecConfig.from_json(data)
 
 
 class TestCoercion:

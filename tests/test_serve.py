@@ -496,9 +496,16 @@ class TestDaemonSubprocess:
 @pytest.mark.slow
 class TestAESDifferentialGate:
     """Daemon verdicts on the sampled AES corpus must be bit-identical
-    to the serial batch reference -- both lanes, warm and cold."""
+    to the serial batch reference -- both lanes, warm and cold, and after
+    a journal replay -- and the warm repeat must clear
+    ``_MIN_WARM_SPEEDUP``."""
 
-    def test_sampled_corpus_identical_across_lanes_and_warmth(self):
+    #: A warm repeat of a namespace's request is a pure cache replay; it
+    #: must beat the cold first request by at least this factor.
+    _MIN_WARM_SPEEDUP = 2.0
+
+    def test_sampled_corpus_identical_across_lanes_and_warmth(
+            self, tmp_path):
         from repro.aes.annotations import annotated_package
         from repro.aes.proof_scripts import aes_proof_scripts
 
@@ -514,21 +521,50 @@ class TestAESDifferentialGate:
              o.result.proved if o.result else None)
             for o in reference.outcomes]
 
+        def submit(lane="bulk", **extra):
+            return {"op": "submit", "kind": "prove",
+                    "package": {"corpus": "aes"}, "namespace": "aes-ci",
+                    "subprograms": sample, "lane": lane, **extra}
+
         async def body(service):
             results = []
             for lane in ("bulk", "interactive", "bulk"):   # third = warm
-                accepted = await service.submit({
-                    "op": "submit", "kind": "prove",
-                    "package": {"corpus": "aes"}, "namespace": "aes-ci",
-                    "subprograms": sample, "lane": lane})
+                accepted = await service.submit(submit(lane))
                 results.append(await service.wait(accepted["id"]))
             return results
 
         results = asyncio.run(run_service(ServeConfig(), body))
+
+        # replay: admitted into a zero-capacity bulk lane (journaled,
+        # acknowledged, never run), abandoned, replayed by a new service
+        state = tmp_path / "state"
+
+        async def admit_only(service):
+            await service.submit(submit(id="replayed-1"))
+
+        asyncio.run(run_service(
+            ServeConfig(state_dir=state,
+                        lanes={"interactive": 1, "bulk": 0}), admit_only))
+        replayer = VerificationService(ServeConfig(state_dir=state))
+
+        async def replay():
+            assert await replayer.start() == 1
+            try:
+                return await replayer.wait("replayed-1")
+            finally:
+                await replayer.stop()
+
+        results.append(asyncio.run(replay()))
         for result in results:
             assert result["status"] == "ok"
             assert verdict_keys(result) == reference_keys
-        # the warm repeat really was warm
-        assert results[-1]["exec_stats"]["cache_misses"] == 0
-        assert results[-1]["exec_stats"]["cache_hits"] == \
-            sum(results[-1]["exec_stats"]["obligations"].values())
+        # the warm repeat really was warm, and fast
+        cold, warm = results[0], results[2]
+        assert warm["exec_stats"]["cache_misses"] == 0
+        assert warm["exec_stats"]["cache_hits"] == \
+            sum(warm["exec_stats"]["obligations"].values())
+        assert cold["run_seconds"] >= \
+            self._MIN_WARM_SPEEDUP * warm["run_seconds"], (
+                f"warm repeat {warm['run_seconds']:.3f} s vs cold "
+                f"{cold['run_seconds']:.3f} s: below the "
+                f"{self._MIN_WARM_SPEEDUP}x floor")

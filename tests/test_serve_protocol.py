@@ -186,7 +186,11 @@ class TestNormalizeSubmit:
         req = normalize_submit(submit_msg(exec={"jobs": 2,
                                                 "backend": "process"}))
         assert req["exec"] == {"jobs": 2, "backend": "process"}
-        for bad in ({"jobs": 0}, {"backend": "thread"}):
+        # float and bool counts too: a journaled request would otherwise
+        # replay them into the pool
+        for bad in ({"jobs": 0}, {"backend": "thread"}, {"jobs": 2.5},
+                    {"timeout_seconds": True},
+                    {"retries": {"retries": True}}):
             with pytest.raises(ProtocolError) as exc:
                 normalize_submit(submit_msg(exec=bad))
             assert exc.value.code == "bad_request"
