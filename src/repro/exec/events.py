@@ -28,11 +28,11 @@ Fault-tolerance events extend the life cycle (DESIGN.md §12):
   per-item execution walls -- the pickling/wire/queue cost the batching
   layer (DESIGN.md §18) exists to amortize.  ``detail`` is
   ``items=<K>``; ``K > 1`` marks a batched dispatch.
-* ``STORE_MISS`` -- a durable store fell back to cold (``kind`` names
-  the store: ``manifest`` or ``plan_cache``; non-terminal bookkeeping).
-  ``detail`` is the reason: a :func:`repro.exec.durable.load_record`
-  miss reason (``absent``, ``torn``, ``schema``, ``scope``) for a load,
-  or ``evicted`` when a manifest entry's verdict is gone from the result
+* ``STORE_MISS`` -- an incremental manifest fell back to cold
+  (``kind='manifest'``; non-terminal bookkeeping).  ``detail`` is the
+  reason: a :func:`repro.exec.durable.load_record` miss reason
+  (``absent``, ``torn``, ``schema``, ``scope``) for a load, or
+  ``evicted`` when a manifest entry's verdict is gone from the result
   cache.
 
 Live subscription: a :class:`~repro.exec.telemetry.Telemetry` is not only

@@ -616,6 +616,7 @@ class ObligationScheduler:
         ready = deque(members for u, members in enumerate(units)
                       if not waiting[u])
         suspects: deque = deque()    # blamed members as solo units
+        solo = False                 # the last unit shipped is a suspect
         blames: Dict[int, int] = {}
         sent_at: Dict[int, float] = {}
         finished = 0
@@ -667,10 +668,12 @@ class ObligationScheduler:
         while finished < len(pending):
             blocked = False
             while not stopped and raise_exc is None:
-                # Suspects go first, one at a time with nothing in flight.
+                # Suspects go first, one at a time with nothing in flight,
+                # and nothing ships beside a suspect in flight.
                 queue = suspects or ready
-                if not queue or (suspects and transport.busy):
+                if not queue or ((suspects or solo) and transport.busy):
                     break
+                solo = queue is suspects
                 unsent = dispatch(queue.popleft())
                 if unsent:
                     queue.appendleft(unsent)

@@ -2,15 +2,16 @@
 evaluation and writes a combined report (used to produce EXPERIMENTS.md).
 
 Run as ``python -m repro.harness.runner [--quick] [--plan]
-[--plan-cache PATH] [--incremental] [--manifest-dir DIR]`` plus the
-execution flags of :mod:`repro.exec.cli` (``--help`` lists them all).
-``--plan`` runs the automated verification-refactoring planner
-(:mod:`repro.plan`) on the AES case study instead of the table/figure
-harness, writing ``results/plan.md`` (``--plan-cache`` persists its
-probe scores and theorem verdicts so a replan replays warm).  The
-execution flags map onto one :class:`~repro.exec.ExecConfig` driving the
-proof legs; its ``to_json()`` is recorded in ``results/telemetry.json``
-beside any backend degradations.  ``--incremental`` replays
+[--incremental] [--manifest-dir DIR]`` plus the execution flags of
+:mod:`repro.exec.cli` (``--help`` lists them all).  ``--plan`` runs the
+automated verification-refactoring planner (:mod:`repro.plan`) on the
+AES case study instead of the table/figure harness, writing
+``results/plan.md`` (with ``REPRO_CACHE_DIR`` set, its probe scores and
+theorem verdicts persist in the result cache, so a replan replays
+warm).  The execution flags map onto one
+:class:`~repro.exec.ExecConfig` driving the proof legs; its
+``to_json()`` is recorded in ``results/telemetry.json`` beside any
+backend degradations.  ``--incremental`` replays
 unchanged-cone verdicts from the previous run's manifest
 (``results/manifest`` by default; pair with ``REPRO_CACHE_DIR`` so the
 result cache survives across processes) and surfaces the
@@ -124,15 +125,13 @@ def run_all(upto: int = 14, quick: bool = False,
     return "\n\n".join(sections)
 
 
-def run_plan(exec: ExecConfig, plan_cache=None) -> str:
+def run_plan(exec: ExecConfig) -> str:
     """``--plan`` mode: run the automated planner on the AES case study
-    and render its chain report (written to ``results/plan.md``).
-    ``plan_cache`` names the persistent probe/score store
-    (``--plan-cache``) so a replan replays warm."""
+    and render its chain report (written to ``results/plan.md``)."""
     from ..plan.cli import render_report
     from ..plan import plan_aes
     started = time.monotonic()
-    result = plan_aes(exec=exec, plan_cache=plan_cache)
+    result = plan_aes(exec=exec)
     return render_report(result, time.monotonic() - started)
 
 
@@ -143,7 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     add = parser.add_argument
     add("--quick", action="store_true", help="skip the defect tables")
     add("--plan", action="store_true", help="run the planner instead")
-    add("--plan-cache", metavar="PATH", help="the planner's warm store")
     add("--incremental", action="store_true",
         help="replay unchanged-cone verdicts from the last manifest")
     add("--manifest-dir", metavar="DIR",
@@ -158,7 +156,7 @@ def main(argv=None) -> int:
     config = exec_config(parser, args)
     out = Path("results")
     if args.plan:
-        report = run_plan(exec=config, plan_cache=args.plan_cache)
+        report = run_plan(exec=config)
         print(report)
         out.mkdir(exist_ok=True)
         atomic_write_text(out / "plan.md", report)

@@ -13,7 +13,6 @@ Entry points: :class:`Planner` (library),
 (harness report mode), and :func:`plan_aes` for the AES case study.
 """
 
-from .cache import PLAN_CACHE_SCHEMA, PlanCache, scoring_digest
 from .catalog import AlignWithSpecification, Catalog, CatalogEntry, \
     aes_catalog
 from .candidates import Candidate, enumerate_candidates
@@ -24,7 +23,6 @@ from .search import Planner, PlanResult
 
 __all__ = [
     "Planner", "PlanResult", "plan_aes",
-    "PlanCache", "PLAN_CACHE_SCHEMA", "scoring_digest",
     "Catalog", "CatalogEntry", "AlignWithSpecification", "aes_catalog",
     "Candidate", "enumerate_candidates",
     "Frontier", "PlanState", "PlanStep",
@@ -35,13 +33,12 @@ __all__ = [
 
 def plan_aes(trials: int = 2, seed: int = 20090701, exec=None,
              beam_width: int = 12, top_k: int = 6,
-             max_expansions: int = 256, plan_cache=None,
-             log=None) -> PlanResult:
+             max_expansions: int = 256, log=None) -> PlanResult:
     """Plan the AES case study: optimized implementation toward the
     FIPS-197 architecture, with the section-6.2.2 user-specified moves
-    available in the catalog.  ``plan_cache`` is a path for the
-    persistent :class:`PlanCache` -- a second run replays the whole
-    scored frontier warm."""
+    available in the catalog.  A second run over the same disk-tier
+    result cache (``REPRO_CACHE_DIR``, or ``exec``'s ``cache``) replays
+    the whole scored frontier warm."""
     from ..aes.blocks import cipher_sampler
     from ..aes.fips197 import fips197_theory
     from ..aes.optimized import optimized_source
@@ -56,5 +53,5 @@ def plan_aes(trials: int = 2, seed: int = 20090701, exec=None,
         max_expansions=max_expansions,
         check="differential", trials=trials, seed=seed,
         samplers={"Cipher": cipher_sampler, "Inv_Cipher": cipher_sampler},
-        exec=exec, plan_cache=plan_cache, log=log)
+        exec=exec, log=log)
     return planner.plan()

@@ -69,7 +69,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     add("--beam", type=int, default=12, help="frontier width")
     add("--top-k", type=int, default=6, help="children per expansion")
     add("--max-expansions", type=int, default=256)
-    add("--plan-cache", metavar="PATH", help="warm probe/verdict store")
     add("--json", action="store_true", help="JSON output (implies --quiet)")
     add("--quiet", action="store_true", help="no progress log")
     add_exec_arguments(parser)
@@ -82,7 +81,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     started = time.monotonic()
     result = plan_aes(trials=args.trials, exec=config, beam_width=args.beam,
                       top_k=args.top_k, max_expansions=args.max_expansions,
-                      plan_cache=args.plan_cache, log=log)
+                      log=log)
     elapsed = time.monotonic() - started
     if args.json:
         payload = result.to_json()

@@ -35,8 +35,8 @@ execution -- asserted by ``benchmarks/bench_plan.py``.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
+from types import FunctionType
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..exec import (
@@ -45,7 +45,6 @@ from ..exec import (
 )
 from ..lang import analyze, ast, print_package
 from ..refactor import RefactoringEngine, TransformationError
-from .cache import PlanCache, scoring_digest
 from .candidates import Candidate, enumerate_candidates
 from .catalog import Catalog
 from .frontier import Frontier, PlanStep, PlanState
@@ -55,7 +54,7 @@ from .scoring import (
     StateEvaluation, candidate_token, evaluate_candidate,
 )
 
-__all__ = ["Planner", "PlanResult"]
+__all__ = ["Planner", "PlanResult", "validation_key"]
 
 #: Obligation kind for candidate-state measurement.
 PLAN_EVAL = "plan_eval"
@@ -122,17 +121,15 @@ class Planner:
                  exec: Optional[ExecConfig] = None,
                  probe_tree_bytes: int = DEFAULT_PROBE_TREE_BYTES,
                  probe_vcs: int = DEFAULT_PROBE_VCS,
-                 plan_cache=None,
                  log: Optional[Callable[[str], None]] = None):
         """``goal_match``: alternative/additional goal condition -- any
         state whose match fraction reaches it completes the plan (used
         when the catalog has no ``goal`` entry).  ``check``/``trials``/
         ``samplers``/``seed`` configure the transient validation engines
         exactly as they would a manual
-        :class:`~repro.refactor.engine.RefactoringEngine`.
-        ``plan_cache``: a path (or a :class:`~repro.plan.cache.PlanCache`)
-        for the persistent probe/score and theorem-verdict store --
-        replanning the same program replays its scored frontier warm
+        :class:`~repro.refactor.engine.RefactoringEngine`.  Evaluations
+        and theorem verdicts are records in the ``exec`` config's result
+        cache, so a replan over a disk-tier cache replays warm
         (DESIGN.md §18)."""
         self.typed = analyze(package)
         self.observables = list(observables)
@@ -154,13 +151,7 @@ class Planner:
         self._log = log or (lambda message: None)
         self._reference_fp = "" if reference is None \
             else theory_fingerprint(reference)
-        if plan_cache is None or isinstance(plan_cache, PlanCache):
-            self._cache: Optional[PlanCache] = plan_cache
-        else:
-            self._cache = PlanCache(plan_cache, scoring_digest(
-                self._reference_fp, probe_tree_bytes, probe_vcs,
-                check, trials, seed, self.observables),
-                self.exec.resolved_telemetry())
+        self._cache = self.exec.resolved_cache()
         self._root_fp = ""
         self._evaluations = 0
         self._validations = 0
@@ -182,15 +173,11 @@ class Planner:
             return result
         finally:
             self._memo = None
-            # Persist whatever was learned even when the search raises:
-            # a partial cache still warms the next replan.
-            if self._cache is not None:
-                self._cache.save()
 
     def _plan(self) -> PlanResult:
         root_fp = self._root_fp = package_fingerprint(self.typed)
         self._memo.remember_typed(root_fp, self.typed)
-        root_eval = StateEvaluation.from_json(self._measure_root(root_fp))
+        root_eval = self._measure_root(root_fp)
         frontier = Frontier(self.beam_width)
         frontier.push(PlanState(
             fingerprint=root_fp, evaluation=root_eval,
@@ -237,36 +224,34 @@ class Planner:
         if state.transformation is None:
             return True
         token = candidate_token(state.transformation)
-        cache_key = None
-        if self._cache is not None:
-            parent_fp = state.chain[-2].fingerprint \
-                if len(state.chain) >= 2 else self._root_fp
-            cache_key = PlanCache.validation_key(
-                parent_fp, state.fingerprint, token, self.check,
-                self.trials, self.seed, self.observables)
-            verdict = self._cache.get_validation(cache_key)
-            if verdict is not None:
-                # A cached verdict still counts as a validation: the
-                # edge was checked, just not in this process.
-                if not verdict["ok"]:
-                    self._validations += 1
-                    rejected.append((token,
-                                     state.transformation.describe(),
-                                     verdict.get("reason", "")))
-                    self._log(f"rejected (cached theorem): "
-                              f"{state.transformation.describe()}: "
-                              f"{verdict.get('reason', '')}")
-                    return False
-                if self._replay_accepted(state, parent_fp):
-                    self._validations += 1
-                    last = state.chain[-1]
-                    self._log(f"step {state.depth}: {last.description} "
-                              f"(score {state.score:+.4f}, "
-                              f"match {last.match_percent:.1f}%, "
-                              f"cached theorem)")
-                    return True
-                # Replay disagreed with the cached child fingerprint:
-                # distrust the entry and run the full validation below.
+        parent_fp = state.chain[-2].fingerprint \
+            if len(state.chain) >= 2 else self._root_fp
+        key = validation_key(parent_fp, state.fingerprint, token,
+                             self.check, self.trials, self.seed,
+                             self.observables, self.samplers)
+        hit, verdict = (False, None) if self._cache is None \
+            else self._cache.get(key, decode=_verdict)
+        if hit:
+            # A cached verdict still counts as a validation: the edge
+            # was checked, just not by this search.
+            if not verdict["ok"]:
+                self._validations += 1
+                rejected.append((token, state.transformation.describe(),
+                                 verdict["reason"]))
+                self._log(f"rejected (cached theorem): "
+                          f"{state.transformation.describe()}: "
+                          f"{verdict['reason']}")
+                return False
+            if self._replay_accepted(state, parent_fp):
+                self._validations += 1
+                last = state.chain[-1]
+                self._log(f"step {state.depth}: {last.description} "
+                          f"(score {state.score:+.4f}, "
+                          f"match {last.match_percent:.1f}%, "
+                          f"cached theorem)")
+                return True
+            # Replay disagreed with the cached child fingerprint:
+            # distrust the record and run the full validation below.
         # check_observables: an automated search composes hundreds of
         # steps, so every accepted edge carries the end-to-end theorem
         # over the observables -- a narrow affected-subprogram check
@@ -282,14 +267,12 @@ class Planner:
             self._validations += 1
             rejected.append((token, state.transformation.describe(),
                              str(exc)))
-            if cache_key is not None:
-                self._cache.put_validation(cache_key, False, str(exc))
+            self._record_verdict(key, False, str(exc))
             self._log(f"rejected (theorem): "
                       f"{state.transformation.describe()}: {exc}")
             return False
         self._validations += 1
-        if cache_key is not None:
-            self._cache.put_validation(cache_key, True)
+        self._record_verdict(key, True)
         state.package = engine.package
         self._memo.remember_typed(state.fingerprint, engine.typed)
         last = state.chain[-1]
@@ -297,6 +280,11 @@ class Planner:
                   f"(score {state.score:+.4f}, "
                   f"match {last.match_percent:.1f}%)")
         return True
+
+    def _record_verdict(self, key: str, ok: bool, reason: str = "") -> None:
+        if self._cache is not None:
+            self._cache.put(key, {"ok": ok, "reason": reason},
+                            encode=_identity)
 
     def _replay_accepted(self, state: PlanState, parent_fp: str) -> bool:
         """Materialize a cached-accepted edge mechanically: apply the
@@ -393,32 +381,19 @@ class Planner:
             self._obligation(state, candidate, parent_match, probe)
             for candidate in candidates]
         self._evaluations += len(obligations)
-        results: List[Optional[StateEvaluation]] = [None] * len(obligations)
-        pending: List[Tuple[int, Obligation]] = []
-        for i, obligation in enumerate(obligations):
-            cached = None if self._cache is None \
-                else self._cache.get_evaluation(obligation.cache_key)
-            if cached is not None:
-                results[i] = StateEvaluation.from_json(cached)
+        results: List[StateEvaluation] = []
+        for outcome in self.exec.scheduler().run(obligations):
+            if outcome.ok:
+                results.append(StateEvaluation.from_json(outcome.value))
             else:
-                pending.append((i, obligation))
-        outcomes = self.exec.scheduler().run(
-            [obligation for _, obligation in pending]) if pending else []
-        for (i, obligation), outcome in zip(pending, outcomes):
-            if not outcome.ok:
                 # A crashed/errored evaluation is treated as an
                 # inapplicable candidate: the chain must never depend on
-                # a state we could not measure.  Never cached -- a
-                # transient fault must not poison later replans.
-                results[i] = StateEvaluation(
+                # a state we could not measure.  The scheduler caches
+                # only successes, so a transient fault poisons no replan.
+                results.append(StateEvaluation(
                     applicable=False,
                     reason=f"evaluation {outcome.status}: "
-                           f"{outcome.error or ''}")
-            else:
-                results[i] = StateEvaluation.from_json(outcome.value)
-                if self._cache is not None:
-                    self._cache.put_evaluation(obligation.cache_key,
-                                               outcome.value)
+                           f"{outcome.error or ''}"))
         return results
 
     def _obligation(self, state: PlanState, candidate: Candidate,
@@ -443,29 +418,34 @@ class Planner:
         return Obligation(
             kind=PLAN_EVAL, label=f"eval:{transformation.describe()}",
             thunk=thunk, cache_key=key,
-            encode=_identity, decode=_identity,
+            encode=_identity, decode=_evaluation,
             payload=CallPayload(
                 fn=evaluate_candidate,
                 args=(package, state.fingerprint, transformation,
                       self.reference),
                 kwargs=tuple(sorted(kwargs.items()))))
 
-    def _measure_root(self, root_fp: str) -> dict:
+    def _measure_root(self, root_fp: str) -> StateEvaluation:
+        """The root's probe-tier evaluation: a payloadless obligation,
+        so the scheduler answers it from the cache or runs it inline."""
         self._evaluations += 1
         key = make_key(PLAN_EVAL, root_fp, "<root>", self._reference_fp,
                        "None",
                        f"probe:{self.probe_tree_bytes}:{self.probe_vcs}")
-        if self._cache is not None:
-            cached = self._cache.get_evaluation(key)
-            if cached is not None:
-                return cached
-        value = evaluate_candidate(
-            self.typed.package, root_fp, None, self.reference,
-            probe=True, probe_tree_bytes=self.probe_tree_bytes,
-            probe_vcs=self.probe_vcs, memo=self._memo)
-        if self._cache is not None:
-            self._cache.put_evaluation(key, value)
-        return value
+
+        def thunk():
+            return evaluate_candidate(
+                self.typed.package, root_fp, None, self.reference,
+                probe=True, probe_tree_bytes=self.probe_tree_bytes,
+                probe_vcs=self.probe_vcs, memo=self._memo)
+
+        [outcome] = self.exec.scheduler().run([Obligation(
+            kind=PLAN_EVAL, label="eval:<root>", thunk=thunk,
+            cache_key=key, encode=_identity, decode=_evaluation)])
+        if not outcome.ok:
+            raise RuntimeError(f"root evaluation {outcome.status}: "
+                               f"{outcome.error}")
+        return StateEvaluation.from_json(outcome.value)
 
     # -- helpers ------------------------------------------------------------
 
@@ -496,6 +476,43 @@ class Planner:
             reused=dict(self._memo.reused))
 
 
+def validation_key(parent_fp: str, child_fp: str, token: str, check: str,
+                   trials: int, seed: int, observables,
+                   samplers: Optional[dict]) -> str:
+    """Result-cache key of one edge's theorem verdict: the edge itself
+    and every input of its validation engine, samplers included."""
+    return make_key(
+        "plan_validate", parent_fp, child_fp, token, check, str(trials),
+        str(seed), repr(list(observables)),
+        repr(sorted((name, _sampler_name(fn))
+                    for name, fn in (samplers or {}).items())))
+
+
+def _sampler_name(fn) -> str:
+    """A module-level function by ``module.qualname``; anything else (a
+    lambda, a nested function, a callable object) by its ``repr``, which
+    holds its address, so its verdicts never outlive the process."""
+    if isinstance(fn, FunctionType) and "<" not in fn.__qualname__:
+        return f"{fn.__module__}.{fn.__qualname__}"
+    return repr(fn)
+
+
 def _identity(value):
-    """JSON codec for evaluations, which already are plain dicts."""
+    """JSON codec for evaluations and verdicts, which are plain dicts."""
+    return value
+
+
+def _evaluation(value):
+    """Decoder of evaluation records: a record :meth:`StateEvaluation
+    .from_json` rejects raises ``TypeError``, which the cache reads as a
+    miss, so the state is re-evaluated."""
+    StateEvaluation.from_json(value)
+    return value
+
+
+def _verdict(value):
+    """Decoder of verdict records (a malformed one is a miss)."""
+    if not (isinstance(value["ok"], bool)
+            and isinstance(value["reason"], str)):
+        raise TypeError(f"not a theorem verdict: {value!r}")
     return value

@@ -1,13 +1,13 @@
-"""The durable-file matrix: the four stores that persist across
-processes -- the result cache's disk tier, the incremental manifests,
-the plan cache and the serve journal's result store -- share one rule
+"""The durable-file matrix: the three stores that persist across
+processes -- the result cache's disk tier, the incremental manifests
+and the serve journal's result store -- share one rule
 (:mod:`repro.exec.durable`), so each is checked here the same way:
 torn and truncated files, the previous version's layout, a foreign
 scope, orphaned temp files of every age (including across a clock
 step), and a writer killed between ``mkstemp`` and ``os.replace``.
 
 The journal's ``results/<id>.json`` files are plain JSON, not records,
-so the schema and scope cases cover the other three stores only.
+so the schema and scope cases cover the other two stores only.
 """
 
 import json
@@ -24,10 +24,8 @@ from repro.exec.durable import (
     STALE_TMP_SECONDS, load_record, read_json, write_record,
 )
 from repro.incr import MANIFEST_SCHEMA, ManifestStore
-from repro.plan import PLAN_CACHE_SCHEMA, PlanCache, StateEvaluation
 from repro.serve.journal import Journal
 
-_EVALUATION = StateEvaluation(applicable=True, fingerprint="fp").to_json()
 _SUBPROGRAMS = {"Sub": {"cone_fp": "cone", "vcs": []}}
 
 
@@ -74,28 +72,6 @@ class _ManifestStore:
                 "subprograms": _SUBPROGRAMS}
 
 
-class _PlanCacheStore:
-    schema = PLAN_CACHE_SCHEMA
-    scope = "scoring-digest"
-
-    def open(self, root):
-        return PlanCache(root / "plan.json", self.scope)
-
-    def write(self, store):
-        store.put_evaluation("k", _EVALUATION)
-        store.save()
-
-    def hit(self, store):
-        return store.get_evaluation("k") == _EVALUATION
-
-    def path(self, root):
-        return root / "plan.json"
-
-    def previous(self):
-        return {"schema": "repro-plan-cache/v1", "scoring": self.scope,
-                "evaluations": {"k": _EVALUATION}, "validations": {}}
-
-
 class _JournalStore:
     def open(self, root):
         return Journal(root)
@@ -110,8 +86,7 @@ class _JournalStore:
         return root / "results" / "r1.json"
 
 
-RECORD_STORES = {"result_cache": _CacheStore(), "manifest": _ManifestStore(),
-                 "plan_cache": _PlanCacheStore()}
+RECORD_STORES = {"result_cache": _CacheStore(), "manifest": _ManifestStore()}
 STORES = {**RECORD_STORES, "journal": _JournalStore()}
 
 every_store = pytest.mark.parametrize(

@@ -375,10 +375,12 @@ class TestExecFlags:
 
     def test_misspelled_flag_is_rejected(self, cli, capsys):
         # argparse's prefix matching would have read --job as --jobs;
-        # the other flags name removed ExecConfig fields.
+        # the other flags name removed ExecConfig fields and the removed
+        # planner store (the planner's records live in the result cache).
         for argv in (["--job", "4"], ["--lease-timeout", "1"],
                      ["--no-remote-shared-cache"],
-                     ["--batch-bytes-cap", "1"]):
+                     ["--batch-bytes-cap", "1"],
+                     ["--plan-cache", "plan.json"]):
             assert f"unrecognized arguments: {argv[0]}" in \
                 self._usage_error(cli, argv, capsys)
 

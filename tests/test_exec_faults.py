@@ -280,6 +280,24 @@ class TestCrashRecovery:
             assert [o.value for o in outcomes] == [0, 1, 2], backend
             assert telemetry.stats().retried_ok == 1, backend
 
+    def test_last_suspect_reruns_alone(self, tmp_path):
+        """A blamed obligation's re-run is solo even when it is the last
+        suspect.  ``x`` kills its worker once while ``s`` is in flight,
+        so both are blamed; ``x`` re-runs first and its success readies
+        its group successor ``y``, which kills its worker once too.
+        ``s`` runs for two seconds, so were ``y`` shipped beside ``s``'s
+        re-run, ``s`` would be blamed a second time and quarantined for
+        a crash it never caused."""
+        telemetry = Telemetry()
+        s = CallPayload(_busy, (2.0,))
+        obs = [_faulty_ob(tmp_path, "x", ("crash",), "x", group="g"),
+               Obligation(kind="chaos", label="s", thunk=s.run, payload=s),
+               _faulty_ob(tmp_path, "y", ("crash",), "y", group="g")]
+        outcomes = _scheduler(telemetry=telemetry, batch_size=1).run(obs)
+        assert [(o.status, o.value) for o in outcomes] == \
+            [("ok", "x"), ("ok", "done"), ("ok", "y")]
+        assert telemetry.stats().quarantined == 0
+
 
 # ---------------------------------------------------------------------------
 # Backend degradation
