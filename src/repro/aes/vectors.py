@@ -31,10 +31,6 @@ class AESVector:
     def nk(self) -> int:
         return len(self.key) // 4
 
-    @property
-    def nr(self) -> int:
-        return self.nk + 6
-
 
 #: FIPS-197 Appendix C example vectors (PLAINTEXT = 00112233...ff).
 FIPS197_VECTORS: List[AESVector] = [

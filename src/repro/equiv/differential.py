@@ -22,7 +22,7 @@ from .model import (
 )
 
 __all__ = ["Counterexample", "DifferentialResult", "differential_check",
-           "exhaustive_check", "enumerate_states"]
+           "trial_states", "exhaustive_check", "enumerate_states"]
 
 
 @dataclass(frozen=True)
@@ -71,11 +71,11 @@ def _compare(left_typed, left_name, right_typed, right_name, initial,
     return None
 
 
-def differential_check(left_typed: TypedPackage, left_name: str,
-                       right_typed: TypedPackage, right_name: str,
-                       trials: int = 64, seed: int = 20090701,
-                       sampler=None) -> DifferentialResult:
-    """Random differential test over ``trials`` equal initial states.
+def trial_states(left_typed: TypedPackage, left_name: str,
+                 right_typed: TypedPackage, right_name: str,
+                 trials: int, seed: int, sampler=None) -> List[State]:
+    """The ``trials`` seeded initial states of a differential check, after
+    checking that both subprograms read the same inputs.
 
     ``sampler(rng)`` overrides initial-state generation -- needed when the
     meaningful input domain is narrower than the declared types (e.g. AES
@@ -88,12 +88,23 @@ def differential_check(left_typed: TypedPackage, left_name: str,
         raise ValueError(
             f"signatures differ: {left_name} vs {right_name}")
     rng = random.Random(seed)
-    for trial in range(trials):
-        initial = sampler(rng) if sampler is not None \
+    return [sampler(rng) if sampler is not None
             else random_state(left_typed, sp_left, rng)
+            for _ in range(trials)]
+
+
+def differential_check(left_typed: TypedPackage, left_name: str,
+                       right_typed: TypedPackage, right_name: str,
+                       trials: int = 64, seed: int = 20090701,
+                       sampler=None) -> DifferentialResult:
+    """Random differential test over the ``trials`` initial states of
+    :func:`trial_states`, stopping at the first counterexample."""
+    states = trial_states(left_typed, left_name, right_typed, right_name,
+                          trials, seed, sampler)
+    for trial, initial in enumerate(states, 1):
         cx = _compare(left_typed, left_name, right_typed, right_name, initial)
         if cx is not None:
-            return DifferentialResult(equivalent=False, trials=trial + 1,
+            return DifferentialResult(equivalent=False, trials=trial,
                                       counterexample=cx)
     return DifferentialResult(equivalent=True, trials=trials)
 

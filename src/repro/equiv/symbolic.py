@@ -47,10 +47,6 @@ class SymbolicSummary:
     steps: int
 
 
-class _Stop(Exception):
-    """Internal: budget exhausted."""
-
-
 class SymbolicExecutor:
     def __init__(self, typed: TypedPackage, max_steps: int = 200_000,
                  inline_depth: int = 16):

@@ -15,14 +15,19 @@ structural wire format of :mod:`repro.logic.wire`, which re-interns them
 in the worker so hash-consing identity (``__eq__ is is``) holds there
 exactly as it does in the parent.
 
+Each payload's :meth:`~ObligationPayload.run` calls the same function
+the parent-side thunk calls, and carries exactly that function's inputs:
+a VC goes through :func:`repro.prover.session.discharge_vc`, a trial
+through :func:`repro.equiv.differential._compare`, a lemma through
+:func:`repro.implication.prover.discharge_lemma` (DESIGN.md §11).
+
 Worker-side context is memoized per process, keyed by content
 fingerprints: a package is re-analyzed once per worker (not once per VC),
 and theory evaluator pairs are reused per theory pair.  Provers are the
-deliberate exception -- a prover instance accumulates search history, so
-one is constructed *per VC* (the session's inline path does the same),
-keeping every discharge a pure function of the payload's fields no
-matter which sibling VCs a worker saw first.  Reconstruction is
-deterministic -- ``analyze`` of the same AST, ``build_map``/
+deliberate exception -- ``discharge_vc`` constructs them *per VC* on
+both sides, keeping every discharge a pure function of the payload's
+fields no matter which sibling VCs a worker saw first.  Reconstruction
+is deterministic -- ``analyze`` of the same AST, ``build_map``/
 ``generate_lemmas`` of the same theories -- so a payload discharged in a
 worker produces the same result the parent-side thunk would have
 produced.
@@ -79,10 +84,6 @@ class ObligationPayload:
 
 _TYPED_CACHE: Dict[str, Any] = {}
 _THEORY_CACHE: Dict[tuple, tuple] = {}
-#: Warm normalization batches already absorbed by this worker, keyed by
-#: (scope key, fingerprint tuple) -- every VC payload of a subprogram
-#: carries the same batch, which need only be decoded once per process.
-_WARM_ABSORBED: set = set()
 
 
 def _typed_package(fp: str, package):
@@ -93,46 +94,6 @@ def _typed_package(fp: str, package):
         typed = analyze(package)
         _TYPED_CACHE[fp] = typed
     return typed
-
-
-def _provers(fp: str, package, subprogram: str, auto_timeout):
-    """A *fresh* (AutoProver, InteractiveProver) pair for one VC.
-
-    Prover instances carry search history (the fresh-name counter, the
-    per-term memo caches), so a pair reused across VCs would make each
-    verdict depend on which sibling VCs this worker happened to
-    discharge earlier -- and with the farm handing every worker a
-    different subset of leases, on the shape of the farm itself.
-    Constructing per VC keeps a payload's outcome a pure function of
-    its fields: any distribution of obligations across threads,
-    processes, or remote workers produces the serial reference's
-    verdicts bit for bit.  The worker's process-wide normalization
-    cache (warmed by :func:`_absorb_warm`) is still shared across
-    constructions: a cached normal form is a pure function of
-    (rules, term), an accelerator that cannot move a verdict."""
-    from ..logic.normcache import default_norm_cache
-    from ..prover.auto import AutoProver
-    from ..prover.tactics import InteractiveProver
-    typed = _typed_package(fp, package)
-    shared = default_norm_cache()
-    return (AutoProver(typed, subprogram_name=subprogram,
-                       timeout_seconds=auto_timeout, shared=shared),
-            InteractiveProver(typed, subprogram_name=subprogram,
-                              shared=shared))
-
-
-def _absorb_warm(warm_key: str, warm_norms) -> None:
-    """Install a payload's warm normalization batch (parent-side examiner
-    results for one subprogram) into this worker's cache, once."""
-    fps, wire = warm_norms
-    memo_key = (warm_key, fps)
-    if memo_key in _WARM_ABSORBED:
-        return
-    _WARM_ABSORBED.add(memo_key)
-    from ..logic.normcache import default_norm_cache
-    from ..logic.wire import decode_terms
-    terms = decode_terms(wire)
-    default_norm_cache().absorb(warm_key, zip(fps, terms))
 
 
 def _theory_context(original_fp: str, extracted_fp: str,
@@ -175,14 +136,17 @@ if hasattr(os, "register_at_fork"):
 
 @dataclass(frozen=True)
 class VCPayload(ObligationPayload):
-    """Discharge of one verification condition: automatic prover first,
-    then the subprogram's interactive proof scripts -- the exact sequence
-    of :meth:`repro.prover.session.ImplementationProof._discharger`.
+    """Discharge of one verification condition: the inputs of
+    :func:`repro.prover.session.discharge_vc`, the function the session's
+    inline thunk calls (automatic prover, then the subprogram's
+    interactive proof scripts).
 
     ``package`` is the MiniAda AST (re-analyzed worker-side, memoized on
     ``package_fp``); ``term`` is the simplified VC (re-interned via the
     wire format); ``scripts`` are the :class:`~repro.prover.tactics
-    .ProofScript` values to try in order on an auto-prover miss.
+    .ProofScript` values to try in order on an auto-prover miss.  The
+    worker's provers share its process-wide normalization cache, an
+    accelerator that cannot move a verdict.
     """
 
     package: Any                   # repro.lang.ast.Package
@@ -191,30 +155,13 @@ class VCPayload(ObligationPayload):
     term: Any                      # repro.logic.terms.Term
     scripts: Tuple[Any, ...] = ()
     auto_timeout: Optional[float] = None
-    #: Optional warm normalization batch: the parent examiner's subterm
-    #: normal forms for this subprogram, as (scope key, (fingerprint
-    #: tuple, wire-encoded terms)).  Absorbed once per worker; purely an
-    #: accelerator -- results are identical without it.  Every VC payload
-    #: of one subprogram holds the same tuple object, so pickle's memo
-    #: ships it once per dispatch unit (DESIGN.md §18).
-    warm_key: Optional[str] = None
-    warm_norms: Any = None
 
     def run(self):
-        if self.warm_key is not None and self.warm_norms is not None:
-            _absorb_warm(self.warm_key, self.warm_norms)
-        auto, interactive = _provers(self.package_fp, self.package,
-                                     self.subprogram, self.auto_timeout)
-        result = auto.prove(self.term)
-        if result.proved:
-            return "auto", result
-        if not self.scripts:
-            return "undischarged", None
-        for script in self.scripts:
-            result = interactive.run_script(self.term, script)
-            if result.proved:
-                return "interactive", result
-        return "undischarged", result
+        from ..logic.normcache import default_norm_cache
+        from ..prover.session import discharge_vc
+        return discharge_vc(_typed_package(self.package_fp, self.package),
+                            self.subprogram, self.term, self.scripts,
+                            self.auto_timeout, shared=default_norm_cache())
 
     def encode_result(self, value):
         from .obligation import _encode_vc_result

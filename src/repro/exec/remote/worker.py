@@ -5,9 +5,9 @@ lease carries the arguments of
 :func:`repro.exec.scheduler._batch_worker`, the function a local pool
 worker runs -- one dispatch unit's ``(index, payload, token)`` entries
 (a solo obligation is a unit of one), the retry policy and the timeout
--- so the warm-norm absorption, the SIGALRM hard timeout,
-the retry policy with deterministic jitter, and the result-tuple shape
-are all identical to the process backend.  The worker keeps no result
+-- so each payload's discharge function, the SIGALRM hard timeout, the
+retry policy with deterministic jitter, and the result-tuple shape are
+all identical to the process backend.  The worker keeps no result
 cache: the parent's :class:`~repro.exec.cache.ResultCache` settles every
 hit before a lease is sent.  Two connection modes::
 

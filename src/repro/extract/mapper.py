@@ -11,7 +11,7 @@ tables -- the refactoring process is what makes these names line up, via
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..spec import ast as s
 
@@ -40,12 +40,6 @@ class ArchitecturalMap:
 
     def table_pairs(self) -> List[MatchedPair]:
         return [p for p in self.pairs if p.kind == "table"]
-
-    def extracted_name(self, original: str) -> Optional[str]:
-        for p in self.pairs:
-            if p.original == original:
-                return p.extracted
-        return None
 
 
 def _elements(theory: s.Theory):

@@ -26,6 +26,7 @@ from ..extract.mapper import ArchitecturalMap
 from ..logic import (
     Rewriter, Rule, Term, default_rules, eq, intc, ite, select, store, var,
 )
+from ..logic.rules import select_store_split
 from ..spec import SpecEvalError, SpecEvaluator
 from ..spec import ast as s
 from .lemmas import Lemma
@@ -182,16 +183,6 @@ class _SpecTermBuilder:
         raise SpecTermError(f"cannot build term for {type(e).__name__}")
 
 
-def _rule_select_store_split(term: Term):
-    if term.op != "select":
-        return None
-    arr, idx = term.args
-    if arr.op != "store":
-        return None
-    base, widx, wval = arr.args
-    return ite(eq(widx, idx), wval, select(base, idx))
-
-
 _normalizer = None
 
 
@@ -200,7 +191,7 @@ def _normalize(term: Term) -> Term:
     if _normalizer is None:
         _normalizer = Rewriter(
             default_rules()
-            + [Rule("select-store-split", "arrays", _rule_select_store_split)])
+            + [Rule("select-store-split", "arrays", select_store_split)])
     return _normalizer.normalize(term)
 
 

@@ -16,11 +16,12 @@ besides the term itself (package fingerprint, subprogram -- the type-bound
 hook differs per subprogram -- excluded rule families, and whether the
 prover's extra rules are loaded).  Keying on :func:`repro.logic.canon
 .fingerprint` rather than interning ids makes entries meaningful across
-rewriter instances, across threads, and across the process boundary: the
-implementation-proof session exports a subprogram's warm entries into its
-:class:`~repro.exec.payload.VCPayload` batch, and process-pool workers
-absorb them before discharging (terms re-intern through the wire format,
-so the cached normal forms keep hash-consing identity worker-side).
+rewriter instances and across threads.  Nothing crosses the process
+boundary: the implementation-proof session owns one cache (the examiner
+warms it, the inline per-VC provers reuse it), and each process-pool or
+farm worker fills its own :func:`default_norm_cache` as it discharges
+(shipping the parent's warm entries to workers was measured and bought
+nothing; DESIGN.md §13).
 
 Soundness is inherited from the rewriter's own DAG memo: rewriting is
 context-free (a rule sees one node, never its ancestors), so a subterm's
@@ -36,16 +37,16 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Iterable, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .terms import Term
 
 __all__ = ["NormalizationCache", "NormScope", "default_norm_cache",
            "DEFAULT_NORM_CACHE_ENTRIES"]
 
-#: Default LRU capacity.  An AES-sized implementation proof publishes a
-#: few tens of thousands of distinct subterm normal forms; 1<<16 keeps
-#: the whole working set resident while bounding a long harness run.
+#: LRU capacity.  An AES-sized implementation proof publishes a few
+#: tens of thousands of distinct subterm normal forms; 1<<16 keeps the
+#: whole working set resident while bounding a long harness run.
 DEFAULT_NORM_CACHE_ENTRIES = 1 << 16
 
 
@@ -53,10 +54,7 @@ class NormalizationCache:
     """Bounded, thread-safe LRU of normal forms keyed by
     ``(rules_key, fingerprint)``."""
 
-    def __init__(self, max_entries: int = DEFAULT_NORM_CACHE_ENTRIES):
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries!r}")
-        self.max_entries = max_entries
+    def __init__(self):
         self._lock = threading.Lock()
         self._entries: "OrderedDict[Tuple[str, str], Term]" = OrderedDict()
         self._hits = 0
@@ -84,34 +82,13 @@ class NormalizationCache:
                 entries[key] = term
                 return
             entries[key] = term
-            while len(entries) > self.max_entries:
+            while len(entries) > DEFAULT_NORM_CACHE_ENTRIES:
                 entries.popitem(last=False)
 
     def scope(self, rules_key: str) -> "NormScope":
         """A single-key view suitable for :class:`~repro.logic.rewriter
         .Rewriter`'s ``shared`` parameter."""
         return NormScope(self, rules_key)
-
-    # -- payload warm-shipping ----------------------------------------------
-
-    def export(self, rules_key: str,
-               limit: Optional[int] = None) -> List[Tuple[str, Term]]:
-        """The scope's ``(fingerprint, normal form)`` pairs, most recently
-        used last; with ``limit``, only the *most* recently used entries
-        (the biggest, latest-converging subtrees publish last, so the MRU
-        tail is the valuable end to ship to workers)."""
-        with self._lock:
-            pairs = [(fp, term) for (rk, fp), term in self._entries.items()
-                     if rk == rules_key]
-        if limit is not None and len(pairs) > limit:
-            pairs = pairs[-limit:]
-        return pairs
-
-    def absorb(self, rules_key: str,
-               pairs: Iterable[Tuple[str, Term]]) -> None:
-        """Install exported entries (worker-side warm-up)."""
-        for fp, term in pairs:
-            self.put(rules_key, fp, term)
 
     # -- stats / maintenance ------------------------------------------------
 

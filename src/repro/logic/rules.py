@@ -25,7 +25,7 @@ from .terms import Term
 
 __all__ = [
     "interval_of", "decide_relation", "default_rules", "rule_families",
-    "Interval",
+    "select_store_split", "Interval",
 ]
 
 #: (lo, hi) with ``None`` meaning unbounded on that side.
@@ -307,6 +307,21 @@ def _rule_store_select_same(term: Term) -> Optional[Term]:
     if val.op == "select" and val.args[0] is arr and val.args[1] is idx:
         return arr
     return None
+
+
+def select_store_split(term: Term) -> Optional[Term]:
+    """select(store(a, i, v), k) -> ite(i = k, v, a[k]) for undecided
+    indices.  In no family: the provers add it to their own rule sets,
+    each under its own rule name and family (those feed rule keys), and
+    the examiner's simplifier must not apply it because it inflates the
+    reported simplified-VC sizes."""
+    if term.op != "select":
+        return None
+    arr, idx = term.args
+    if arr.op != "store":
+        return None
+    base, widx, wval = arr.args
+    return b.ite(b.eq(widx, idx), wval, b.select(base, idx))
 
 
 def rule_families(hook=None) -> Dict[str, list]:

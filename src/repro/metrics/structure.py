@@ -42,9 +42,6 @@ class ArchitectureSummary:
     unit: str
     elements: Tuple[Element, ...]
 
-    def of_kind(self, kind: str) -> Tuple[Element, ...]:
-        return tuple(e for e in self.elements if e.kind == kind)
-
     @property
     def names(self) -> FrozenSet[str]:
         return frozenset(e.normalized_name() for e in self.elements)

@@ -28,7 +28,7 @@ pass, but nothing would have been *discovered*).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Sequence, Tuple
 
 from ..lang import TypedPackage, ast, parse_package
@@ -89,10 +89,11 @@ class Catalog:
 def aes_catalog() -> Catalog:
     """The user-specified moves of the AES case study (section 6.2.2).
 
-    These are the same specified artifacts the manual pipeline uses
-    (:mod:`repro.aes.stages`) -- the planner's job is to discover *when*
-    each belongs in the chain, interleaved with which mechanical sites,
-    not to re-derive the GF(2^8) arithmetic from the documentation.
+    These are the manual pipeline's own moves, taken from its blocks
+    (:func:`repro.aes.blocks.transformation_blocks`) -- the planner's job
+    is to discover *when* each belongs in the chain, interleaved with
+    which mechanical sites, not to re-derive the GF(2^8) arithmetic from
+    the documentation.
     ``min_match`` gates are deliberately coarse: only the terminal tidy
     needs one, because an unguarded full rewrite would let the search
     skip the discovery problem entirely.  Stages with remove lists are
@@ -101,82 +102,27 @@ def aes_catalog() -> Catalog:
     superseded original a stage would delete may already be gone by the
     time the stage is tried -- the hand pipeline's strict not-found
     error would strand the stage permanently."""
-    from ..aes import stages
+    from ..aes.blocks import transformation_blocks
     from ..aes.refactored import refactored_source
-    from ..refactor import (
-        ExtractFunction, ExtractProcedureClone, UserSpecifiedTransformation,
-    )
+
+    blocks = dict(transformation_blocks())
+
+    def tolerant(move):
+        return replace(move, tolerate_missing=True)
 
     entries: List[CatalogEntry] = [
-        CatalogEntry("gf-arithmetic", UserSpecifiedTransformation(
-            description="introduce the S-boxes and GF(2^8) arithmetic the "
-                        "tables were computed from (FIPS-197 section 5.1)",
-            add_decls=stages.gf_function_decls(),
-            replace_subprograms=stages.gf_function_subprograms(),
-            category="reversing table lookups",
-        )),
-        CatalogEntry("bytes-encrypt", UserSpecifiedTransformation(
-            description="replace packed 32-bit words by four-byte arrays on "
-                        "the encryption path (key schedule over Word_Bytes, "
-                        "state as 16 bytes)",
-            add_decls=stages.byte_types_decls(),
-            replace_subprograms=stages.stage3_subprograms(),
-            category="adjusting data structures",
-        )),
-        CatalogEntry("bytes-decrypt", UserSpecifiedTransformation(
-            description="replace packed 32-bit words by four-byte arrays on "
-                        "the decryption path; remove the word tables, "
-                        "word-typed functions and word types",
-            replace_subprograms=stages.stage4_subprograms(),
-            remove_subprograms=("Expand_Key", "Encrypt", "Expand_Dec_Key",
-                                "Decrypt")
-            + stages.word_machinery_subprograms(),
-            remove_decls=("Rcon", "Word_Table", "Rcon_Table", "Word",
-                          "Word_Key"),
-            category="adjusting data structures",
-            tolerate_missing=True,
-        )),
-        CatalogEntry("keyexpansion-helpers", UserSpecifiedTransformation(
-            description="reverse the inlining of the key expansion word "
-                        "operations (RotWord, SubWord, word xor, Rcon)",
-            replace_subprograms=stages.stage7_subprograms(),
-            category="reversing inlined functions or cloned code",
-        )),
-        CatalogEntry("per-variant-ciphers", UserSpecifiedTransformation(
-            description="reveal the three key-size execution paths and "
-                        "split them into per-variant key schedules and "
-                        "ciphers (AES-128/192/256)",
-            add_decls=stages.key_type_decls(),
-            replace_subprograms=stages.stage8_subprograms(),
-            remove_subprograms=stages.stage8_removals() + (
-                "Round_Key_From",),
-            remove_decls=("Byte_State", "Round_Count"),
-            category="moving statements into or out of conditionals",
-            tolerate_missing=True,
-        )),
-        CatalogEntry("straightforward-inverse", UserSpecifiedTransformation(
-            description="modify the decryption key schedule: replace the "
-                        "equivalent inverse cipher by the straightforward "
-                        "inverse of FIPS-197 section 5.3 (plain key "
-                        "schedule, InvMixColumns inside the round)",
-            replace_subprograms=stages.stage12_subprograms(),
-            remove_subprograms=stages.stage12_removals() + (
-                "Eq_Inv_Round", "Eq_Inv_Final_Round"),
-            category="modifying redundant or intermediate computations",
-            tolerate_missing=True,
-        )),
+        CatalogEntry("gf-arithmetic", blocks[2][0]),
+        CatalogEntry("bytes-encrypt", blocks[3][0]),
+        CatalogEntry("bytes-decrypt", tolerant(blocks[4][0])),
+        CatalogEntry("keyexpansion-helpers", blocks[7][0]),
+        CatalogEntry("per-variant-ciphers", tolerant(blocks[8][0])),
+        CatalogEntry("straightforward-inverse", tolerant(blocks[12][0])),
     ]
-    for source, minimum in stages.encrypt_state_procedures() \
-            + stages.decrypt_state_procedures():
+    for move in blocks[5] + blocks[6] + blocks[9]:
+        source = getattr(move, "procedure_source", None) \
+            or move.function_source
         name = source.split("(")[0].split()[-1]
-        entries.append(CatalogEntry(
-            f"extract-{name}", ExtractProcedureClone(
-                procedure_source=source, minimum_occurrences=minimum)))
-    for source, minimum in stages.round_composition_functions():
-        name = source.split("(")[0].split()[-1]
-        entries.append(CatalogEntry(
-            f"extract-{name}", ExtractFunction(
-                function_source=source, minimum_occurrences=minimum)))
+        entries.append(CatalogEntry(f"extract-{name}", move))
     entries.append(CatalogEntry(
         "align-architecture",
         AlignWithSpecification(target_source=refactored_source()),

@@ -43,6 +43,10 @@ __all__ = [
 #: version 5 drops the batch envelope: a lease's blob is the unit's bare
 #: tuple of ``(index, payload, token)`` entries with the retry policy and
 #: timeout (no hoisted warm normalization batches, no ``timeout`` field).
+#: Dropping ``VCPayload``'s two defaulted warm-norm fields kept version
+#: 5: the lease shape is unchanged, and a payload pickled by either side
+#: loads and runs on the other (extra fields land in the instance dict
+#: unread, missing ones read their class defaults).
 #: A peer of another generation would misread or stall on the lease
 #: messages, so the handshake rejects it: bumping here is what turns that
 #: skew into a loud ``protocol_mismatch``.

@@ -28,6 +28,7 @@ from ..logic import (
     FALSE, TRUE, Term, conj, eq, implies, intc, neg, substitute_simplifying,
     var,
 )
+from ..logic.rules import select_store_split
 from ..vcgen.simplifier import Simplifier, TypeBoundHook, simplifier_rules_key
 from ..vcgen.translate import TranslationContext, translate_expr
 from ..vcgen.wp import Obligation
@@ -56,14 +57,6 @@ class Axiom:
     name: str
     bound: Tuple[str, ...]
     body: Term  # with bound vars free as var(name)
-
-
-def _rules_context(typed: TypedPackage):
-    """A pseudo subprogram context for package-level annotation expressions."""
-    from ..lang.typecheck import SubprogramContext
-    dummy = ast.Subprogram(name="<rules>", params=(), return_type=None,
-                           decls=(), body=())
-    return SubprogramContext(typed, dummy)
 
 
 #: Package axioms are a pure function of the typed package, and prover
@@ -141,20 +134,6 @@ def _match(pattern: Term, term: Term, bound: frozenset,
                for p, t in zip(pattern.args, term.args))
 
 
-def _rule_select_store_split(term: Term) -> Optional[Term]:
-    """select(store(a, i, v), k) -> ite(i = k, v, a[k]) for undecided
-    indices.  Prover-side only: the examiner's simplifier must not apply it
-    because it inflates the reported simplified-VC sizes."""
-    from ..logic import ite, select as select_
-    if term.op != "select":
-        return None
-    arr, idx = term.args
-    if arr.op != "store":
-        return None
-    base, widx, wval = arr.args
-    return ite(eq(widx, idx), wval, select_(base, idx))
-
-
 class _ProveTimeout(Exception):
     pass
 
@@ -214,8 +193,7 @@ class AutoProver:
         self._rewriter = Rewriter(
             default_rules(hook=self.hook)
             + [Rule("select-store-split", "arrays-prover",
-                    _rule_select_store_split,
-                    ops=frozenset({"select"}))],
+                    select_store_split, ops=frozenset({"select"}))],
             shared=scope)
         self._fresh = 0
         # Per-term memo caches: the case-splitting search revisits the same
@@ -316,9 +294,6 @@ class AutoProver:
         hyps, concl = _split(simplified)
         return self._attempt(list(hyps), concl, depth=0,
                              rounds=self.instantiation_rounds)
-
-    def prove_obligation(self, obligation: Obligation) -> ProofResult:
-        return self.prove(obligation.term)
 
     # -- core loop ------------------------------------------------------------
 

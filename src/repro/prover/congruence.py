@@ -66,10 +66,6 @@ class CongruenceClosure:
 
     # -- public api ---------------------------------------------------------
 
-    def add_term(self, term: Term):
-        self._register(term)
-        self._dirty = True
-
     def assert_equal(self, a: Term, b: Term):
         self._register(a)
         self._register(b)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..exec import VCPayload, package_fingerprint, vc_obligation
 from ..exec import events as ev
@@ -21,13 +21,56 @@ from ..incr.fingerprint import cone_fingerprints
 from ..incr.manifest import coerce_manifest_store, run_config_digest
 from ..incr.plan import IncrementalStats, plan_incremental
 from ..lang.typecheck import TypedPackage
-from ..logic import NormalizationCache, encode_terms, fingerprint
+from ..logic import NormalizationCache, Term, fingerprint
 from ..vcgen import Examiner, ExaminerLimits, ExaminerReport, VCRecord
-from ..vcgen.simplifier import simplifier_rules_key
 from .auto import AutoProver, ProofResult
 from .tactics import InteractiveProver, ProofScript
 
-__all__ = ["VCOutcome", "ImplementationProofResult", "ImplementationProof"]
+__all__ = ["VCOutcome", "ImplementationProofResult", "ImplementationProof",
+           "discharge_vc"]
+
+
+def discharge_vc(typed: TypedPackage, subprogram: str, term: Term,
+                 scripts: Sequence[ProofScript] = (),
+                 auto_timeout: Optional[float] = None, shared=None,
+                 on_retire: Optional[Callable[[AutoProver], None]] = None
+                 ) -> Tuple[str, Optional[ProofResult]]:
+    """Discharge one VC: the automatic prover, then ``scripts`` in order,
+    else ``undischarged``.  Returns ``(stage, ProofResult-or-None)``.
+
+    This is the ``vc`` obligation's one body: the session's inline thunk
+    and :meth:`~repro.exec.payload.VCPayload.run` both call it, and a
+    payload carries exactly its inputs.  Provers are constructed *per
+    VC*: an instance accumulates search history (fresh-name counters,
+    per-term memos) that would make this VC's verdict depend on which
+    siblings ran earlier on the same instance, and the farm's workers
+    each see a different sibling history than the serial order.  The
+    interactive prover is built only when scripts exist.  ``shared`` is
+    the cross-obligation :class:`~repro.logic.NormalizationCache`: a
+    cached normal form is a pure function of (rules, term), so warmth
+    moves wall clock, never verdicts.  ``on_retire`` receives each auto
+    prover as it retires (the auto prover's, then the scripts'), for
+    the hot-path counters."""
+    prover = AutoProver(typed, subprogram_name=subprogram,
+                        timeout_seconds=auto_timeout, shared=shared)
+    result = prover.prove(term)
+    if on_retire is not None:
+        on_retire(prover)
+    if result.proved:
+        return "auto", result
+    if not scripts:
+        return "undischarged", None
+    interactive = InteractiveProver(typed, subprogram_name=subprogram,
+                                    shared=shared)
+    try:
+        for script in scripts:
+            result = interactive.run_script(term, script)
+            if result.proved:
+                return "interactive", result
+        return "undischarged", result
+    finally:
+        if on_retire is not None:
+            on_retire(interactive.auto)
 
 
 @dataclass
@@ -111,10 +154,11 @@ class ImplementationProof:
     order even when ``jobs > 1`` -- ``jobs=1`` therefore reproduces the
     historical serial run bit for bit, and ``jobs=N`` fans subprograms
     out across worker processes (``backend='process'``: each obligation
-    also carries a :class:`~repro.exec.payload.VCPayload` naming the
-    same discharge declaratively).  Results are cached content-addressed on
-    (package text, subprogram, VC term, prover configuration), so
-    re-verifying unchanged code is a replay, not a re-proof.
+    also carries a :class:`~repro.exec.payload.VCPayload` holding the
+    inputs of the same :func:`discharge_vc` call).  Results are cached
+    content-addressed on (package text, subprogram, VC term, prover
+    configuration), so re-verifying unchanged code is a replay, not a
+    re-proof.
     """
 
     #: The automatic prover gives up after this long per VC and hands the
@@ -159,10 +203,9 @@ class ImplementationProof:
         self.exec = coerce_exec_config(exec, owner="ImplementationProof")
         #: Cross-obligation normalization cache (DESIGN.md §13): one per
         #: proof session unless the caller shares one.  The examiner warms
-        #: it while simplifying, the per-VC provers reuse it
-        #: (inline discharges share this instance; the process
-        #: backend ships each subprogram's warm entries to workers through
-        #: the VC payloads).  Keys are fingerprint-scoped
+        #: it while simplifying and the inline per-VC provers reuse it;
+        #: process and farm workers use their own process-wide cache
+        #: (nothing is shipped to them).  Keys are fingerprint-scoped
         #: (``simplifier_rules_key``), so sharing across sessions is sound
         #: for any mix of packages.
         self._norm_cache = norm_cache if norm_cache is not None \
@@ -207,26 +250,21 @@ class ImplementationProof:
         slots: List[Tuple[str, object]] = []
         obligations = []
         vc_records: List[VCRecord] = []
-        warm_cache: Dict[str, tuple] = {}
         for analysis in report.per_subprogram.values():
             for vc in analysis.vcs:
                 if vc.discharged_by_simplifier:
                     slots.append(("done", VCOutcome(vc=vc,
                                                     stage="simplifier")))
                     continue
-                discharge = self._discharger(vc, hotpath)
-                warm_key, warm_norms = self._warm_norms(vc.subprogram,
-                                                        warm_cache)
                 payload = VCPayload(
                     package=self.typed.package, package_fp=package_fp,
                     subprogram=vc.subprogram,
                     term=vc.simplified.simplified,
                     scripts=tuple(self.scripts.get(vc.subprogram, ())),
-                    auto_timeout=self.AUTO_TIMEOUT_SECONDS,
-                    warm_key=warm_key, warm_norms=warm_norms)
+                    auto_timeout=self.AUTO_TIMEOUT_SECONDS)
                 obligations.append(vc_obligation(
-                    vc, discharge, package_fp=package_fp, config=config,
-                    payload=payload))
+                    vc, self._discharger(payload, hotpath),
+                    package_fp=package_fp, config=config, payload=payload))
                 vc_records.append(vc)
                 slots.append(("ob", len(obligations) - 1))
 
@@ -363,35 +401,6 @@ class ImplementationProof:
         self.manifest.save(self.typed.package.name, package_fp,
                            config_digest, entries)
 
-    #: At most this many warm normal forms ship per subprogram: the MRU
-    #: tail of the examiner's entries (the last-converging, largest
-    #: subtrees), keeping payload pickles bounded.
-    WARM_NORMS_LIMIT = 160
-
-    def _warm_norms(self, subprogram: str, memo: Dict[str, tuple]):
-        """``(scope_key, (fingerprints, wire))`` of the examiner-warmed
-        normal forms for one subprogram -- or ``(None, None)`` on the
-        in-process backends, where every thunk shares the live session
-        cache and shipping would be dead weight.  Computed once per
-        subprogram (the same tuple rides every one of its VC payloads);
-        a pure accelerator for process and farm workers, never a
-        verdict input."""
-        if self.exec.backend not in ("process", "remote"):
-            return None, None
-        entry = memo.get(subprogram)
-        if entry is None:
-            key = simplifier_rules_key(self.typed, subprogram)
-            pairs = self._norm_cache.export(key,
-                                            limit=self.WARM_NORMS_LIMIT)
-            if pairs:
-                fps = tuple(fp for fp, _ in pairs)
-                wire = encode_terms([term for _, term in pairs])
-                entry = (key, (fps, wire))
-            else:
-                entry = (None, None)
-            memo[subprogram] = entry
-        return entry
-
     def _prover_config(self) -> str:
         """Cache-key component for everything that shapes a VC's outcome
         besides the VC term and package text."""
@@ -402,58 +411,21 @@ class ImplementationProof:
             parts.append(f"scripts[{name}]={names}")
         return ";".join(parts)
 
-    def _discharger(self, vc: VCRecord,
+    def _discharger(self, payload: VCPayload,
                     hotpath: Dict[str, Dict[str, int]]):
-        """The thunk for one VC: auto prover, then interactive scripts --
-        exactly the historical inline sequence.  Provers are constructed
-        *per VC*: an instance accumulates search history (fresh-name
-        counters, per-term memos) that would make this VC's verdict
-        depend on which siblings happened to run earlier on the same
-        instance -- and the farm's workers each see a different sibling
-        history than the serial order, so per-VC construction is what
-        keeps every backend and every obligation distribution
-        bit-identical.  The session normalization cache stays shared: a
-        cached normal form is a pure function of (rules, term), so
-        warmth moves wall clock, never verdicts.  Hot-path counters are
-        folded into ``hotpath`` as each prover retires."""
+        """The inline thunk for one VC: :func:`discharge_vc` on the
+        payload's own inputs, with this session's typed package and
+        normalization cache, folding hot-path counters into ``hotpath``
+        as each prover retires (dischargers run on the scheduler's
+        calling thread)."""
 
-        def discharge():
-            prover = AutoProver(
-                self.typed, subprogram_name=vc.subprogram,
-                timeout_seconds=self.AUTO_TIMEOUT_SECONDS,
-                shared=self._norm_cache)
-            result = prover.prove(vc.simplified.simplified)
-            self._fold_hotpath(hotpath, vc.subprogram, prover)
-            if result.proved:
-                return "auto", result
-            outcome = self._try_scripts(vc, hotpath)
-            return outcome.stage, outcome.result
+        def fold(prover: AutoProver) -> None:
+            acc = hotpath.setdefault(payload.subprogram, {
+                "index_hits": 0, "index_skipped_rules": 0,
+                "cross_vc_hits": 0})
+            for key, value in prover.hotpath_counters().items():
+                acc[key] += value
 
-        return discharge
-
-    def _fold_hotpath(self, hotpath: Dict[str, Dict[str, int]],
-                      subprogram: str, prover: AutoProver) -> None:
-        """Accumulate one retired prover's rewriting instrumentation
-        (dischargers run on the scheduler's calling thread)."""
-        acc = hotpath.setdefault(subprogram, {
-            "index_hits": 0, "index_skipped_rules": 0, "cross_vc_hits": 0})
-        for key, value in prover.hotpath_counters().items():
-            acc[key] += value
-
-    def _try_scripts(self, vc: VCRecord,
-                     hotpath: Dict[str, Dict[str, int]]) -> VCOutcome:
-        scripts = self.scripts.get(vc.subprogram, ())
-        if not scripts:
-            return VCOutcome(vc=vc, stage="undischarged")
-        prover = InteractiveProver(self.typed,
-                                   subprogram_name=vc.subprogram,
-                                   shared=self._norm_cache)
-        try:
-            for script in scripts:
-                result = prover.run_script(vc.simplified.simplified, script)
-                if result.proved:
-                    return VCOutcome(vc=vc, stage="interactive",
-                                     result=result)
-            return VCOutcome(vc=vc, stage="undischarged", result=result)
-        finally:
-            self._fold_hotpath(hotpath, vc.subprogram, prover.auto)
+        return lambda: discharge_vc(
+            self.typed, payload.subprogram, payload.term, payload.scripts,
+            payload.auto_timeout, shared=self._norm_cache, on_retire=fold)

@@ -377,36 +377,28 @@ class RefactoringEngine:
         """Differential check through the obligation scheduler: one
         obligation per trial.
 
-        Initial states are pre-generated serially from the seeded RNG (so
-        the state sequence is identical to the historical inline loop),
-        then the per-trial comparisons fan out.  With ``jobs=1`` the
-        scheduler runs them in order and stops at the first
-        counterexample -- exactly the historical work and result; with
-        ``jobs>1`` all trials run concurrently and the earliest
-        counterexample (by trial index) is reported, so the
+        Initial states come from :func:`~repro.equiv.differential
+        .trial_states`, the draw :func:`~repro.equiv.differential
+        .differential_check` makes, then the per-trial comparisons fan
+        out.  With ``jobs=1`` the scheduler runs them in order and stops
+        at the first counterexample -- exactly the historical work and
+        result; with ``jobs>1`` all trials run concurrently and the
+        earliest counterexample (by trial index) is reported, so the
         ``DifferentialResult`` is the same either way.
 
         With a search memo, an in-process trial takes the before side's
         run from it: siblings validated against the same parent with the
         same seed draw the same initial states.  The after side runs on
         every trial."""
-        import random as _random
-
-        from ..equiv.differential import DifferentialResult, _compare, _run
-        from ..equiv.model import input_params, random_state, state_key
+        from ..equiv.differential import (
+            DifferentialResult, _compare, _run, trial_states,
+        )
+        from ..equiv.model import state_key
         from ..exec import EquivTrialPayload, equiv_trial_obligation, \
             package_fingerprint
 
-        sp_before = before.signatures[name]
-        sp_after = after.signatures[name]
-        if [p.name for p in input_params(sp_before)] != \
-                [p.name for p in input_params(sp_after)]:
-            raise ValueError(f"signatures differ: {name}")
-
-        rng = _random.Random(self.seed)
-        states = [sampler(rng) if sampler is not None
-                  else random_state(before, sp_before, rng)
-                  for _ in range(self.trials)]
+        states = trial_states(before, name, after, name, self.trials,
+                              self.seed, sampler)
 
         left_fp = package_fingerprint(before)
         right_fp = package_fingerprint(after)

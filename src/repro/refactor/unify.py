@@ -28,13 +28,6 @@ class AntiUnifyError(Exception):
     """The groups do not anti-unify to an affine template."""
 
 
-@dataclass(frozen=True)
-class _Hole:
-    """Placeholder expression carrying the per-group literal values."""
-
-    values: Tuple[int, ...]
-
-
 def _anti_unify(nodes: Sequence[ast.Node]) -> ast.Node:
     first = nodes[0]
     if any(type(n) is not type(first) for n in nodes):

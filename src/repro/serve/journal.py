@@ -37,7 +37,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..exec.durable import atomic_write_text, read_json, sweep_tmp
 
@@ -149,16 +149,23 @@ class Journal:
 
     # -- replay --------------------------------------------------------------
 
-    def replay(self) -> List[QueueItem]:
-        """The still-pending admissions, in original admission order.
+    def replay(self) -> Tuple[List[QueueItem], Set[str]]:
+        """The still-pending admissions, in original admission order, and
+        every id this journal has acknowledged and still knows about
+        (pending plus persisted results: duplicate-id rejection across
+        restarts), from one read of the journal and one scan of the
+        result store.
 
         Pending = journaled ``enqueue`` without a matching ``done`` *and*
         without a persisted result (the result file is authoritative: a
         crash after ``write_result`` but before ``append_done`` must not
         re-run the request).  Torn or corrupt lines are skipped.
         """
-        if self.state_dir is None or not self.journal_path.is_file():
-            return []
+        if self.state_dir is None:
+            return [], set()
+        results = self.result_ids()
+        if not self.journal_path.is_file():
+            return [], results
         enqueued: Dict[str, QueueItem] = {}
         done: Set[str] = set()
         with open(self.journal_path, "r", encoding="utf-8") as handle:
@@ -176,9 +183,10 @@ class Journal:
                         done.add(record["id"])
                 except (ValueError, KeyError, TypeError):
                     continue   # torn final line of a killed writer
-        finished = done | self.result_ids()
-        return [item for item in enqueued.values()
-                if item.request_id not in finished]
+        finished = done | results
+        pending = [item for item in enqueued.values()
+                   if item.request_id not in finished]
+        return pending, {item.request_id for item in pending} | results
 
     def compact(self, pending: List[QueueItem]) -> None:
         """Atomically rewrite the journal to exactly ``pending``."""
@@ -188,10 +196,3 @@ class Journal:
                                    ensure_ascii=True) + "\n"
                         for item in pending)
         atomic_write_text(self.journal_path, lines)
-
-    def known_ids(self) -> Set[str]:
-        """Every id this journal has ever acknowledged and still knows
-        about: pending replays plus persisted results (used for
-        duplicate-id rejection across restarts)."""
-        return {item.request_id for item in self.replay()} \
-            | self.result_ids()

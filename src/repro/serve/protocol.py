@@ -68,11 +68,10 @@ OPS = ("ping", "status", "submit", "wait", "shutdown")
 _DEFAULT_LANES = {"examine": "interactive", "prove": "bulk",
                   "refactor": "bulk"}
 
-#: Request ids (client-chosen or server-assigned) are path-safe: they
-#: name journal result files.
-_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
-#: Tenant namespaces name per-tenant cache directories, same discipline.
-_NAMESPACE_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
+#: Request ids (client-chosen or server-assigned) name journal result
+#: files and tenant namespaces name per-tenant cache directories, so
+#: both must be path-safe.
+_PATH_SAFE_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
 _MAX_LINE_BYTES = MAX_LINE_BYTES   # an inline MiniAda package fits easily
 
@@ -96,13 +95,15 @@ def default_lane(kind: str) -> str:
     return _DEFAULT_LANES[kind]
 
 
-def _require_str(message: dict, field: str, pattern: re.Pattern) -> str:
-    value = message[field]
-    if not isinstance(value, str) or not pattern.match(value):
+def _require_str(message: dict, field: str, default: Optional[str] = None,
+                 request_id: Optional[str] = None) -> str:
+    value = message.get(field, default)
+    if not isinstance(value, str) or not _PATH_SAFE_RE.match(value):
         raise ProtocolError(
             "bad_request",
             f"{field} must be a short path-safe string "
-            f"([A-Za-z0-9._-], starting alphanumeric), got {value!r}")
+            f"([A-Za-z0-9._-], starting alphanumeric), got {value!r}",
+            request_id)
     return value
 
 
@@ -129,12 +130,7 @@ def normalize_submit(message: dict,
             "bad_request",
             f"lane must be one of {list(LANES)}, got {lane!r}", request_id)
 
-    namespace = message.get("namespace", "public")
-    if not isinstance(namespace, str) or not _NAMESPACE_RE.match(namespace):
-        raise ProtocolError(
-            "bad_request",
-            f"namespace must be a short path-safe string, "
-            f"got {namespace!r}", request_id)
+    namespace = _require_str(message, "namespace", "public", request_id)
 
     package = message.get("package")
     if not isinstance(package, dict) or \
@@ -220,7 +216,7 @@ def normalize_submit(message: dict,
                     f"[{lo}, {hi}], got {value!r}", request_id)
 
     if "id" in message:
-        request_id = _require_str(message, "id", _ID_RE)
+        request_id = _require_str(message, "id")
 
     return {
         "id": request_id,          # None → service assigns one

@@ -287,9 +287,9 @@ class VerificationService:
         number of replayed (re-enqueued) requests."""
         assert not self._started
         self._started = True
-        pending = self.journal.replay()
+        pending, known = self.journal.replay()
         self.journal.compact(pending)
-        self._known_ids = self.journal.known_ids() | set(self._results)
+        self._known_ids = known | set(self._results)
         for item in pending:
             self.board.admit(item, force=True)
             self.telemetry.record(ev.SUBMITTED, "request", item.request_id,
@@ -373,17 +373,21 @@ class VerificationService:
         self._watchers.setdefault(request_id, []).append(future)
         return await future
 
-    def status(self) -> dict:
+    def _lane_snapshot(self) -> dict:
+        """Each lane's board counters plus its latency percentiles."""
         lanes = self.board.snapshot()
         for lane, samples in self._latencies.items():
             lanes[lane]["latency_p50_seconds"] = percentile(samples, 0.50)
             lanes[lane]["latency_p95_seconds"] = percentile(samples, 0.95)
+        return lanes
+
+    def status(self) -> dict:
         return {
             "reply": "status",
             "protocol": PROTOCOL_VERSION,
             "durable": self.journal.durable,
             "replayed": self._replayed,
-            "lanes": lanes,
+            "lanes": self._lane_snapshot(),
             "pending": self.board.pending_ids(),
             "namespaces": len(self.tenants),
             "tenants": self.tenants.snapshot(),
@@ -487,16 +491,12 @@ class VerificationService:
         out = self.config.telemetry_out
         if out is None:
             return
-        lanes = self.board.snapshot()
-        for lane, samples in self._latencies.items():
-            lanes[lane]["latency_p50_seconds"] = percentile(samples, 0.50)
-            lanes[lane]["latency_p95_seconds"] = percentile(samples, 0.95)
         self.telemetry.dump_json(out, context={
             "serve": {
                 "durable": self.journal.durable,
                 "replayed": self._replayed,
                 "max_queue": self.config.max_queue,
-                "lanes": lanes,
+                "lanes": self._lane_snapshot(),
                 "namespaces": len(self.tenants),
                 "tenants": self.tenants.snapshot(),
             },

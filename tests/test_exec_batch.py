@@ -1,53 +1,24 @@
-"""Micro-obligation batching tests (DESIGN.md §18): a shared warm batch
-crosses the wire once per unit, the worker-side absorb-once discipline,
-outcome identity across batch sizes and backends, the dispatch
-telemetry, loud validation of the batching knobs in ExecConfig and both
-CLIs, and the byte cap on one dispatch unit."""
+"""Micro-obligation batching tests (DESIGN.md §18): the unit worker's
+results equal solo runs, outcome identity across batch sizes and
+backends, the dispatch telemetry, loud validation of the batching knobs
+in ExecConfig and both CLIs, and the byte cap on one dispatch unit."""
 
 import json
-import pickle
-from dataclasses import dataclass
-from typing import Any, Optional
 
 import pytest
 
 from repro.exec import (
     CallPayload, ExecConfig, Obligation, ObligationScheduler, Telemetry,
 )
-from repro.exec import payload as payload_mod
-from repro.exec.payload import ObligationPayload, _absorb_warm
 from repro.exec.retry import RetryPolicy
 from repro.exec import scheduler as scheduler_mod
 from repro.exec.scheduler import _batch_worker, _process_worker
-from repro.logic import add, encode_terms, fingerprint, intc, var
 
 
 # -- module-level payload targets (picklable by qualified name) ------------
 
 def _square(x):
     return x * x
-
-
-@dataclass(frozen=True)
-class _WarmPayload(ObligationPayload):
-    """Minimal payload with the VCPayload warm-shipping contract: absorb
-    the warm batch (once per process), then compute."""
-
-    value: int
-    warm_key: Optional[str] = None
-    warm_norms: Any = None
-
-    def run(self):
-        if self.warm_key is not None and self.warm_norms is not None:
-            _absorb_warm(self.warm_key, self.warm_norms)
-        return self.value * 10
-
-
-def _warm_norms(n=2):
-    """A real (fingerprints, wire) warm batch of ``n`` normal forms."""
-    terms = [add(var(f"x{i}"), intc(i + 1)) for i in range(n)]
-    fps = tuple(fingerprint(t) for t in terms)
-    return (fps, encode_terms(terms))
 
 
 def _obs(n):
@@ -57,97 +28,7 @@ def _obs(n):
             for i in range(n)]
 
 
-class TestUnitEntries:
-    def test_shared_warm_tuple_pickles_once(self):
-        """A K-entry unit whose payloads share one warm tuple pickles to
-        less than a 1-entry unit plus the tuple's own size: pickle's memo
-        ships the tuple once, however many entries hold it."""
-        norms = _warm_norms(32)
-        units = {k: tuple((i, _WarmPayload(i, warm_key="k",
-                                           warm_norms=norms), f"t{i}")
-                          for i in range(k))
-                 for k in (1, 8)}
-        size = {k: len(pickle.dumps((unit, RetryPolicy())))
-                for k, unit in units.items()}
-        assert size[8] < size[1] + len(pickle.dumps(norms))
-
-    def test_real_vc_payloads_share_one_warm_tuple(self, monkeypatch):
-        """What the test above relies on, on a real proof: every shipped
-        VC payload of one subprogram holds the *same* warm tuple object,
-        so a unit of K of them carries the tuple once, not K times."""
-        from repro.aes.annotations import annotated_package
-        from repro.aes.proof_scripts import aes_proof_scripts
-        from repro.prover import ImplementationProof
-
-        class Captured(Exception):
-            pass
-
-        shipped = []
-
-        def capture(self, obligations, stop_on=None):
-            shipped.extend(obligations)
-            raise Captured()
-
-        monkeypatch.setattr(ObligationScheduler, "run", capture)
-        typed = annotated_package()
-        with pytest.raises(Captured):
-            ImplementationProof(
-                typed, scripts=aes_proof_scripts(),
-                exec=ExecConfig(jobs=2, backend="process", cache=False)
-            ).run(sorted(typed.signatures)[:6])
-        by_subprogram = {}
-        for ob in shipped:
-            by_subprogram.setdefault(ob.payload.subprogram, []).append(
-                ob.payload.warm_norms)
-        shared = [norms for norms in by_subprogram.values()
-                  if len(norms) > 1 and norms[0] is not None]
-        assert shared, "the sample ships no subprogram with 2+ warm VCs"
-        for norms in shared:
-            assert all(n is norms[0] for n in norms)
-
-
 class TestBatchWorker:
-    @pytest.fixture
-    def decodes(self, monkeypatch):
-        """The warm batches (wire form) this process decoded, in order."""
-        import repro.logic.wire as wire_mod
-        calls = []
-        real = wire_mod.decode_terms
-        monkeypatch.setattr(wire_mod, "decode_terms",
-                            lambda wire: (calls.append(wire), real(wire))[1])
-        monkeypatch.setattr(payload_mod, "_WARM_ABSORBED", set())
-        return calls
-
-    def test_warm_absorbed_exactly_once_per_batch(self, decodes):
-        """A unit of K payloads sharing one warm batch decodes and
-        absorbs it once, not K times, and again not at all on the next
-        unit in the same process."""
-        norms = _warm_norms()
-        entries = tuple((i, _WarmPayload(i, warm_key="scope",
-                                         warm_norms=norms), f"t{i}")
-                        for i in range(4))
-        results = _batch_worker(entries, RetryPolicy(), None)
-        assert [r[1] for r in results] == ["ok"] * 4
-        assert decodes == [norms[1]]
-        _batch_worker(entries, RetryPolicy(), None)
-        assert decodes == [norms[1]]
-
-    def test_distinct_warm_scopes_each_absorbed_once(self, decodes):
-        """Interleaved scopes: each distinct scope is decoded once per
-        process, and the unit's results equal K solo runs."""
-        norms = {"a": _warm_norms(), "b": _warm_norms()}
-        entries = tuple(
-            (i, _WarmPayload(i, warm_key=key, warm_norms=norms[key]),
-             f"t{i}")
-            for i, key in enumerate("abab"))
-        batched = _batch_worker(entries, RetryPolicy(), None)
-        assert len(decodes) == 2
-        solo = tuple(_process_worker(i, p, RetryPolicy(), None, t)
-                     for i, p, t in entries)
-        assert len(decodes) == 2
-        assert [r[:3] for r in batched] == [r[:3] for r in solo] == \
-            [(i, "ok", i * 10) for i in range(4)]
-
     def test_results_match_solo_worker_runs(self):
         entries = tuple((i, CallPayload(_square, (i,)), f"t{i}")
                         for i in range(5))

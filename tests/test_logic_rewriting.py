@@ -202,8 +202,8 @@ class TestHeadOpIndexing:
         assert linear.index_hits == 0
 
     def test_cross_backend_verdicts_identical(self, monkeypatch):
-        """Serial and process backends (indexed, with warm-norm
-        shipping on the process path) and the linear-scan serial
+        """Serial and process backends (indexed; each process worker
+        fills its own normalization cache) and the linear-scan serial
         reference all produce identical per-VC verdicts."""
         from repro.exec import ExecConfig
         from repro.prover import ImplementationProof

@@ -368,6 +368,42 @@ class TestReplay:
 
         assert asyncio.run(idle())["id"] == "job-1"
 
+    def test_start_reads_the_journal_once(self, tmp_path, monkeypatch):
+        """Start-up takes the pending requests and the known ids (for
+        duplicate-id rejection) from one replay: one read of the journal
+        and one scan of the result store."""
+        from repro.serve import Journal, QueueItem, normalize_submit
+
+        state = tmp_path / "state"
+        journal = Journal(state)
+        request = normalize_submit(submit_msg(id="done-1"), "done-1")
+        journal.append_enqueue(QueueItem(
+            request_id="done-1", lane="bulk", namespace="alice",
+            request=request, enqueued_wall=0.0))
+        journal.write_result("done-1", {"reply": "result", "id": "done-1"})
+        journal.append_done("done-1", "ok")
+        calls = []
+        for name in ("replay", "result_ids"):
+            real = getattr(Journal, name)
+            monkeypatch.setattr(
+                Journal, name,
+                lambda self, _real=real, _name=name:
+                    (calls.append(_name), _real(self))[1])
+
+        service = VerificationService(ServeConfig(
+            state_dir=state, lanes={"interactive": 1, "bulk": 0}))
+
+        async def main():
+            assert await service.start() == 0
+            try:
+                with pytest.raises(ProtocolError):
+                    await service.submit(submit_msg(id="done-1"))
+            finally:
+                await service.stop()
+
+        asyncio.run(main())
+        assert calls == ["replay", "result_ids"]
+
     def test_replayed_request_naming_removed_backend_fails_cleanly(
             self, tmp_path):
         """A journal written before the thread backend was removed may

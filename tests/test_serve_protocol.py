@@ -236,7 +236,7 @@ class TestLanesParsing:
 
     @pytest.mark.parametrize("spec", [
         "", "  ", "interactive", "express=1", "interactive=1,interactive=2",
-        "interactive=x", "interactive=-1", "interactive=0,bulk=0",
+        "interactive=x",
     ])
     def test_rejected(self, spec):
         with pytest.raises(ValueError):
@@ -263,6 +263,13 @@ class TestServeConfig:
             ServeConfig(lanes={"interactive": 0, "bulk": 0})
         with pytest.raises(ValueError):
             ServeConfig(lanes={"interactive": -1, "bulk": 2})
+
+    @pytest.mark.parametrize("spec", ["interactive=-1", "interactive=0,bulk=0"])
+    def test_lanes_spec_bounds(self, spec):
+        # parse_lanes checks only the syntax; the bounds are the config's.
+        lanes = parse_lanes(spec)
+        with pytest.raises(ValueError):
+            ServeConfig(lanes=lanes)
 
     def test_bad_default_exec(self):
         with pytest.raises(TypeError):
@@ -293,7 +300,7 @@ class TestCliFlags:
         ["--lanes", "express=1"], ["--lanes", "interactive=0,bulk=0"],
         ["--lanes", "interactive"], ["--jobs", "0"], ["--jobs", "x"],
         ["--backend", "quantum"], ["--timeout", "-1"],
-        ["--timeout", "soon"],
+        ["--timeout", "soon"], ["--lanes", "interactive=-1"],
     ])
     def test_rejections_are_loud(self, argv, capsys):
         with pytest.raises(SystemExit) as err:
@@ -408,14 +415,14 @@ class TestJournal:
         journal = Journal(None)
         assert not journal.durable
         journal.append_enqueue(self.item("a"))
-        assert journal.replay() == []
+        assert journal.replay() == ([], set())
 
     def test_replay_pending_only(self, tmp_path):
         journal = Journal(tmp_path)
         journal.append_enqueue(self.item("a"))
         journal.append_enqueue(self.item("b", lane="interactive"))
         journal.append_done("a", "ok")
-        pending = Journal(tmp_path).replay()
+        pending, _ = Journal(tmp_path).replay()
         assert [item.request_id for item in pending] == ["b"]
         assert pending[0].lane == "interactive"
         assert pending[0].request == {"kind": "prove", "id": "b"}
@@ -426,7 +433,7 @@ class TestJournal:
         journal = Journal(tmp_path)
         journal.append_enqueue(self.item("a"))
         journal.write_result("a", {"reply": "result", "id": "a"})
-        assert Journal(tmp_path).replay() == []
+        assert Journal(tmp_path).replay() == ([], {"a"})
         assert Journal(tmp_path).load_result("a")["id"] == "a"
 
     def test_torn_final_line_tolerated(self, tmp_path):
@@ -435,7 +442,7 @@ class TestJournal:
         journal.append_enqueue(self.item("b"))
         with open(journal.journal_path, "a") as handle:
             handle.write('{"op":"enqueue","id":"torn","la')   # kill -9 mid-write
-        pending = Journal(tmp_path).replay()
+        pending, _ = Journal(tmp_path).replay()
         assert [item.request_id for item in pending] == ["a", "b"]
 
     def test_compact(self, tmp_path):
@@ -444,7 +451,7 @@ class TestJournal:
             journal.append_enqueue(self.item(name))
         journal.append_done("a", "ok")
         journal.append_done("b", "error")
-        pending = journal.replay()
+        pending, _ = journal.replay()
         journal.compact(pending)
         lines = journal.journal_path.read_text().splitlines()
         assert len(lines) == 1
@@ -455,4 +462,4 @@ class TestJournal:
         journal.append_enqueue(self.item("a"))
         journal.write_result("b", {"reply": "result", "id": "b"})
         journal.append_done("b", "ok")
-        assert Journal(tmp_path).known_ids() == {"a", "b"}
+        assert Journal(tmp_path).replay()[1] == {"a", "b"}
