@@ -1,7 +1,7 @@
 """What the CI gates share: one serial reference, one verdict key and one
 results file.
 
-Every gate judges a backend, a farm shape or a replay against the same
+Every gate judges a backend, a batch size or a replay against the same
 fixed reference, the serial implementation proof (DESIGN.md section 1).
 :func:`aes_reference` runs it once per process; :func:`verdict_keys` is
 the per-VC comparison; :func:`record` merges a gate's numbers into
@@ -12,8 +12,7 @@ under ``pytest benchmarks/ledger``.  The gates run under pytest only::
 
     PYTHONPATH=src REPRO_BENCH_CHECK=1 python -m pytest \\
         benchmarks/bench_hotpath.py benchmarks/bench_faults.py \\
-        benchmarks/bench_incr.py benchmarks/bench_farm.py \\
-        benchmarks/bench_plan.py -q -s
+        benchmarks/bench_incr.py benchmarks/bench_plan.py -q -s
 """
 
 import functools

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Tuple
 
 from ..lang import TypedPackage, analyze, parse_package, ast
 from .refactored import refactored_source

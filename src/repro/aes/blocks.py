@@ -15,7 +15,7 @@ as :func:`repro.aes.refactored.refactored_source`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from ..lang import TypedPackage, parse_package

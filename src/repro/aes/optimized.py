@@ -19,7 +19,6 @@ round number -- which is what makes the re-rolling transformation
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List
 
 from ..lang import Interpreter, TypedPackage, analyze, parse_package
 from . import gf

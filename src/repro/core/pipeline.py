@@ -15,12 +15,12 @@ program + MiniPVS specification pair:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from ..exec.config import ExecConfig, coerce_exec_config
 from ..extract import extract_specification, match_ratio
 from ..implication import prove_implication
-from ..lang import TypedPackage, analyze, ast, print_package
+from ..lang import TypedPackage, ast, print_package
 from ..prover import ImplementationProof, ProofScript
 from ..refactor import RefactoringEngine, Transformation
 from ..spec import ast as sast
@@ -107,12 +107,9 @@ def verify_aes(check: str = "differential", trials: int = 6,
     out over worker processes; the default is the guaranteed-deterministic
     serial path.  An ``ExecConfig`` carrying a shared
     :class:`~repro.exec.ResultCache` across calls makes repeat
-    verification incremental (unchanged obligations replay from cache).
-    ``exec=ExecConfig(backend='remote', remote_workers=(...,))`` shards
-    them across worker hosts (DESIGN.md §16)."""
+    verification incremental (unchanged obligations replay from cache)."""
     from ..aes.annotations import build_annotated
-    from ..aes.blocks import AESPipeline, transformation_blocks, \
-        cipher_sampler
+    from ..aes.blocks import transformation_blocks, cipher_sampler
     from ..aes.fips197 import fips197_theory
     from ..aes.optimized import optimized_source
     from ..aes.proof_scripts import aes_proof_scripts

@@ -16,7 +16,7 @@ user reviews (the paper's figure 2 is exactly such a history).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..extract import extract_skeleton, match_ratio
 from ..lang import analyze, with_true_postconditions

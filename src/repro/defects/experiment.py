@@ -21,7 +21,6 @@ catches them first.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -32,7 +31,7 @@ from ..aes.optimized import optimized_source
 from ..aes.refactored import refactored_source
 from ..extract import extract_specification
 from ..implication import prove_implication
-from ..lang import analyze, parse_package
+from ..lang import parse_package
 from ..lang.errors import MiniAdaError
 from ..prover import ImplementationProof
 from ..refactor import RefactoringEngine, TransformationError

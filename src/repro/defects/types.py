@@ -21,7 +21,7 @@ Each defect carries the textual mutation for the artifact(s) it lands in:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 __all__ = ["DEFECT_KINDS", "Defect"]
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..lang import TypedPackage, ast
-from ..lang.types import ArrayType
 from ..logic import Term, conj, disj, intc, ite, neg, select, store, var
 from ..vcgen.translate import TranslationContext, translate_expr
 

@@ -6,12 +6,10 @@ The three proof layers of the Echo pipeline -- VC discharge
 (:mod:`repro.implication`) -- express their work as uniform
 :class:`~repro.exec.obligation.Obligation` values and hand them to an
 :class:`~repro.exec.scheduler.ObligationScheduler`, which runs them on
-one of three backends -- inline (``backend='serial'`` or ``jobs=1``,
-bit-identical to the historical serial path), a process pool
+one of two backends -- inline (``backend='serial'`` or ``jobs=1``,
+bit-identical to the historical serial path) or a process pool
 (``backend='process'``, true multi-core proving via the declarative
-payloads of :mod:`repro.exec.payload`), or a distributed proof farm
-(``backend='remote'``, socket-connected worker hosts,
-:mod:`repro.exec.remote`) -- answers hits from the parent's
+payloads of :mod:`repro.exec.payload`) -- answers hits from the parent's
 content-addressed :class:`~repro.exec.cache.ResultCache`, and records
 structured :class:`~repro.exec.telemetry.Telemetry` events.
 
@@ -36,7 +34,6 @@ from .payload import (
     CallPayload, EquivTrialPayload, LemmaPayload, ObligationPayload,
     VCPayload,
 )
-from .remote import RemoteCoordinator
 from .scheduler import (
     BACKENDS, BackendUnusableError, ObligationOutcome, ObligationScheduler,
 )
@@ -55,5 +52,4 @@ __all__ = [
     "ObligationPayload", "VCPayload", "EquivTrialPayload", "LemmaPayload",
     "CallPayload",
     "VC", "EQUIV_TRIAL", "LEMMA",
-    "RemoteCoordinator",
 ]

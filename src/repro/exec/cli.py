@@ -26,7 +26,7 @@ __all__ = ["add_exec_arguments", "exec_config"]
 
 #: Destinations that map one-to-one onto ``ExecConfig`` fields.
 _FIELDS = ("jobs", "backend", "timeout_seconds", "on_backend_failure",
-           "remote_workers", "remote_listen", "batch_size")
+           "batch_size")
 
 
 def add_exec_arguments(parser: argparse.ArgumentParser) -> None:
@@ -43,10 +43,6 @@ def add_exec_arguments(parser: argparse.ArgumentParser) -> None:
         help="cap on one retry backoff")
     add("--on-backend-failure", metavar="{raise,degrade}",
         help="on an unusable backend: abort (the default) or fall back")
-    add("--remote-worker", dest="remote_workers", action="append",
-        metavar="HOST:PORT", help="a listening farm worker (repeatable)")
-    add("--remote-listen", metavar="[HOST]:PORT",
-        help="bind for dial-in farm workers")
     add("--batch-size", type=int, metavar="N",
         help="obligations per dispatch unit (1 disables batching)")
 

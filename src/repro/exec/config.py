@@ -12,21 +12,15 @@ Usage::
 
     from repro import ExecConfig, verify_aes
     result = verify_aes(exec=ExecConfig(jobs=8, backend="process"))
-
-The config is also where the proof farm is wired up:
-``backend="remote"`` plus ``remote_workers=("host:port", ...)`` (dial
-out to listening workers) or ``remote_listen="host:port"`` (bind and
-let workers dial in) shards obligations across hosts (DESIGN.md §16).
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple, Union
+from typing import Any, Optional, Union
 
 from .cache import default_cache
-from .remote.link import parse_address
 from .retry import RetryPolicy, check_count
 from .scheduler import BACKENDS, ObligationScheduler
 from .telemetry import Telemetry, default_telemetry
@@ -40,11 +34,8 @@ class ExecConfig:
 
     ``jobs``             worker count; 1 is the guaranteed-deterministic
                          serial path.  None selects ``os.cpu_count()``.
-                         For ``backend="remote"`` this caps the *total*
-                         in-flight leases across all connected workers.
-    ``backend``          'serial' (the reference path), 'process' (true
-                         multi-core proving) or 'remote' (a proof farm of
-                         socket-connected worker hosts).
+    ``backend``          'serial' (the reference path) or 'process' (true
+                         multi-core proving).
     ``cache``            a :class:`~repro.exec.cache.ResultCache`, None
                          for the process-wide default, or False to
                          disable caching outright.
@@ -55,16 +46,14 @@ class ExecConfig:
     ``timeout_seconds``  per-obligation wall bound; must be positive when
                          given (0 would silently *disable* the worker's
                          SIGALRM instead of enforcing a bound).  The
-                         process and remote backends enforce it
-                         preemptively (SIGALRM in the worker); it also
-                         derives the farm's lease bound, so without it
-                         a remote lease never expires.
+                         process backend enforces it preemptively
+                         (SIGALRM in the worker).
     ``retries``          a :class:`RetryPolicy`, or an int coerced to one
                          (that many retries, default exponential backoff).
     ``on_error``         'raise' (propagate, the historical behaviour) or
                          'record' (mark the obligation ``errored``).
     ``on_backend_failure``  'raise' (an unusable backend aborts the run)
-                         or 'degrade' (fall back remote→process→serial,
+                         or 'degrade' (fall back process→serial,
                          recording a ``degraded`` telemetry event).
     ``batch_size``       max obligations bundled into one dispatch unit
                          (DESIGN.md §18).  1 disables batching outright
@@ -74,15 +63,6 @@ class ExecConfig:
                          -- only how many round trips carry them.  A
                          unit's bytes are bounded by
                          :data:`~repro.exec.scheduler.BATCH_BYTES_CAP`.
-
-    Remote-backend fields (ignored by the local backends):
-
-    ``remote_workers``   addresses of listening workers
-                         (``python -m repro.exec.remote.worker --listen
-                         PORT``) the coordinator dials out to.
-    ``remote_listen``    a ``"host:port"`` bind address (port 0 for
-                         ephemeral) workers dial in to
-                         (``... --connect host:port``).
     """
 
     jobs: Optional[int] = 1
@@ -93,8 +73,6 @@ class ExecConfig:
     retries: Union[int, RetryPolicy] = 0
     on_error: str = "raise"
     on_backend_failure: str = "raise"
-    remote_workers: Tuple[str, ...] = ()
-    remote_listen: Optional[str] = None
     batch_size: int = 16
 
     def __post_init__(self):
@@ -118,26 +96,7 @@ class ExecConfig:
         # Coerce a plain-int retry count to the equivalent policy so every
         # downstream consumer sees one type (the frozen-dataclass dance).
         object.__setattr__(self, "retries", RetryPolicy.coerce(self.retries))
-        # Remote fields: list → tuple (hashability), address syntax, and
-        # the backend="remote" ↔ worker-source consistency checks.
-        workers = self.remote_workers
-        if isinstance(workers, list):
-            workers = tuple(workers)
-            object.__setattr__(self, "remote_workers", workers)
-        if not isinstance(workers, tuple):
-            raise ValueError(f"remote_workers must be a tuple of "
-                             f"'host:port' strings, got {workers!r}")
-        for address in workers:
-            parse_address(address)
-        if self.remote_listen is not None:
-            parse_address(self.remote_listen)   # ":0" = any interface
         check_count("batch_size", self.batch_size, 1)
-        if self.backend == "remote" and not workers \
-                and self.remote_listen is None:
-            raise ValueError(
-                "backend='remote' needs a worker source: remote_workers="
-                "('host:port', ...) to dial out, or remote_listen="
-                "'host:port' to accept dial-ins")
 
     # -- derivation ---------------------------------------------------------
 
@@ -169,18 +128,15 @@ class ExecConfig:
     #: Fields that cross a JSON boundary (the serve protocol, the durable
     #: request journal).  ``cache`` and ``telemetry`` are deliberately
     #: absent: they are live objects owned by the executing side -- a
-    #: remote client must never be able to name another tenant's cache.
+    #: client must never be able to name the daemon's cache.
     JSON_FIELDS = ("jobs", "backend", "timeout_seconds", "retries",
-                   "on_error", "on_backend_failure", "remote_workers",
-                   "remote_listen", "batch_size")
+                   "on_error", "on_backend_failure", "batch_size")
 
     def to_json(self) -> dict:
         """The JSON-portable fields of this config (see
-        :attr:`JSON_FIELDS`; ``retries`` dumps as the policy's dict,
-        ``remote_workers`` as a list)."""
+        :attr:`JSON_FIELDS`; ``retries`` dumps as the policy's dict)."""
         out = {name: getattr(self, name) for name in self.JSON_FIELDS}
-        out.update(retries=self.retries.to_json(),
-                   remote_workers=list(self.remote_workers))
+        out["retries"] = self.retries.to_json()
         return out
 
     @classmethod

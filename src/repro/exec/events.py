@@ -16,7 +16,7 @@ Fault-tolerance events extend the life cycle (DESIGN.md §12):
   one retry or crash-requeue (non-terminal bookkeeping; the matching
   ``FINISHED`` event is the terminal one).
 * ``DEGRADED`` -- the scheduler abandoned an unusable backend and fell
-  back along the remote→process→serial chain (``kind='exec'``; not tied
+  back from process to serial (``kind='exec'``; not tied
   to a single obligation).
 * ``WORKER_ABANDONED`` -- pool shutdown left an unresponsive worker
   behind (``kind='exec'``; the obligation itself was already recorded

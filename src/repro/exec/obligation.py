@@ -20,11 +20,10 @@ on-disk cache layer.
 
 An obligation may additionally carry a declarative, picklable ``payload``
 (:mod:`repro.exec.payload`) describing the same work as data.  The serial
-backend always executes the thunk; the process and remote backends ship
-the payload to a worker, which reconstructs the thunk on its side of the
-process boundary.  Obligations without a payload still run under those
-backends -- inline on the parent, preserving semantics at the cost of
-parallelism.
+backend always executes the thunk; the process backend ships the payload
+to a worker, which reconstructs the thunk on its side of the process
+boundary.  Obligations without a payload still run under that backend --
+inline on the parent, preserving semantics at the cost of parallelism.
 
 Obligations in the same ``group`` are executed serially in submission
 order even under a parallel scheduler -- this is how per-subprogram prover
@@ -34,7 +33,7 @@ discipline while distinct subprograms fan out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from .cache import make_key

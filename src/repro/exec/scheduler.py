@@ -2,7 +2,7 @@
 
 ``ObligationScheduler.run`` takes a list of :class:`Obligation` and
 returns one :class:`ObligationOutcome` per obligation, **in input order**
-regardless of completion order.  Three execution backends:
+regardless of completion order.  Two execution backends:
 
 * ``backend='serial'`` (or ``jobs == 1``) -- the guaranteed serial
   fallback and the reference every differential gate compares against:
@@ -15,21 +15,17 @@ regardless of completion order.  Three execution backends:
   cross the boundary via the structural wire format
   (:mod:`repro.logic.wire`), which re-interns them worker-side so
   hash-consing identity survives.
-* ``backend='remote'`` -- a proof farm (:mod:`repro.exec.remote`):
-  obligations are *leased* to worker processes on other hosts over
-  sockets, shipping the same payloads in the same wire format.
 
-The process and remote backends share one dispatch loop
-(:meth:`ObligationScheduler._run_units`, DESIGN.md §11): it chains
+The process backend's dispatch loop
+(:meth:`ObligationScheduler._run_units`, DESIGN.md §11) chains
 groups, settles cache hits and payloadless obligations in the parent,
 cuts the work into dispatch units before anything ships, decodes
 results, and runs the single blame → solo re-run → quarantine sequence
 of DESIGN.md §12.  Every result, inline or shipped, settles through one
 method (:meth:`ObligationScheduler._settle`) that builds the outcome, its
 telemetry and its cache fill.  Below the loop sits a narrow transport --
-submit a unit, poll for events, close -- with two implementations:
-:class:`_PoolTransport` (a local process pool) and
-:class:`~repro.exec.remote.RemoteCoordinator` (the farm's sockets).
+submit a unit, poll for events, close -- :class:`_PoolTransport`, a local
+process pool.
 
 Obligations sharing a ``group`` execute serially in submission order on
 every backend; distinct groups and ungrouped obligations fan out freely.
@@ -45,8 +41,8 @@ propagates (``on_error='raise'``) or is recorded ``errored``
 blamed obligations re-run solo, and one blamed ``QUARANTINE_AFTER``
 times is quarantined with a ``crashed`` outcome.  A backend that cannot
 make progress raises :class:`BackendUnusableError`
-(``on_backend_failure='raise'``) or degrades along
-``remote → process → serial`` (``on_backend_failure='degrade'``).
+(``on_backend_failure='raise'``) or degrades to ``serial``
+(``on_backend_failure='degrade'``).
 """
 
 from __future__ import annotations
@@ -74,11 +70,11 @@ __all__ = ["ObligationOutcome", "ObligationScheduler", "BACKENDS",
            "BackendUnusableError"]
 
 #: Recognized execution backends, in increasing order of isolation.
-BACKENDS = ("serial", "process", "remote")
+BACKENDS = ("serial", "process")
 
 #: Fallback taken by ``on_backend_failure='degrade'`` when a backend is
 #: unusable; ``serial`` has no fallback -- it cannot fail to exist.
-DEGRADE_CHAIN = {"remote": "process", "process": "serial"}
+DEGRADE_CHAIN = {"process": "serial"}
 
 OK = "ok"
 CACHED = "cached"
@@ -210,7 +206,7 @@ def _unit_errored(members: tuple, message: str, exc=None) -> tuple:
 
 def _batch_worker(entries, retry_policy: RetryPolicy,
                   timeout_seconds: Optional[float]) -> tuple:
-    """Execute one dispatch unit in a pool or farm worker: each entry
+    """Execute one dispatch unit in a pool worker: each entry
     runs through :func:`_process_worker`, which installs and clears its
     own alarm, so per-item timeout, retry, and jitter accounting are
     identical to a solo dispatch.  Returns one result tuple per entry,
@@ -343,7 +339,7 @@ class _PoolTransport:
                     self._barren = 0
                     results = raw
                 del self._in_flight[future]
-                events.append(("done", results, ("",) * len(results)))
+                events.append(("done", results))
             elif deadline <= now:
                 # The worker ignored its alarm or died silently: abandon
                 # it.  The parent cannot retrieve partial results from an
@@ -424,28 +420,23 @@ class ObligationScheduler:
 
         A pass that finds its backend unusable raises
         :class:`BackendUnusableError` (``on_backend_failure='raise'``) or
-        falls back along ``remote → process → serial``
-        (``on_backend_failure='degrade'``): outcomes already reached stay
-        final, and only the unfinished obligations re-run on the fallback
-        backend.
+        falls back to ``serial`` (``on_backend_failure='degrade'``):
+        outcomes already reached stay final, and only the unfinished
+        obligations re-run on the fallback backend.
         """
         obligations = list(obligations)
         outcomes: List[Optional[ObligationOutcome]] = [None] * len(obligations)
         for ob in obligations:
             self.telemetry.record(ev.SUBMITTED, ob.kind, ob.label)
         backend = self.backend
-        # The remote backend is exempt from the small-batch serial
-        # shortcut: even one obligation ships to a worker host (that is
-        # the point of a farm -- the parent may be a thin coordinator).
-        if backend == "process" \
-                and (self.jobs == 1 or len(obligations) <= 1):
+        if self.jobs == 1 or len(obligations) <= 1:
             backend = "serial"
         while True:
             try:
                 if backend == "serial":
                     self._run_serial(obligations, stop_on, outcomes)
                 else:
-                    self._run_units(obligations, stop_on, outcomes, backend)
+                    self._run_units(obligations, stop_on, outcomes)
                 break
             except BackendUnusableError as exc:
                 fallback = DEGRADE_CHAIN.get(backend)
@@ -475,7 +466,7 @@ class ObligationScheduler:
             if stop_on is not None and stop_on(outcome):
                 return    # the unfilled tail is skipped by run()
 
-    # -- the dispatch core (process and remote) -----------------------------
+    # -- the dispatch core (process) ----------------------------------------
 
     def _spawn_pool(self) -> ProcessPoolExecutor:
         # The constructor starts no process (workers start at submit), so
@@ -546,9 +537,8 @@ class ObligationScheduler:
             close()
         return units
 
-    def _run_units(self, obligations, stop_on, outcomes,
-                   backend: str) -> None:
-        """The one dispatch loop of the process and remote backends.
+    def _run_units(self, obligations, stop_on, outcomes) -> None:
+        """The dispatch loop of the process backend.
 
         Cache hits settle in the parent first; the misses are cut into
         units up front (:meth:`_form_units`).  A unit is dispatched once
@@ -579,19 +569,7 @@ class ObligationScheduler:
                 break    # later obligations are skipped by run()
         if not pending:
             return
-        if backend == "process":
-            transport = _PoolTransport(self)
-        else:
-            from .remote.coordinator import RemoteCoordinator
-            transport = RemoteCoordinator(
-                self.config.remote_listen, self.config.remote_workers,
-                jobs=self.jobs, timeout=self.timeout_seconds,
-                slack=self.TIMEOUT_FALLBACK_SLACK, telemetry=self.telemetry)
-            try:
-                transport.start()
-            except OSError as exc:
-                raise BackendUnusableError(
-                    "remote", f"cannot start coordinator: {exc}")
+        transport = _PoolTransport(self)
         try:
             self._dispatch_loop(transport, obligations, pending, stop_on,
                                 outcomes)
@@ -685,13 +663,13 @@ class ObligationScheduler:
                 break   # stopped: the tail is skipped by run()
             for event in transport.poll():
                 if event[0] == "done":
-                    _, results, details = event
+                    results = event[1]
                     busy = sum(result[3] for result in results)
-                    for result, detail in zip(results, details):
+                    for result in results:
                         i = result[0]
                         finalize(i, self._settle(
                             obligations[i], _decoded(obligations[i], result),
-                            detail, blames.get(i, 0)))
+                            blames.get(i, 0)))
                     self.telemetry.record(
                         ev.DISPATCHED, "exec",
                         f"dispatch[{len(results)}]",
@@ -742,7 +720,7 @@ class ObligationScheduler:
         return ObligationOutcome(obligation=ob, status=CACHED, value=value,
                                  wall_seconds=wall)
 
-    def _settle(self, ob: Obligation, result: tuple, detail: str = "",
+    def _settle(self, ob: Obligation, result: tuple,
                 blames: int = 0) -> ObligationOutcome:
         """One result tuple in the shape :func:`_process_worker` returns,
         its value decoded, as an outcome -- with its telemetry and cache
@@ -753,10 +731,8 @@ class ObligationScheduler:
                                   detail=message)
         if status == OK:
             keyed = ob.cache_key is not None and self.cache is not None
-            self.telemetry.record(
-                ev.FINISHED, ob.kind, ob.label, wall=wall,
-                detail=" ".join(filter(None, (detail,
-                                              "keyed" if keyed else ""))))
+            self.telemetry.record(ev.FINISHED, ob.kind, ob.label, wall=wall,
+                                  detail="keyed" if keyed else "")
             if attempts > 1 or blames:
                 self.telemetry.record(
                     ev.RETRIED_OK, ob.kind, ob.label,

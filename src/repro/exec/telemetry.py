@@ -27,9 +27,8 @@ from typing import Dict, List, Optional
 from .durable import atomic_write_text
 from .events import (
     CACHED, CRASHED, DEGRADED, DISPATCHED, ERRORED, FINISHED, QUARANTINED,
-    RETRIED, RETRIED_OK, SKIPPED, STARTED, STORE_MISS, SUBMITTED,
-    TERMINAL_EVENTS, TIMED_OUT, WORKER_ABANDONED, EventSubscription,
-    ObligationEvent,
+    RETRIED, RETRIED_OK, SKIPPED, STORE_MISS, SUBMITTED, TERMINAL_EVENTS,
+    TIMED_OUT, WORKER_ABANDONED, EventSubscription, ObligationEvent,
 )
 
 __all__ = ["ExecStats", "Telemetry", "default_telemetry", "percentile"]
@@ -82,7 +81,7 @@ class ExecStats:
     #: fault-tolerance taxonomy (DESIGN.md §12) ------------------------------
     crashes: int = 0            # worker-killing crash blames (non-terminal)
     quarantined: int = 0        # obligations pulled after a second kill
-    degraded: int = 0           # backend fallbacks (remote→process→serial)
+    degraded: int = 0           # backend fallbacks (process→serial)
     retried_ok: int = 0         # obligations that succeeded after retries
     abandoned_workers: int = 0  # unresponsive workers left behind at shutdown
     wall_seconds: float = 0.0       # telemetry epoch -> last event
@@ -249,10 +248,8 @@ class Telemetry:
                     stats.obligations.get(ev.kind, 0) + 1
             if ev.event == FINISHED:
                 stats.computed[ev.kind] = stats.computed.get(ev.kind, 0) + 1
-                # Remote results prefix the detail with ``worker=...``;
-                # ``keyed`` is the last token.
-                keyed = ev.detail.rpartition(" ")[2] == "keyed"
-                stats.cache_misses += 1 if keyed else 0
+                if ev.detail == "keyed":
+                    stats.cache_misses += 1
                 stats.busy_seconds += ev.wall
                 walls.append(ev.wall)
             elif ev.event == CACHED:

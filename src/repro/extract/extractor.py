@@ -17,21 +17,17 @@ refactoring, is also the structure of the original specification.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..equiv.symbolic import SymbolicExecutor, UnsupportedProgram
 from ..lang import TypedPackage, ast
 from ..lang.types import ArrayType
 from ..logic import Term, intc, select
 from ..spec import ast as s
-from .skeleton import SkeletonError, _function_signature, map_type
+from .skeleton import _function_signature, map_type
 from .termtospec import TermConversionError, term_to_spec
 
-__all__ = ["ExtractionError", "ExtractionResult", "extract_specification"]
-
-
-class ExtractionError(Exception):
-    pass
+__all__ = ["ExtractionResult", "extract_specification"]
 
 
 class _ArchitecturalExecutor(SymbolicExecutor):

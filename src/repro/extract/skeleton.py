@@ -11,7 +11,7 @@ A skeleton theory carries the mapped types, constant tables and function
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..lang import TypedPackage, ast
 from ..lang.types import (

@@ -8,9 +8,9 @@ Applications of other subprograms stay as applications -- that is the
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-from ..logic import Term, intc, select
+from ..logic import Term, intc
 from ..spec import ast as s
 
 __all__ = ["TermConversionError", "term_to_spec"]

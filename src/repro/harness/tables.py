@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..aes.annotations import annotated_package
 from ..aes.fips197 import fips197_theory

@@ -9,10 +9,10 @@ lemma is then dischargeable by congruence from its callees' lemmas).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import List, Set
 
 from ..logic import Term, eq, forall, var, apply, mk
-from ..extract.mapper import ArchitecturalMap, MatchedPair
+from ..extract.mapper import ArchitecturalMap
 from ..spec import ast as s
 
 __all__ = ["Lemma", "generate_lemmas", "implication_tccs"]

@@ -10,7 +10,7 @@ evidence level.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 from ..exec.config import coerce_exec_config
@@ -18,7 +18,7 @@ from ..extract.mapper import ArchitecturalMap, build_map
 from ..extract.matchratio import MatchRatio, match_ratio
 from ..prover import AutoProver
 from ..spec import SpecEvaluator, ast as s
-from .lemmas import Lemma, generate_lemmas, implication_tccs
+from .lemmas import generate_lemmas, implication_tccs
 from .prover import LemmaOutcome, discharge_lemma
 
 __all__ = ["ImplicationResult", "prove_implication"]

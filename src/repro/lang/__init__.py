@@ -9,12 +9,11 @@ reproduction.
 
 from . import ast
 from .annotations import (
-    AnnotationCounts, count_annotations, strip_annotations,
-    with_true_postconditions,
+    AnnotationCounts, count_annotations, with_true_postconditions,
 )
 from .errors import (
-    ConstraintError, LexError, MiniAdaError, ParseError, RuntimeFault,
-    StepLimitExceeded, TypeError_,
+    LexError, MiniAdaError, ParseError, RuntimeFault, StepLimitExceeded,
+    TypeError_,
 )
 from .interp import Interpreter
 from .lexer import tokenize
@@ -30,10 +29,9 @@ __all__ = [
     "ast", "tokenize", "parse_package", "parse_expression", "analyze",
     "TypedPackage", "SubprogramContext", "Interpreter",
     "print_package", "print_subprogram", "print_stmt", "print_expr",
-    "AnnotationCounts", "count_annotations", "strip_annotations",
-    "with_true_postconditions",
+    "AnnotationCounts", "count_annotations", "with_true_postconditions",
     "MiniAdaError", "LexError", "ParseError", "TypeError_", "RuntimeFault",
-    "ConstraintError", "StepLimitExceeded",
+    "StepLimitExceeded",
     "Type", "IntegerType", "BooleanType", "ModularType", "RangeType",
     "ArrayType", "INTEGER", "BOOLEAN", "UNIV_INT", "compatible",
     "is_integerish",

@@ -1,4 +1,5 @@
-"""Annotation utilities: counting (paper Table 1) and stripping.
+"""Annotation utilities: counting (paper Table 1) and stripping
+postconditions.
 
 In the paper, annotations are SPARK comment lines (``--# pre``, ``--# post``,
 ``--# assert``) plus proof functions and proof rules.  Table 1 reports the
@@ -6,8 +7,8 @@ In the paper, annotations are SPARK comment lines (``--# pre``, ``--# post``,
 our canonical printer emits one line per annotation, so counting annotation
 nodes counts lines.
 
-Stripping annotations (or replacing every postcondition with ``true``) is
-how the paper measured VC metrics *before* annotation was complete
+Replacing every postcondition with ``true`` is how the paper measured VC
+metrics *before* annotation was complete
 (section 6.2.2: "we set the postconditions for all subprograms to true for
 each version of the refactored code").
 """
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from . import ast
 from .memo import ObjectMemo
 
-__all__ = ["AnnotationCounts", "count_annotations", "strip_annotations",
+__all__ = ["AnnotationCounts", "count_annotations",
            "with_true_postconditions"]
 
 
@@ -56,34 +57,6 @@ def count_annotations(pkg: ast.Package) -> AnnotationCounts:
         invariants_and_asserts=asserts,
         proof_functions_rules_other=proof,
     )
-
-
-def _strip_stmts(stmts):
-    out = []
-    for s in stmts:
-        if isinstance(s, ast.Assert):
-            continue
-        if isinstance(s, ast.If):
-            branches = tuple((c, _strip_stmts(b)) for c, b in s.branches)
-            out.append(ast.If(branches=branches,
-                              else_body=_strip_stmts(s.else_body)))
-        elif isinstance(s, ast.For):
-            out.append(dataclasses.replace(s, body=_strip_stmts(s.body)))
-        elif isinstance(s, ast.While):
-            out.append(dataclasses.replace(s, body=_strip_stmts(s.body)))
-        else:
-            out.append(s)
-    return tuple(out)
-
-
-def strip_annotations(pkg: ast.Package) -> ast.Package:
-    """Remove every annotation: pre/post, asserts, proof functions/rules."""
-    decls = tuple(d for d in pkg.decls
-                  if not isinstance(d, (ast.ProofFunctionDecl, ast.ProofRuleDecl)))
-    subprograms = tuple(
-        dataclasses.replace(sp, pre=(), post=(), body=_strip_stmts(sp.body))
-        for sp in pkg.subprograms)
-    return dataclasses.replace(pkg, decls=decls, subprograms=subprograms)
 
 
 def with_true_postconditions(pkg: ast.Package) -> ast.Package:

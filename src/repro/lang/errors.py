@@ -4,7 +4,7 @@ from __future__ import annotations
 
 __all__ = [
     "MiniAdaError", "LexError", "ParseError", "TypeError_", "RuntimeFault",
-    "ConstraintError", "StepLimitExceeded",
+    "StepLimitExceeded",
 ]
 
 
@@ -35,10 +35,6 @@ class RuntimeFault(MiniAdaError):
     """A run-time check failed during interpretation (index out of bounds,
     division by zero).  These are exactly the faults SPARK's exception-freedom
     VCs guard against, so the defect experiment treats them as observable."""
-
-
-class ConstraintError(RuntimeFault):
-    """Value assigned outside its subtype range."""
 
 
 class StepLimitExceeded(MiniAdaError):

@@ -16,7 +16,7 @@ exactly to SPARK's exception-freedom proof obligations.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from . import ast
 from .errors import RuntimeFault, StepLimitExceeded, TypeError_

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence, Tuple
 
 from .canon import fingerprint
-from .terms import COMMUTATIVE_OPS, Term, mk
+from .terms import Term, mk
 
 __all__ = [
     "TRUE", "FALSE", "intc", "boolc", "var", "conj", "disj", "neg",
@@ -48,8 +48,8 @@ def var(name: str) -> Term:
 def _sorted_args(args: Sequence[Term]) -> Tuple[Term, ...]:
     # Canonical order must not depend on interning ids: ids encode the
     # process's construction history, and two processes reaching the same
-    # logical term along different paths (a farm worker unpickling leases
-    # vs. the coordinator generating VCs) would otherwise hold different
+    # logical term along different paths (a pool worker unpickling payloads
+    # vs. the parent generating VCs) would otherwise hold different
     # argument orders -- and the provers' search order with them.  The
     # structural Merkle digest is history-free and memoized per term.
     return tuple(sorted(args, key=fingerprint))

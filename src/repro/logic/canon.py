@@ -1,8 +1,8 @@
 """Deterministic canonical serialization of terms.
 
 Cache keys for proof obligations (:mod:`repro.exec.cache`) must be stable
-across processes, and -- since the distributed proof farm (DESIGN.md §16)
-promises verdicts bit-identical to the serial backend -- so must the
+across processes, and -- since the process backend promises verdicts
+bit-identical to the serial backend (DESIGN.md §11) -- so must the
 in-memory canonical form of every term.  The smart constructors
 (:func:`repro.logic.builders._sorted_args`) order commutative arguments
 by the :func:`fingerprint` defined here, which is independent of

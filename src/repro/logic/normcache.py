@@ -18,8 +18,8 @@ prover's extra rules are loaded).  Keying on :func:`repro.logic.canon
 .fingerprint` rather than interning ids makes entries meaningful across
 rewriter instances and across threads.  Nothing crosses the process
 boundary: the implementation-proof session owns one cache (the examiner
-warms it, the inline per-VC provers reuse it), and each process-pool or
-farm worker fills its own :func:`default_norm_cache` as it discharges
+warms it, the inline per-VC provers reuse it), and each process-pool
+worker fills its own :func:`default_norm_cache` as it discharges
 (shipping the parent's warm entries to workers was measured and bought
 nothing; DESIGN.md §13).
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 __all__ = ["Term", "TermTable", "term_table", "mk", "BOOLEAN_OPS", "COMMUTATIVE_OPS"]
 

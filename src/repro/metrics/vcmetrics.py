@@ -11,7 +11,6 @@ module just shapes them into the record the figure-2 harness plots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..vcgen import ExaminerReport
 

@@ -28,8 +28,8 @@ pass, but nothing would have been *discovered*).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Tuple
 
 from ..lang import TypedPackage, ast, parse_package
 from ..refactor import Transformation

@@ -29,7 +29,7 @@ is why the beam must hold more than one state.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
 from ..lang import ast

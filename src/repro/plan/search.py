@@ -29,8 +29,8 @@ semantics, repeat.  Four stages per iteration:
 Determinism: enumeration order is structural, scoring is wall-clock
 free, scheduler outcomes return in submission order, and all ordering
 ties break on ``make_key(seed, fingerprint)``.  The discovered chain is
-therefore bit-identical across serial, process, and remote
-execution -- asserted by ``benchmarks/bench_plan.py``.
+therefore bit-identical across serial and process execution --
+asserted by ``benchmarks/bench_plan.py``.
 """
 
 from __future__ import annotations

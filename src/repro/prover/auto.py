@@ -17,7 +17,6 @@ the boundary the paper's 86.6%-automatic figure measures.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 import weakref
 from dataclasses import dataclass
@@ -25,8 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..lang import TypedPackage, ast
 from ..logic import (
-    FALSE, TRUE, Term, conj, eq, implies, intc, neg, substitute_simplifying,
-    var,
+    TRUE, Term, conj, implies, intc, neg, substitute_simplifying, var,
 )
 from ..logic.rules import select_store_split
 from ..vcgen.simplifier import Simplifier, TypeBoundHook, simplifier_rules_key
@@ -165,7 +163,7 @@ class AutoProver:
         different trajectory than proving it on a fresh one (fresh
         variable names feed fingerprints, and fingerprints order
         commutative arguments).  Callers that need verdicts independent
-        of what else ran in the process (the proof session, the farm's
+        of what else ran in the process (the proof session, the pool's
         workers) construct one prover per VC; the ``shared``
         normalization cache is the part that is safe to share, because
         a cached normal form is a pure function of (rules, term)."""

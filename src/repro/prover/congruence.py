@@ -11,9 +11,9 @@ Disequalities are tracked so a contradictory hypothesis set is detected
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
-from ..logic import Term, mk
+from ..logic import Term
 
 __all__ = ["CongruenceClosure"]
 

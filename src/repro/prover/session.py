@@ -11,7 +11,7 @@ maximum length of VCs needing human intervention, and wall/simulated time.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..exec import VCPayload, package_fingerprint, vc_obligation
@@ -43,7 +43,7 @@ def discharge_vc(typed: TypedPackage, subprogram: str, term: Term,
     payload carries exactly its inputs.  Provers are constructed *per
     VC*: an instance accumulates search history (fresh-name counters,
     per-term memos) that would make this VC's verdict depend on which
-    siblings ran earlier on the same instance, and the farm's workers
+    siblings ran earlier on the same instance, and the pool's workers
     each see a different sibling history than the serial order.  The
     interactive prover is built only when scripts exist.  ``shared`` is
     the cross-obligation :class:`~repro.logic.NormalizationCache`: a
@@ -181,8 +181,8 @@ class ImplementationProof:
         ``jobs``/``cache``/``telemetry``/``obligation_timeout`` shims are
         gone and raise ``TypeError``.  ``norm_cache`` optionally supplies a
         caller-owned :class:`~repro.logic.NormalizationCache` so warm
-        normal forms survive beyond this session (the serve layer keeps
-        one per tenant namespace across requests); by default the session
+        normal forms survive beyond this session (the serve daemon keeps
+        one across requests); by default the session
         owns a fresh one, the historical behaviour.
 
         ``manifest`` (a :class:`~repro.incr.ManifestStore` or a directory
@@ -204,7 +204,7 @@ class ImplementationProof:
         #: Cross-obligation normalization cache (DESIGN.md §13): one per
         #: proof session unless the caller shares one.  The examiner warms
         #: it while simplifying and the inline per-VC provers reuse it;
-        #: process and farm workers use their own process-wide cache
+        #: process-pool workers use their own process-wide cache
         #: (nothing is shipped to them).  Keys are fingerprint-scoped
         #: (``simplifier_rules_key``), so sharing across sessions is sound
         #: for any mix of packages.

@@ -26,14 +26,14 @@ automatic/interactive split (86.6% in the paper) is measurable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from ..equiv.symbolic import SymbolicExecutor, UnsupportedProgram
 from ..lang import TypedPackage
 from ..logic import (
-    Term, conj, eq, implies, intc, le, rebuild_smart, select,
-    substitute_simplifying, var,
+    Term, conj, eq, implies, intc, rebuild_smart, select,
+    substitute_simplifying,
 )
 from .auto import AutoProver, ProofResult
 

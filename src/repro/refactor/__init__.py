@@ -9,7 +9,7 @@ from .engine import (
     get_block, replace_block,
 )
 from .inline import ExtractFunction, ExtractProcedureClone, parse_subprogram
-from .library import TRANSFORMATION_LIBRARY, category_of, library_categories
+from .library import TRANSFORMATION_LIBRARY
 from .loopforms import MergeLoopNest, ShiftLoopBounds, SplitLoopNest
 from .reroll import RerollLoop
 from .separate import SeparateLoop
@@ -31,6 +31,6 @@ __all__ = [
     "IntroduceIntermediateVariable", "RemoveDeadSubprogram", "Rename",
     "ReverseTableLookup",
     "AdjustDataStructures", "UserSpecifiedTransformation",
-    "TRANSFORMATION_LIBRARY", "library_categories", "category_of",
+    "TRANSFORMATION_LIBRARY",
     "AntiUnifyError", "anti_unify_groups",
 ]

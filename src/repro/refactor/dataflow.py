@@ -9,12 +9,11 @@ computed here.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Set, Tuple
+from typing import Sequence, Set, Tuple
 
 from ..lang import TypedPackage, ast
 
-__all__ = ["reads_of_expr", "reads_of_stmts", "writes_of_stmts",
-           "may_interfere", "live_after"]
+__all__ = ["reads_of_expr", "reads_of_stmts", "writes_of_stmts"]
 
 
 def reads_of_expr(expr: ast.Expr) -> Set[str]:
@@ -112,19 +111,3 @@ def reads_of_stmts(stmts: Sequence[ast.Stmt],
 def writes_of_stmts(stmts: Sequence[ast.Stmt],
                     typed: TypedPackage = None) -> Set[str]:
     return reads_writes(stmts, typed)[1]
-
-
-def may_interfere(first: Sequence[ast.Stmt], second: Sequence[ast.Stmt],
-                  typed: TypedPackage = None) -> bool:
-    """Conservative: may reordering ``first`` relative to ``second`` change
-    behaviour?  True unless their footprints are provably disjoint."""
-    r1, w1 = reads_writes(first, typed)
-    r2, w2 = reads_writes(second, typed)
-    return bool((w1 & (r2 | w2)) or (w2 & r1))
-
-
-def live_after(stmts_after: Sequence[ast.Stmt], out_params: Iterable[str],
-               typed: TypedPackage = None) -> Set[str]:
-    """Conservative liveness: everything read later, plus out parameters
-    (they are observable at subprogram exit)."""
-    return reads_of_stmts(stmts_after, typed) | set(out_params)

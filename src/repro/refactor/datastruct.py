@@ -14,8 +14,8 @@ the change mechanically and refuses it if the theorem fails.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from ..lang import TypedPackage, ast, parse_package
 from ..lang.errors import MiniAdaError

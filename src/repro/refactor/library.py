@@ -25,7 +25,7 @@ from .storage import (
 )
 from .tables import ReverseTableLookup
 
-__all__ = ["TRANSFORMATION_LIBRARY", "category_of", "library_categories"]
+__all__ = ["TRANSFORMATION_LIBRARY"]
 
 #: category -> transformation classes, mirroring paper section 5.1 / 6.2.1.
 TRANSFORMATION_LIBRARY: Dict[str, List[Type[Transformation]]] = {
@@ -44,11 +44,3 @@ TRANSFORMATION_LIBRARY: Dict[str, List[Type[Transformation]]] = {
     "reversing table lookups": [ReverseTableLookup],
     "user-specified": [UserSpecifiedTransformation],
 }
-
-
-def library_categories() -> List[str]:
-    return list(TRANSFORMATION_LIBRARY)
-
-
-def category_of(transformation: Transformation) -> str:
-    return transformation.category

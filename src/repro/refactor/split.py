@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from ..lang import TypedPackage, ast
 from .dataflow import reads_writes, reads_of_stmts

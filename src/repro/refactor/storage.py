@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Tuple
+from typing import FrozenSet, Tuple
 
 from ..lang import TypedPackage, ast
 from ..lang.memo import ObjectMemo

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..lang import Interpreter, TypedPackage, ast
 from ..lang.errors import MiniAdaError

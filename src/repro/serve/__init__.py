@@ -3,7 +3,7 @@
 An asyncio daemon that accepts verification requests -- a package (AES
 corpus or inline source), a request kind (``examine`` / ``prove`` /
 ``refactor``), and an :class:`~repro.exec.ExecConfig` -- over a
-line-delimited JSON protocol (stdio or TCP), executes them on the
+line-delimited JSON protocol on stdin/stdout, executes them on the
 existing examiner/prover/refactoring machinery, and streams per-VC
 obligation events back to the client as they happen.
 
@@ -14,9 +14,8 @@ What the daemon adds over the batch harness (DESIGN.md §14):
   finishes in-flight work on restart;
 * **priority lanes** -- interactive examiner queries dispatch ahead of
   bulk corpus proofs, under bounded queue depth with backpressure;
-* **multi-tenant warm caches** -- each client namespace keeps a private
-  ``ResultCache`` + ``NormalizationCache`` pair warm across requests,
-  structurally isolated from every other namespace;
+* **warm caches** -- one ``ResultCache``, ``NormalizationCache`` and
+  incremental ``ManifestStore`` stay warm across requests;
 * **metrics** -- per-request latency, queue depth and lane utilisation,
   dumped atomically in the ``results/telemetry.json`` schema.
 
@@ -32,14 +31,12 @@ from .lanes import LaneBoard, QueueFull
 from .protocol import (LANES, PROTOCOL_VERSION, ProtocolError, decode_line,
                        default_lane, encode_message, normalize_submit)
 from .service import RequestFailed, VerificationService, execute_request
-from .tenants import TenantCaches, TenantRegistry
 
 __all__ = [
     "PROTOCOL_VERSION", "LANES", "ProtocolError", "encode_message",
     "decode_line", "normalize_submit", "default_lane",
     "ServeConfig", "DEFAULT_LANES", "parse_lanes",
     "Journal", "QueueItem", "LaneBoard", "QueueFull",
-    "TenantCaches", "TenantRegistry",
     "VerificationService", "RequestFailed", "execute_request",
     "ServeClient",
 ]

@@ -1,8 +1,7 @@
 """A thin synchronous client for the verification daemon.
 
-Talks the line-delimited JSON protocol over either a spawned stdio
-daemon subprocess (:meth:`ServeClient.spawn` -- the mode the tests and
-the CI smoke step use) or a TCP connection (:meth:`ServeClient.connect`).
+Talks the line-delimited JSON protocol to a daemon it spawns as a
+subprocess (:meth:`ServeClient.spawn`) over the daemon's stdin/stdout.
 A reader thread parses every incoming line and files it: ``event``
 messages accumulate per request id (``events_for``), terminal ``result``
 messages resolve ``wait``, and everything else (``accepted``, ``pong``,
@@ -17,17 +16,16 @@ from __future__ import annotations
 import json
 import os
 import queue
-import socket
 import subprocess
 import sys
 import threading
 from typing import Dict, List, Optional
 
-from ..protocol import PROTOCOL_VERSION
+from .protocol import PROTOCOL_VERSION
 
 __all__ = ["ServeClient", "ClientError"]
 
-_REPLY_KINDS = ("accepted", "pong", "status", "error", "bye", "listening")
+_REPLY_KINDS = ("accepted", "pong", "status", "error", "bye")
 
 
 class ClientError(Exception):
@@ -67,16 +65,15 @@ class ServeClient:
     @classmethod
     def spawn(cls, *daemon_args: str,
               python: Optional[str] = None) -> "ServeClient":
-        """Launch ``python -m repro.serve --stdio <daemon_args>`` as a
-        subprocess and connect to it."""
+        """Launch ``python -m repro.serve <daemon_args>`` as a subprocess
+        and connect to it."""
         src_dir = os.path.dirname(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))))
         env = dict(os.environ)
         env["PYTHONPATH"] = src_dir + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
         process = subprocess.Popen(
-            [python or sys.executable, "-m", "repro.serve", "--stdio",
-             *daemon_args],
+            [python or sys.executable, "-m", "repro.serve", *daemon_args],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env)
 
         def send_line(data: bytes) -> None:
@@ -91,28 +88,6 @@ class ServeClient:
 
         return cls(send_line, close_transport, process=process,
                    readable=process.stdout)
-
-    @classmethod
-    def connect(cls, host: str, port: int,
-                timeout: float = 10.0) -> "ServeClient":
-        """Connect to a TCP daemon."""
-        sock = socket.create_connection((host, port), timeout=timeout)
-        sock.settimeout(None)
-        writable = sock.makefile("wb")
-        readable = sock.makefile("rb")
-
-        def send_line(data: bytes) -> None:
-            writable.write(data)
-            writable.flush()
-
-        def close_transport() -> None:
-            try:
-                writable.close()
-            except (BrokenPipeError, OSError):
-                pass
-            sock.close()
-
-        return cls(send_line, close_transport, readable=readable)
 
     # -- the reader thread ---------------------------------------------------
 
@@ -178,7 +153,6 @@ class ServeClient:
         return self._reply(timeout)
 
     def submit(self, *, kind: str, package: dict,
-               namespace: str = "public",
                subprograms: Optional[List[str]] = None,
                lane: Optional[str] = None, scripts: bool = True,
                exec: Optional[dict] = None, params: Optional[dict] = None,
@@ -187,7 +161,7 @@ class ServeClient:
         :class:`ClientError` on rejection -- bad request, duplicate id,
         backpressure)."""
         message = {"op": "submit", "kind": kind, "package": package,
-                   "namespace": namespace, "scripts": scripts}
+                   "scripts": scripts}
         if subprograms is not None:
             message["subprograms"] = subprograms
         if lane is not None:

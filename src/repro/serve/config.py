@@ -54,7 +54,7 @@ def parse_lanes(spec: str) -> Dict[str, int]:
 class ServeConfig:
     """How the daemon admits, persists, and executes requests.
 
-    ``state_dir``       journal + per-tenant disk caches + result store;
+    ``state_dir``       journal + disk cache + manifests + result store;
                         None runs memory-only (no durability).
     ``lanes``           per-lane concurrent-request capacity; a lane with
                         0 capacity is admit-only (see ``--lanes``).

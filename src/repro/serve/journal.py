@@ -50,7 +50,6 @@ class QueueItem:
 
     request_id: str
     lane: str
-    namespace: str
     request: dict          # the normalized submit record (plain JSON data)
     enqueued_wall: float   # epoch seconds at admission (journal record only)
     #: Monotonic clock at admission: the queue-latency reference.  Wall
@@ -64,13 +63,11 @@ class QueueItem:
 
     def to_json(self) -> dict:
         return {"op": "enqueue", "id": self.request_id, "lane": self.lane,
-                "namespace": self.namespace, "request": self.request,
-                "t": self.enqueued_wall}
+                "request": self.request, "t": self.enqueued_wall}
 
     @classmethod
     def from_json(cls, record: dict) -> "QueueItem":
         return cls(request_id=record["id"], lane=record["lane"],
-                   namespace=record["namespace"],
                    request=record["request"],
                    enqueued_wall=record.get("t", 0.0))
 

@@ -1,24 +1,24 @@
-"""Transports: line-delimited JSON over TCP or stdio.
+"""The transport: line-delimited JSON over stdio.
 
-One connection = one bidirectional stream of newline-terminated JSON
-objects (the wire format of :mod:`repro.serve.protocol`).  Each
-connection gets a private *outbox* queue; exactly one writer task drains
-it to the socket/stdout, so concurrent request streams never interleave
-mid-line.  The read loop dispatches operations:
+The daemon serves one client, one bidirectional stream of
+newline-terminated JSON objects (the wire format of
+:mod:`repro.serve.protocol`) on stdin/stdout.  Replies go through an
+*outbox* queue; exactly one writer task drains it to stdout, so
+concurrent request streams never interleave mid-line.  The read loop
+dispatches operations:
 
 ``submit``    admit a request; replies ``accepted`` (or ``error``), then
               streams the request's ``event`` messages and its terminal
               ``result``.
 ``wait``      reply with the ``result`` of an id once it exists (runs as
               its own task so a long wait never blocks further reads).
-``status``    lane/tenant/queue snapshot.
+``status``    lane/cache/queue snapshot.
 ``ping``      liveness (echoes ``payload``).
 ``shutdown``  ask the daemon to exit (graceful: running work drains).
 
-The stdio transport serves exactly one client over stdin/stdout --
-useful under test harnesses and as a subprocess backend for the thin
-client (:mod:`repro.serve.client`).  stdin is read on a helper thread
-(asyncio has no portable non-blocking stdin) and bridged into the loop.
+The thin client (:mod:`repro.serve.client`) runs the daemon as its
+subprocess.  stdin is read on a helper thread (asyncio has no portable
+non-blocking stdin) and bridged into the loop.
 """
 
 from __future__ import annotations
@@ -27,12 +27,11 @@ import asyncio
 import os
 import sys
 import threading
-from typing import Optional
 
 from .protocol import ProtocolError, decode_line, encode_message
 from .service import VerificationService
 
-__all__ = ["serve_tcp", "serve_stdio", "handle_message"]
+__all__ = ["serve_stdio", "handle_message"]
 
 
 async def handle_message(service: VerificationService, message: dict,
@@ -69,9 +68,8 @@ async def handle_message(service: VerificationService, message: dict,
 
 async def _read_dispatch(service: VerificationService, readline,
                          outbox: asyncio.Queue) -> None:
-    """The per-connection read loop: decode, dispatch, keep going.
-    Malformed lines produce an ``error`` reply instead of killing the
-    connection."""
+    """The read loop: decode, dispatch, keep going.  Malformed lines
+    produce an ``error`` reply instead of killing the connection."""
     while True:
         line = await readline()
         if not line:
@@ -87,62 +85,13 @@ async def _read_dispatch(service: VerificationService, readline,
 
 
 async def _drain_outbox(outbox: asyncio.Queue, write) -> None:
-    """The per-connection writer: the sole producer of output bytes."""
+    """The writer: the sole producer of output bytes."""
     while True:
         message = await outbox.get()
         if message is None:
             return
         await write(encode_message(message).encode("utf-8"))
 
-
-# ---------------------------------------------------------------------------
-# TCP
-# ---------------------------------------------------------------------------
-
-async def serve_tcp(service: VerificationService, host: str,
-                    port: int) -> None:
-    """Serve until :attr:`~VerificationService.shutdown_requested`.
-    Announces the bound port as a ``listening`` message on stdout so a
-    parent process can connect without racing (``--port 0`` binds an
-    ephemeral port)."""
-
-    async def handle_connection(reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        outbox: asyncio.Queue = asyncio.Queue()
-
-        async def write(data: bytes) -> None:
-            writer.write(data)
-            await writer.drain()
-
-        drain = asyncio.ensure_future(_drain_outbox(outbox, write))
-        try:
-            await _read_dispatch(service, reader.readline, outbox)
-        except asyncio.CancelledError:
-            pass   # server closing while the client is still connected
-        finally:
-            outbox.put_nowait(None)
-            try:
-                await drain
-            except asyncio.CancelledError:
-                drain.cancel()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                pass
-
-    server = await asyncio.start_server(handle_connection, host, port)
-    bound = server.sockets[0].getsockname()[1]
-    sys.stdout.write(encode_message(
-        {"reply": "listening", "host": host, "port": bound}))
-    sys.stdout.flush()
-    async with server:
-        await service.shutdown_requested.wait()
-
-
-# ---------------------------------------------------------------------------
-# stdio
-# ---------------------------------------------------------------------------
 
 async def serve_stdio(service: VerificationService,
                       stdin=None, stdout=None) -> None:

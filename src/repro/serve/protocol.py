@@ -1,4 +1,4 @@
-"""The serve wire protocol: line-delimited JSON over stdio or TCP.
+"""The serve wire protocol: line-delimited JSON over stdio.
 
 One JSON object per ``\\n``-terminated line, in both directions.  Client
 messages carry an ``op``; server messages carry a ``reply``.  The full
@@ -8,7 +8,7 @@ service" and DESIGN.md §14.
 Client → server ops
 -------------------
 ``ping``      liveness probe → ``pong``.
-``status``    queue depths, lanes, tenants → ``status``.
+``status``    queue depths, lanes, cache counters → ``status``.
 ``submit``    enqueue a verification request → ``accepted`` (then
               streamed ``event`` messages, then a terminal ``result``).
 ``wait``      (re)attach to a request by id → its ``result`` when done
@@ -19,41 +19,48 @@ Client → server ops
 Server → client replies
 -----------------------
 ``pong`` / ``status`` / ``accepted`` / ``event`` / ``result`` / ``bye``
-and ``error`` (with a machine-readable ``code``:
-``bad_request`` | ``backpressure`` | ``duplicate_id`` | ``unknown_id`` |
-``protocol_mismatch``).
+and ``error`` (``{"reply": "error", "code": ..., "detail": ...}``, with
+a machine-readable ``code`` from :data:`ERROR_CODES`).
 
-Versioning: the framing primitives, error envelope, and
-``PROTOCOL_VERSION`` live in the shared :mod:`repro.protocol` module
-(the proof-farm coordinator speaks the same generation).  Clients may
-advertise ``"protocol": N`` on any message; a mismatched version is
-rejected with ``protocol_mismatch``, an absent field is tolerated.
+Versioning: clients may advertise ``"protocol": N`` on any message; a
+version other than :data:`PROTOCOL_VERSION` is rejected with
+``protocol_mismatch``, an absent field is tolerated (version-1 clients
+predate it).
 
 A ``submit`` names a package (the AES corpus or inline MiniAda source),
 a request ``kind`` (``examine`` | ``prove`` | ``refactor``), an optional
-tenant ``namespace`` (per-tenant warm caches; the default namespace is
-``"public"``), an optional priority ``lane`` (``interactive`` | ``bulk``;
-defaulted from the kind), and an optional ``exec`` object -- the
-JSON-portable subset of :class:`~repro.exec.ExecConfig`
-(:meth:`~repro.exec.ExecConfig.from_json`; ``cache``/``telemetry`` never
-travel, so a client cannot name another tenant's cache).
+priority ``lane`` (``interactive`` | ``bulk``; defaulted from the kind),
+and an optional ``exec`` object -- the JSON-portable subset of
+:class:`~repro.exec.ExecConfig` (:meth:`~repro.exec.ExecConfig.from_json`;
+``cache``/``telemetry`` never travel, so a client cannot name the
+daemon's cache).  Any other key is rejected by name.
 """
 
 from __future__ import annotations
 
+import json
 import re
-from typing import Optional
+from typing import Any, Dict, Optional
 
 from ..exec.config import ExecConfig
-from ..protocol import (ERROR_CODES, MAX_LINE_BYTES, PROTOCOL_VERSION,
-                        ProtocolError, check_protocol_version,
-                        encode_message, parse_json_line)
 
 __all__ = [
     "PROTOCOL_VERSION", "LANES", "LANE_PRIORITY", "REQUEST_KINDS", "OPS",
     "ERROR_CODES", "ProtocolError", "decode_line", "encode_message",
     "normalize_submit", "default_lane",
 ]
+
+#: The wire-protocol generation.  Version 1 had no version field on the
+#: wire; version 2 added it; versions 3 to 5 versioned the proof farm's
+#: lease messages, which are gone.  Version 6 is the single-tenant
+#: schema: ``submit`` takes no ``namespace``, and the ``status`` reply
+#: carries one ``cache`` snapshot in place of ``namespaces``/``tenants``.
+PROTOCOL_VERSION = 6
+
+#: The machine-readable ``code`` vocabulary of ``error`` replies;
+#: ``protocol_mismatch`` rejects a version-skewed client.
+ERROR_CODES = ("bad_request", "backpressure", "duplicate_id",
+               "unknown_id", "protocol_mismatch")
 
 #: Priority lanes, highest priority first.  ``interactive`` is meant for
 #: examiner queries a human is waiting on; ``bulk`` for corpus proofs.
@@ -63,17 +70,46 @@ LANE_PRIORITY = LANES   # dispatch preference order
 REQUEST_KINDS = ("examine", "prove", "refactor")
 OPS = ("ping", "status", "submit", "wait", "shutdown")
 
+#: The keys a ``submit`` may carry.
+_SUBMIT_KEYS = ("op", "protocol", "id", "kind", "lane", "package",
+                "subprograms", "scripts", "incremental", "exec", "params")
+
 #: Kind → lane when the client does not pick one: examiner queries are
 #: interactive by nature, proofs and refactoring chains are bulk work.
 _DEFAULT_LANES = {"examine": "interactive", "prove": "bulk",
                   "refactor": "bulk"}
 
 #: Request ids (client-chosen or server-assigned) name journal result
-#: files and tenant namespaces name per-tenant cache directories, so
-#: both must be path-safe.
+#: files, so they must be path-safe.
 _PATH_SAFE_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
-_MAX_LINE_BYTES = MAX_LINE_BYTES   # an inline MiniAda package fits easily
+#: Upper bound on one wire line; an inline MiniAda package fits easily.
+MAX_LINE_BYTES = 8 * 1024 * 1024
+
+
+class ProtocolError(Exception):
+    """A client-visible protocol failure, rendered as an ``error``
+    reply."""
+
+    def __init__(self, code: str, detail: str,
+                 request_id: Optional[str] = None):
+        assert code in ERROR_CODES, code
+        super().__init__(f"{code}: {detail}")
+        self.code = code
+        self.detail = detail
+        self.request_id = request_id
+
+    def to_message(self) -> dict:
+        msg = {"reply": "error", "code": self.code, "detail": self.detail}
+        if self.request_id is not None:
+            msg["id"] = self.request_id
+        return msg
+
+
+def encode_message(message: Dict[str, Any]) -> str:
+    """One wire line (newline-terminated, newline-free payload)."""
+    return json.dumps(message, separators=(",", ":"),
+                      ensure_ascii=True) + "\n"
 
 
 def decode_line(line: str) -> dict:
@@ -82,12 +118,27 @@ def decode_line(line: str) -> dict:
     version mismatch).  A client that advertises a ``protocol`` field is
     held to it; one that omits it is accepted (version-1 clients predate
     the field)."""
-    message = parse_json_line(line, max_bytes=_MAX_LINE_BYTES)
+    if len(line) > MAX_LINE_BYTES:
+        raise ProtocolError("bad_request",
+                            f"line exceeds {MAX_LINE_BYTES} bytes")
+    try:
+        message = json.loads(line)
+    except ValueError:
+        raise ProtocolError("bad_request", "line is not valid JSON")
+    if not isinstance(message, dict):
+        raise ProtocolError("bad_request",
+                            f"expected a JSON object, got "
+                            f"{type(message).__name__}")
     op = message.get("op")
     if op not in OPS:
         raise ProtocolError("bad_request",
                             f"op must be one of {list(OPS)}, got {op!r}")
-    check_protocol_version(message.get("protocol"), surface="serve")
+    version = message.get("protocol")
+    if version is not None and version != PROTOCOL_VERSION:
+        raise ProtocolError(
+            "protocol_mismatch",
+            f"serve: peer speaks protocol version {version!r}, "
+            f"this side speaks {PROTOCOL_VERSION}")
     return message
 
 
@@ -95,15 +146,13 @@ def default_lane(kind: str) -> str:
     return _DEFAULT_LANES[kind]
 
 
-def _require_str(message: dict, field: str, default: Optional[str] = None,
-                 request_id: Optional[str] = None) -> str:
-    value = message.get(field, default)
+def _require_str(message: dict, field: str) -> str:
+    value = message.get(field)
     if not isinstance(value, str) or not _PATH_SAFE_RE.match(value):
         raise ProtocolError(
             "bad_request",
             f"{field} must be a short path-safe string "
-            f"([A-Za-z0-9._-], starting alphanumeric), got {value!r}",
-            request_id)
+            f"([A-Za-z0-9._-], starting alphanumeric), got {value!r}")
     return value
 
 
@@ -117,6 +166,12 @@ def normalize_submit(message: dict,
     its dict form, so a journaled request replays across daemon restarts
     without pickling live objects.
     """
+    unknown = sorted(set(message) - set(_SUBMIT_KEYS))
+    if unknown:
+        raise ProtocolError("bad_request",
+                            f"unknown submit keys: {unknown} "
+                            f"(allowed: {sorted(_SUBMIT_KEYS)})", request_id)
+
     kind = message.get("kind")
     if kind not in REQUEST_KINDS:
         raise ProtocolError(
@@ -129,8 +184,6 @@ def normalize_submit(message: dict,
         raise ProtocolError(
             "bad_request",
             f"lane must be one of {list(LANES)}, got {lane!r}", request_id)
-
-    namespace = _require_str(message, "namespace", "public", request_id)
 
     package = message.get("package")
     if not isinstance(package, dict) or \
@@ -222,7 +275,6 @@ def normalize_submit(message: dict,
         "id": request_id,          # None → service assigns one
         "kind": kind,
         "lane": lane,
-        "namespace": namespace,
         "package": package,
         "subprograms": subprograms,
         "scripts": scripts,

@@ -16,13 +16,15 @@
   :class:`~repro.exec.ObligationEvent` (the exec taxonomy, unchanged)
   from the proving thread into the event loop and on to the client as
   ``event`` messages, so a client watches per-VC progress live;
-* warm state -- per-namespace cache pairs
-  (:mod:`repro.serve.tenants`) are handed to every execution, so repeat
-  requests hit warm and tenants stay isolated;
+* warm state -- the service owns one :class:`~repro.exec.ResultCache`,
+  one :class:`~repro.logic.NormalizationCache` and one
+  :class:`~repro.incr.ManifestStore` (on disk under ``state_dir/cache``
+  and ``state_dir/manifest``), handed to every execution, so repeat
+  requests hit warm;
 * metrics -- request lifecycle events land in a service-level telemetry
   whose dump (``results/telemetry.json`` schema, written atomically)
   gains a ``serve`` context block: per-lane depth/served/latency
-  percentiles and per-tenant cache statistics.
+  percentiles and the caches' counters.
 
 Blocking-IO stance: journal appends (fsync) and result publication are
 small files written from the event loop -- microseconds-to-milliseconds
@@ -38,13 +40,15 @@ import time
 from typing import Dict, List, Optional
 
 from ..exec import events as ev
+from ..exec.cache import ResultCache
 from ..exec.config import ExecConfig
 from ..exec.telemetry import Telemetry, percentile
+from ..incr.manifest import ManifestStore
+from ..logic.normcache import NormalizationCache
 from .config import ServeConfig
 from .journal import Journal, QueueItem
 from .lanes import LaneBoard, QueueFull
 from .protocol import PROTOCOL_VERSION, ProtocolError, normalize_submit
-from .tenants import TenantCaches, TenantRegistry
 
 __all__ = ["RequestFailed", "VerificationService", "execute_request"]
 
@@ -59,19 +63,18 @@ class RequestFailed(Exception):
 # Synchronous request execution (runs on a worker thread)
 # ---------------------------------------------------------------------------
 
-def _resolve_exec(request: dict, tenant: TenantCaches,
+def _resolve_exec(request: dict, result_cache: ResultCache,
                   telemetry: Telemetry,
                   default_exec: ExecConfig) -> ExecConfig:
     """The effective ExecConfig: server defaults overlaid with the
-    request's ``exec`` keys, then pinned to the tenant's result cache and
-    the request's telemetry.  The pinning is the isolation boundary --
-    without it the scheduler would fall back to the process-wide default
-    cache shared by every tenant."""
+    request's ``exec`` keys, then pinned to the daemon's result cache and
+    the request's telemetry (``cache=None`` would select the process-wide
+    default cache, whose disk tier is not the daemon's)."""
     overlay = request.get("exec") or {}
     merged = default_exec.to_json()
     merged.update(overlay)
     config = ExecConfig.from_json(merged)
-    return dataclasses.replace(config, cache=tenant.result_cache,
+    return dataclasses.replace(config, cache=result_cache,
                                telemetry=telemetry)
 
 
@@ -105,7 +108,7 @@ def _resolve_subprograms(request: dict, typed) -> Optional[List[str]]:
     return list(names)
 
 
-def _run_examine(request: dict, typed, tenant: TenantCaches,
+def _run_examine(request: dict, typed, norm_cache: NormalizationCache,
                  telemetry: Telemetry) -> dict:
     """An interactive examiner query: generate + simplify VCs, streaming
     one submitted/started/finished event triple per subprogram (kind
@@ -114,7 +117,7 @@ def _run_examine(request: dict, typed, tenant: TenantCaches,
     names = _resolve_subprograms(request, typed)
     if names is None:
         names = [sp.name for sp in typed.package.subprograms]
-    examiner = Examiner(typed, shared=tenant.norm_cache)
+    examiner = Examiner(typed, shared=norm_cache)
     subprograms = []
     started = time.perf_counter()
     for name in names:
@@ -148,7 +151,9 @@ def _run_examine(request: dict, typed, tenant: TenantCaches,
     }
 
 
-def _run_prove(request: dict, typed, scripts, tenant: TenantCaches,
+def _run_prove(request: dict, typed, scripts,
+               norm_cache: NormalizationCache,
+               manifest_store: Optional[ManifestStore],
                exec_config: ExecConfig) -> dict:
     """A proof request: the full implementation-proof session, warm
     caches included.  The verdict list is the serve layer's unit of
@@ -156,15 +161,15 @@ def _run_prove(request: dict, typed, scripts, tenant: TenantCaches,
     from ..prover import ImplementationProof
     names = _resolve_subprograms(request, typed)
     incremental = bool(request.get("incremental"))
-    if incremental and tenant.manifest_store is None:
-        # Manifests live under state_dir/manifest/<namespace>; without a
-        # state dir there is nowhere to persist or read one.  Loud
-        # failure, same stance as the flag validators.
+    if incremental and manifest_store is None:
+        # Manifests live under state_dir/manifest; without a state dir
+        # there is nowhere to persist or read one.  Loud failure, same
+        # stance as the flag validators.
         raise RequestFailed("incremental prove requires a durable daemon "
                             "(--state-dir)")
     proof = ImplementationProof(typed, scripts=scripts, exec=exec_config,
-                                norm_cache=tenant.norm_cache,
-                                manifest=tenant.manifest_store,
+                                norm_cache=norm_cache,
+                                manifest=manifest_store,
                                 incremental=incremental)
     result = proof.run(names)
     verdicts = [{
@@ -223,16 +228,24 @@ def _run_refactor(request: dict, exec_config: ExecConfig) -> dict:
     }
 
 
-def execute_request(request: dict, tenant: TenantCaches,
-                    telemetry: Telemetry,
-                    default_exec: ExecConfig) -> dict:
-    """Execute one normalized request synchronously and return its result
+def execute_request(request: dict, service: "VerificationService",
+                    telemetry: Telemetry) -> dict:
+    """Execute one normalized request synchronously, against the
+    service's caches and default exec config, and return its result
     payload.  Everything here is ordinary batch-harness code -- the serve
     layer adds only the cache pinning and the telemetry bridge, which is
-    why daemon verdicts are bit-identical to the batch reference."""
+    why daemon verdicts are bit-identical to the batch reference.
+
+    The request is held to the submit schema again: a journal record
+    written before a field was removed (``namespace``, a removed
+    backend) fails here with the reason, as its submit would now."""
     try:
-        exec_config = _resolve_exec(request, tenant, telemetry,
-                                    default_exec)
+        normalize_submit(request)
+    except ProtocolError as exc:
+        raise RequestFailed(f"request no longer valid: {exc.detail}")
+    try:
+        exec_config = _resolve_exec(request, service.result_cache,
+                                    telemetry, service.config.default_exec)
     except (ValueError, TypeError) as exc:
         raise RequestFailed(f"bad exec config: {exc}")
     kind = request["kind"]
@@ -240,8 +253,9 @@ def execute_request(request: dict, tenant: TenantCaches,
         return _run_refactor(request, exec_config)
     typed, scripts = _resolve_package(request)
     if kind == "examine":
-        return _run_examine(request, typed, tenant, telemetry)
-    return _run_prove(request, typed, scripts, tenant, exec_config)
+        return _run_examine(request, typed, service.norm_cache, telemetry)
+    return _run_prove(request, typed, scripts, service.norm_cache,
+                      service.manifest_store, exec_config)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +276,14 @@ class VerificationService:
         self.config = config if config is not None else ServeConfig()
         self.journal = Journal(self.config.state_dir)
         self.board = LaneBoard(self.config.lanes, self.config.max_queue)
-        self.tenants = TenantRegistry(state_dir=self.config.state_dir)
+        #: The warm caches every request shares; a non-durable daemon
+        #: keeps no disk tier and no manifests.
+        state_dir = self.config.state_dir
+        self.result_cache = ResultCache(
+            disk_dir=None if state_dir is None else state_dir / "cache")
+        self.norm_cache = NormalizationCache()
+        self.manifest_store = None if state_dir is None \
+            else ManifestStore(state_dir / "manifest")
         #: Service-level request telemetry: one submitted/started/
         #: finished-or-errored triple per request (kind ``request``), so
         #: queue depth, latency percentiles and failure counts fall out
@@ -334,8 +355,7 @@ class VerificationService:
                                 request_id)
         request["id"] = request_id
         item = QueueItem(request_id=request_id, lane=request["lane"],
-                         namespace=request["namespace"], request=request,
-                         enqueued_wall=time.time())
+                         request=request, enqueued_wall=time.time())
         try:
             depth = self.board.admit(item)
         except QueueFull as exc:
@@ -351,8 +371,7 @@ class VerificationService:
         self.telemetry.record(ev.SUBMITTED, "request", request_id,
                               detail=item.lane)
         return {"reply": "accepted", "id": request_id, "lane": item.lane,
-                "namespace": item.namespace, "queue_depth": depth,
-                "durable": self.journal.durable}
+                "queue_depth": depth, "durable": self.journal.durable}
 
     # -- waiting / status ----------------------------------------------------
 
@@ -381,6 +400,16 @@ class VerificationService:
             lanes[lane]["latency_p95_seconds"] = percentile(samples, 0.95)
         return lanes
 
+    def _cache_snapshot(self) -> dict:
+        return {
+            "result_entries": len(self.result_cache),
+            "result_hits": self.result_cache.hits,
+            "result_misses": self.result_cache.misses,
+            "norm_entries": len(self.norm_cache),
+            "norm_hits": self.norm_cache.hits,
+            "norm_misses": self.norm_cache.misses,
+        }
+
     def status(self) -> dict:
         return {
             "reply": "status",
@@ -389,8 +418,7 @@ class VerificationService:
             "replayed": self._replayed,
             "lanes": self._lane_snapshot(),
             "pending": self.board.pending_ids(),
-            "namespaces": len(self.tenants),
-            "tenants": self.tenants.snapshot(),
+            "cache": self._cache_snapshot(),
             "results_held": len(self._results),
         }
 
@@ -418,7 +446,6 @@ class VerificationService:
             loop.call_soon_threadsafe(self._publish_event, _rid, event)
 
         subscription = request_telemetry.subscribe(forward)
-        tenant = self.tenants.get(item.namespace)
         # Monotonic delta: wall-clock steps between admission and dispatch
         # must not distort the latency (the old wall-time delta needed a
         # max(0, ...) clamp that silently swallowed backward steps and
@@ -427,8 +454,7 @@ class VerificationService:
         started = time.perf_counter()
         try:
             payload = await asyncio.to_thread(
-                execute_request, item.request, tenant, request_telemetry,
-                self.config.default_exec)
+                execute_request, item.request, self, request_telemetry)
             status, error = "ok", None
         except RequestFailed as exc:
             status, error, payload = "error", str(exc), None
@@ -440,12 +466,10 @@ class VerificationService:
         finally:
             subscription.close()
         run_seconds = time.perf_counter() - started
-        tenant.requests_served += 1
 
         message = {
             "reply": "result", "id": request_id, "status": status,
             "kind": item.request["kind"], "lane": lane,
-            "namespace": item.namespace,
             "queue_seconds": queue_seconds, "run_seconds": run_seconds,
             "exec_stats": request_telemetry.stats().to_json(),
         }
@@ -497,8 +521,7 @@ class VerificationService:
                 "replayed": self._replayed,
                 "max_queue": self.config.max_queue,
                 "lanes": self._lane_snapshot(),
-                "namespaces": len(self.tenants),
-                "tenants": self.tenants.snapshot(),
+                "cache": self._cache_snapshot(),
             },
             "default_exec": self.config.default_exec.to_json(),
         })

@@ -7,17 +7,17 @@ executable (proof by evaluation).
 
 from . import ast
 from .eval import SpecEvalError, SpecEvaluator
-from .parser import SpecParseError, parse_spec_expression, parse_theory
+from .parser import SpecParseError, parse_theory
 from .printer import print_spec_expr, print_theory, spec_line_count
 from .typecheck import (
     SpecCheck, SpecGround, SpecTypeError, TCC, TCCReport, check_theory,
-    discharge_tccs, spec_expr_to_term,
+    discharge_tccs,
 )
 
 __all__ = [
-    "ast", "parse_theory", "parse_spec_expression", "SpecParseError",
+    "ast", "parse_theory", "SpecParseError",
     "print_theory", "print_spec_expr", "spec_line_count",
     "SpecEvaluator", "SpecEvalError",
-    "check_theory", "discharge_tccs", "spec_expr_to_term",
+    "check_theory", "discharge_tccs",
     "SpecCheck", "SpecGround", "SpecTypeError", "TCC", "TCCReport",
 ]

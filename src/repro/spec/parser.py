@@ -22,7 +22,7 @@ from typing import List, Tuple
 
 from . import ast as s
 
-__all__ = ["parse_theory", "parse_spec_expression", "SpecParseError"]
+__all__ = ["parse_theory", "SpecParseError"]
 
 _KEYWORDS = frozenset(
     """THEORY END TYPE CONST FUN REC MEASURE NAT BOOL UPTO ARRAY OF IF THEN
@@ -331,10 +331,3 @@ class _P:
 
 def parse_theory(source: str) -> s.Theory:
     return _P(_tokenize(source)).theory()
-
-
-def parse_spec_expression(source: str) -> s.SExpr:
-    parser = _P(_tokenize(source))
-    expr = parser.expr()
-    parser.expect("eof")
-    return expr

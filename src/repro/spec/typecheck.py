@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..logic import (
-    Term, band, bor, conj, divi, eq, ge, gt, iff, implies, intc, ite, le,
-    lt, modi, mul, ne, neg, add, sub, shl, shr, select, var, xor, apply,
-    boolc,
+    Term, band, bor, conj, divi, eq, ge, gt, implies, intc, ite, le, lt, modi,
+    mul, ne, neg, add, sub, shl, shr, select, var, xor, apply, boolc,
 )
 from ..prover import AutoProver
 from ..prover.ground import GroundEvaluator
@@ -30,7 +29,7 @@ from . import ast as s
 from .eval import SpecEvalError, SpecEvaluator
 
 __all__ = ["SpecTypeError", "TCC", "TCCReport", "SpecCheck", "check_theory",
-           "discharge_tccs", "spec_expr_to_term", "SpecGround"]
+           "discharge_tccs", "SpecGround"]
 
 
 class SpecTypeError(Exception):
@@ -455,18 +454,6 @@ class SpecGround(GroundEvaluator):
         if term.op == "var" and term.value in self._tables:
             return self._tables[term.value]
         return super().evaluate(term)
-
-
-def spec_expr_to_term(theory: s.Theory, fn_name: str) -> Term:
-    """The logic term of a function body with parameters as free variables
-    (used by the implication prover for symbolic comparison)."""
-    check = _Checker(theory)
-    check.run()
-    fn = check.functions[fn_name]
-    env = {p: _resolve(t, check.types) for p, t in fn.params}
-    state = {p: var(p) for p, _ in fn.params}
-    _, term = check._walk(fn.body, env, state, conj(), fn)
-    return term
 
 
 class _SpecBoundHook:

@@ -20,7 +20,7 @@ from .resources import (
     ExaminerLimits, ResourceExhausted, ResourceMeter, simulated_seconds,
 )
 from .simplifier import SimplifiedVC, Simplifier
-from .wp import Obligation, WPError, generate_obligations
+from .wp import WPError, generate_obligations
 
 __all__ = ["VCRecord", "SubprogramAnalysis", "ExaminerReport", "Examiner"]
 

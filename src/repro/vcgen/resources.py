@@ -21,7 +21,7 @@ the fully refactored AES lands in the order of the paper's 1m42s; only the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..logic.measure import tree_bytes

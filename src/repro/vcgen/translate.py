@@ -22,17 +22,14 @@ from typing import Dict, List, Optional, Tuple
 
 from ..lang import ast
 from ..lang.typecheck import SubprogramContext, TypedPackage
-from ..lang.types import (
-    ArrayType, BooleanType, ModularType, RangeType, Type,
-)
+from ..lang.types import BooleanType, ModularType, RangeType, Type
 from ..logic import (
-    FALSE, TRUE, Term, add, apply, band, bnot, boolc, bor, conj, disj, divi,
-    eq, forall, ge, gt, iff, implies, intc, le, lt, modi, mul, ne, neg,
-    select, shl, shr, sub, var, xor,
+    Term, add, apply, band, bnot, boolc, bor, conj, disj, divi, eq, forall, ge,
+    gt, iff, implies, intc, le, lt, modi, mul, ne, neg, select, shl, shr, sub,
+    var, xor,
 )
 
-__all__ = ["Check", "TranslationContext", "translate_expr", "type_bounds",
-           "array_element_type"]
+__all__ = ["Check", "TranslationContext", "translate_expr", "type_bounds"]
 
 
 @dataclass(frozen=True)
@@ -82,11 +79,6 @@ def type_bounds(t: Type) -> Optional[Tuple[int, int]]:
     if isinstance(t, RangeType):
         return (t.lo, t.hi)
     return None
-
-
-def array_element_type(t: Type) -> Type:
-    assert isinstance(t, ArrayType)
-    return t.elem
 
 
 def _typeof(tc: TranslationContext, expr: ast.Expr) -> Type:

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..lang import ast
 from ..lang.typecheck import TypedPackage
-from ..lang.types import ArrayType, ModularType, RangeType, Type
+from ..lang.types import ArrayType, ModularType, Type
 from ..logic import (
     Term, conj, eq, forall, implies, intc, le, lt, mk, neg, select, store,
     substitute, var,

@@ -1,6 +1,7 @@
 """ExecConfig API tests: the finalized ``exec=`` parameter, the plain
-``TypeError`` on the removed legacy keywords, remote-backend field
-validation, the JSON wire form, and the stable top-level public surface."""
+``TypeError`` on the removed legacy keywords, the JSON wire form (which
+rejects removed fields by name), and the stable top-level public
+surface."""
 
 import warnings
 
@@ -28,8 +29,6 @@ class TestExecConfig:
         assert config.retries.retries == 0
         assert config.on_error == "raise"
         assert config.on_backend_failure == "raise"
-        assert config.remote_workers == ()
-        assert config.remote_listen is None
 
     def test_scheduler_derivation(self):
         telemetry = Telemetry()
@@ -45,19 +44,13 @@ class TestExecConfig:
         assert scheduler.retry_policy.retries == 1
         assert scheduler.on_error == "record"
 
-    def test_scheduler_derivation_remote_fields(self):
-        config = ExecConfig(
-            backend="remote", jobs=4, cache=False, telemetry=Telemetry(),
-            remote_workers=("farm1:9000", "farm2:9000"))
-        scheduler = config.scheduler()
-        assert scheduler.backend == "remote"
-        assert scheduler.config is config
-
     def test_validation(self):
         with pytest.raises(ValueError, match="backend"):
             ExecConfig(backend="rocket")
         with pytest.raises(ValueError, match="backend"):
             ExecConfig(backend="thread")       # removed backend
+        with pytest.raises(ValueError, match="backend"):
+            ExecConfig(backend="remote")       # removed backend
         with pytest.raises(ValueError, match="jobs"):
             ExecConfig(jobs=0)
         with pytest.raises(ValueError, match="on_error"):
@@ -116,58 +109,14 @@ class TestExecConfig:
         assert config.jobs == 2
 
 
-class TestRemoteFields:
-    def test_remote_backend_requires_worker_source(self):
-        with pytest.raises(ValueError, match="worker source"):
-            ExecConfig(backend="remote")
-        # either source alone satisfies the check
-        ExecConfig(backend="remote", remote_workers=("h:1",))
-        ExecConfig(backend="remote", remote_listen="127.0.0.1:0")
-
-    def test_address_validation(self):
-        with pytest.raises(ValueError, match="host:port"):
-            ExecConfig(remote_workers=("nocolon",))
-        with pytest.raises(ValueError, match="not an integer"):
-            ExecConfig(remote_workers=("host:http",))
-        with pytest.raises(ValueError, match="out of range"):
-            ExecConfig(remote_workers=("host:70000",))
-        with pytest.raises(ValueError, match="host:port"):
-            ExecConfig(remote_listen=9000)
-        # hostless ":0" binds all interfaces on an ephemeral port
-        assert ExecConfig(remote_listen=":0").remote_listen == ":0"
-
-    def test_worker_list_coerced_to_tuple(self):
-        config = ExecConfig(remote_workers=["a:1", "b:2"])
-        assert config.remote_workers == ("a:1", "b:2")
-        assert hash(config)                       # stays hashable
-        with pytest.raises(ValueError, match="remote_workers"):
-            ExecConfig(remote_workers="host:1")   # a bare string is a bug
-
-    def test_remote_is_never_effectively_serial(self, monkeypatch):
-        """Even ``jobs=1`` ships to the farm: with no worker joining, the
-        run fails as an unusable farm instead of running inline."""
-        from repro.exec import BackendUnusableError, CallPayload, Obligation
-        from repro.exec.remote import RemoteCoordinator
-
-        monkeypatch.setattr(RemoteCoordinator, "WORKER_GRACE", 0.2)
-        config = ExecConfig(backend="remote", jobs=1, cache=False,
-                            remote_listen="127.0.0.1:0",
-                            telemetry=Telemetry())
-        with pytest.raises(BackendUnusableError, match="no workers"):
-            config.scheduler().run([Obligation(
-                kind="t", label="x", thunk=lambda: 1,
-                payload=CallPayload(abs, (-1,)))])
-
-
 class TestJsonWireForm:
-    def test_round_trip_including_remote_fields(self):
+    def test_round_trip_every_field(self):
         config = ExecConfig(
-            jobs=6, backend="remote", timeout_seconds=4.5,
+            jobs=6, backend="process", timeout_seconds=4.5,
             retries=RetryPolicy(retries=2, base_delay=0.01),
-            on_error="record", on_backend_failure="degrade",
-            remote_workers=("farm1:9000", "farm2:9000"))
+            on_error="record", on_backend_failure="degrade", batch_size=3)
         data = config.to_json()
-        assert data["remote_workers"] == ["farm1:9000", "farm2:9000"]
+        assert sorted(data) == sorted(ExecConfig.JSON_FIELDS)
         assert ExecConfig.from_json(data) == config
 
     def test_round_trip_defaults(self):
@@ -188,11 +137,14 @@ class TestJsonWireForm:
             ExecConfig.from_json([1, 2])
         with pytest.raises(ValueError, match="bad retries policy"):
             ExecConfig.from_json({"retries": {"bogus": 1}})
-        with pytest.raises(ValueError, match="remote_workers"):
-            ExecConfig.from_json({"remote_workers": "farm1:9000"})
-        with pytest.raises(ValueError, match="out of range"):
-            ExecConfig.from_json({"remote_workers": ["farm1:99999"]})
-        with pytest.raises(ValueError, match="worker source"):
+        # The remote backend's fields and name are gone: each is named.
+        for key, value in (("remote_workers", ["farm1:9000"]),
+                           ("remote_listen", "127.0.0.1:0")):
+            with pytest.raises(ValueError, match=f"unknown exec config "
+                                                 f"keys: \\['{key}'\\]"):
+                ExecConfig.from_json({key: value})
+        with pytest.raises(ValueError, match="backend must be one of "
+                                             ".*got 'remote'"):
             ExecConfig.from_json({"backend": "remote"})
         for data in ({"jobs": 2.5}, {"jobs": True},
                      {"timeout_seconds": True},
@@ -375,26 +327,27 @@ class TestExecFlags:
 
     def test_misspelled_flag_is_rejected(self, cli, capsys):
         # argparse's prefix matching would have read --job as --jobs;
-        # the other flags name removed ExecConfig fields and the removed
-        # planner store (the planner's records live in the result cache).
+        # the other flags name removed ExecConfig fields (the remote
+        # backend's among them), the removed planner store (the
+        # planner's records live in the result cache) and the daemon's
+        # removed TCP transport.
         for argv in (["--job", "4"], ["--lease-timeout", "1"],
                      ["--no-remote-shared-cache"],
                      ["--batch-bytes-cap", "1"],
-                     ["--plan-cache", "plan.json"]):
+                     ["--plan-cache", "plan.json"],
+                     ["--remote-worker", "127.0.0.1:9000"],
+                     ["--remote-listen", "127.0.0.1:0"],
+                     ["--port", "0"], ["--host", "127.0.0.1"],
+                     ["--stdio"]):
             assert f"unrecognized arguments: {argv[0]}" in \
                 self._usage_error(cli, argv, capsys)
 
     def test_repeated_flag_takes_its_last_value(self, cli):
         assert cli(["--jobs", "2", "--jobs=3"]).jobs == 3
 
-    def test_remote_without_a_worker_is_a_usage_error(self, cli, capsys):
-        assert "needs a worker source" in \
+    def test_removed_backend_is_a_usage_error(self, cli, capsys):
+        assert "invalid choice: 'remote'" in \
             self._usage_error(cli, ["--backend", "remote"], capsys)
-
-    def test_remote_workers_are_named(self, cli):
-        config = cli(["--backend", "remote", "--remote-worker", "h:1",
-                      "--remote-worker", "h:2"])
-        assert config.remote_workers == ("h:1", "h:2")
 
     def test_defaults_are_exec_config_defaults(self, cli):
         assert cli([]) == ExecConfig()
@@ -407,4 +360,4 @@ class TestExecFlags:
         with pytest.raises(SystemExit) as err:
             cli(["--help"])
         assert err.value.code == 0
-        assert "--remote-worker" in capsys.readouterr().out
+        assert "--batch-size" in capsys.readouterr().out

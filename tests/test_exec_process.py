@@ -10,7 +10,7 @@ import pytest
 
 from repro.exec import (
     CallPayload, ExecConfig, Obligation, ObligationScheduler, ResultCache,
-    Telemetry, make_key,
+    RetryPolicy, Telemetry, make_key,
 )
 from repro.lang import analyze, parse_package
 from repro.prover import ImplementationProof
@@ -50,6 +50,10 @@ def _scheduler(**kw):
     kw.setdefault("cache", False)
     kw.setdefault("telemetry", Telemetry())
     return ObligationScheduler(ExecConfig(**kw))
+
+
+def _details(telemetry, event):
+    return [e.detail for e in telemetry.events() if e.event == event]
 
 
 class TestProcessScheduling:
@@ -128,7 +132,7 @@ class TestProcessScheduling:
         assert [o.status for o in first] == ["ok"] * 4
         assert [o.status for o in second] == ["cached"] * 4
         assert [o.value for o in second] == [0, 1, 4, 9]
-        # A keyed worker result's detail ends in ``keyed``: a cache miss.
+        # A keyed worker result's detail is ``keyed``: a cache miss.
         assert (cold.stats().cache_misses, cold.stats().cache_hits) == (4, 0)
         assert (warm.stats().cache_misses, warm.stats().cache_hits) == (0, 4)
 
@@ -164,6 +168,68 @@ class TestProcessScheduling:
         stats = telemetry.stats()
         assert stats.computed.get("test", 0) == 3
         assert stats.total == 3
+
+    def test_dispatch_units_independent_of_worker_timing(self):
+        """Dispatch units are cut before anything ships, from the input
+        order and the configuration alone: the same 12 obligations give
+        the same multiset of ``items=K`` dispatches on every run,
+        however the workers' results interleave."""
+        obs = [_ob(f"u{i}", CallPayload(_square, (i,))) for i in range(12)]
+        runs = []
+        for _ in range(2):
+            telemetry = Telemetry()
+            outcomes = _scheduler(jobs=4, telemetry=telemetry).run(obs)
+            assert [o.value for o in outcomes] == [i * i for i in range(12)]
+            runs.append(sorted(_details(telemetry, "dispatched")))
+        assert runs[0] == runs[1] == ["items=3"] * 4
+
+
+class TestEveryBackend:
+    """Behaviour the serial and process backends must share."""
+
+    def test_uncached_rerun_recomputes_on_every_backend(self):
+        """With the parent's cache off nothing answers for a payload: the
+        second run of the same keyed obligations executes payloads that
+        raise, so it is ``errored`` on serial and on process."""
+        keys = [make_key("uncached-rerun", str(i)) for i in range(2)]
+
+        def rerun(backend):
+            config = ExecConfig(jobs=2, backend=backend, cache=False,
+                                on_error="record", telemetry=Telemetry())
+            first = ObligationScheduler(config).run(
+                [_ob(f"square{i}", CallPayload(_square, (i + 5,)), key=key)
+                 for i, key in enumerate(keys)])
+            second = ObligationScheduler(config).run(
+                [_ob(f"boom{i}", CallPayload(_boom, (i,)), key=key)
+                 for i, key in enumerate(keys)])
+            assert [(o.status, o.value) for o in first] == \
+                [("ok", 25), ("ok", 36)]
+            return [o.status for o in second]
+
+        assert rerun("serial") == ["errored"] * 2
+        assert rerun("process") == ["errored"] * 2
+
+    def test_error_text_identical_on_every_backend(self):
+        """A payload raising ``ValueError("boom 1")`` under
+        ``on_error="record"`` and one retry: the outcome's error, the
+        ``errored`` telemetry detail and the ``retried`` detail read the
+        same on serial and process."""
+        def texts(backend):
+            telemetry = Telemetry()
+            outcomes = ObligationScheduler(ExecConfig(
+                jobs=2, backend=backend, cache=False, on_error="record",
+                retries=RetryPolicy(retries=1, base_delay=0.0),
+                telemetry=telemetry)).run(
+                [_ob("bad", CallPayload(_boom, (1,))),
+                 _ob("ok", CallPayload(_square, (3,)))])
+            assert [o.status for o in outcomes] == ["errored", "ok"]
+            return (outcomes[0].error, _details(telemetry, "errored"),
+                    _details(telemetry, "retried"))
+
+        serial = texts("serial")
+        assert serial == ("ValueError: boom 1", ["ValueError: boom 1"],
+                          ["boom 1"])
+        assert texts("process") == serial
 
 
 class TestCrossBackendDifferential:

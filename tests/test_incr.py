@@ -451,8 +451,8 @@ TINY = "package T is procedure Noop is begin null; end Noop; end T;"
 
 class TestQueueLatency:
     def test_queue_item_measures_on_monotonic(self):
-        item = QueueItem(request_id="r1", lane="bulk", namespace="ns",
-                         request={}, enqueued_wall=time.time())
+        item = QueueItem(request_id="r1", lane="bulk", request={},
+                         enqueued_wall=time.time())
         assert abs(item.enqueued_mono - time.monotonic()) < 1.0
         # the wire record carries wall time only; replay re-stamps
         replayed = QueueItem.from_json(item.to_json())
@@ -471,8 +471,7 @@ class TestQueueLatency:
                  "package": {"source": TINY}, "id": "r1"})
             request["id"] = "r1"
             item = QueueItem(
-                request_id="r1", lane="interactive", namespace="public",
-                request=request,
+                request_id="r1", lane="interactive", request=request,
                 enqueued_wall=time.time() - 3600.0,   # clock stepped
                 enqueued_mono=time.monotonic() - 0.25)
             await service._run_item("interactive", item)
@@ -498,7 +497,7 @@ async def run_service(config, body):
 
 def submit_msg(**overrides):
     message = {"op": "submit", "kind": "prove",
-               "package": {"source": SRC}, "namespace": "alice"}
+               "package": {"source": SRC}}
     message.update(overrides)
     return message
 
@@ -530,24 +529,10 @@ class TestServeIncremental:
         stats = warm["result"]["incremental"]
         assert stats["incr_replayed"] == 12
         assert stats["incr_rechecked"] == 0
-        # the manifest landed under the tenant's namespace
-        assert (tmp_path / "state" / "manifest" / "alice"
-                / "P.json").is_file()
-
-    def test_incremental_is_tenant_scoped(self, tmp_path):
-        async def body(service):
-            first = await service.submit(
-                submit_msg(id="a", incremental=True))
-            await service.wait("a")
-            second = await service.submit(
-                submit_msg(id="b", incremental=True, namespace="bob"))
-            return await service.wait("b")
-
-        warm = asyncio.run(
-            run_service(ServeConfig(state_dir=tmp_path / "state"), body))
-        # bob has no manifest (and no warm cache): full cold run
-        assert warm["result"]["incremental"]["incr_manifest_miss"] == 1
-        assert warm["result"]["incremental"]["incr_replayed"] == 0
+        # the manifest landed in the daemon's one manifest directory
+        assert sorted(p.name for p in
+                      (tmp_path / "state" / "manifest").iterdir()) == \
+            ["P.json"]
 
     def test_incremental_requires_durable_daemon(self):
         async def body(service):

@@ -1,9 +1,11 @@
 """Verification-service integration tests: admission, streaming,
-priority lanes, backpressure, multi-tenant cache isolation, journal
-replay (in-process and after a real ``kill -9``), and the differential
-gate pinning daemon verdicts to the serial batch reference."""
+priority lanes, backpressure, the daemon's warm caches, journal replay
+(in-process and after a real ``kill -9``), and the differential gate
+pinning daemon verdicts to the serial batch reference."""
 
 import asyncio
+import json
+import shutil
 
 import pytest
 
@@ -47,7 +49,7 @@ end P;
 
 def submit_msg(**overrides):
     message = {"op": "submit", "kind": "prove",
-               "package": {"source": SRC}, "namespace": "alice"}
+               "package": {"source": SRC}}
     message.update(overrides)
     return message
 
@@ -260,60 +262,66 @@ class TestLanesAndBackpressure:
         asyncio.run(run_service(config, body))
 
 
-class TestTenantIsolation:
-    def test_same_namespace_warm_cross_namespace_cold(self, tmp_path):
-        """Satellite: two namespaces proving the same fingerprint must
-        not share hits; a same-namespace repeat must run fully warm."""
+class TestWarmState:
+    def test_repeat_request_runs_warm(self, tmp_path):
+        """The daemon's one result cache and normalization cache serve
+        every request: a repeat of a request runs fully warm, and the
+        verdicts are the cold run's."""
         config = ServeConfig(state_dir=tmp_path / "state")
 
         async def body(service):
-            first = await service.submit(submit_msg(namespace="alice"))
-            first_result = await service.wait(first["id"])
-            alice = service.tenants.get("alice")
-            cold_hits = alice.result_cache.hits
+            first = await service.submit(submit_msg())
+            cold = await service.wait(first["id"])
+            cold_hits = service.result_cache.hits
+            again = await service.submit(submit_msg())
+            warm = await service.wait(again["id"])
+            assert service.result_cache.hits > cold_hits
+            assert service.norm_cache.hits > 0
+            return cold, warm, service.status()["cache"]
 
-            again = await service.submit(submit_msg(namespace="alice"))
-            again_result = await service.wait(again["id"])
-            # every scheduled obligation of the repeat is a warm hit
-            assert alice.result_cache.hits > cold_hits
-            assert again_result["exec_stats"]["cache_misses"] == 0
-            assert again_result["exec_stats"]["cache_hits"] == \
-                sum(again_result["exec_stats"]["obligations"].values())
-            assert alice.norm_cache.hits > 0
+        cold, warm, cache = asyncio.run(run_service(config, body))
+        assert warm["exec_stats"]["cache_misses"] == 0
+        assert warm["exec_stats"]["cache_hits"] == \
+            sum(warm["exec_stats"]["obligations"].values())
+        assert verdict_keys(cold) == verdict_keys(warm)
+        assert cache["result_entries"] > 0 and cache["result_hits"] > 0
+        # the disk tier is state_dir/cache itself, sharded by key prefix
+        assert any((tmp_path / "state" / "cache").glob("*/*.json"))
 
-            other = await service.submit(submit_msg(namespace="bob"))
-            other_result = await service.wait(other["id"])
-            bob = service.tenants.get("bob")
-            # bob proved the identical package yet observed nothing of
-            # alice's warm state: distinct instances, zero hits
-            assert bob.result_cache is not alice.result_cache
-            assert bob.norm_cache is not alice.norm_cache
-            assert bob.result_cache.hits == 0
-            assert other_result["exec_stats"]["cache_hits"] == 0
+    def test_namespaced_state_dir_starts_cleanly(self, tmp_path):
+        """A state dir laid out by the multi-tenant daemon keeps its
+        verdicts under ``cache/<namespace>/`` and its manifests under
+        ``manifest/<namespace>/``.  The daemon starts on it, reads none
+        of those entries (the first incremental request is a cold
+        manifest miss with no cache hit), and writes its own beside
+        them."""
+        state = tmp_path / "state"
 
-            # ... and the verdicts are identical in all three runs
-            assert verdict_keys(first_result) == \
-                verdict_keys(again_result) == verdict_keys(other_result)
-
-        asyncio.run(run_service(config, body))
-
-    def test_tenant_disk_tiers_are_disjoint(self, tmp_path):
-        config = ServeConfig(state_dir=tmp_path / "state")
-
-        async def body(service):
-            for namespace in ("alice", "bob"):
+        def prove(request_id):
+            async def body(service):
                 accepted = await service.submit(
-                    submit_msg(namespace=namespace))
-                await service.wait(accepted["id"])
+                    submit_msg(id=request_id, incremental=True))
+                return await service.wait(accepted["id"])
+            return asyncio.run(run_service(ServeConfig(state_dir=state),
+                                           body))
 
-        asyncio.run(run_service(config, body))
-        cache_root = tmp_path / "state" / "cache"
-        assert (cache_root / "alice").is_dir()
-        assert (cache_root / "bob").is_dir()
-        alice_files = {p.name for p in (cache_root / "alice").iterdir()}
-        bob_files = {p.name for p in (cache_root / "bob").iterdir()}
-        # same package, same keys -- but materialized in separate trees
-        assert alice_files and alice_files == bob_files
+        prove("a")
+        for store in ("cache", "manifest"):
+            tenant = state / store / "public"
+            tenant.mkdir()
+            for entry in list((state / store).iterdir()):
+                if entry != tenant:
+                    shutil.move(str(entry), str(tenant / entry.name))
+        old_manifest = (state / "manifest" / "public" / "P.json").read_text()
+
+        result = prove("b")
+        assert result["status"] == "ok"
+        assert result["result"]["incremental"]["incr_manifest_miss"] == 1
+        assert result["exec_stats"]["cache_hits"] == 0
+        assert verdict_keys(result) == batch_reference_keys()
+        assert (state / "manifest" / "P.json").is_file()
+        assert (state / "manifest" / "public" / "P.json").read_text() \
+            == old_manifest
 
 
 class TestReplay:
@@ -378,8 +386,8 @@ class TestReplay:
         journal = Journal(state)
         request = normalize_submit(submit_msg(id="done-1"), "done-1")
         journal.append_enqueue(QueueItem(
-            request_id="done-1", lane="bulk", namespace="alice",
-            request=request, enqueued_wall=0.0))
+            request_id="done-1", lane="bulk", request=request,
+            enqueued_wall=0.0))
         journal.write_result("done-1", {"reply": "result", "id": "done-1"})
         journal.append_done("done-1", "ok")
         calls = []
@@ -404,20 +412,30 @@ class TestReplay:
         asyncio.run(main())
         assert calls == ["replay", "result_ids"]
 
+    @pytest.mark.parametrize("removed, backend, reason", [
+        ("thread", "thread", "backend must be one of"),
+        ("namespace", "process", "unknown submit keys: ['namespace']"),
+        ("remote", "remote", "unknown submit keys: ['namespace']"),
+    ], ids=["thread", "namespace", "remote"])
     def test_replayed_request_naming_removed_backend_fails_cleanly(
-            self, tmp_path):
-        """A journal written before the thread backend was removed may
-        hold a pending request with ``"backend": "thread"``.  Replay
-        turns it into a failed result ("bad exec config") instead of a
-        dead worker, and the daemon goes on to serve the next request."""
-        from repro.serve import Journal, QueueItem, normalize_submit
+            self, tmp_path, removed, backend, reason):
+        """A journal written before a removal may hold a pending request
+        naming what is gone: ``"backend": "thread"``, or -- written by
+        the multi-tenant daemon -- a ``namespace`` on the record and the
+        request, possibly with ``"backend": "remote"``.  Replay turns it
+        into a failed result that names the field instead of a dead
+        worker, and the daemon goes on to serve the next request."""
+        from repro.serve import normalize_submit
 
         state = tmp_path / "state"
         request = normalize_submit(submit_msg(id="old-1"), "old-1")
-        request["exec"] = {"jobs": 2, "backend": "thread"}
-        Journal(state).append_enqueue(QueueItem(
-            request_id="old-1", lane="bulk", namespace="alice",
-            request=request, enqueued_wall=0.0))
+        request["exec"] = {"jobs": 2, "backend": backend}
+        record = {"op": "enqueue", "id": "old-1", "lane": "bulk",
+                  "request": request, "t": 0.0}
+        if removed != "thread":
+            request["namespace"] = record["namespace"] = "alice"
+        state.mkdir()
+        (state / "journal.jsonl").write_text(json.dumps(record) + "\n")
 
         async def body(service):
             stale = await service.wait("old-1")
@@ -436,7 +454,7 @@ class TestReplay:
 
         stale, fresh = asyncio.run(main())
         assert stale["status"] == "error"
-        assert "bad exec config" in stale["error"]
+        assert reason in stale["error"]
         assert fresh["status"] == "ok"
         assert verdict_keys(fresh) == batch_reference_keys()
 
@@ -451,15 +469,13 @@ class TestDaemonSubprocess:
         try:
             assert client.ping("hello")["payload"] == "hello"
             examine = client.submit(kind="examine",
-                                    package={"source": SRC},
-                                    namespace="ci")
+                                    package={"source": SRC})
             assert examine["lane"] == "interactive"
             examine_result = client.wait(examine["id"], timeout=120)
             assert examine_result["status"] == "ok"
             assert examine_result["result"]["feasible"] is True
 
-            prove = client.submit(kind="prove", package={"source": SRC},
-                                  namespace="ci")
+            prove = client.submit(kind="prove", package={"source": SRC})
             prove_result = client.wait(prove["id"], timeout=120)
             assert prove_result["status"] == "ok"
             assert verdict_keys(prove_result) == \
@@ -487,7 +503,7 @@ class TestDaemonSubprocess:
         try:
             accepted = first.submit(kind="prove",
                                     package={"source": SRC},
-                                    namespace="ci", id="durable-1")
+                                    id="durable-1")
             assert accepted["durable"] is True
         finally:
             first.process.kill()
@@ -523,7 +539,7 @@ class TestDaemonSubprocess:
         for flags in (["--max-queue", "0"], ["--lanes", "express=9"],
                       ["--jobs", "0"]):
             process = subprocess.run(
-                [sys.executable, "-m", "repro.serve", "--stdio", *flags],
+                [sys.executable, "-m", "repro.serve", *flags],
                 env=env, capture_output=True, text=True, timeout=60)
             assert process.returncode != 0
             assert "error:" in process.stderr
@@ -536,7 +552,7 @@ class TestAESDifferentialGate:
     a journal replay -- and the warm repeat must clear
     ``_MIN_WARM_SPEEDUP``."""
 
-    #: A warm repeat of a namespace's request is a pure cache replay; it
+    #: A warm repeat of a request is a pure cache replay; it
     #: must beat the cold first request by at least this factor.
     _MIN_WARM_SPEEDUP = 2.0
 
@@ -559,7 +575,7 @@ class TestAESDifferentialGate:
 
         def submit(lane="bulk", **extra):
             return {"op": "submit", "kind": "prove",
-                    "package": {"corpus": "aes"}, "namespace": "aes-ci",
+                    "package": {"corpus": "aes"},
                     "subprograms": sample, "lane": lane, **extra}
 
         async def body(service):

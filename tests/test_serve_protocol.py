@@ -14,11 +14,10 @@ from repro.exec import (
 )
 from repro.exec import events as ev
 from repro.serve import (
-    DEFAULT_LANES, Journal, ProtocolError, QueueItem, ServeConfig,
-    decode_line, default_lane, encode_message, normalize_submit,
-    parse_lanes,
+    DEFAULT_LANES, PROTOCOL_VERSION, Journal, ProtocolError, QueueItem,
+    ServeConfig, decode_line, default_lane, encode_message,
+    normalize_submit, parse_lanes,
 )
-from repro.protocol import PROTOCOL_VERSION, check_protocol_version
 from repro.serve.cli import build_config
 
 SOURCE = "package P is end P;"
@@ -61,14 +60,12 @@ class TestWireFormat:
 
 
 class TestProtocolVersioning:
-    """The shared version surface (repro.protocol): the serve daemon
-    tolerates version-less clients, rejects mismatched ones, and the
-    serve layer re-exports the shared constants unchanged."""
+    """The version surface: the serve daemon tolerates version-less
+    clients and rejects mismatched ones."""
 
     def test_absent_version_tolerated(self):
         # version-1 clients predate the field entirely
         assert decode_line('{"op":"status"}\n') == {"op": "status"}
-        check_protocol_version(None, surface="t")
 
     def test_current_version_accepted(self):
         message = decode_line(
@@ -76,27 +73,19 @@ class TestProtocolVersioning:
         assert message["protocol"] == PROTOCOL_VERSION
 
     def test_mismatched_version_rejected(self):
-        with pytest.raises(ProtocolError) as err:
-            decode_line('{"op":"status","protocol":1}\n')
-        assert err.value.code == "protocol_mismatch"
-        assert str(PROTOCOL_VERSION) in err.value.detail
+        # 5 is the farm-era generation: its clients send ``namespace``
+        for version in (1, 5):
+            with pytest.raises(ProtocolError) as err:
+                decode_line('{"op":"status","protocol":%d}\n' % version)
+            assert err.value.code == "protocol_mismatch"
+            assert str(PROTOCOL_VERSION) in err.value.detail
 
-    def test_required_mode_rejects_absent_version(self):
-        # the farm handshake refuses version-less workers
-        with pytest.raises(ProtocolError) as err:
-            check_protocol_version(None, surface="farm", required=True)
-        assert err.value.code == "protocol_mismatch"
+    def test_error_codes_are_the_serve_vocabulary(self):
+        from repro.serve.protocol import ERROR_CODES
 
-    def test_serve_reexports_the_shared_surface(self):
-        import repro.protocol as shared
-        import repro.serve.protocol as serve_protocol
-
-        assert serve_protocol.PROTOCOL_VERSION is shared.PROTOCOL_VERSION
-        assert serve_protocol.ERROR_CODES is shared.ERROR_CODES
-        assert serve_protocol.ProtocolError is shared.ProtocolError
-        assert serve_protocol.encode_message is shared.encode_message
-        assert "protocol_mismatch" in shared.ERROR_CODES
-        assert "quarantined" in shared.ERROR_CODES
+        assert ERROR_CODES == ("bad_request", "backpressure",
+                               "duplicate_id", "unknown_id",
+                               "protocol_mismatch")
 
     def test_error_envelope_round_trip(self):
         err = ProtocolError("protocol_mismatch", "skewed", request_id="r1")
@@ -115,7 +104,7 @@ class TestNormalizeSubmit:
         req = normalize_submit(submit_msg())
         assert req["kind"] == "prove"
         assert req["lane"] == "bulk"       # proofs default to bulk
-        assert req["namespace"] == "public"
+        assert "namespace" not in req
         assert req["scripts"] is True
         assert req["id"] is None
 
@@ -136,12 +125,20 @@ class TestNormalizeSubmit:
         with pytest.raises(ProtocolError):
             normalize_submit(submit_msg(lane="express"))
 
-    def test_namespace_must_be_path_safe(self):
-        # The namespace names an on-disk cache directory: traversal and
-        # separator characters must never reach the filesystem.
-        for bad in ("../evil", "a/b", "", ".hidden", "a" * 65, 7):
-            with pytest.raises(ProtocolError):
-                normalize_submit(submit_msg(namespace=bad))
+    def test_namespace_is_rejected(self):
+        # The daemon keeps one cache triple: a tenant namespace is an
+        # unknown key, named as such, whatever its value.
+        for value in ("public", "alice", "../evil", 7):
+            with pytest.raises(ProtocolError) as err:
+                normalize_submit(submit_msg(namespace=value))
+            assert err.value.code == "bad_request"
+            assert "unknown submit keys: ['namespace']" in err.value.detail
+
+    def test_unknown_keys_rejected_by_name(self):
+        with pytest.raises(ProtocolError) as err:
+            normalize_submit(submit_msg(priority=1, tenant="x"))
+        assert "unknown submit keys: ['priority', 'tenant']" in \
+            err.value.detail
 
     def test_package_required(self):
         with pytest.raises(ProtocolError):
@@ -188,7 +185,8 @@ class TestNormalizeSubmit:
         assert req["exec"] == {"jobs": 2, "backend": "process"}
         # float and bool counts too: a journaled request would otherwise
         # replay them into the pool
-        for bad in ({"jobs": 0}, {"backend": "thread"}, {"jobs": 2.5},
+        for bad in ({"jobs": 0}, {"backend": "thread"},
+                    {"backend": "remote"}, {"jobs": 2.5},
                     {"timeout_seconds": True},
                     {"retries": {"retries": True}}):
             with pytest.raises(ProtocolError) as exc:
@@ -198,7 +196,9 @@ class TestNormalizeSubmit:
         for key, value in (("cache_memory_entries", 10),
                            ("lease_timeout_seconds", 1.0),
                            ("remote_shared_cache", False),
-                           ("batch_bytes_cap", 1024)):
+                           ("batch_bytes_cap", 1024),
+                           ("remote_workers", ["127.0.0.1:9000"]),
+                           ("remote_listen", "127.0.0.1:0")):
             with pytest.raises(ProtocolError) as exc:
                 normalize_submit(submit_msg(exec={key: value}))
             assert exc.value.code == "bad_request"
@@ -214,8 +214,8 @@ class TestNormalizeSubmit:
             assert key in exc.value.detail
 
     def test_exec_cannot_name_caches(self):
-        # The isolation boundary: a request must never smuggle a cache
-        # (someone else's namespace) or telemetry object reference in.
+        # A request must never smuggle a cache or telemetry object
+        # reference in: both belong to the daemon.
         for key in ("cache", "telemetry"):
             with pytest.raises(ProtocolError):
                 normalize_submit(submit_msg(exec={key: "anything"}))
@@ -301,6 +301,8 @@ class TestCliFlags:
         ["--lanes", "interactive"], ["--jobs", "0"], ["--jobs", "x"],
         ["--backend", "quantum"], ["--timeout", "-1"],
         ["--timeout", "soon"], ["--lanes", "interactive=-1"],
+        ["--port", "0"], ["--host", "127.0.0.1"], ["--stdio"],
+        ["--remote-worker", "127.0.0.1:9000"],
     ])
     def test_rejections_are_loud(self, argv, capsys):
         with pytest.raises(SystemExit) as err:
@@ -407,7 +409,6 @@ class TestExecConfigCodec:
 class TestJournal:
     def item(self, request_id, lane="bulk"):
         return QueueItem(request_id=request_id, lane=lane,
-                         namespace="default",
                          request={"kind": "prove", "id": request_id},
                          enqueued_wall=1.0)
 
