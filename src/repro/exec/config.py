@@ -5,7 +5,7 @@ pipeline, the implementation proof, the refactoring engine's differential
 checks, the implication proof, the harness statistics -- takes one
 ``exec=ExecConfig(...)`` parameter instead of a copy-pasted
 ``jobs=/cache=/telemetry=`` keyword triplet.  The config is an immutable
-value object; components derive per-run :class:`~repro.exec.scheduler
+value object; components derive :class:`~repro.exec.scheduler
 .ObligationScheduler` instances from it via :meth:`ExecConfig.scheduler`.
 
 Usage::
@@ -101,7 +101,9 @@ class ExecConfig:
     # -- derivation ---------------------------------------------------------
 
     def scheduler(self) -> ObligationScheduler:
-        """A scheduler configured by this config (one per run)."""
+        """A scheduler configured by this config.  Its worker pool lives
+        until :meth:`~repro.exec.scheduler.ObligationScheduler.close`
+        (or the end of its ``with`` block)."""
         return ObligationScheduler(self)
 
     def resolved_cache(self):

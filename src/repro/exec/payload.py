@@ -21,9 +21,13 @@ a VC goes through :func:`repro.prover.session.discharge_vc`, a trial
 through :func:`repro.equiv.differential._compare`, a lemma through
 :func:`repro.implication.prover.discharge_lemma` (DESIGN.md §11).
 
-Worker-side context is memoized per process, keyed by content
+Worker-side context is memoized per worker, keyed by content
 fingerprints: a package is re-analyzed once per worker (not once per VC),
-and theory evaluator pairs are reused per theory pair.  Provers are the
+and theory evaluator pairs are reused per theory pair.  The memos live
+in :func:`worker_state`, which exists only in pool workers, so they live
+as long as the worker -- that is, as long as its scheduler's pool: one
+search for the planner, one proof for the other entry points -- and
+never accumulate in the parent.  Provers are the
 deliberate exception -- ``discharge_vc`` constructs them *per VC* on
 both sides, keeping every discharge a pure function of the payload's
 fields no matter which sibling VCs a worker saw first.  Reconstruction
@@ -48,7 +52,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 __all__ = [
     "ObligationPayload", "VCPayload", "EquivTrialPayload", "LemmaPayload",
-    "CallPayload",
+    "CallPayload", "start_worker", "worker_state",
 ]
 
 
@@ -79,20 +83,40 @@ class ObligationPayload:
 
 
 # ---------------------------------------------------------------------------
-# Worker-side context caches (per process, keyed by content fingerprints)
+# Worker-side state (per worker process, keyed by content fingerprints)
 # ---------------------------------------------------------------------------
 
-_TYPED_CACHE: Dict[str, Any] = {}
-_THEORY_CACHE: Dict[tuple, tuple] = {}
+#: This worker's state, by name.  None outside a pool worker: the pool's
+#: initializer (:func:`start_worker`) makes it in each worker as it
+#: starts, so nothing kept here ever accumulates in the parent.
+_WORKER_STATE: Optional[Dict[str, Any]] = None
+
+
+def start_worker() -> None:
+    """The worker pool's initializer: runs in each worker as it starts."""
+    global _WORKER_STATE
+    _WORKER_STATE = {}
+
+
+def worker_state(name: str, factory: Callable[[], Any]):
+    """This worker's ``name`` entry, made by ``factory`` on first use and
+    kept for the worker's life.  Outside a worker every call gets a
+    fresh ``factory()``."""
+    if _WORKER_STATE is None:
+        return factory()
+    value = _WORKER_STATE.get(name)
+    if value is None:
+        value = _WORKER_STATE[name] = factory()
+    return value
 
 
 def _typed_package(fp: str, package):
-    """Analyze ``package`` once per worker process."""
-    typed = _TYPED_CACHE.get(fp)
+    """Analyze ``package`` once per worker."""
+    cache = worker_state("typed", dict)
+    typed = cache.get(fp)
     if typed is None:
         from ..lang import analyze
-        typed = analyze(package)
-        _TYPED_CACHE[fp] = typed
+        typed = cache[fp] = analyze(package)
     return typed
 
 
@@ -100,8 +124,9 @@ def _theory_context(original_fp: str, extracted_fp: str,
                     original, extracted):
     """(amap, lemmas-by-name, orig evaluator, ext evaluator) for one
     theory pair, rebuilt deterministically once per worker."""
+    cache = worker_state("theories", dict)
     key = (original_fp, extracted_fp)
-    ctx = _THEORY_CACHE.get(key)
+    ctx = cache.get(key)
     if ctx is None:
         from ..extract.mapper import build_map
         from ..implication.lemmas import generate_lemmas
@@ -109,9 +134,8 @@ def _theory_context(original_fp: str, extracted_fp: str,
         amap = build_map(original, extracted)
         lemmas = {lemma.name: lemma
                   for lemma in generate_lemmas(original, amap)}
-        ctx = (amap, lemmas, SpecEvaluator(original),
-               SpecEvaluator(extracted))
-        _THEORY_CACHE[key] = ctx
+        ctx = cache[key] = (amap, lemmas, SpecEvaluator(original),
+                            SpecEvaluator(extracted))
     return ctx
 
 

@@ -24,8 +24,12 @@ results, and runs the single blame → solo re-run → quarantine sequence
 of DESIGN.md §12.  Every result, inline or shipped, settles through one
 method (:meth:`ObligationScheduler._settle`) that builds the outcome, its
 telemetry and its cache fill.  Below the loop sits a narrow transport --
-submit a unit, poll for events, close -- :class:`_PoolTransport`, a local
-process pool.
+submit a unit, poll for events, close -- :class:`_PoolTransport`, over a
+local process pool.  The pool is the scheduler's: spawned when the first
+unit ships, kept across :meth:`~ObligationScheduler.run` calls, and
+reaped by :meth:`~ObligationScheduler.close` (or the end of a ``with``
+block).  A pass in which nothing would ship runs inline, as serial does,
+and touches no pool.
 
 Obligations sharing a ``group`` execute serially in submission order on
 every backend; distinct groups and ungrouped obligations fan out freely.
@@ -61,6 +65,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from . import events as ev
 from .obligation import Obligation
+from .payload import start_worker
 from .retry import RetryPolicy
 
 if TYPE_CHECKING:
@@ -274,17 +279,18 @@ class _BatchSizer:
 class _PoolTransport:
     """Dispatch units over a local ``ProcessPoolExecutor``.
 
-    Every unit goes straight to the pool (no in-flight cap), so workers
-    never idle waiting on a parent round trip.  A dead worker breaks the
-    whole pool: everything in flight is reported lost and the pool is
-    respawned (:meth:`ObligationScheduler._spawn_pool`).  Owns the
-    ``BARREN_CRASH_LIMIT`` on pools dying with nothing in flight, and the
-    parent-side fallback deadline behind the worker's ``SIGALRM``.
+    One transport serves one run; the pool is the scheduler's and
+    outlives it (:meth:`ObligationScheduler._worker_pool`).  Every unit
+    goes straight to the pool (no in-flight cap), so workers never idle
+    waiting on a parent round trip.  A dead worker breaks the whole
+    pool: everything in flight is reported lost and the pool is
+    respawned.  Owns the run's ``BARREN_CRASH_LIMIT`` on pools dying
+    with nothing in flight, and the parent-side fallback deadline behind
+    the worker's ``SIGALRM``.
     """
 
     def __init__(self, sched: "ObligationScheduler"):
         self._sched = sched
-        self._pool = sched._spawn_pool()
         #: Future -> (members, abandon-at on the perf_counter clock)
         self._in_flight: Dict[object, tuple] = {}
         self._lost: List[tuple] = []    # events of a submit-time break
@@ -302,7 +308,7 @@ class _PoolTransport:
 
     def submit(self, members: tuple, job: tuple) -> bool:
         try:
-            future = self._pool.submit(_batch_worker, *job)
+            future = self._sched._worker_pool().submit(_batch_worker, *job)
         except BrokenExecutor as exc:
             self._lost += self._recover(exc)
             return False
@@ -352,17 +358,28 @@ class _PoolTransport:
         return events
 
     def close(self) -> None:
+        """End the run.  A healthy, idle pool stays with the scheduler
+        for its next run; a pool holding an abandoned worker is let go
+        without waiting (waiting would block forever), and one with work
+        still in flight (the run raised) is shut down."""
         if self._abandoned:
             self._sched.telemetry.record(
                 ev.WORKER_ABANDONED, "exec", "backend:process",
                 detail="unresponsive worker process abandoned at pool "
                        "shutdown")
-        # Wait unless an abandoned worker would block shutdown forever.
-        self._pool.shutdown(wait=not self._abandoned, cancel_futures=True)
+            self._sched._retire_pool(wait=False)
+        elif self._in_flight:
+            self._sched._retire_pool(wait=True)
 
     def _recover(self, cause: BaseException) -> List[tuple]:
-        """The pool broke: respawn it; every unit in flight is lost."""
-        if self._in_flight:
+        """The pool broke: retire it (the next submit spawns a fresh
+        one); every unit in flight is lost."""
+        reason = f"worker died ({type(cause).__name__})"
+        lost = [("lost", members, reason)
+                for members, _ in self._in_flight.values()]
+        self._in_flight.clear()
+        self._sched._retire_pool(wait=False)
+        if lost:
             self._barren = 0
         else:
             self._barren += 1
@@ -370,15 +387,6 @@ class _PoolTransport:
                 raise BackendUnusableError(
                     "process", f"worker pool keeps dying with nothing in "
                                f"flight ({cause})")
-        reason = f"worker died ({type(cause).__name__})"
-        lost = [("lost", members, reason)
-                for members, _ in self._in_flight.values()]
-        self._in_flight.clear()
-        try:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:   # noqa: BLE001 - broken pools may misbehave
-            pass
-        self._pool = self._sched._spawn_pool()
         return lost
 
 
@@ -405,8 +413,24 @@ class ObligationScheduler:
         self.retry_policy = config.retries
         self.on_error = config.on_error
         self.batch_size = config.batch_size
+        #: The process backend's worker pool: spawned when the first unit
+        #: ships and kept across :meth:`run` calls until :meth:`close`.
+        self._pool: Optional[ProcessPoolExecutor] = None
 
     # -- public -------------------------------------------------------------
+
+    def __enter__(self) -> "ObligationScheduler":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Shut the worker pool down and wait until its workers are
+        reaped.  A pool holding an abandoned worker was already let go at
+        the end of its run, so this never blocks on one.  A later
+        :meth:`run` spawns a fresh pool."""
+        self._retire_pool(wait=True)
 
     def run(self, obligations: Sequence[Obligation],
             stop_on: Optional[Callable[[ObligationOutcome], bool]] = None
@@ -434,7 +458,8 @@ class ObligationScheduler:
         while True:
             try:
                 if backend == "serial":
-                    self._run_serial(obligations, stop_on, outcomes)
+                    self._run_serial(obligations, range(len(obligations)),
+                                     stop_on, outcomes)
                 else:
                     self._run_units(obligations, stop_on, outcomes)
                 break
@@ -455,11 +480,11 @@ class ObligationScheduler:
 
     # -- serial path --------------------------------------------------------
 
-    def _run_serial(self, obligations, stop_on, outcomes) -> None:
-        for i, ob in enumerate(obligations):
+    def _run_serial(self, obligations, indices, stop_on, outcomes) -> None:
+        for i in indices:
             if outcomes[i] is not None:
                 continue
-            outcome = self._execute(ob)
+            outcome = self._execute(obligations[i])
             if outcome.status == ERRORED and self.on_error == "raise":
                 raise outcome._exception    # type: ignore[attr-defined]
             outcomes[i] = outcome
@@ -472,10 +497,29 @@ class ObligationScheduler:
         # The constructor starts no process (workers start at submit), so
         # a failure here is not transient: one attempt.
         try:
-            return ProcessPoolExecutor(max_workers=self.jobs)
+            return ProcessPoolExecutor(max_workers=self.jobs,
+                                       initializer=start_worker)
         except Exception as exc:   # noqa: BLE001 - backend boundary
             raise BackendUnusableError(
                 "process", f"cannot (re)spawn worker pool: {exc}")
+
+    def _worker_pool(self) -> ProcessPoolExecutor:
+        """The live worker pool, spawned on first use."""
+        if self._pool is None:
+            self._pool = self._spawn_pool()
+        return self._pool
+
+    def _retire_pool(self, wait: bool) -> None:
+        """Shut the pool down, cancelling what has not started; with
+        ``wait``, block until its workers are reaped.  The next unit
+        that ships spawns a fresh pool."""
+        pool, self._pool = self._pool, None
+        if pool is None:
+            return
+        try:
+            pool.shutdown(wait=wait, cancel_futures=True)
+        except Exception:   # noqa: BLE001 - broken pools may misbehave
+            pass
 
     def _form_units(self, obligations,
                     indices: Sequence[int]) -> List[tuple]:
@@ -568,6 +612,11 @@ class ObligationScheduler:
             if stop_on is not None and stop_on(cached):
                 break    # later obligations are skipped by run()
         if not pending:
+            return
+        if all(obligations[i].payload is None for i in pending):
+            # Nothing would ship: the pass runs inline, as serial does,
+            # and no pool is touched.
+            self._run_serial(obligations, pending, stop_on, outcomes)
             return
         transport = _PoolTransport(self)
         try:

@@ -120,8 +120,8 @@ def prove_implication(original: s.Theory, extracted: s.Theory,
                              lemma_name=lemma.name, seed=seed))
         for lemma in lemmas
     ]
-    outcomes = [result.value
-                for result in config.scheduler().run(obligations)]
+    with config.scheduler() as scheduler:
+        outcomes = [result.value for result in scheduler.run(obligations)]
 
     # Implication-theorem TCCs, discharged automatically with subsumption
     # accounting (duplicates across byte-typed signatures).

@@ -14,14 +14,18 @@ the length of one :meth:`~repro.plan.search.Planner.plan` call:
   ``(final state, fault)``, keyed by the parent's package fingerprint,
   the subprogram and the initial state;
 * the typed form of each state the search validated or expands, keyed
-  by its package fingerprint (not counted).  The serial evaluations
-  take their parent's from here rather than from the process-wide
-  worker cache, which would keep it alive into the next search.
+  by its package fingerprint (not counted); the evaluations take their
+  parent's from here.
 
 Every entry is the same deterministic computation on the same content,
 so a reuse cannot change an evaluation, a theorem or a verdict.  The
-memo is handed to the serial thunks and the validation engine only;
-payloads that ship to worker processes never carry it.
+search's memo is handed to the in-process evaluation thunks and to the
+validation engine, whose trials therefore run in this process on every
+backend.  It never travels: an evaluation shipped to a process-backend
+worker uses that worker's own memo
+(:func:`~repro.exec.payload.worker_state`), which lives as long as the
+worker -- one search, since the planner's scheduler reaps its pool
+before :meth:`~repro.plan.search.Planner.plan` returns.
 """
 
 from __future__ import annotations

@@ -29,7 +29,8 @@ across the serial and process backends.
 :func:`evaluate_candidate` is module-level and operates on picklable
 arguments, so the planner fans evaluations out as Obligations carrying
 :class:`~repro.exec.payload.CallPayload` -- candidate scoring rides the
-process pool for free.
+process pool for free.  A shipped evaluation reads from its worker's own
+search memo, which lives as long as the worker: one search.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from ..exec.payload import _typed_package
+from ..exec.payload import worker_state
+from .reuse import SearchMemo
 
 __all__ = [
     "ScoreWeights", "StateEvaluation", "evaluate_candidate",
@@ -161,18 +163,21 @@ def evaluate_candidate(package, package_fp: str, transformation,
     reuses it instead of re-extracting the skeleton.  Inapplicability
     (``TransformationError``, type errors) is a result, not an exception.
 
-    ``memo`` is the search's :class:`~repro.plan.reuse.SearchMemo` when
-    the planner evaluates in its own process: the parent's typed form
-    and the probe's per-subprogram analyses then come from it.  It never
-    changes the result.
+    ``memo`` is a :class:`~repro.plan.reuse.SearchMemo`: the parent's
+    typed form and the probe's per-subprogram analyses come from it.
+    The planner passes its search's memo when it evaluates in its own
+    process; a shipped evaluation (no ``memo``) uses its worker's
+    (:func:`~repro.exec.payload.worker_state`), and a call anywhere else
+    a fresh one.  It never changes the result.
     """
     from ..lang import analyze
     from ..lang.errors import MiniAdaError
     from ..metrics import complexity_metrics, element_metrics
     from ..refactor.engine import TransformationError
 
-    typed = _typed_package(package_fp, package) if memo is None \
-        else memo.typed(package_fp, package)
+    if memo is None:
+        memo = worker_state("search_memo", SearchMemo)
+    typed = memo.typed(package_fp, package)
     if transformation is None:
         child = typed
     else:
@@ -228,7 +233,7 @@ def _match_components(typed, reference) -> tuple:
 
 
 def _probe(typed, probe_tree_bytes: int, probe_vcs: int,
-           memo=None) -> Dict[str, Any]:
+           memo: SearchMemo) -> Dict[str, Any]:
     """The expensive tier: budgeted examiner + bounded auto-prover pass.
 
     Protocol follows figure 2's measurement: postconditions set to true,
@@ -237,24 +242,21 @@ def _probe(typed, probe_tree_bytes: int, probe_vcs: int,
     fully unrolled AES; deep states report ``feasible=False`` plus their
     partial work, which the score penalizes.
 
-    With a search ``memo``, a subprogram whose cone fingerprint in the
-    stripped package was examined before under the same budget reuses
-    that analysis: the analysis reads nothing outside its cone."""
+    A subprogram whose cone fingerprint in the stripped package was
+    examined before under the same budget reuses that analysis from
+    ``memo``: the analysis reads nothing outside its cone."""
+    from ..incr.fingerprint import cone_fingerprints
     from ..lang import analyze, with_true_postconditions
     from ..prover.auto import AutoProver
     from ..vcgen import Examiner, ExaminerLimits
 
     stripped = analyze(with_true_postconditions(typed.package))
     limits = ExaminerLimits(max_tree_bytes=probe_tree_bytes)
-    reuse = None
-    if memo is not None:
-        from ..incr.fingerprint import cone_fingerprints
-        cones = cone_fingerprints(stripped)
+    cones = cone_fingerprints(stripped)
 
-        def reuse(name, examine_one):
-            return memo.get("probe_subprograms",
-                            (name, cones[name], probe_tree_bytes),
-                            examine_one)
+    def reuse(name, examine_one):
+        return memo.get("probe_subprograms",
+                        (name, cones[name], probe_tree_bytes), examine_one)
     report = Examiner(stripped, limits=limits, reuse=reuse).examine()
 
     vcs = [vc for analysis in report.per_subprogram.values()

@@ -40,8 +40,8 @@ from types import FunctionType
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..exec import (
-    CallPayload, ExecConfig, Obligation, coerce_exec_config, make_key,
-    package_fingerprint, theory_fingerprint,
+    CallPayload, ExecConfig, Obligation, ObligationScheduler,
+    coerce_exec_config, make_key, package_fingerprint, theory_fingerprint,
 )
 from ..lang import analyze, ast, print_package
 from ..refactor import RefactoringEngine, TransformationError
@@ -80,8 +80,9 @@ class PlanResult:
     rejected: List[Tuple[str, str, str]] = field(default_factory=list)
     #: Results the search reused instead of recomputing, by kind
     #: (:data:`~repro.plan.reuse.REUSE_KINDS`): subprogram analyses in
-    #: the probe tier and before-side differential runs.  Only
-    #: in-process work is counted; work shipped to workers is not.
+    #: the probe tier and before-side differential runs.  Only the
+    #: search's own memo is counted; the memos of process-backend
+    #: workers are not.
     reused: Dict[str, int] = field(
         default_factory=lambda: dict.fromkeys(REUSE_KINDS, 0))
 
@@ -156,23 +157,28 @@ class Planner:
         self._evaluations = 0
         self._validations = 0
         #: The running search's memo (it also holds the typed forms of
-        #: validated states, which expansion reuses); None outside
-        #: :meth:`plan`.
+        #: validated states, which expansion reuses) and the scheduler
+        #: every evaluation pass runs on; None outside :meth:`plan`.
         self._memo: Optional[SearchMemo] = None
+        self._scheduler: Optional[ObligationScheduler] = None
 
     # -- search -------------------------------------------------------------
 
     def plan(self) -> PlanResult:
-        # One memo per search, dropped on return: nothing it holds may
-        # warm the next search.
+        # One memo and one scheduler -- so at most one worker pool -- per
+        # search, both dropped on return: nothing they hold may warm the
+        # next search, and the pool's workers are reaped before it
+        # returns.
         self._memo = SearchMemo()
+        self._scheduler = self.exec.scheduler()
         try:
             result = self._plan()
             self._log("reused: " + ", ".join(
                 f"{kind} {count}" for kind, count in result.reused.items()))
             return result
         finally:
-            self._memo = None
+            self._scheduler.close()
+            self._memo = self._scheduler = None
 
     def _plan(self) -> PlanResult:
         root_fp = self._root_fp = package_fingerprint(self.typed)
@@ -382,7 +388,7 @@ class Planner:
             for candidate in candidates]
         self._evaluations += len(obligations)
         results: List[StateEvaluation] = []
-        for outcome in self.exec.scheduler().run(obligations):
+        for outcome in self._scheduler.run(obligations):
             if outcome.ok:
                 results.append(StateEvaluation.from_json(outcome.value))
             else:
@@ -439,7 +445,7 @@ class Planner:
                 probe=True, probe_tree_bytes=self.probe_tree_bytes,
                 probe_vcs=self.probe_vcs, memo=self._memo)
 
-        [outcome] = self.exec.scheduler().run([Obligation(
+        [outcome] = self._scheduler.run([Obligation(
             kind=PLAN_EVAL, label="eval:<root>", thunk=thunk,
             cache_key=key, encode=_identity, decode=_evaluation)])
         if not outcome.ok:

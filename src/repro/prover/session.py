@@ -268,7 +268,8 @@ class ImplementationProof:
                 vc_records.append(vc)
                 slots.append(("ob", len(obligations) - 1))
 
-        results = self.exec.scheduler().run(obligations)
+        with self.exec.scheduler() as scheduler:
+            results = scheduler.run(obligations)
 
         # Fold prover-side hot-path instrumentation back into the report:
         # the interesting rewriting (per-VC fresh simplifiers hitting the

@@ -386,10 +386,13 @@ class RefactoringEngine:
         earliest counterexample (by trial index) is reported, so the
         ``DifferentialResult`` is the same either way.
 
-        With a search memo, an in-process trial takes the before side's
-        run from it: siblings validated against the same parent with the
-        same seed draw the same initial states.  The after side runs on
-        every trial."""
+        With a search memo, every trial runs in this process, where the
+        memo is: the obligations carry no payload, so the scheduler runs
+        them inline on every backend (DESIGN.md §22).  A trial takes the
+        before side's run from the memo: siblings validated against the
+        same parent with the same seed draw the same initial states.  The
+        after side runs on every trial.  Without a memo, each trial ships
+        as an :class:`~repro.exec.payload.EquivTrialPayload`."""
         from ..equiv.differential import (
             DifferentialResult, _compare, _run, trial_states,
         )
@@ -417,7 +420,7 @@ class RefactoringEngine:
                 (lambda s=state: _compare(before, name, after, name, s,
                                           left=left_run(s))),
                 left_fp=left_fp, right_fp=right_fp,
-                payload=EquivTrialPayload(
+                payload=None if memo is not None else EquivTrialPayload(
                     left_package=before.package,
                     right_package=after.package,
                     left_fp=left_fp, right_fp=right_fp,
@@ -425,9 +428,10 @@ class RefactoringEngine:
                     initial=tuple(sorted(state.items()))))
             for i, state in enumerate(states)
         ]
-        results = self.exec.scheduler().run(
-            obligations,
-            stop_on=lambda outcome: outcome.ok and outcome.value is not None)
+        with self.exec.scheduler() as scheduler:
+            results = scheduler.run(
+                obligations, stop_on=lambda outcome: outcome.ok
+                and outcome.value is not None)
         for i, outcome in enumerate(results):
             if outcome.ok and outcome.value is not None:
                 return DifferentialResult(equivalent=False, trials=i + 1,

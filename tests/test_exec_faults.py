@@ -303,9 +303,16 @@ class TestCrashRecovery:
 # Backend degradation
 # ---------------------------------------------------------------------------
 
+def _square(x):
+    return x * x
+
+
 def _obs(n=4):
-    return [Obligation(kind="test", label=f"o{i}",
-                       thunk=lambda i=i: i * i) for i in range(n)]
+    """Obligations that would ship: a pass of only payloadless ones runs
+    inline and never touches the pool."""
+    return [Obligation(kind="test", label=f"o{i}", thunk=lambda i=i: i * i,
+                       payload=CallPayload(_square, (i,)))
+            for i in range(n)]
 
 
 class TestDegradation:
@@ -466,6 +473,95 @@ class TestAbandonedWorkers:
         assert stats.abandoned_workers == 1
         assert [e.label for e in telemetry.events()
                 if e.event == "worker_abandoned"] == ["backend:process"]
+
+
+class TestSchedulerAcrossRuns:
+    """A scheduler keeps its pool across runs (the planner holds one for
+    a whole search): a fault is settled in the run it happens in, and
+    the next run starts from a usable pool."""
+
+    @pytest.fixture
+    def spawned(self, monkeypatch):
+        """Every pool the scheduler spawns."""
+        spawn = ObligationScheduler._spawn_pool
+        pools = []
+
+        def counting(self):
+            pools.append(spawn(self))
+            return pools[-1]
+
+        monkeypatch.setattr(ObligationScheduler, "_spawn_pool", counting)
+        return pools
+
+    def test_crash_then_next_run_on_respawned_pool(self, spawned, tmp_path):
+        telemetry = Telemetry()
+        with _scheduler(telemetry=telemetry) as scheduler:
+            first = scheduler.run([
+                _faulty_ob(tmp_path, "killer", ("crash",), 1),
+                _faulty_ob(tmp_path, "fine", (), 2)])
+            assert [o.value for o in first] == [1, 2]
+            stats = telemetry.stats()
+            assert stats.crashes >= 1 and stats.quarantined == 0
+            assert stats.retried_ok >= 1
+            assert len(spawned) == 2     # the first pool and its respawn
+            second = scheduler.run([_faulty_ob(tmp_path, f"next{i}", (), i)
+                                    for i in range(3)])
+            assert [o.value for o in second] == [0, 1, 2]
+            assert len(spawned) == 2     # the respawned pool served it
+        assert telemetry.stats().crashes == stats.crashes
+
+    def test_abandoned_worker_blocks_neither_next_run_nor_close(
+            self, spawned, monkeypatch, tmp_path):
+        if not hasattr(signal, "SIGALRM"):
+            pytest.skip("no SIGALRM on this platform")
+        monkeypatch.setattr(ObligationScheduler,
+                            "TIMEOUT_FALLBACK_SLACK", 0.3)
+        telemetry = Telemetry()
+        scheduler = _scheduler(telemetry=telemetry, timeout_seconds=0.2)
+        wedged = Obligation(kind="test", label="wedged",
+                            thunk=lambda: "unused",
+                            payload=CallPayload(_hang_ignoring_alarm,
+                                                (8.0,)))
+        first = scheduler.run(
+            [wedged, _faulty_ob(tmp_path, "healthy", (), 5)])
+        assert [o.status for o in first] == ["timed_out", "ok"]
+        assert telemetry.stats().abandoned_workers == 1
+        started = time.perf_counter()
+        second = scheduler.run([_faulty_ob(tmp_path, f"later{i}", (), i)
+                                for i in range(3)])
+        scheduler.close()
+        # The wedged worker spins for 8 s; neither call waited for it.
+        assert time.perf_counter() - started < 4.0
+        assert [o.value for o in second] == [0, 1, 2]
+        assert len(spawned) == 2         # the second run's pool is fresh
+
+    def test_degradation_is_per_run(self, monkeypatch, tmp_path):
+        spawn = ObligationScheduler._spawn_pool
+        refusals = []
+
+        def refuse_once(self):
+            if not refusals:
+                refusals.append(1)
+                raise BackendUnusableError("process",
+                                           "no pool (injected)")
+            return spawn(self)
+
+        monkeypatch.setattr(ObligationScheduler, "_spawn_pool", refuse_once)
+        telemetry = Telemetry()
+        with _scheduler(telemetry=telemetry,
+                        on_backend_failure="degrade") as scheduler:
+            first = scheduler.run(_obs(3))
+            assert telemetry.stats().degraded == 1
+            assert _dispatched(telemetry) == 0   # it ran serially
+            second = scheduler.run(_obs(3))
+        assert [o.value for o in first] == [o.value for o in second] \
+            == [0, 1, 4]
+        assert telemetry.stats().degraded == 1   # the next pass did not
+        assert _dispatched(telemetry) > 0
+
+
+def _dispatched(telemetry) -> int:
+    return sum(1 for e in telemetry.events() if e.event == "dispatched")
 
 
 # ---------------------------------------------------------------------------

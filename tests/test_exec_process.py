@@ -3,6 +3,7 @@
 payload reconstruction, and the cross-backend differential gates --
 serial vs process must be bit-identical on real proofs."""
 
+import multiprocessing
 import os
 import time
 
@@ -30,6 +31,15 @@ def _pid_tag(x):
 
 def _boom(x):
     raise ValueError(f"boom {x}")
+
+
+def _remember(x):
+    """Keep ``x`` in this worker's state; return the worker and all it
+    kept so far."""
+    from repro.exec.payload import worker_state
+    kept = worker_state("kept", list)
+    kept.append(x)
+    return os.getpid(), tuple(kept)
 
 
 def _busy_wait(seconds):
@@ -182,6 +192,83 @@ class TestProcessScheduling:
             assert [o.value for o in outcomes] == [i * i for i in range(12)]
             runs.append(sorted(_details(telemetry, "dispatched")))
         assert runs[0] == runs[1] == ["items=3"] * 4
+
+
+class TestPoolLifetime:
+    """A scheduler spawns its worker pool when the first unit ships and
+    keeps it across its runs until ``close()``, which reaps the
+    workers."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Every ``ProcessPoolExecutor`` the scheduler constructs."""
+        from repro.exec import scheduler as scheduler_module
+        built = []
+
+        class CountingPool(scheduler_module.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(scheduler_module, "ProcessPoolExecutor",
+                            CountingPool)
+        return built
+
+    def test_no_pool_when_nothing_ships(self, pools):
+        telemetry = Telemetry()
+        ran = []
+        obs = [Obligation(kind="test", label=f"p{i}",
+                          thunk=lambda i=i: ran.append(i) or i * i)
+               for i in range(4)]
+        with _scheduler(telemetry=telemetry) as scheduler:
+            outcomes = scheduler.run(
+                obs, stop_on=lambda o: o.ok and o.value == 4)
+        assert [o.status for o in outcomes] == ["ok", "ok", "ok", "skipped"]
+        assert ran == [0, 1, 2]          # inline, in order, as serial
+        assert pools == []
+        assert _details(telemetry, "dispatched") == []
+
+    def test_one_pool_serves_every_run_until_close(self, pools):
+        scheduler = _scheduler()
+        workers = set()
+        for round_ in range(3):
+            outcomes = scheduler.run(
+                [_ob(f"r{round_}.{i}", CallPayload(_pid_tag, (i,)))
+                 for i in range(4)])
+            assert [o.value[1] for o in outcomes] == list(range(4))
+            workers |= {o.value[0] for o in outcomes}
+        assert len(pools) == 1 and len(workers) <= 2
+        alive = {p.pid for p in multiprocessing.active_children()}
+        assert workers <= alive          # idle between runs, not reaped
+        scheduler.close()
+        assert not workers & {p.pid for p in
+                              multiprocessing.active_children()}
+        scheduler.run([_ob(f"after{i}", CallPayload(_square, (i,)))
+                       for i in range(2)])
+        scheduler.close()
+        assert len(pools) == 2           # a run after close() spawns anew
+
+    def test_worker_state_lives_as_long_as_the_worker(self, monkeypatch):
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.exec import payload
+
+        # One worker behind a two-job scheduler: it serves every unit.
+        monkeypatch.setattr(
+            ObligationScheduler, "_spawn_pool",
+            lambda self: ProcessPoolExecutor(
+                max_workers=1, initializer=payload.start_worker))
+        with _scheduler(jobs=2, batch_size=1) as scheduler:
+            runs = [[o.value for o in scheduler.run(
+                [_ob(f"k{round_}.{i}",
+                     CallPayload(_remember, (10 * round_ + i,)))
+                 for i in range(2)])]
+                for round_ in range(2)]
+        assert len({pid for run in runs for pid, _ in run}) == 1
+        assert runs[1][-1][1] == (0, 1, 10, 11)
+        # The parent never has worker state: each call is fresh there.
+        assert payload._WORKER_STATE is None
+        assert payload.worker_state("kept", list) == []
 
 
 class TestEveryBackend:
