@@ -178,14 +178,13 @@ class VCPayload(ObligationPayload):
     subprogram: str
     term: Any                      # repro.logic.terms.Term
     scripts: Tuple[Any, ...] = ()
-    auto_timeout: Optional[float] = None
 
     def run(self):
         from ..logic.normcache import default_norm_cache
         from ..prover.session import discharge_vc
         return discharge_vc(_typed_package(self.package_fp, self.package),
                             self.subprogram, self.term, self.scripts,
-                            self.auto_timeout, shared=default_norm_cache())
+                            shared=default_norm_cache())
 
     def encode_result(self, value):
         from .obligation import _encode_vc_result

@@ -41,10 +41,10 @@ abandoned by a parent-side fallback deadline.
 Fault tolerance (DESIGN.md §12).  Transient failures are retried under a
 :class:`~repro.exec.retry.RetryPolicy`; a thunk that still raises either
 propagates (``on_error='raise'``) or is recorded ``errored``
-(``on_error='record'``).  A lost worker blames every obligation it held;
-blamed obligations re-run solo, and one blamed ``QUARANTINE_AFTER``
-times is quarantined with a ``crashed`` outcome.  A backend that cannot
-make progress raises :class:`BackendUnusableError`
+(``on_error='record'``).  Every obligation a lost worker held re-runs
+solo; one that loses its worker ``QUARANTINE_AFTER`` times while
+running alone is quarantined with a ``crashed`` outcome.  A backend
+that cannot make progress raises :class:`BackendUnusableError`
 (``on_backend_failure='raise'``) or degrades to ``serial``
 (``on_backend_failure='degrade'``).
 """
@@ -88,7 +88,8 @@ ERRORED = "errored"
 SKIPPED = "skipped"
 CRASHED = "crashed"
 
-#: Lost-worker blames after which an obligation is quarantined.
+#: Workers an obligation may lose while running alone before it is
+#: quarantined.
 QUARANTINE_AFTER = 2
 
 #: Upper bound (bytes) on one dispatch unit's estimated pickled size; a
@@ -214,12 +215,34 @@ def _batch_worker(entries, retry_policy: RetryPolicy,
     """Execute one dispatch unit in a pool worker: each entry
     runs through :func:`_process_worker`, which installs and clears its
     own alarm, so per-item timeout, retry, and jitter accounting are
-    identical to a solo dispatch.  Returns one result tuple per entry,
-    in entry order."""
-    return tuple(
+    identical to a solo dispatch.  Returns ``(stamp, results)``: one
+    result tuple per entry, in entry order, and ``stamp = (pid, started,
+    finished)``, when this worker began and ended the unit on the
+    system-wide monotonic clock, so the parent can tell the unit's wait
+    for a free worker from its wire cost."""
+    started = time.monotonic()
+    results = tuple(
         _process_worker(index, payload, retry_policy, timeout_seconds,
                         token)
         for index, payload, token in entries)
+    return (os.getpid(), started, time.monotonic()), results
+
+
+def _wire_seconds(sent: float, received: float, stamp,
+                  free_at: Dict[int, float]) -> float:
+    """The dispatch overhead of one unit submitted at ``sent`` whose
+    results the parent had at ``received``: the time until its worker
+    started it, counted from when that worker finished its previous unit
+    if that was later, plus the time from the unit's end to
+    ``received``.  So time the unit waited in the pool's queue behind
+    another unit is left out; ``free_at`` maps a worker's pid to when it
+    finished its last unit.  All times are on the monotonic clock."""
+    if stamp is None:       # no worker stamps: the result never arrived
+        return max(0.0, received - sent)
+    pid, started, finished = stamp
+    ready = max(sent, free_at.get(pid, sent))
+    free_at[pid] = finished
+    return max(0.0, started - ready) + max(0.0, received - finished)
 
 
 def _decoded(ob: Obligation, result: tuple) -> tuple:
@@ -333,19 +356,20 @@ class _PoolTransport:
         for future, (members, deadline) in list(self._in_flight.items()):
             if future in done:
                 try:
-                    raw = future.result()
+                    stamp, results = future.result()
                 except BrokenExecutor as exc:
                     # Worker death poisons every in-flight future; this
                     # one stays in flight so _recover reports it lost.
                     broken = exc
                     continue
                 except Exception as exc:   # noqa: BLE001 - unpicklable payload/result
+                    stamp = None
                     results = _unit_errored(members, _describe(exc), exc)
                 else:
                     self._barren = 0
-                    results = raw
                 del self._in_flight[future]
-                events.append(("done", results))
+                # In submission order, which is each worker's start order.
+                events.append(("done", results, stamp))
             elif deadline <= now:
                 # The worker ignored its alarm or died silently: abandon
                 # it.  The parent cannot retrieve partial results from an
@@ -591,12 +615,15 @@ class ObligationScheduler:
         and the rest leave as one unit.  A unit the transport refuses is
         requeued, unblamed.
 
-        A lost unit blames each member once; blamed members re-run solo,
-        one at a time with nothing else in flight, so the second verdict
-        assigns guilt precisely: a member blamed ``QUARANTINE_AFTER``
-        times is quarantined ``crashed``, and innocent unit-mates
-        complete their solo run unblamed.  Total losses are therefore
-        bounded by ``QUARANTINE_AFTER * len(obligations)``.
+        The members of a lost unit become suspects and re-run solo, one
+        at a time with nothing else in flight.  Only a solo loss blames
+        its obligation: a shared break cannot say which member killed
+        the worker, nor whether a member queued behind the others ever
+        started.  A member blamed ``QUARANTINE_AFTER`` times is
+        quarantined ``crashed``, and innocent unit-mates complete their
+        solo run unblamed.  An obligation is lost at most once in a
+        shared unit, so total losses are bounded by
+        ``(QUARANTINE_AFTER + 1) * len(obligations)``.
         """
         # Cache hits settle first, in input order: a hit never ships, and
         # only the misses are chained and cut into units.
@@ -642,10 +669,12 @@ class ObligationScheduler:
             waiting[unit_of[j]] += 1
         ready = deque(members for u, members in enumerate(units)
                       if not waiting[u])
-        suspects: deque = deque()    # blamed members as solo units
+        suspects: deque = deque()    # members of lost units, as solo units
         solo = False                 # the last unit shipped is a suspect
-        blames: Dict[int, int] = {}
-        sent_at: Dict[int, float] = {}
+        losses: Dict[int, int] = {}  # lost units that held member i
+        blames: Dict[int, int] = {}  # ... that held it alone
+        sent_at: Dict[int, float] = {}   # on the monotonic clock
+        free_at: Dict[int, float] = {}   # worker pid -> end of its last unit
         finished = 0
         stopped = False
         raise_exc = None
@@ -685,7 +714,7 @@ class ObligationScheduler:
                    self.retry_policy, self.timeout_seconds)
             if not transport.submit(ship, job):
                 return ship
-            now = time.perf_counter()
+            now = time.monotonic()
             for i in ship:
                 sent_at[i] = now
                 self.telemetry.record(ev.STARTED, obligations[i].kind,
@@ -710,20 +739,21 @@ class ObligationScheduler:
                 break
             if not transport.busy and not blocked:
                 break   # stopped: the tail is skipped by run()
-            for event in transport.poll():
+            events = transport.poll()
+            received = time.monotonic()
+            for event in events:
                 if event[0] == "done":
-                    results = event[1]
-                    busy = sum(result[3] for result in results)
+                    _, results, stamp = event
                     for result in results:
                         i = result[0]
                         finalize(i, self._settle(
                             obligations[i], _decoded(obligations[i], result),
-                            blames.get(i, 0)))
+                            losses.get(i, 0)))
                     self.telemetry.record(
                         ev.DISPATCHED, "exec",
                         f"dispatch[{len(results)}]",
-                        wall=max(0.0, time.perf_counter()
-                                 - sent_at[results[0][0]] - busy),
+                        wall=_wire_seconds(sent_at[results[0][0]], received,
+                                           stamp, free_at),
                         detail=f"items={len(results)}")
                 elif event[0] == "expired":
                     message = f"no result within {self.timeout_seconds}s " \
@@ -736,7 +766,11 @@ class ObligationScheduler:
                     _, members, reason = event
                     for i in members:
                         ob = obligations[i]
-                        blames[i] = blame = blames.get(i, 0) + 1
+                        losses[i] = losses.get(i, 0) + 1
+                        # While a suspect runs nothing else is in flight,
+                        # so only then is the loss this member's doing.
+                        blame = blames.get(i, 0) + (1 if solo else 0)
+                        blames[i] = blame
                         self.telemetry.record(
                             ev.CRASHED, ob.kind, ob.label,
                             detail=f"{reason}; blame "
@@ -746,11 +780,11 @@ class ObligationScheduler:
                             continue
                         self.telemetry.record(
                             ev.QUARANTINED, ob.kind, ob.label,
-                            detail=f"lost its worker {blame} times")
+                            detail=f"lost its worker alone {blame} times")
                         finalize(i, ObligationOutcome(
                             obligation=ob, status=CRASHED,
-                            attempts=blame,
-                            error=f"obligation lost its worker "
+                            attempts=losses[i],
+                            error=f"obligation lost its worker alone "
                                   f"{blame} times ({reason}); "
                                   f"quarantined"))
         if raise_exc is not None:
@@ -770,7 +804,7 @@ class ObligationScheduler:
                                  wall_seconds=wall)
 
     def _settle(self, ob: Obligation, result: tuple,
-                blames: int = 0) -> ObligationOutcome:
+                losses: int = 0) -> ObligationOutcome:
         """One result tuple in the shape :func:`_process_worker` returns,
         its value decoded, as an outcome -- with its telemetry and cache
         fill.  Inline and shipped obligations settle here alike."""
@@ -782,11 +816,11 @@ class ObligationScheduler:
             keyed = ob.cache_key is not None and self.cache is not None
             self.telemetry.record(ev.FINISHED, ob.kind, ob.label, wall=wall,
                                   detail="keyed" if keyed else "")
-            if attempts > 1 or blames:
+            if attempts > 1 or losses:
                 self.telemetry.record(
                     ev.RETRIED_OK, ob.kind, ob.label,
                     detail=f"succeeded on attempt {attempts}"
-                    + (", after a lost worker" if blames else ""))
+                    + (", after a lost worker" if losses else ""))
             if keyed:
                 self.cache.put(ob.cache_key, value, encode=ob.encode)
             return ObligationOutcome(obligation=ob, status=OK, value=value,

@@ -10,9 +10,9 @@ Two flavours are provided:
   (constant folding, select-over-store, ...).  This is what symbolic
   execution uses, where we *want* states to stay in a folded normal form.
 
-Both walk the term with the generator trampoline from
-:mod:`repro.logic.traversal`, so substitution into arbitrarily deep terms
-is safe on the small fixed C stacks of scheduler worker threads.
+Both walk the term with an explicit stack of pending nodes, so
+substitution into arbitrarily deep terms is safe on the small fixed C
+stacks of scheduler worker threads.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import Callable, Dict, Mapping
 
 from . import builders
 from .terms import Term, mk
-from .traversal import run_trampoline
 
 __all__ = ["substitute", "substitute_simplifying", "rebuild_smart", "rename_bound"]
 
@@ -87,61 +86,82 @@ def _rebuild_raw(op: str, args, value) -> Term:
     return mk(op, tuple(args), value)
 
 
+_BINDERS = ("forall", "exists")
+_VISIT, _BUILD, _BIND = 0, 1, 2
+
+
 def _subst(term: Term, mapping: Mapping[str, Term],
            rebuild: Callable, cache: Dict[int, Term]) -> Term:
-    hit = cache.get(term._id)
-    if hit is not None:
-        return hit
-    return run_trampoline(_subst_gen(term, mapping, rebuild, cache))
+    """Substitution driven by an explicit stack of pending steps.
 
-
-def _subst_gen(term: Term, mapping: Mapping[str, Term],
-               rebuild: Callable, cache: Dict[int, Term]):
-    """Generator-recursive substitution driven by ``run_trampoline``.
+    A ``_VISIT`` step substitutes into one node: at once for a leaf or a
+    cached node, else by pushing a ``_BUILD`` (or, under a binder,
+    ``_BIND``) step and then its children's visits, rightmost first.  So
+    children are visited left to right, each subtree finished before the
+    next sibling is looked up in the cache, and :func:`rename_bound`
+    draws fresh names in the order of the recursive formulation.
+    Results flow through ``values``: a build pops its children's.
 
     The substitution cache is per (mapping, binder context): descending
     under a quantifier changes the mapping, so the body walk gets a fresh
-    cache, exactly as the context argument would change in the recursive
-    formulation.
+    cache.  A renamed quantifier's result is cached under the renamed
+    term.
     """
     hit = cache.get(term._id)
     if hit is not None:
         return hit
-    if term.op == "var":
-        result = mapping.get(term.value, term)
-    elif not term.args and term.op not in ("forall", "exists"):
-        result = term
-    elif term.op in ("forall", "exists"):
-        bound = set(term.value)
-        inner = {k: v for k, v in mapping.items() if k not in bound}
-        if not inner:
-            result = term
+    steps = [(_VISIT, term, mapping, cache)]
+    push = steps.append
+    values: list = []
+    done = values.append
+    while steps:
+        kind, node, sub, memo = steps.pop()
+        if kind == _VISIT:
+            hit = memo.get(node._id)
+            if hit is not None:
+                done(hit)
+                continue
+            if node.op == "var":
+                result = sub.get(node.value, node)
+            elif node.op in _BINDERS:
+                bound = node.value
+                inner = {k: v for k, v in sub.items() if k not in bound}
+                if inner:
+                    # Capture check: if a replacement mentions a bound
+                    # name, rename the bound variable first.
+                    replaced_frees = set()
+                    for v in inner.values():
+                        replaced_frees |= v.free_vars()
+                    if not replaced_frees.isdisjoint(bound):
+                        node = rename_bound(node, replaced_frees | set(inner))
+                        bound = node.value
+                        inner = {k: v for k, v in sub.items()
+                                 if k not in bound}
+                    push((_BIND, node, None, memo))
+                    push((_VISIT, node.args[0], inner, {}))
+                    continue
+                result = node
+            elif node.args:
+                push((_BUILD, node, None, memo))
+                for child in reversed(node.args):
+                    push((_VISIT, child, sub, memo))
+                continue
+            else:
+                result = node
+        elif kind == _BUILD:
+            args = node.args
+            new_args = values[-len(args):]
+            del values[-len(args):]
+            result = node
+            for new, old in zip(new_args, args):
+                if new is not old:
+                    result = rebuild(node.op, tuple(new_args), node.value)
+                    break
         else:
-            # Capture check: if a replacement mentions a bound name, rename
-            # the bound variable first.
-            replaced_frees = set()
-            for v in inner.values():
-                replaced_frees |= v.free_vars()
-            if replaced_frees & bound:
-                term = rename_bound(term, replaced_frees | set(inner))
-                bound = set(term.value)
-                inner = {k: v for k, v in mapping.items() if k not in bound}
-            body = yield _subst_gen(term.args[0], inner, rebuild, {})
-            result = rebuild(term.op, (body,), term.value)
-    else:
-        new_args = []
-        for a in term.args:
-            h = cache.get(a._id)
-            if h is None:
-                h = yield _subst_gen(a, mapping, rebuild, cache)
-            new_args.append(h)
-        new_args = tuple(new_args)
-        if all(n is o for n, o in zip(new_args, term.args)):
-            result = term
-        else:
-            result = rebuild(term.op, new_args, term.value)
-    cache[term._id] = result
-    return result
+            result = rebuild(node.op, (values.pop(),), node.value)
+        memo[node._id] = result
+        done(result)
+    return values[0]
 
 
 def rename_bound(quant: Term, avoid) -> Term:

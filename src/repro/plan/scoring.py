@@ -22,9 +22,9 @@ gate expensive ones): the *static* tier (match + elements + complexity)
 ranks every enumerated candidate; only the leaders earn the *probe* tier
 (examiner + prover).  Evaluation is a pure function of (package,
 transformation, weights, probe budgets): no wall clocks, no prover
-timeouts (the probe runs the auto prover with ``timeout_seconds=None`` --
-its internal budgets are deterministic), so scores are bit-identical
-across the serial and process backends.
+budgets (the probe runs the auto prover with no work budget -- its
+search is finite and its caps are deterministic), so scores are
+bit-identical across the serial and process backends.
 
 :func:`evaluate_candidate` is module-level and operates on picklable
 arguments, so the planner fans evaluations out as Obligations carrying
@@ -266,10 +266,9 @@ def _probe(typed, probe_tree_bytes: int, probe_vcs: int,
         (vc for vc in vcs if not vc.simplified.discharged),
         key=lambda vc: (vc.simplified_bytes, vc.subprogram, vc.name))
     for vc in residues[:probe_vcs]:
-        # timeout_seconds=None: bounded by the prover's deterministic
-        # internal budgets, never by a wall clock.
-        prover = AutoProver(stripped, subprogram_name=vc.subprogram,
-                            timeout_seconds=None)
+        # No work budget: bounded by the prover's deterministic
+        # internal caps only.
+        prover = AutoProver(stripped, subprogram_name=vc.subprogram)
         if prover.prove(vc.simplified.simplified).proved:
             discharged += 1
     return dict(feasible=report.feasible, work_units=report.work_units,

@@ -17,14 +17,14 @@ the boundary the paper's 86.6%-automatic figure measures.
 
 from __future__ import annotations
 
-import time
 import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..lang import TypedPackage, ast
 from ..logic import (
-    TRUE, Term, conj, implies, intc, neg, substitute_simplifying, var,
+    TRUE, Term, boolc, conj, implies, intc, neg, rebuild_smart, substitute,
+    substitute_simplifying, var,
 )
 from ..logic.rules import select_store_split
 from ..vcgen.simplifier import Simplifier, TypeBoundHook, simplifier_rules_key
@@ -34,7 +34,15 @@ from .congruence import CongruenceClosure
 from .ground import GroundEvaluator
 from .linarith import build_dbm, env_decide, harvest_env
 
-__all__ = ["ProofResult", "AutoProver", "package_axioms", "Axiom"]
+__all__ = ["ProofResult", "AutoProver", "package_axioms", "Axiom",
+           "WORK_BUDGET"]
+
+#: The work budget of one :meth:`AutoProver.prove` call in the proof
+#: session, counted in interval decisions (:func:`env_decide` calls).
+#: Measured on the AES implementation proof (DESIGN.md §9): a call that
+#: proves makes at most 17,653; every call the old 3 s CPU budget cut
+#: off had made at least 62,574.
+WORK_BUDGET = 30_000
 
 _MAX_INSTANTIATIONS = 400
 _MAX_FORALL_INSTANCES = 64
@@ -137,12 +145,17 @@ class _ProveTimeout(Exception):
 
 
 class AutoProver:
+    #: A prove call is bounded by ``work_budget``, never by a clock.  The
+    #: name stays for readers of the old wall-clock budget (the ledger's
+    #: ``prover.auto`` observer), which see no budget while it is None.
+    timeout_seconds = None
+
     def __init__(self, typed: Optional[TypedPackage] = None,
                  subprogram_name: Optional[str] = None,
                  extra_axioms: Sequence[Axiom] = (),
                  instantiation_rounds: int = 2,
                  ground: Optional[GroundEvaluator] = None,
-                 timeout_seconds: Optional[float] = None,
+                 work_budget: Optional[int] = None,
                  hook=None,
                  shared=None):
         """``shared`` is an optional :class:`~repro.logic.normcache
@@ -153,9 +166,10 @@ class AutoProver:
         from ``(typed, subprogram_name)`` -- a caller-supplied ``hook``
         changes normal forms in ways the scope key cannot see.
 
-        ``timeout_seconds`` budgets each :meth:`prove` call in CPU time
-        of the calling thread (``time.thread_time``), so contention for
-        cores cannot turn a decided VC into a give-up.
+        ``work_budget`` bounds each :meth:`prove` call by a count of
+        interval decisions, not by a clock, so a give-up is reached at
+        the same point of the search on every host and every run; None
+        leaves the call unbounded (the search is finite).
 
         An instance accumulates *search history* -- the fresh-name
         counter behind ``_forall_intro`` and the per-term memo caches --
@@ -174,13 +188,18 @@ class AutoProver:
         else:
             self.hook = TypeBoundHook(typed, subprogram_name) \
                 if (typed is not None and subprogram_name) else None
+        # The decision procedures ask the hook about the same terms again
+        # and again, and its answer is a function of the term alone.
+        self._bounds = _memoized(self.hook) if self.hook is not None \
+            else None
         self.ground = ground if ground is not None else GroundEvaluator(typed)
         self.axioms = (package_axioms(typed) if typed is not None else []) \
             + list(extra_axioms)
         self.instantiation_rounds = instantiation_rounds
         self.subprogram_name = subprogram_name
-        self.timeout_seconds = timeout_seconds
-        self._deadline: Optional[float] = None
+        self.work_budget = work_budget
+        #: Interval decisions spent by the current (or last) prove call.
+        self.work_spent = 0
         from ..logic import Rewriter, Rule, default_rules
         self._shared = shared if (not custom_hook and typed is not None
                                   and subprogram_name) else None
@@ -259,18 +278,13 @@ class AutoProver:
     # -- public -------------------------------------------------------------
 
     def prove(self, term: Term) -> ProofResult:
-        if self.timeout_seconds is not None:
-            # CPU time of this thread, not wall time: a VC decided within
-            # the budget stays decided however many workers share a core.
-            self._deadline = time.thread_time() + self.timeout_seconds
+        self.work_spent = 0
         try:
             return self._prove(term)
         except _ProveTimeout:
             return ProofResult(False, "timeout",
-                               detail=f"gave up after "
-                                      f"{self.timeout_seconds}s")
-        finally:
-            self._deadline = None
+                               detail=f"gave up after {self.work_budget} "
+                                      f"interval decisions")
 
     def _prove(self, term: Term) -> ProofResult:
         if self.typed is not None and self.subprogram_name is not None:
@@ -314,8 +328,6 @@ class AutoProver:
 
     def _attempt_core(self, hyps: List[Term], concl: Term,
                       depth: int) -> ProofResult:
-        if self._deadline is not None and time.thread_time() > self._deadline:
-            raise _ProveTimeout()
         if concl.is_true:
             return ProofResult(True, "trivial")
         if concl.op == "and":
@@ -393,7 +405,8 @@ class AutoProver:
         # guard) into usable hypotheses.
         plain = [h for h in flat_hyps if h.op != "implies"]
         env0 = self._env_with_hook_bounds(plain + [concl],
-                                          harvest_env(plain, hook=self.hook))
+                                          harvest_env(plain,
+                                                      hook=self._bounds))
         dbm0 = build_dbm(plain, var_bounds=env0)
         usable: List[Term] = []
         for h in flat_hyps:
@@ -406,13 +419,13 @@ class AutoProver:
         flat_hyps = _flatten_hyps(usable)
 
         # Hypothesis contradiction / intervals / difference bounds.
-        env = harvest_env(flat_hyps, hook=self.hook)
+        env = harvest_env(flat_hyps, hook=self._bounds)
         for h in flat_hyps:
             hv = self.ground.evaluate(h)
             if hv is False:
                 return ProofResult(True, "contradiction",
                                    detail="false hypothesis")
-        decided = env_decide(concl, env, hook=self.hook)
+        decided = self._decide(concl, env)
         if decided is True:
             return ProofResult(True, "interval")
         env_full = self._env_with_hook_bounds(flat_hyps + [concl], env)
@@ -489,17 +502,25 @@ class AutoProver:
             for name in t.free_vars():
                 if name in out:
                     continue
-                bounds = self.hook(var(name))
+                bounds = self._bounds(var(name))
                 if bounds is not None:
                     out[name] = bounds
         return out
+
+    def _decide(self, concl: Term, env) -> Optional[bool]:
+        """:func:`env_decide`, charged one unit of the work budget."""
+        if self.work_budget is not None and \
+                self.work_spent >= self.work_budget:
+            raise _ProveTimeout()
+        self.work_spent += 1
+        return env_decide(concl, env, hook=self._bounds)
 
     def _guard_holds(self, guard: Term, env, dbm) -> bool:
         parts = guard.args if guard.op == "and" else (guard,)
         for part in parts:
             if self.ground.evaluate(part) is True:
                 continue
-            if env_decide(part, env, hook=self.hook) is True:
+            if self._decide(part, env) is True:
                 continue
             if dbm.decide(part) is True:
                 continue
@@ -512,7 +533,6 @@ class AutoProver:
                       ) -> Optional[Tuple[List[Term], Term]]:
         """Universal introduction: rename bound vars fresh, return the range
         guards as hypotheses plus the body."""
-        from ..logic import substitute
         self._fresh += 1
         mapping = {name: var(f"{name}!{self._fresh}") for name in term.value}
         body = substitute(term.args[0], mapping)
@@ -570,6 +590,20 @@ class AutoProver:
         return facts
 
 
+def _memoized(hook):
+    """``hook`` with its answers memoized by term."""
+    memo: Dict[int, Optional[tuple]] = {}
+
+    def bounds(term: Term) -> Optional[tuple]:
+        ident = term._id
+        if ident in memo:
+            return memo[ident]
+        found = memo[ident] = hook(term)
+        return found
+
+    return bounds
+
+
 def _split(term: Term) -> Tuple[Tuple[Term, ...], Term]:
     """Split nested implications into (hypotheses, conclusion)."""
     hyps: List[Term] = []
@@ -615,7 +649,6 @@ def _first_ite(term: Term) -> Optional[Term]:
 
 
 def _replace_node(term: Term, target: Term, replacement: Term) -> Term:
-    from ..logic import rebuild_smart
     cache: Dict[int, Term] = {target._id: replacement}
 
     def go(node: Term) -> Term:
@@ -665,7 +698,6 @@ def _index_candidates(terms: Sequence[Term]) -> List[Term]:
 
 def _collect_ground_applies(terms: Sequence[Term], ground) -> List[Tuple]:
     """(application term, literal value) pairs for congruence seeding."""
-    from ..logic import boolc, intc as intc_
     out = []
     seen = set()
     for t in terms:
@@ -676,7 +708,7 @@ def _collect_ground_applies(terms: Sequence[Term], ground) -> List[Tuple]:
                 if isinstance(value, bool):
                     out.append((node, boolc(value)))
                 elif isinstance(value, int):
-                    out.append((node, intc_(value)))
+                    out.append((node, intc(value)))
     return out
 
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional
 
-from ..logic import Term
-from ..logic.rules import Interval, interval_of
+from ..logic import Term, le, lt
+from ..logic.rules import Interval, decide_relation, interval_of
 
 __all__ = ["harvest_env", "env_decide", "DifferenceBounds", "build_dbm"]
 
@@ -96,18 +96,15 @@ def _harvest_one(h: Term, env: Dict[str, Interval], hook) -> bool:
 
 
 def _flip_le(lt_term: Term) -> Term:
-    from ..logic import le
     return le(lt_term.args[1], lt_term.args[0])
 
 
 def _flip_lt(le_term: Term) -> Term:
-    from ..logic import lt
     return lt(le_term.args[1], le_term.args[0])
 
 
 def env_decide(concl: Term, env: Dict[str, Interval], hook=None
                ) -> Optional[bool]:
-    from ..logic.rules import decide_relation
     if concl.op == "not":
         inner = env_decide(concl.args[0], env, hook)
         return None if inner is None else not inner

@@ -23,7 +23,7 @@ from ..incr.plan import IncrementalStats, plan_incremental
 from ..lang.typecheck import TypedPackage
 from ..logic import NormalizationCache, Term, fingerprint
 from ..vcgen import Examiner, ExaminerLimits, ExaminerReport, VCRecord
-from .auto import AutoProver, ProofResult
+from .auto import WORK_BUDGET, AutoProver, ProofResult
 from .tactics import InteractiveProver, ProofScript
 
 __all__ = ["VCOutcome", "ImplementationProofResult", "ImplementationProof",
@@ -31,11 +31,11 @@ __all__ = ["VCOutcome", "ImplementationProofResult", "ImplementationProof",
 
 
 def discharge_vc(typed: TypedPackage, subprogram: str, term: Term,
-                 scripts: Sequence[ProofScript] = (),
-                 auto_timeout: Optional[float] = None, shared=None,
+                 scripts: Sequence[ProofScript] = (), shared=None,
                  on_retire: Optional[Callable[[AutoProver], None]] = None
                  ) -> Tuple[str, Optional[ProofResult]]:
-    """Discharge one VC: the automatic prover, then ``scripts`` in order,
+    """Discharge one VC: the automatic prover within
+    :data:`~repro.prover.auto.WORK_BUDGET`, then ``scripts`` in order,
     else ``undischarged``.  Returns ``(stage, ProofResult-or-None)``.
 
     This is the ``vc`` obligation's one body: the session's inline thunk
@@ -52,7 +52,7 @@ def discharge_vc(typed: TypedPackage, subprogram: str, term: Term,
     prover as it retires (the auto prover's, then the scripts'), for
     the hot-path counters."""
     prover = AutoProver(typed, subprogram_name=subprogram,
-                        timeout_seconds=auto_timeout, shared=shared)
+                        work_budget=WORK_BUDGET, shared=shared)
     result = prover.prove(term)
     if on_retire is not None:
         on_retire(prover)
@@ -159,13 +159,13 @@ class ImplementationProof:
     content-addressed on (package text, subprogram, VC term, prover
     configuration), so re-verifying unchanged code is a replay, not a
     re-proof.
-    """
 
-    #: The automatic prover gives up after this long per VC and hands the
-    #: VC to the interactive scripts (real provers run with a timeout; the
-    #: paper's automatic/interactive boundary presumes one).
-    AUTO_TIMEOUT_SECONDS = 3.0
-    INTERACTIVE_TIMEOUT_SECONDS = 30.0
+    The automatic prover gives up on a VC after
+    :data:`~repro.prover.auto.WORK_BUDGET` interval decisions and hands
+    it to the scripts: the paper's automatic/interactive boundary
+    presumes a bounded prover, and a count, unlike a clock, puts the
+    boundary at the same place on every host.
+    """
 
     def __init__(self, typed: TypedPackage,
                  limits: Optional[ExaminerLimits] = None,
@@ -260,8 +260,7 @@ class ImplementationProof:
                     package=self.typed.package, package_fp=package_fp,
                     subprogram=vc.subprogram,
                     term=vc.simplified.simplified,
-                    scripts=tuple(self.scripts.get(vc.subprogram, ())),
-                    auto_timeout=self.AUTO_TIMEOUT_SECONDS)
+                    scripts=tuple(self.scripts.get(vc.subprogram, ())))
                 obligations.append(vc_obligation(
                     vc, self._discharger(payload, hotpath),
                     package_fp=package_fp, config=config, payload=payload))
@@ -405,7 +404,7 @@ class ImplementationProof:
     def _prover_config(self) -> str:
         """Cache-key component for everything that shapes a VC's outcome
         besides the VC term and package text."""
-        parts = [f"auto_timeout={self.AUTO_TIMEOUT_SECONDS}"]
+        parts = [f"work_budget={WORK_BUDGET}"]
         for name in sorted(self.scripts):
             names = ",".join(f"{s.name}:{s.steps}"
                              for s in self.scripts[name])
@@ -429,4 +428,4 @@ class ImplementationProof:
 
         return lambda: discharge_vc(
             self.typed, payload.subprogram, payload.term, payload.scripts,
-            payload.auto_timeout, shared=self._norm_cache, on_retire=fold)
+            shared=self._norm_cache, on_retire=fold)

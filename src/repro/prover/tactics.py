@@ -35,7 +35,7 @@ from ..logic import (
     Term, conj, eq, implies, intc, rebuild_smart, select,
     substitute_simplifying,
 )
-from .auto import AutoProver, ProofResult
+from .auto import WORK_BUDGET, AutoProver, ProofResult
 
 __all__ = ["Tactic", "Expand", "Cases", "CasesVar", "Instantiate",
            "Extensionality", "Normalize", "ProofScript",
@@ -179,12 +179,12 @@ class InteractiveProver:
 
     def __init__(self, typed: TypedPackage,
                  subprogram_name: Optional[str] = None,
-                 subgoal_timeout: float = 2.0,
                  shared=None):
         self.typed = typed
+        # Each subgoal gets the session's budget: subgoal proofs are
+        # small (at most 977 decisions on the AES proof).
         self.auto = AutoProver(typed, subprogram_name=subprogram_name,
-                               timeout_seconds=subgoal_timeout,
-                               shared=shared)
+                               work_budget=WORK_BUDGET, shared=shared)
         self._symbolic = SymbolicExecutor(typed)
 
     def axiom_named(self, name: str):

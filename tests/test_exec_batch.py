@@ -4,6 +4,7 @@ backends, the dispatch telemetry, loud validation of the batching knobs
 in ExecConfig and both CLIs, and the byte cap on one dispatch unit."""
 
 import json
+import time
 
 import pytest
 
@@ -21,6 +22,11 @@ def _square(x):
     return x * x
 
 
+def _nap(seconds):
+    time.sleep(seconds)
+    return seconds
+
+
 def _obs(n):
     return [Obligation(kind="vc", label=f"sq{i}",
                        thunk=(lambda i=i: i * i),
@@ -32,7 +38,7 @@ class TestBatchWorker:
     def test_results_match_solo_worker_runs(self):
         entries = tuple((i, CallPayload(_square, (i,)), f"t{i}")
                         for i in range(5))
-        batched = _batch_worker(entries, RetryPolicy(), None)
+        _, batched = _batch_worker(entries, RetryPolicy(), None)
         solo = tuple(_process_worker(i, p, RetryPolicy(), None, t)
                      for i, p, t in entries)
         # identical index/status/wire triples (walls differ, of course)
@@ -102,6 +108,33 @@ class TestDispatchTelemetry:
         assert stats.batched == 0
         assert stats.batch_items == 0
         assert "batched dispatches" not in stats.summary()
+
+
+class TestDispatchWall:
+    NAP = 0.5
+
+    def test_queue_wait_is_not_dispatch_overhead(self):
+        """Four half-second units on two workers are submitted together,
+        so each worker runs two, and its second waits about half a
+        second in the pool's queue.  That wait is no wire cost: no
+        unit's dispatch wall comes near it, and each member's own wall
+        still covers its nap."""
+        telemetry = Telemetry()
+        obligations = [Obligation(kind="vc", label=f"nap{i}",
+                                  thunk=lambda: None,
+                                  payload=CallPayload(_nap, (self.NAP,)))
+                       for i in range(4)]
+        with ObligationScheduler(ExecConfig(
+                jobs=2, backend="process", cache=False,
+                telemetry=telemetry, batch_size=1)) as scheduler:
+            outcomes = scheduler.run(obligations)
+        assert [o.value for o in outcomes] == [self.NAP] * 4
+        assert all(o.wall_seconds >= self.NAP for o in outcomes)
+        walls = [e.wall for e in telemetry.events()
+                 if e.event == "dispatched"]
+        assert len(walls) == 4
+        assert max(walls) < self.NAP / 2, walls
+        assert telemetry.stats().dispatch_p95_seconds < self.NAP / 2
 
 
 class TestBatchKnobValidation:

@@ -687,6 +687,24 @@ class TestRunnerFlags:
 
 # ---------------------------------------------------------------------------
 # Batched dispatch under faults (DESIGN.md §18)
+    def test_crasher_lost_before_it_ran_gets_its_retry(self, tmp_path):
+        """``b`` kills its worker on its first attempt, as ``a`` does, but
+        sits queued behind ``a`` and ``s`` when ``a``'s crash breaks the
+        pool.  That loss is not ``b``'s doing -- it never started -- so
+        only its own crash, alone, blames it, and its second solo
+        attempt completes instead of being quarantined."""
+        telemetry = Telemetry()
+        s = CallPayload(_busy, (1.0,))
+        obs = [_faulty_ob(tmp_path, "a", ("crash",), "a"),
+               Obligation(kind="chaos", label="s", thunk=s.run, payload=s),
+               _faulty_ob(tmp_path, "b", ("crash",), "b")]
+        outcomes = _scheduler(telemetry=telemetry, batch_size=1).run(obs)
+        assert [(o.status, o.value) for o in outcomes] == \
+            [("ok", "a"), ("ok", "done"), ("ok", "b")]
+        stats = telemetry.stats()
+        assert stats.quarantined == 0
+        assert stats.retried_ok >= 2
+
 # ---------------------------------------------------------------------------
 
 class TestBatchedChaos:

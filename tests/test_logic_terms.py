@@ -258,3 +258,128 @@ class TestConcurrentInterning:
         for th in threads:
             th.join()
         assert all(o == expected for o in outcomes)
+
+
+# ---------------------------------------------------------------------------
+# Substitution: the explicit-stack walk against the generator reference
+# ---------------------------------------------------------------------------
+
+import importlib  # noqa: E402
+import itertools  # noqa: E402
+
+import hypothesis.strategies as st  # noqa: E402
+from hypothesis import given, settings  # noqa: E402
+
+from repro.logic import apply, exists  # noqa: E402
+from tests import substitute_reference as subst_reference  # noqa: E402
+
+#: The module, not the function ``repro.logic`` exports under its name.
+subst_engine = importlib.import_module("repro.logic.substitute")
+
+_NAMES = ("x", "y", "z")
+
+
+def _terms(depth):
+    leaf = st.one_of(st.sampled_from([var(n) for n in _NAMES]),
+                     st.integers(0, 3).map(intc))
+    if depth == 0:
+        return leaf
+    sub = _terms(depth - 1)
+    return st.one_of(
+        leaf,
+        st.tuples(sub, sub).map(lambda p: add(*p)),
+        st.tuples(sub, sub).map(lambda p: eq(*p)),
+        st.tuples(sub, sub).map(lambda p: mk("and", p)),
+        sub.map(lambda t: apply("f", t)),
+        st.tuples(st.sampled_from([("x",), ("y",), ("x", "y")]),
+                  sub).map(lambda p: mk("forall", (p[1],), p[0])),
+        st.tuples(st.sampled_from([("x",), ("z",)]),
+                  sub).map(lambda p: exists(*p)),
+    )
+
+
+def _both(fn_name, term, mapping):
+    """(engine result, reference result), each from a fresh counter;
+    both must draw the same number of fresh names."""
+    subst_engine._fresh_counter = itertools.count(1)
+    new = getattr(subst_engine, fn_name)(term, mapping)
+    drawn = next(subst_engine._fresh_counter)
+    subst_engine._fresh_counter = itertools.count(1)
+    ref = getattr(subst_reference, fn_name)(term, mapping)
+    assert next(subst_engine._fresh_counter) == drawn
+    return new, ref
+
+
+class TestSubstituteAgainstGeneratorReference:
+    @pytest.fixture(autouse=True)
+    def _restore_counter(self, monkeypatch):
+        monkeypatch.setattr(subst_engine, "_fresh_counter",
+                            subst_engine._fresh_counter)
+
+    @settings(max_examples=150, deadline=None)
+    @given(term=_terms(4),
+           mapping=st.dictionaries(st.sampled_from(_NAMES), _terms(2),
+                                   min_size=1, max_size=3))
+    def test_identical_term_and_fresh_names(self, term, mapping):
+        for fn_name in ("substitute", "substitute_simplifying"):
+            new, ref = _both(fn_name, term, mapping)
+            assert new is ref
+
+    def test_two_capturing_binders_draw_names_left_to_right(self):
+        x, y = var("x"), var("y")
+        node = mk("and", (forall(["x"], eq(apply("f", x), y)),
+                          forall(["x"], lt(x, y))))
+        mapping = {"y": apply("g", x)}   # captured by both binders
+        new, ref = _both("substitute_simplifying", node, mapping)
+        assert new is ref   # (the smart ``and`` orders its args)
+        new, ref = _both("substitute", node, mapping)
+        assert new is ref
+        assert [a.value for a in new.args] == [("x~1",), ("x~2",)]
+        assert new.args[0].args[0] is eq(apply("f", var("x~1")),
+                                         apply("g", x))
+
+    def test_shared_capturing_binder_renamed_per_visit(self):
+        """A renamed quantifier is cached under its new name, so a second
+        occurrence of the same binder is renamed again, in visit order."""
+        x, y = var("x"), var("y")
+        q = forall(["x"], lt(x, y))
+        node = mk("and", (q, apply("h", q)))
+        new, ref = _both("substitute", node, {"y": x})
+        assert new is ref
+        assert new.args[0].value == ("x~1",)
+        assert new.args[1].args[0].value == ("x~2",)
+
+    def test_every_call_of_a_proof_matches(self, monkeypatch):
+        """Record every top-level substitution of a small implementation
+        proof with the counter it started from; the reference replays
+        each one to the identical term."""
+        from repro.aes import annotated_package, aes_proof_scripts
+        from repro.exec import ExecConfig
+        from repro.prover import ImplementationProof
+        calls = []
+        depth = [0]
+        engine_subst = subst_engine._subst
+
+        def recording(term, mapping, rebuild, cache):
+            if depth[0] or cache:
+                return engine_subst(term, mapping, rebuild, cache)
+            start = next(subst_engine._fresh_counter)
+            subst_engine._fresh_counter = itertools.count(start)
+            depth[0] += 1
+            try:
+                out = engine_subst(term, mapping, rebuild, cache)
+            finally:
+                depth[0] -= 1
+            calls.append((term, dict(mapping), rebuild, start, out))
+            return out
+
+        monkeypatch.setattr(subst_engine, "_subst", recording)
+        ImplementationProof(
+            annotated_package(), scripts=aes_proof_scripts(),
+            exec=ExecConfig(jobs=1, backend="serial", cache=False)).run(
+            ["Add_Round_Key", "Sub_Bytes", "Shift_Rows"])
+        monkeypatch.setattr(subst_engine, "_subst", engine_subst)
+        assert len(calls) > 100
+        for term, mapping, rebuild, start, out in calls:
+            subst_engine._fresh_counter = itertools.count(start)
+            assert subst_reference._subst(term, mapping, rebuild, {}) is out

@@ -1,12 +1,14 @@
 """Prover tests: ground evaluation, congruence closure, auto prover,
 tactics, and the implementation-proof session."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.lang import analyze, parse_package
 from repro.logic import (
-    TRUE, add, apply, band, conj, eq, forall, implies, intc, le, lt, mul,
-    ne, neg, select, store, var, xor,
+    FALSE, TRUE, add, apply, band, conj, eq, forall, implies, intc, le, lt,
+    mul, ne, neg, select, store, var, xor,
 )
 from repro.prover import (
     AutoProver, Cases, CongruenceClosure, Expand, Extensionality,
@@ -108,6 +110,75 @@ class TestCongruenceClosure:
         assert cc.are_disequal(var("a"), var("b"))
 
 
+class TestCongruenceDifferential:
+    """The incremental closure against a naive fixpoint reference, on
+    random equality and disequality sets over shared subterms."""
+
+    ATOMS = (var("a"), var("b"), var("c"), intc(0), intc(1), TRUE,
+             FALSE)
+
+    @staticmethod
+    def _pool(draw_shape):
+        terms = list(TestCongruenceDifferential.ATOMS)
+        for kind, i, j in draw_shape:
+            x, y = terms[i % len(terms)], terms[j % len(terms)]
+            terms.append(apply("f", x) if kind == 0 else
+                         apply("g", x, y) if kind == 1 else add(x, y))
+        return terms
+
+    @staticmethod
+    def _agree(cc, ref, a, b):
+        assert cc.are_equal(a, b) == ref.are_equal(a, b)
+        contradiction = ref.contradiction
+        assert cc.contradiction == contradiction
+        if not contradiction:
+            assert cc.are_disequal(a, b) == ref.are_disequal(a, b)
+
+    @settings(max_examples=120, deadline=None)
+    @given(shape=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 40),
+                                    st.integers(0, 40)),
+                          min_size=2, max_size=14),
+           script=st.lists(st.tuples(st.sampled_from("=!?"),
+                                     st.integers(0, 40),
+                                     st.integers(0, 40)),
+                           min_size=1, max_size=10))
+    def test_answers_match_naive_reference(self, shape, script):
+        from tests.congruence_reference import NaiveCongruenceClosure
+        terms = self._pool(shape)
+        cc, ref = CongruenceClosure(), NaiveCongruenceClosure()
+        for kind, i, j in script:
+            a, b = terms[i % len(terms)], terms[j % len(terms)]
+            if kind == "=":
+                cc.assert_equal(a, b)
+                ref.assert_equal(a, b)
+            elif kind == "!":
+                cc.assert_disequal(a, b)
+                ref.assert_disequal(a, b)
+            else:
+                self._agree(cc, ref, a, b)
+        for a in terms[::3]:
+            for b in terms[1::3]:
+                self._agree(cc, ref, a, b)
+
+    def test_literal_clash_through_congruence(self):
+        from tests.congruence_reference import NaiveCongruenceClosure
+        a, b = var("a"), var("b")
+        for impl in (CongruenceClosure(), NaiveCongruenceClosure()):
+            impl.assert_equal(apply("f", a), intc(0))
+            impl.assert_equal(apply("f", b), intc(1))
+            assert not impl.contradiction
+            impl.assert_equal(a, b)
+            assert impl.contradiction
+
+    def test_one_and_true_do_not_clash(self):
+        """Literal values compare with ``==``, as they always have, so a
+        class holding ``1`` and ``true`` is no contradiction."""
+        cc = CongruenceClosure()
+        cc.assert_equal(var("a"), intc(1))
+        cc.assert_equal(var("a"), TRUE)
+        assert not cc.contradiction
+
+
 class TestAutoProver:
     def setup_method(self):
         self.prover = AutoProver(TABLE_PKG)
@@ -141,44 +212,59 @@ class TestAutoProver:
         goal = eq(var("mystery"), intc(0))
         assert not self.prover.prove(goal).proved
 
-    def _clocked(self, monkeypatch, wall_step, cpu_step):
-        """Patch the prover's clock: every reading advances wall time by
-        ``wall_step`` and thread CPU time by ``cpu_step`` seconds."""
-        import types
-        import repro.prover.auto as auto
-        readings = {"wall": 0.0, "cpu": 0.0}
+    @staticmethod
+    def _clocks(monkeypatch, step):
+        """Every clock of the ``time`` module advances ``step`` seconds
+        at each reading."""
+        import time
+        readings = [0.0]
 
-        def monotonic():
-            readings["wall"] += wall_step
-            return readings["wall"]
+        def tick():
+            readings[0] += step
+            return readings[0]
 
-        def thread_time():
-            readings["cpu"] += cpu_step
-            return readings["cpu"]
+        for name in ("time", "monotonic", "perf_counter", "thread_time",
+                     "process_time"):
+            monkeypatch.setattr(time, name, tick)
 
-        monkeypatch.setattr(auto, "time", types.SimpleNamespace(
-            monotonic=monotonic, thread_time=thread_time))
-        return readings
-
+    #: Needs several interval decisions: one per conjunct.
     BUDGETED_GOAL = implies(conj(le(intc(0), var("x")),
                                  le(var("x"), intc(10))),
-                            le(var("x"), intc(255)))
+                            conj(le(var("x"), intc(255)),
+                                 lt(var("x"), intc(11)),
+                                 le(intc(-3), var("x"))))
 
-    def test_budget_is_cpu_time_not_wall_time(self, monkeypatch):
-        # Wall time races past the 1 s budget on every reading (a
-        # loaded host); thread CPU time barely moves.  The VC is decided.
-        readings = self._clocked(monkeypatch, wall_step=100.0,
-                                 cpu_step=1e-6)
-        result = AutoProver(TABLE_PKG, timeout_seconds=1.0).prove(
-            self.BUDGETED_GOAL)
-        assert result.proved
-        assert readings["cpu"] > 1e-6      # the deadline was checked
+    def _units_needed(self):
+        prover = AutoProver(TABLE_PKG)
+        assert prover.prove(self.BUDGETED_GOAL).proved
+        assert prover.work_spent >= 2
+        return prover.work_spent
 
-    def test_cpu_time_past_budget_gives_up(self, monkeypatch):
-        self._clocked(monkeypatch, wall_step=0.0, cpu_step=100.0)
-        result = AutoProver(TABLE_PKG, timeout_seconds=1.0).prove(
-            self.BUDGETED_GOAL)
+    @pytest.mark.parametrize("step", [0.0, 100.0])
+    def test_decided_within_budget_whatever_the_clocks_read(
+            self, monkeypatch, step):
+        needed = self._units_needed()
+        self._clocks(monkeypatch, step)
+        prover = AutoProver(TABLE_PKG, work_budget=needed)
+        assert prover.prove(self.BUDGETED_GOAL).proved
+        assert prover.work_spent == needed
+
+    @pytest.mark.parametrize("step", [0.0, 100.0])
+    def test_past_budget_gives_up_whatever_the_clocks_read(
+            self, monkeypatch, step):
+        needed = self._units_needed()
+        self._clocks(monkeypatch, step)
+        prover = AutoProver(TABLE_PKG, work_budget=needed - 1)
+        result = prover.prove(self.BUDGETED_GOAL)
         assert not result.proved and result.method == "timeout"
+        assert prover.work_spent == needed - 1
+
+    def test_session_and_tactic_stage_share_the_budget(self):
+        from repro.prover.auto import WORK_BUDGET
+        assert InteractiveProver(TABLE_PKG).auto.work_budget == WORK_BUDGET
+        assert AutoProver(TABLE_PKG).work_budget is None
+        assert f"work_budget={WORK_BUDGET}" in \
+            ImplementationProof(TABLE_PKG)._prover_config()
 
     def test_forall_small_range_expansion(self):
         k = var("k?")
@@ -273,3 +359,48 @@ end P;
         result = ImplementationProof(typed).run()
         assert result.auto_percent == 100.0
         assert result.fully_automatic_subprograms() == ["Invert"]
+
+
+class TestWorkBudgetDeterminism:
+    """Give-ups end on a count of work, so two serial proofs of the
+    subprograms that run into the budget agree on everything they
+    report, the hot-path counters included."""
+
+    SUBPROGRAMS = ["Key_Schedule_128", "Mix_Columns"]
+
+    def _run(self, spent):
+        from repro.aes import aes_proof_scripts, annotated_package
+        from repro.exec import ExecConfig
+        result = ImplementationProof(
+            annotated_package(), scripts=aes_proof_scripts(),
+            exec=ExecConfig(jobs=1, backend="serial", cache=False)).run(
+            self.SUBPROGRAMS)
+        return ([(o.vc.subprogram, o.vc.name, o.stage)
+                 for o in result.outcomes],
+                list(spent),
+                {name: (a.index_hits, a.index_skipped_rules, a.cross_vc_hits)
+                 for name, a in result.report.per_subprogram.items()})
+
+    def test_two_serial_proofs_agree(self, monkeypatch):
+        from repro.prover.auto import WORK_BUDGET
+        spent = []
+        prove = AutoProver.prove
+
+        def recording(self, term):
+            result = prove(self, term)
+            spent.append((self.subprogram_name, result.method,
+                          self.work_spent))
+            return result
+
+        monkeypatch.setattr(AutoProver, "prove", recording)
+        first = self._run(spent)
+        spent.clear()
+        second = self._run(spent)
+        assert first == second
+        stages, calls, _ = first
+        assert "undischarged" not in {stage for _, _, stage in stages}
+        give_ups = [units for _, method, units in calls
+                    if method == "timeout"]
+        assert give_ups and all(u == WORK_BUDGET for u in give_ups)
+        assert all(units <= WORK_BUDGET for _, method, units in calls
+                   if method != "timeout")
