@@ -5,9 +5,10 @@ agree, and the process search must leave no worker behind.
 
 Runs ``plan_aes(max_expansions=3, trials=2)`` with no result cache on
 ``serial`` and on ``process, jobs=2``.  Exits 1 unless the chain
-digest, the step tokens, the final evaluation and the evaluation and
-validation counts are equal, and no child process is alive once the
-process search has returned (DESIGN.md §11, §22).
+digest, the step tokens, the final evaluation, the evaluation and
+validation counts and the chain's edges by evidence level are equal,
+and no child process is alive once the process search has returned
+(DESIGN.md §11, §22, §23).
 """
 
 import multiprocessing
@@ -26,6 +27,7 @@ def search(backend: str, jobs: int) -> dict:
         "final_evaluation": result.to_json()["final_evaluation"],
         "evaluations": result.evaluations,
         "validations": result.validations,
+        "edge_levels": result.edge_levels,
     }
 
 
@@ -43,7 +45,8 @@ def main() -> int:
     print(f"plan backends {'agree' if ok else 'DIFFER'}: chain "
           f"{serial['chain_digest'][:16]}, {len(serial['steps'])} steps, "
           f"{serial['evaluations']} evaluations, "
-          f"{serial['validations']} validations")
+          f"{serial['validations']} validations, edges by level "
+          f"{serial['edge_levels']}")
     return 0 if ok else 1
 
 

@@ -68,9 +68,11 @@ def main():
 """, minimum_occurrences=1),
     ])
     for app in applications:
-        for theorem in app.theorems:
-            print(f"  {app.transformation:18s} preservation: "
-                  f"{theorem.status} ({theorem.evidence})")
+        for name, theorem in app.theorems.items():
+            verdict = "refuted" if not theorem.holds else \
+                "proved" if theorem.is_proof else "holds"
+            print(f"  {app.transformation:18s} preservation: {verdict} "
+                  f"({theorem.level}, {name})")
 
     print()
     print("refactored program:")

@@ -118,7 +118,7 @@ def run_defect(defect: Defect, setup: int) -> DefectOutcome:
     extracted = extract_specification(typed).theory
     implication = prove_implication(fips197_theory(), extracted)
     if not implication.holds:
-        failed = ", ".join(o.lemma.name for o in implication.failed)
+        failed = ", ".join(lemma.name for lemma, _ in implication.failed)
         return DefectOutcome(defect=defect, setup=setup, stage="implication",
                              detail=f"refuted lemmas: {failed}")
 

@@ -3,27 +3,26 @@
 See DESIGN.md: the theorem proved per transformation application is the
 paper's ``init_state(P) = init_state(P') => final_state(P) =
 final_state(P')``, discharged by symbolic summary equality, exhaustive
-evaluation, or differential testing -- with the evidence level recorded on
-the theorem object.
+evaluation, or sampled differential testing on the evidence ladder of
+:mod:`repro.evidence`, which records the level.
 """
 
 from .differential import (
-    Counterexample, DifferentialResult, differential_check, enumerate_states,
-    exhaustive_check,
+    Counterexample, differential_check, enumerate_states, exhaustive_check,
 )
 from .model import (
     State, TransitionSemantics, domain_size, final_state, input_params,
     observable_params, random_state, random_value, state_key,
 )
 from .symbolic import SymbolicExecutor, SymbolicSummary, UnsupportedProgram
-from .theorem import EXHAUSTIVE_LIMIT, EquivalenceTheorem, prove_equivalence
+from .theorem import CHECKS, prove_equivalence
 
 __all__ = [
     "State", "TransitionSemantics", "final_state", "random_state",
     "random_value", "state_key", "input_params", "observable_params",
     "domain_size",
-    "Counterexample", "DifferentialResult", "differential_check",
-    "exhaustive_check", "enumerate_states",
+    "Counterexample", "differential_check", "exhaustive_check",
+    "enumerate_states",
     "SymbolicExecutor", "SymbolicSummary", "UnsupportedProgram",
-    "EquivalenceTheorem", "prove_equivalence", "EXHAUSTIVE_LIMIT",
+    "CHECKS", "prove_equivalence",
 ]

@@ -3,9 +3,10 @@
 Runs two subprograms (usually the same name before/after a refactoring)
 from equal random initial states and compares final states -- a direct
 dynamic check of the paper's preservation theorem.  Used standalone for
-quick screening and as the fallback evidence level when the input domain is
-too large to enumerate and the programs are outside the symbolically
-summarizable fragment.
+quick screening and as the ``exhaustive`` and ``sampled`` rungs of the
+evidence ladder (:mod:`repro.evidence`): every input of a small domain, or
+seeded random inputs when the domain is too large to enumerate and the
+programs are outside the symbolically summarizable fragment.
 """
 
 from __future__ import annotations
@@ -13,16 +14,17 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
+from ..evidence import EXHAUSTIVE_LIMIT, Evidence
 from ..lang import TypedPackage
 from ..lang.errors import MiniAdaError
 from .model import (
     State, domain_size, final_state, input_params, random_state, state_key,
 )
 
-__all__ = ["Counterexample", "DifferentialResult", "differential_check",
-           "trial_states", "exhaustive_check", "enumerate_states"]
+__all__ = ["Counterexample", "differential_check", "trial_states",
+           "trial_evidence", "exhaustive_check", "enumerate_states"]
 
 
 @dataclass(frozen=True)
@@ -32,13 +34,6 @@ class Counterexample:
     right_final: Optional[State]
     left_error: Optional[str] = None
     right_error: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class DifferentialResult:
-    equivalent: bool
-    trials: int
-    counterexample: Optional[Counterexample] = None
 
 
 def _run(typed: TypedPackage, name: str, initial: State):
@@ -93,20 +88,32 @@ def trial_states(left_typed: TypedPackage, left_name: str,
             for _ in range(trials)]
 
 
+def trial_evidence(level: str, counterexamples: Iterable) -> Evidence:
+    """The evidence of per-trial comparisons, in trial order (a lazy
+    iterable stops at the first counterexample, which refutes)."""
+    trials = 0
+    for trials, cx in enumerate(counterexamples, 1):
+        if cx is not None:
+            return Evidence(level, False, f"counterexample on trial {trials}",
+                            cx)
+    return Evidence(level, True, f"{trials} initial states agreed")
+
+
+def _compared(left_typed, left_name, right_typed, right_name, states):
+    return (_compare(left_typed, left_name, right_typed, right_name, state)
+            for state in states)
+
+
 def differential_check(left_typed: TypedPackage, left_name: str,
                        right_typed: TypedPackage, right_name: str,
                        trials: int = 64, seed: int = 20090701,
-                       sampler=None) -> DifferentialResult:
+                       sampler=None) -> Evidence:
     """Random differential test over the ``trials`` initial states of
-    :func:`trial_states`, stopping at the first counterexample."""
-    states = trial_states(left_typed, left_name, right_typed, right_name,
-                          trials, seed, sampler)
-    for trial, initial in enumerate(states, 1):
-        cx = _compare(left_typed, left_name, right_typed, right_name, initial)
-        if cx is not None:
-            return DifferentialResult(equivalent=False, trials=trial,
-                                      counterexample=cx)
-    return DifferentialResult(equivalent=True, trials=trials)
+    :func:`trial_states`, stopping at the first counterexample: sampled
+    evidence."""
+    args = (left_typed, left_name, right_typed, right_name)
+    return trial_evidence("sampled", _compared(
+        *args, trial_states(*args, trials, seed, sampler)))
 
 
 def enumerate_states(typed: TypedPackage, sp) -> List[State]:
@@ -129,18 +136,14 @@ def enumerate_states(typed: TypedPackage, sp) -> List[State]:
 
 
 def exhaustive_check(left_typed: TypedPackage, left_name: str,
-                     right_typed: TypedPackage, right_name: str,
-                     limit: int = 1 << 16) -> DifferentialResult:
-    """Exhaustive equivalence check over a finite input domain."""
+                     right_typed: TypedPackage, right_name: str
+                     ) -> Optional[Evidence]:
+    """Equivalence over every initial state of a finite input domain (a
+    proof by evaluation); None when the domain exceeds
+    :data:`~repro.evidence.EXHAUSTIVE_LIMIT`."""
     sp = left_typed.signatures[left_name]
-    size = domain_size(left_typed, sp, limit)
-    if size is None:
-        raise ValueError(f"{left_name}: domain exceeds limit {limit}")
-    trials = 0
-    for initial in enumerate_states(left_typed, sp):
-        trials += 1
-        cx = _compare(left_typed, left_name, right_typed, right_name, initial)
-        if cx is not None:
-            return DifferentialResult(equivalent=False, trials=trials,
-                                      counterexample=cx)
-    return DifferentialResult(equivalent=True, trials=trials)
+    if domain_size(left_typed, sp, EXHAUSTIVE_LIMIT) is None:
+        return None
+    return trial_evidence("exhaustive", _compared(
+        left_typed, left_name, right_typed, right_name,
+        enumerate_states(left_typed, sp)))

@@ -5,73 +5,43 @@ theorem the paper states in section 5.1::
 
     init_state(P) = init_state(P') => final_state(P) = final_state(P')
 
-Three evidence levels, tried strongest-first:
+on the evidence ladder of :mod:`repro.evidence`; DESIGN.md §23 tables its
+rungs, their limits and which callers run them.
 
-``symbolic``      both subprograms have closed-form symbolic summaries and
-                  the summaries are identical terms after normalization
-                  (a proof, within the summarizable fragment);
-``exhaustive``    the input domain is finite and small; every initial state
-                  was executed on both sides (a proof by evaluation --
-                  Smith & Dill verified AES S-box properties the same way);
-``differential``  random initial states only (evidence, not proof; the
-                  theorem object records this honestly).
-
-The paper permits exactly this postponement: "the semantics-preserving
-proof can be postponed until the transformation has been shown to be
-useful" (section 5.2) -- differential evidence is our mechanized version of
-a postponed proof.
+The paper permits postponing the proof: "the semantics-preserving proof
+can be postponed until the transformation has been shown to be useful"
+(section 5.2) -- sampled evidence is our mechanized version of a
+postponed proof.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
+from ..evidence import Evidence, ladder
 from ..lang import TypedPackage
 from ..logic import Rewriter, default_rules
-from .differential import (
-    Counterexample, DifferentialResult, differential_check, exhaustive_check,
-)
-from .model import domain_size
+from .differential import differential_check, exhaustive_check
 from .symbolic import SymbolicExecutor, UnsupportedProgram
 
-__all__ = ["EquivalenceTheorem", "prove_equivalence", "EXHAUSTIVE_LIMIT"]
+__all__ = ["CHECKS", "preservation", "prove_equivalence"]
 
-EXHAUSTIVE_LIMIT = 1 << 16
-
-
-@dataclass(frozen=True)
-class EquivalenceTheorem:
-    """A (possibly postponed) semantics-preservation theorem instance."""
-
-    left: str
-    right: str
-    status: str            # 'proved', 'refuted', 'evidence'
-    evidence: str          # 'symbolic', 'exhaustive', 'differential'
-    trials: int = 0
-    counterexample: Optional[Counterexample] = None
-    detail: str = ""
-
-    @property
-    def holds(self) -> bool:
-        return self.status in ("proved", "evidence")
-
-    @property
-    def is_proof(self) -> bool:
-        return self.status == "proved"
+#: The rungs each ``check`` mode walks, strongest first.
+CHECKS = {"full": ("symbolic", "exhaustive", "sampled"),
+          "differential": ("sampled",),
+          "none": ()}
 
 
-def _try_symbolic(left_typed, left_name, right_typed, right_name
-                  ) -> Optional[EquivalenceTheorem]:
+def _symbolic(left_typed, left_name, right_typed, right_name
+              ) -> Optional[Evidence]:
     try:
         left_summary = SymbolicExecutor(left_typed).execute(left_name)
         right_summary = SymbolicExecutor(right_typed).execute(right_name)
     except UnsupportedProgram:
         return None
     if set(left_summary.outputs) != set(right_summary.outputs):
-        return EquivalenceTheorem(
-            left=left_name, right=right_name, status="refuted",
-            evidence="symbolic", detail="observable variables differ")
+        return Evidence("symbolic", False, "observable variables differ")
     rewriter = Rewriter(default_rules())
     for key in left_summary.outputs:
         a = rewriter.normalize(left_summary.outputs[key])
@@ -79,57 +49,36 @@ def _try_symbolic(left_typed, left_name, right_typed, right_name
         if a is not b:
             # Not syntactically equal after normalization: inconclusive
             # (terms may still be semantically equal), fall through to the
-            # evaluation-based levels.
+            # evaluation-based rungs.
             return None
-    return EquivalenceTheorem(
-        left=left_name, right=right_name, status="proved",
-        evidence="symbolic",
-        detail="symbolic summaries normalize identically")
+    return Evidence("symbolic", True,
+                    "symbolic summaries normalize identically")
+
+
+def preservation(left_typed: TypedPackage, left_name: str,
+                 right_typed: TypedPackage, right_name: str,
+                 sampled: Callable[[], Evidence], check: str = "full",
+                 sampler=None) -> Optional[Evidence]:
+    """Walk ``check``'s rungs (:data:`CHECKS`) for one theorem; None when
+    ``check`` has none.  ``sampled`` is the caller's sampled rung.  With
+    a custom ``sampler`` the theorem is relative to the sampled input
+    domain (a documented precondition), so only ``sampled`` runs."""
+    args = (left_typed, left_name, right_typed, right_name)
+    rungs = {"symbolic": partial(_symbolic, *args),
+             "exhaustive": partial(exhaustive_check, *args),
+             "sampled": sampled}
+    return ladder(rungs[level] for level in CHECKS[check]
+                  if sampler is None or level == "sampled")
 
 
 def prove_equivalence(left_typed: TypedPackage, left_name: str,
                       right_typed: TypedPackage, right_name: str = None,
                       trials: int = 64, seed: int = 20090701,
-                      exhaustive_limit: int = EXHAUSTIVE_LIMIT,
-                      sampler=None) -> EquivalenceTheorem:
-    """Discharge the preservation theorem at the strongest feasible level.
-
-    With a custom ``sampler`` the theorem is relative to the sampled input
-    domain (a documented precondition), so only differential evidence is
-    gathered."""
-    if right_name is None:
-        right_name = left_name
-
-    if sampler is None:
-        symbolic = _try_symbolic(left_typed, left_name,
-                                 right_typed, right_name)
-        if symbolic is not None:
-            return symbolic
-
-        sp = left_typed.signatures[left_name]
-        if domain_size(left_typed, sp, exhaustive_limit) is not None:
-            result = exhaustive_check(left_typed, left_name,
-                                      right_typed, right_name,
-                                      limit=exhaustive_limit)
-            return _from_dynamic(result, left_name, right_name,
-                                 "exhaustive", proved=True)
-
-    result = differential_check(left_typed, left_name,
-                                right_typed, right_name,
-                                trials=trials, seed=seed, sampler=sampler)
-    return _from_dynamic(result, left_name, right_name,
-                         "differential", proved=False)
-
-
-def _from_dynamic(result: DifferentialResult, left_name, right_name,
-                  evidence, proved: bool) -> EquivalenceTheorem:
-    if not result.equivalent:
-        return EquivalenceTheorem(
-            left=left_name, right=right_name, status="refuted",
-            evidence=evidence, trials=result.trials,
-            counterexample=result.counterexample)
-    return EquivalenceTheorem(
-        left=left_name, right=right_name,
-        status="proved" if proved else "evidence",
-        evidence=evidence, trials=result.trials,
-        detail=f"{result.trials} initial states agreed")
+                      sampler=None) -> Evidence:
+    """Discharge the preservation theorem at the strongest feasible
+    level, sampling (unscheduled) as the last rung."""
+    args = (left_typed, left_name, right_typed, right_name or left_name)
+    return preservation(*args, partial(differential_check, *args,
+                                       trials=trials, seed=seed,
+                                       sampler=sampler),
+                        sampler=sampler)

@@ -18,7 +18,7 @@ configuration.  Two layers:
   fsync: a lost entry is only a miss.
 
 Correctness stance: a hit replays the recorded result verbatim -- the same
-``ProofResult``/``LemmaOutcome`` contents the original discharge produced
+``ProofResult``/lemma ``Evidence`` contents the original discharge produced
 -- so every downstream statistic (VC outcome stages, auto-percentages,
 lemma evidence levels) is identical to a cold run.  See DESIGN.md
 ("Obligation-level execution").

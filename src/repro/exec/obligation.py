@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
+from ..evidence import Evidence
 from .cache import make_key
 
 __all__ = [
@@ -138,32 +139,27 @@ def equiv_trial_obligation(index: int, name: str, initial,
 # ---------------------------------------------------------------------------
 
 def _encode_lemma_outcome(outcome):
-    """Scalar fields of a LemmaOutcome -- shared by the on-disk cache
-    codec and the process backend's result wire."""
-    return {"proved": outcome.proved, "evidence": outcome.evidence,
-            "is_proof": outcome.is_proof, "detail": outcome.detail,
-            "manual_steps": outcome.manual_steps}
+    """A lemma's ``(evidence, manual steps)`` as JSON -- shared by the
+    on-disk cache codec and the process backend's result wire."""
+    evidence, manual_steps = outcome
+    return dict(evidence.to_json(), manual_steps=manual_steps)
+
+
+def _decode_lemma_outcome(wire):
+    """The inverse of :func:`_encode_lemma_outcome`; a record of another
+    shape raises, which the cache reads as a miss."""
+    return Evidence.from_json(wire), int(wire["manual_steps"])
 
 
 def lemma_obligation(lemma, discharge: Callable[[], Any], *,
                      original_fp: str, extracted_fp: str,
                      seed: int, payload=None) -> Obligation:
     """Wrap one implication-lemma discharge.  ``discharge`` returns the
-    :class:`~repro.implication.prover.LemmaOutcome`; the on-disk codec
-    stores its scalar fields and re-attaches the in-memory lemma object on
-    decode."""
-
-    def decode(wire):
-        from ..implication.prover import LemmaOutcome
-        return LemmaOutcome(lemma=lemma, proved=wire["proved"],
-                            evidence=wire["evidence"],
-                            is_proof=wire["is_proof"],
-                            detail=wire["detail"],
-                            manual_steps=wire["manual_steps"])
-
+    lemma's ``(Evidence, manual steps)``
+    (:func:`~repro.implication.prover.discharge_lemma`)."""
     key = make_key(LEMMA, original_fp, extracted_fp, lemma.name, lemma.kind,
                    lemma.original, lemma.extracted, f"seed={seed}")
     return Obligation(
         kind=LEMMA, label=f"lemma:{lemma.name}", thunk=discharge,
-        cache_key=key, encode=_encode_lemma_outcome, decode=decode,
-        payload=payload)
+        cache_key=key, encode=_encode_lemma_outcome,
+        decode=_decode_lemma_outcome, payload=payload)

@@ -13,9 +13,10 @@ panels of figure 2 are columns of the resulting table:
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from ..aes.blocks import AESPipeline, BlockResult
 from ..aes.fips197 import fips197_theory
@@ -45,6 +46,7 @@ class BlockMeasurement:
     simulated_seconds: float
     wall_seconds: float
     match_percent: float
+    theorem_levels: Dict[str, int]   # preservation theorems by level
 
 
 def _measure(block: BlockResult, limits: ExaminerLimits) -> BlockMeasurement:
@@ -76,6 +78,9 @@ def _measure(block: BlockResult, limits: ExaminerLimits) -> BlockMeasurement:
         simulated_seconds=report.simulated_seconds,
         wall_seconds=report.wall_seconds,
         match_percent=ratio.percent,
+        theorem_levels=dict(collections.Counter(
+            theorem.level for app in block.applications
+            for theorem in app.theorems.values())),
     )
 
 

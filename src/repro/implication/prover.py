@@ -1,55 +1,51 @@
 """Discharging implication lemmas.
 
-Strategies, strongest first (the evidence level is recorded per lemma):
-
-``table``        table lemmas compare constant values outright (a proof);
-``symbolic``     both function bodies are symbolically evaluated to terms
-                 (Build/Let unrolled, arrays as store chains, matched
-                 callee names unified via the architectural map -- i.e.
-                 by appeal to already-proved lemmas, which is exactly
-                 proof by congruence) and the normal forms are identical;
-``exhaustive``   the parameter domain is finite and small: both sides are
-                 evaluated on every input (proof by evaluation);
-``sampled``      random inputs only -- honest evidence, not proof; this is
-                 where our mechanization is weaker than the paper's
-                 interactive PVS proofs (see DESIGN.md).
+A table lemma compares constant values outright (``table``).  A function
+lemma walks the evidence ladder of :mod:`repro.evidence`; DESIGN.md §23
+tables its rungs, their limits and which callers run them.  The
+``symbolic`` rung evaluates both function bodies to terms (Build/Let
+unrolled, arrays as store chains, matched callee names unified via the
+architectural map -- i.e. by appeal to already-proved lemmas, which is
+exactly proof by congruence) and compares their normal forms.  The
+``sampled`` rung is where our mechanization is weaker than the paper's
+interactive PVS proofs (see DESIGN.md).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
-from dataclasses import dataclass
-from typing import Dict, Optional
+from functools import partial
+from typing import Dict, Iterable, Optional, Tuple
 
+from ..evidence import EXHAUSTIVE_LIMIT, Evidence, ladder
 from ..extract.mapper import ArchitecturalMap
 from ..logic import (
-    Rewriter, Rule, Term, default_rules, eq, intc, ite, select, store, var,
+    Rewriter, Rule, Term, add, apply, band, boolc, bor, conj, default_rules,
+    disj, divi, eq, ge, gt, intc, ite, le, lt, modi, mul, ne, neg, select,
+    shl, shr, store, sub, var, xor,
 )
 from ..logic.rules import select_store_split
 from ..spec import SpecEvalError, SpecEvaluator
 from ..spec import ast as s
 from .lemmas import Lemma
 
-__all__ = ["LemmaOutcome", "discharge_lemma", "SpecTermError"]
+__all__ = ["discharge_lemma", "SpecTermError"]
 
-_EXHAUSTIVE_LIMIT = 1 << 16
 _SAMPLE_TRIALS = 48
 _UNROLL_BUDGET = 300_000
+
+_BINARY = {"+": add, "-": sub, "*": mul, "DIV": divi, "MOD": modi,
+           "<": lt, "<=": le, ">": gt, ">=": ge, "=": eq, "/=": ne,
+           "AND": conj, "OR": disj}
+_BUILTINS = {"XOR": xor, "BITAND": band, "BITOR": bor, "SHL": shl,
+             "SHR": shr}
 
 
 class SpecTermError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class LemmaOutcome:
-    lemma: Lemma
-    proved: bool
-    evidence: str    # 'table', 'symbolic', 'exhaustive', 'sampled'
-    is_proof: bool   # sampled evidence is not a proof
-    detail: str = ""
-    manual_steps: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -81,19 +77,12 @@ class _SpecTermBuilder:
 
     def function_term(self, fname: str, fixed=None) -> Term:
         fn = self.functions[fname]
-        env = {}
-        for i, (p, _) in enumerate(fn.params):
-            if fixed and p in fixed:
-                env[p] = intc(fixed[p])
-            else:
-                env[p] = var(f"arg{i}")
+        env = {p: intc(fixed[p]) if fixed and p in fixed else var(f"arg{i}")
+               for i, (p, _) in enumerate(fn.params)}
         return self._eval(fn.body, env, depth=0)
 
     def _eval(self, e: s.SExpr, env: Dict[str, Term], depth: int) -> Term:
         self._charge()
-        from ..logic import (add, band, bor, conj, disj, divi, ge, gt, le,
-                             lt, modi, mul, ne, neg, shl, shr, sub, xor,
-                             apply, boolc)
         if isinstance(e, s.Num):
             return intc(e.value)
         if isinstance(e, s.BoolConst):
@@ -146,16 +135,11 @@ class _SpecTermBuilder:
         if isinstance(e, s.Bin):
             left = self._eval(e.left, env, depth)
             right = self._eval(e.right, env, depth)
-            ops = {"+": add, "-": sub, "*": mul, "DIV": divi, "MOD": modi,
-                   "<": lt, "<=": le, ">": gt, ">=": ge, "=": eq,
-                   "/=": ne, "AND": conj, "OR": disj}
-            return ops[e.op](left, right)
+            return _BINARY[e.op](left, right)
         if isinstance(e, s.Call):
-            builtins = {"XOR": xor, "BITAND": band, "BITOR": bor,
-                        "SHL": shl, "SHR": shr}
             args = [self._eval(a, env, depth) for a in e.args]
-            if e.fn in builtins:
-                return builtins[e.fn](*args)
+            if e.fn in _BUILTINS:
+                return _BUILTINS[e.fn](*args)
             if e.fn == "NOT":
                 return neg(args[0])
             if e.fn in self.rename:
@@ -175,24 +159,17 @@ class _SpecTermBuilder:
                 hit = self._call_memo.get(memo_key)
                 if hit is not None:
                     return hit
-            result = self._eval(callee.body, inner,
-                                depth + (1 if not callee.recursive else 1))
+            result = self._eval(callee.body, inner, depth + 1)
             if memo_key is not None:
                 self._call_memo[memo_key] = result
             return result
         raise SpecTermError(f"cannot build term for {type(e).__name__}")
 
 
-_normalizer = None
-
-
-def _normalize(term: Term) -> Term:
-    global _normalizer
-    if _normalizer is None:
-        _normalizer = Rewriter(
-            default_rules()
-            + [Rule("select-store-split", "arrays", select_store_split)])
-    return _normalizer.normalize(term)
+@functools.lru_cache(maxsize=None)
+def _normalizer() -> Rewriter:
+    return Rewriter(default_rules() + [
+        Rule("select-store-split", "arrays", select_store_split)])
 
 
 # ---------------------------------------------------------------------------
@@ -203,63 +180,32 @@ _SWEEP_LIMIT = 16  # max cases for a small-parameter sweep
 _SWEEP_PARAM_MAX = 31
 
 
-def _small_param_sweep(theory: s.Theory, fname: str, param_types):
+def _small_param_sweep(params):
     """Bindings fixing every tiny scalar parameter to each of its values
     (so, e.g., a round-number parameter is swept 0..10 while the key stays
     symbolic).  Returns [{}] when no such parameter exists."""
-    from ..spec.typecheck import _Checker
-    checker = _Checker(theory)
-    checker.run()
-    fn = checker.functions[fname]
-    names = [p for p, _ in fn.params]
-    candidates = []
-    for name, t in zip(names, param_types):
-        if isinstance(t, s.SubrangeType) and t.hi <= _SWEEP_PARAM_MAX:
-            candidates.append((name, t.hi))
-    if not candidates:
+    names = [name for name, t in params if isinstance(t, s.SubrangeType)
+             and t.hi <= _SWEEP_PARAM_MAX]
+    ranges = [range(t.hi + 1) for name, t in params if name in names]
+    if not names or math.prod(map(len, ranges)) > _SWEEP_LIMIT:
         return [{}]
-    total = 1
-    for _, hi in candidates:
-        total *= hi + 1
-    if total > _SWEEP_LIMIT:
-        return [{}]
-    sweeps = [{}]
-    for name, hi in candidates:
-        sweeps = [dict(b, **{name: v}) for b in sweeps
-                  for v in range(hi + 1)]
-    return sweeps
+    return [dict(zip(names, values))
+            for values in itertools.product(*ranges)]
 
 
-def _resolved_param_types(theory: s.Theory, fname: str):
-    from ..spec.typecheck import _Checker, _resolve
-    checker = _Checker(theory)
-    checker.run()
-    fn = checker.functions[fname]
-    return [_resolve(t, checker.types) for _, t in fn.params]
-
-
-def _domain_size(types) -> Optional[int]:
-    total = 1
-    for t in types:
-        if isinstance(t, s.SubrangeType):
-            total *= t.hi + 1
-        elif isinstance(t, s.BoolType):
-            total *= 2
-        else:
-            return None
-        if total > _EXHAUSTIVE_LIMIT:
-            return None
-    return total
-
-
-def _enumerate(types):
+def _domain(types) -> Optional[list]:
+    """Each parameter's values, when the whole domain is finite and has
+    at most :data:`~repro.evidence.EXHAUSTIVE_LIMIT` inputs."""
     ranges = []
     for t in types:
         if isinstance(t, s.SubrangeType):
             ranges.append(range(t.hi + 1))
-        else:
+        elif isinstance(t, s.BoolType):
             ranges.append((False, True))
-    return itertools.product(*ranges)
+        else:
+            return None
+    return None if math.prod(map(len, ranges)) > EXHAUSTIVE_LIMIT \
+        else ranges
 
 
 def _sample(t, rng: random.Random):
@@ -278,88 +224,91 @@ def _sample(t, rng: random.Random):
 # Lemma discharge
 # ---------------------------------------------------------------------------
 
-def discharge_lemma(lemma: Lemma,
-                    original: s.Theory, extracted: s.Theory,
-                    amap: ArchitecturalMap,
-                    orig_eval: SpecEvaluator, ext_eval: SpecEvaluator,
-                    seed: int = 20090701) -> LemmaOutcome:
-    if lemma.kind == "table":
-        left = orig_eval.constant(lemma.original)
-        right = ext_eval.constant(lemma.extracted)
-        return LemmaOutcome(
-            lemma=lemma, proved=left == right, evidence="table",
-            is_proof=True,
-            detail=f"{len(left)} entries compared")
-
-    # Function lemma.  1) symbolic comparison with congruence renaming:
-    # matched elements stay as applications on both sides (appealing to
-    # their already-proved lemmas); unmatched definitions are expanded.
+def _symbolic(lemma: Lemma, original: s.Theory, extracted: s.Theory,
+              amap: ArchitecturalMap, sweep) -> Optional[Evidence]:
+    """Symbolic comparison with congruence renaming: matched elements
+    stay as applications on both sides (appealing to their
+    already-proved lemmas); unmatched definitions are expanded.  Gives
+    up when the normal forms differ or the terms cannot be built."""
     rename_ext = {p.extracted: p.original for p in amap.pairs}
     rename_orig = {p.original: p.original for p in amap.pairs}
     # The lemma under proof must not appeal to itself.
     rename_ext.pop(lemma.extracted, None)
     rename_orig.pop(lemma.original, None)
-    manual_steps = 0
-    param_types = _resolved_param_types(original, lemma.original)
-    sweep = _small_param_sweep(original, lemma.original, param_types)
+    orig_builder = _SpecTermBuilder(original, rename=rename_orig)
+    ext_builder = _SpecTermBuilder(extracted, rename=rename_ext)
+    normalize = _normalizer().normalize
     try:
-        orig_builder = _SpecTermBuilder(original, rename=rename_orig)
-        ext_builder = _SpecTermBuilder(extracted, rename=rename_ext)
-        manual_steps = 2  # expand definitions on both sides
-        proved_symbolically = True
         for fixed in sweep:
             orig_term = orig_builder.function_term(lemma.original, fixed)
             ext_term = ext_builder.function_term(lemma.extracted, fixed)
-            if _normalize(orig_term) is not _normalize(ext_term):
-                proved_symbolically = False
-                break
-        if proved_symbolically:
-            cases = "" if len(sweep) == 1 else f" ({len(sweep)} cases)"
-            return LemmaOutcome(
-                lemma=lemma, proved=True, evidence="symbolic", is_proof=True,
-                detail="normal forms identical after definition expansion "
-                       f"and congruence renaming{cases}",
-                manual_steps=manual_steps + (len(sweep) if len(sweep) > 1
-                                             else 0))
+            if normalize(orig_term) is not normalize(ext_term):
+                return None
     except SpecTermError:
-        pass
+        return None
+    cases = "" if len(sweep) == 1 else f" ({len(sweep)} cases)"
+    return Evidence("symbolic", True,
+                    "normal forms identical after definition expansion "
+                    f"and congruence renaming{cases}")
 
-    # 2) exhaustive evaluation over small finite domains.
-    size = _domain_size(param_types)
-    if size is not None:
-        for args in _enumerate(param_types):
-            try:
-                left = orig_eval.call(lemma.original, list(args))
-                right = ext_eval.call(lemma.extracted, list(args))
-            except SpecEvalError as exc:
-                return LemmaOutcome(
-                    lemma=lemma, proved=False, evidence="exhaustive",
-                    is_proof=True, detail=f"evaluation fault at {args}: {exc}")
-            if left != right:
-                return LemmaOutcome(
-                    lemma=lemma, proved=False, evidence="exhaustive",
-                    is_proof=True,
-                    detail=f"counterexample at {args}: {left} /= {right}")
-        return LemmaOutcome(
-            lemma=lemma, proved=True, evidence="exhaustive", is_proof=True,
-            detail=f"all {size} inputs agree", manual_steps=manual_steps + 1)
 
-    # 3) sampled evaluation.
-    rng = random.Random(seed)
-    for trial in range(_SAMPLE_TRIALS):
-        args = [_sample(t, rng) for t in param_types]
+def _evaluated(level: str, lemma: Lemma, orig_eval: SpecEvaluator,
+               ext_eval: SpecEvaluator, inputs: Iterable,
+               agreed: str) -> Evidence:
+    """Both sides evaluated on each of ``inputs``: refuted by the first
+    fault or difference, else ``agreed``."""
+    for args in inputs:
+        args = list(args)
         try:
-            left = orig_eval.call(lemma.original, list(args))
-            right = ext_eval.call(lemma.extracted, list(args))
+            left = orig_eval.call(lemma.original, args)
+            right = ext_eval.call(lemma.extracted, args)
         except SpecEvalError as exc:
-            return LemmaOutcome(
-                lemma=lemma, proved=False, evidence="sampled", is_proof=False,
-                detail=f"evaluation fault: {exc}")
+            return Evidence(level, False,
+                            f"evaluation fault at {args}: {exc}")
         if left != right:
-            return LemmaOutcome(
-                lemma=lemma, proved=False, evidence="sampled", is_proof=False,
-                detail=f"counterexample on trial {trial + 1}")
-    return LemmaOutcome(
-        lemma=lemma, proved=True, evidence="sampled", is_proof=False,
-        detail=f"{_SAMPLE_TRIALS} random inputs agree",
-        manual_steps=manual_steps + 2)
+            return Evidence(level, False,
+                            f"counterexample at {args}: {left} /= {right}")
+    return Evidence(level, True, agreed)
+
+
+def _exhaustive(lemma, orig_eval, ext_eval, types) -> Optional[Evidence]:
+    ranges = _domain(types)
+    if ranges is None:
+        return None
+    return _evaluated("exhaustive", lemma, orig_eval, ext_eval,
+                      itertools.product(*ranges),
+                      f"all {math.prod(map(len, ranges))} inputs agree")
+
+
+def _sampled(lemma, orig_eval, ext_eval, types, seed) -> Evidence:
+    rng = random.Random(seed)
+    return _evaluated("sampled", lemma, orig_eval, ext_eval,
+                      ([_sample(t, rng) for t in types]
+                       for _ in range(_SAMPLE_TRIALS)),
+                      f"{_SAMPLE_TRIALS} random inputs agree")
+
+
+def discharge_lemma(lemma: Lemma,
+                    original: s.Theory, extracted: s.Theory,
+                    amap: ArchitecturalMap,
+                    orig_eval: SpecEvaluator, ext_eval: SpecEvaluator,
+                    seed: int = 20090701) -> Tuple[Evidence, int]:
+    """The lemma's evidence and its manual proof steps: 2 to expand both
+    sides' definitions, plus one per swept case of a symbolic proof, 1
+    for an exhaustive or 2 for a sampled one; none if refuted."""
+    if lemma.kind == "table":
+        left = orig_eval.constant(lemma.original)
+        right = ext_eval.constant(lemma.extracted)
+        return Evidence("table", left == right,
+                        f"{len(left)} entries compared"), 0
+
+    params = orig_eval.params(lemma.original)
+    types = [t for _, t in params]
+    sweep = _small_param_sweep(params)
+    evidence = ladder((
+        partial(_symbolic, lemma, original, extracted, amap, sweep),
+        partial(_exhaustive, lemma, orig_eval, ext_eval, types),
+        partial(_sampled, lemma, orig_eval, ext_eval, types, seed)))
+    steps = {"symbolic": len(sweep) if len(sweep) > 1 else 0,
+             "exhaustive": 1, "sampled": 2}
+    return evidence, (2 + steps[evidence.level]) if evidence.holds else 0

@@ -9,17 +9,19 @@ evidence level.
 
 from __future__ import annotations
 
+import collections
 import time
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from ..exec.config import coerce_exec_config
 from ..extract.mapper import ArchitecturalMap, build_map
 from ..extract.matchratio import MatchRatio, match_ratio
 from ..prover import AutoProver
+from ..evidence import Evidence
 from ..spec import SpecEvaluator, ast as s
-from .lemmas import generate_lemmas, implication_tccs
-from .prover import LemmaOutcome, discharge_lemma
+from .lemmas import Lemma, generate_lemmas, implication_tccs
+from .prover import discharge_lemma
 
 __all__ = ["ImplicationResult", "prove_implication"]
 
@@ -30,7 +32,8 @@ class ImplicationResult:
     extracted: s.Theory
     map: ArchitecturalMap
     ratio: MatchRatio
-    outcomes: List[LemmaOutcome]
+    #: ``(lemma, evidence, manual steps)`` per lemma, callees first.
+    outcomes: List[Tuple[Lemma, Evidence, int]]
     tcc_total: int
     tcc_proved: int
     tcc_subsumed: int
@@ -44,35 +47,33 @@ class ImplicationResult:
     @property
     def holds(self) -> bool:
         return (bool(self.outcomes)
-                and all(o.proved for o in self.outcomes)
+                and all(e.holds for _, e, _ in self.outcomes)
                 and self.tcc_unproved == 0)
 
     @property
     def is_proof(self) -> bool:
         """True when every lemma was discharged at a proof-strength level
         (no sampled evidence)."""
-        return self.holds and all(o.is_proof for o in self.outcomes)
+        return self.holds and all(e.is_proof for _, e, _ in self.outcomes)
 
     @property
-    def failed(self) -> List[LemmaOutcome]:
-        return [o for o in self.outcomes if not o.proved]
+    def failed(self) -> List[Tuple[Lemma, Evidence]]:
+        return [(lemma, e) for lemma, e, _ in self.outcomes if not e.holds]
 
     def by_evidence(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for o in self.outcomes:
-            out[o.evidence] = out.get(o.evidence, 0) + 1
-        return out
+        """Lemmas by evidence level."""
+        return dict(collections.Counter(e.level for _, e, _ in self.outcomes))
 
     @property
     def interactive_lemmas(self) -> int:
         """Lemmas that needed 'manual guidance' (tactic steps beyond plain
         automation) -- the paper: "In most cases, the PVS theorem prover
         could not prove the lemmas completely automatically"."""
-        return sum(1 for o in self.outcomes if o.manual_steps > 0)
+        return sum(1 for _, _, steps in self.outcomes if steps > 0)
 
     @property
     def total_manual_steps(self) -> int:
-        return sum(o.manual_steps for o in self.outcomes)
+        return sum(steps for _, _, steps in self.outcomes)
 
 
 def prove_implication(original: s.Theory, extracted: s.Theory,
@@ -121,7 +122,8 @@ def prove_implication(original: s.Theory, extracted: s.Theory,
         for lemma in lemmas
     ]
     with config.scheduler() as scheduler:
-        outcomes = [result.value for result in scheduler.run(obligations)]
+        outcomes = [(lemma, *result.value) for lemma, result
+                    in zip(lemmas, scheduler.run(obligations))]
 
     # Implication-theorem TCCs, discharged automatically with subsumption
     # accounting (duplicates across byte-typed signatures).

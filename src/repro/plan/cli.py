@@ -31,14 +31,17 @@ def render_report(result, elapsed: float) -> str:
         f"chain digest: {result.chain_digest}",
         "reused: " + ", ".join(f"{kind} {count}"
                                for kind, count in result.reused.items()),
+        "edges by evidence level: " + ", ".join(
+            f"{level} {count}"
+            for level, count in result.edge_levels.items()),
         f"wall time: {elapsed:.1f} s",
         "",
-        "| # | step | origin | match % | score |",
-        "|---|------|--------|---------|-------|",
+        "| # | step | origin | evidence | match % | score |",
+        "|---|------|--------|----------|---------|-------|",
     ]
     for i, step in enumerate(result.steps, start=1):
         lines.append(
-            f"| {i} | {step.description} | {step.origin} "
+            f"| {i} | {step.description} | {step.origin} | {step.level} "
             f"| {step.match_percent:.1f} | {step.score:+.4f} |")
     evaluation = result.final_evaluation
     if evaluation is not None:

@@ -50,6 +50,9 @@ class PlanStep:
     score: float = 0.0
     match_percent: float = 0.0
     fingerprint: str = ""
+    #: The weakest evidence level of the edge's theorems, stamped when
+    #: the edge is accepted.
+    level: str = ""
 
     def to_json(self) -> dict:
         import dataclasses

@@ -35,10 +35,14 @@ asserted by ``benchmarks/bench_plan.py``.
 
 from __future__ import annotations
 
+import collections
+import dataclasses
 from dataclasses import dataclass, field
 from types import FunctionType
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..equiv import CHECKS
+from ..evidence import Evidence, weakest
 from ..exec import (
     CallPayload, ExecConfig, Obligation, ObligationScheduler,
     coerce_exec_config, make_key, package_fingerprint, theory_fingerprint,
@@ -90,6 +94,11 @@ class PlanResult:
     def step_count(self) -> int:
         return len(self.steps)
 
+    @property
+    def edge_levels(self) -> Dict[str, int]:
+        """The chain's edges by their theorems' weakest evidence level."""
+        return dict(collections.Counter(s.level for s in self.steps))
+
     def to_json(self) -> dict:
         return {
             "found": self.found,
@@ -104,6 +113,7 @@ class PlanResult:
             "validations": self.validations,
             "rejected": [list(r) for r in self.rejected],
             "reused": dict(self.reused),
+            "edge_levels": self.edge_levels,
         }
 
 
@@ -132,6 +142,9 @@ class Planner:
         and theorem verdicts are records in the ``exec`` config's result
         cache, so a replan over a disk-tier cache replays warm
         (DESIGN.md §18)."""
+        if check not in CHECKS:
+            raise ValueError(f"check must be one of {', '.join(CHECKS)}, "
+                             f"not {check!r}")
         self.typed = analyze(package)
         self.observables = list(observables)
         self.reference = reference
@@ -236,20 +249,21 @@ class Planner:
                              self.check, self.trials, self.seed,
                              self.observables, self.samplers)
         hit, verdict = (False, None) if self._cache is None \
-            else self._cache.get(key, decode=_verdict)
+            else self._cache.get(key, decode=Evidence.from_json)
         if hit:
             # A cached verdict still counts as a validation: the edge
             # was checked, just not by this search.
-            if not verdict["ok"]:
+            if not verdict.holds:
                 self._validations += 1
                 rejected.append((token, state.transformation.describe(),
-                                 verdict["reason"]))
+                                 verdict.detail))
                 self._log(f"rejected (cached theorem): "
                           f"{state.transformation.describe()}: "
-                          f"{verdict['reason']}")
+                          f"{verdict.detail}")
                 return False
             if self._replay_accepted(state, parent_fp):
                 self._validations += 1
+                _stamp(state, verdict)
                 last = state.chain[-1]
                 self._log(f"step {state.depth}: {last.description} "
                           f"(score {state.score:+.4f}, "
@@ -268,17 +282,20 @@ class Planner:
             samplers=self.samplers, exec=self.exec,
             check_observables=True, memo=self._memo)
         try:
-            engine.apply(state.transformation)
+            application = engine.apply(state.transformation)
         except TransformationError as exc:
             self._validations += 1
             rejected.append((token, state.transformation.describe(),
                              str(exc)))
-            self._record_verdict(key, False, str(exc))
+            self._record_verdict(key, Evidence(exc.level, False, str(exc)))
             self._log(f"rejected (theorem): "
                       f"{state.transformation.describe()}: {exc}")
             return False
         self._validations += 1
-        self._record_verdict(key, True)
+        verdict = weakest(application.theorems.values()) or Evidence(
+            "sampled", True, "no theorem checked")
+        self._record_verdict(key, verdict)
+        _stamp(state, verdict)
         state.package = engine.package
         self._memo.remember_typed(state.fingerprint, engine.typed)
         last = state.chain[-1]
@@ -287,10 +304,9 @@ class Planner:
                   f"match {last.match_percent:.1f}%)")
         return True
 
-    def _record_verdict(self, key: str, ok: bool, reason: str = "") -> None:
+    def _record_verdict(self, key: str, verdict: Evidence) -> None:
         if self._cache is not None:
-            self._cache.put(key, {"ok": ok, "reason": reason},
-                            encode=_identity)
+            self._cache.put(key, verdict, encode=Evidence.to_json)
 
     def _replay_accepted(self, state: PlanState, parent_fp: str) -> bool:
         """Materialize a cached-accepted edge mechanically: apply the
@@ -503,8 +519,14 @@ def _sampler_name(fn) -> str:
     return repr(fn)
 
 
+def _stamp(state: PlanState, verdict: Evidence) -> None:
+    """Record an accepted edge's level on the state's incoming step."""
+    state.chain = state.chain[:-1] + (
+        dataclasses.replace(state.chain[-1], level=verdict.level),)
+
+
 def _identity(value):
-    """JSON codec for evaluations and verdicts, which are plain dicts."""
+    """JSON codec for evaluations, which are plain dicts."""
     return value
 
 
@@ -515,10 +537,3 @@ def _evaluation(value):
     StateEvaluation.from_json(value)
     return value
 
-
-def _verdict(value):
-    """Decoder of verdict records (a malformed one is a miss)."""
-    if not (isinstance(value["ok"], bool)
-            and isinstance(value["reason"], str)):
-        raise TypeError(f"not a theorem verdict: {value!r}")
-    return value

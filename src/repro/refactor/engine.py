@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..equiv import EquivalenceTheorem, prove_equivalence
+from ..equiv import CHECKS
+from ..equiv.theorem import preservation
+from ..evidence import Evidence
 from ..exec.config import ExecConfig, coerce_exec_config
 from ..lang import TypedPackage, analyze, ast
 from ..lang.errors import TypeError_
@@ -37,7 +39,13 @@ __all__ = [
 
 
 class TransformationError(Exception):
-    """The transformation is not applicable (with the reason)."""
+    """The transformation is not applicable (with the reason).  ``level``
+    is a refuting theorem's, or ``symbolic`` for a refusal decided on the
+    program text alone."""
+
+    def __init__(self, message: str, level: str = "symbolic"):
+        super().__init__(message)
+        self.level = level
 
 
 # ---------------------------------------------------------------------------
@@ -222,16 +230,16 @@ class Transformation:
 
 @dataclass
 class Application:
-    """Record of one applied transformation (with its theorem)."""
+    """Record of one applied transformation (its theorems by subprogram)."""
 
     transformation: str
     category: str
     description: str
-    theorems: List[EquivalenceTheorem] = field(default_factory=list)
+    theorems: Dict[str, Evidence] = field(default_factory=dict)
 
     @property
     def preserved(self) -> bool:
-        return all(t.holds for t in self.theorems)
+        return all(t.holds for t in self.theorems.values())
 
 
 class RefactoringEngine:
@@ -239,10 +247,11 @@ class RefactoringEngine:
 
     ``observables`` are the interface subprograms; each application's
     preservation theorem is discharged on every observable that exists with
-    an unchanged signature on both sides.  ``check`` selects the evidence
-    budget: ``"full"`` (symbolic, then exhaustive, then differential),
-    ``"differential"`` (dynamic only; faster), or ``"none"`` (postpone the
-    proof, as section 5.2 explicitly permits)."""
+    an unchanged signature on both sides.  ``check`` selects the rungs of
+    the evidence ladder (:data:`~repro.equiv.theorem.CHECKS`): ``"full"``
+    (symbolic, then exhaustive, then sampled), ``"differential"`` (sampled
+    only; faster), or ``"none"`` (postpone the proof, as section 5.2
+    explicitly permits)."""
 
     def __init__(self, package: ast.Package,
                  observables: Sequence[str],
@@ -253,6 +262,9 @@ class RefactoringEngine:
                  exec: Optional[ExecConfig] = None,
                  check_observables: bool = False,
                  memo=None):
+        if check not in CHECKS:
+            raise ValueError(f"check must be one of {', '.join(CHECKS)}, "
+                             f"not {check!r}")
         self.typed = analyze(package)
         self.observables = list(observables)
         self.check = check
@@ -307,14 +319,15 @@ class RefactoringEngine:
             category=transformation.category,
             description=transformation.describe(),
         )
-        if self.check != "none":
+        if CHECKS[self.check]:
             for name in self._checkable(before, after, transformation):
                 theorem = self._theorem(before, after, name)
-                application.theorems.append(theorem)
+                application.theorems[name] = theorem
                 if not theorem.holds:
                     raise TransformationError(
                         f"{transformation.name}: semantics NOT preserved for "
-                        f"{name}: {theorem.counterexample}")
+                        f"{name}: {theorem.counterexample or theorem.detail}",
+                        level=theorem.level)
         self.history.append((application, before.package))
         self.typed = after
         return application
@@ -361,30 +374,20 @@ class RefactoringEngine:
         return out
 
     def _theorem(self, before: TypedPackage, after: TypedPackage,
-                 name: str) -> EquivalenceTheorem:
+                 name: str) -> Evidence:
         sampler = self.samplers.get(name)
-        if self.check == "differential":
-            from ..equiv.theorem import _from_dynamic
-            result = self._differential(before, after, name, sampler)
-            return _from_dynamic(result, name, name, "differential",
-                                 proved=False)
-        return prove_equivalence(before, name, after, name,
-                                 trials=self.trials, seed=self.seed,
-                                 sampler=sampler)
+        return preservation(
+            before, name, after, name,
+            lambda: self._differential(before, after, name, sampler),
+            check=self.check, sampler=sampler)
 
     def _differential(self, before: TypedPackage, after: TypedPackage,
-                      name: str, sampler):
-        """Differential check through the obligation scheduler: one
-        obligation per trial.
-
-        Initial states come from :func:`~repro.equiv.differential
-        .trial_states`, the draw :func:`~repro.equiv.differential
-        .differential_check` makes, then the per-trial comparisons fan
-        out.  With ``jobs=1`` the scheduler runs them in order and stops
-        at the first counterexample -- exactly the historical work and
-        result; with ``jobs>1`` all trials run concurrently and the
-        earliest counterexample (by trial index) is reported, so the
-        ``DifferentialResult`` is the same either way.
+                      name: str, sampler) -> Evidence:
+        """The sampled rung of every check mode: ``differential_check``'s
+        trial states and evidence, with one scheduler obligation per
+        trial.  Serially the trials stop at the first counterexample; in
+        parallel they all run and the earliest (by trial index) is
+        reported, so the evidence is the same either way.
 
         With a search memo, every trial runs in this process, where the
         memo is: the obligations carry no payload, so the scheduler runs
@@ -394,7 +397,7 @@ class RefactoringEngine:
         after side runs on every trial.  Without a memo, each trial ships
         as an :class:`~repro.exec.payload.EquivTrialPayload`."""
         from ..equiv.differential import (
-            DifferentialResult, _compare, _run, trial_states,
+            _compare, _run, trial_evidence, trial_states,
         )
         from ..equiv.model import state_key
         from ..exec import EquivTrialPayload, equiv_trial_obligation, \
@@ -432,32 +435,19 @@ class RefactoringEngine:
             results = scheduler.run(
                 obligations, stop_on=lambda outcome: outcome.ok
                 and outcome.value is not None)
-        for i, outcome in enumerate(results):
-            if outcome.ok and outcome.value is not None:
-                return DifferentialResult(equivalent=False, trials=i + 1,
-                                          counterexample=outcome.value)
-        return DifferentialResult(equivalent=True, trials=self.trials)
+        return trial_evidence("sampled", (outcome.value if outcome.ok
+                                          else None for outcome in results))
 
 
 def _same_structural_type(before: TypedPackage, a_name: str,
                           after: TypedPackage, b_name: str) -> bool:
     """Compare resolved types structurally (a rename of a type does not
     change the observable interface)."""
-    from ..lang.types import ArrayType, ModularType, RangeType
     ta = before.types.get(a_name)
     tb = after.types.get(b_name)
     if ta is None or tb is None:
         return a_name == b_name
-    if type(ta) is not type(tb):
-        return False
-    if isinstance(ta, ModularType):
-        return ta.modulus == tb.modulus
-    if isinstance(ta, RangeType):
-        return (ta.lo, ta.hi) == (tb.lo, tb.hi)
-    if isinstance(ta, ArrayType):
-        return (ta.lo, ta.hi) == (tb.lo, tb.hi) and \
-            _structurally_equal(ta.elem, tb.elem)
-    return True
+    return _structurally_equal(ta, tb)
 
 
 def _structurally_equal(ta, tb) -> bool:

@@ -8,7 +8,7 @@ and extracted-spec functions over whole byte domains.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from . import ast as s
 
@@ -35,6 +35,9 @@ class SpecEvaluator:
         self.steps = 0
         self._functions: Dict[str, s.FunDef] = {
             d.name: d for d in theory.functions()}
+        self._types: Dict[str, s.SType] = {
+            d.name: d.definition for d in theory.decls
+            if isinstance(d, s.TypeDef)}
         self._memo: Dict = {}
         self._constants: Dict[str, object] = {}
         for d in theory.constants():
@@ -42,6 +45,12 @@ class SpecEvaluator:
 
     def constant(self, name: str):
         return self._constants[name]
+
+    def params(self, name: str) -> List[Tuple[str, s.SType]]:
+        """Function ``name``'s parameters with their types resolved."""
+        from .typecheck import _resolve   # typecheck imports this module
+        return [(p, _resolve(t, self._types))
+                for p, t in self._functions[name].params]
 
     def call(self, name: str, args: List):
         fn = self._functions.get(name)

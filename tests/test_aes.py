@@ -174,7 +174,9 @@ class TestAnnotationsAndExtraction:
         assert result.holds
         assert result.is_proof  # no sampled evidence anywhere
         # Paper: 32 major lemmas; ours is the same order.
-        assert 25 <= result.lemma_count <= 45
+        assert result.by_evidence() == \
+            {"table": 3, "exhaustive": 1, "symbolic": 30}
+        assert result.total_manual_steps == 112
 
     def test_implication_fails_on_wrong_spec(self):
         from repro.extract import extract_specification

@@ -175,17 +175,17 @@ class TestFinalState:
 class TestEquivalence:
     def test_rolled_equals_unrolled_symbolically(self):
         theorem = prove_equivalence(ROLLED, "Q", UNROLLED, "Q")
-        assert theorem.is_proof
-        assert theorem.evidence == "symbolic"
+        assert theorem.holds and theorem.is_proof
+        assert theorem.level == "symbolic"
 
     def test_defective_version_refuted(self):
         theorem = prove_equivalence(ROLLED, "Q", WRONG, "Q")
-        assert theorem.status == "refuted"
+        assert not theorem.holds
         assert theorem.counterexample is not None
 
     def test_differential_check_direct(self):
         result = differential_check(ROLLED, "Q", UNROLLED, "Q", trials=16)
-        assert result.equivalent
+        assert result.holds and result.level == "sampled"
 
     def test_exhaustive_small_domain(self):
         left = analyzed("""
@@ -207,8 +207,8 @@ package P is
 end P;
 """)
         result = exhaustive_check(left, "F", right, "F")
-        assert result.equivalent
-        assert result.trials == 256
+        assert result.holds and result.level == "exhaustive"
+        assert result.detail == "256 initial states agreed"
 
     def test_exhaustive_finds_single_point_defect(self):
         left = analyzed("""
@@ -233,5 +233,5 @@ package P is
 end P;
 """)
         theorem = prove_equivalence(left, "F", right, "F")
-        assert theorem.status == "refuted"
+        assert not theorem.holds and theorem.level == "exhaustive"
         assert theorem.counterexample.initial == {"X": 200}

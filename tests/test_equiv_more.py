@@ -97,6 +97,6 @@ end P;
                                "Y": rng.randrange(256)}
         result = differential_check(PKG, "Plus", bad, "Plus", trials=32,
                                     sampler=sampler)
-        assert result.equivalent  # the defect lives outside the domain
+        assert result.holds  # the defect lives outside the domain
         full = prove_equivalence(PKG, "Plus", bad, "Plus")
-        assert full.status == "refuted"  # but not outside the full domain
+        assert not full.holds  # but not outside the full domain

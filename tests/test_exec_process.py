@@ -367,8 +367,8 @@ class TestCrossBackendDifferential:
         theory = extract_specification(annotated_package()).theory
 
         def key(res):
-            return ([(o.lemma.name, o.proved, o.evidence, o.is_proof,
-                      o.detail, o.manual_steps) for o in res.outcomes],
+            return ([(lemma.name, evidence, steps)
+                     for lemma, evidence, steps in res.outcomes],
                     res.tcc_total, res.tcc_proved, res.tcc_subsumed,
                     res.tcc_unproved)
 
@@ -379,11 +379,10 @@ class TestCrossBackendDifferential:
             exec=ExecConfig(jobs=2, backend="process", cache=False))
         assert key(process) == key(serial)
         assert process.holds and serial.holds
-        # the obligation's decode re-attaches the parent's lemma objects
-        # (not the stripped worker-side copies)
-        assert all(o.lemma is not None for o in process.outcomes)
-        assert [o.lemma.name for o in process.outcomes] == \
-            [o.lemma.name for o in serial.outcomes]
+        # each outcome carries the parent's lemma object (not a
+        # worker-side copy)
+        assert [lemma for lemma, _, _ in process.outcomes] == \
+            [lemma for lemma, _, _ in serial.outcomes]
 
     def test_differential_trials_identical(self):
         from repro.aes.blocks import transformation_blocks, cipher_sampler
@@ -405,8 +404,7 @@ class TestCrossBackendDifferential:
                 for transformation in transformations:
                     apps.append(engine.apply(transformation))
             return [(a.transformation, a.preserved,
-                     tuple((t.status, t.evidence, t.trials, t.holds)
-                           for t in a.theorems))
+                     tuple(a.theorems.items()))
                     for a in apps]
 
         serial = run(ExecConfig(jobs=1, cache=False))

@@ -152,17 +152,18 @@ class TestImplication:
     def test_implication_holds(self, typed, original):
         extracted = extract_specification(typed).theory
         result = prove_implication(original, extracted)
-        assert result.holds, [(o.lemma.name, o.detail) for o in result.failed]
+        assert result.holds, [(lemma.name, e.detail)
+                              for lemma, e in result.failed]
         assert result.lemma_count == 5  # 1 table + 4 functions
 
     def test_leaf_lemma_exhaustive_and_composites(self, typed, original):
         extracted = extract_specification(typed).theory
         result = prove_implication(original, extracted)
-        by_name = {o.lemma.name: o for o in result.outcomes}
-        assert by_name["SubTable_table_eq"].evidence == "table"
-        assert by_name["SubByte_eq"].evidence in ("symbolic", "exhaustive")
+        by_name = {lemma.name: e for lemma, e, _ in result.outcomes}
+        assert by_name["SubTable_table_eq"].level == "table"
+        assert by_name["SubByte_eq"].level in ("symbolic", "exhaustive")
         # Block-domain lemmas are too big to enumerate: symbolic or sampled.
-        assert by_name["Encrypt_eq"].proved
+        assert by_name["Encrypt_eq"].holds
 
     def test_tccs_reported(self, typed, original):
         extracted = extract_specification(typed).theory
@@ -178,5 +179,5 @@ class TestImplication:
         extracted = extract_specification(typed_bad).theory
         result = prove_implication(original, extracted)
         assert not result.holds
-        failed_names = {o.lemma.name for o in result.failed}
+        failed_names = {lemma.name for lemma, _ in result.failed}
         assert "Rotate_eq" in failed_names or "Encrypt_eq" in failed_names

@@ -35,7 +35,8 @@ def _records(disk):
 
 
 def _is_verdict(value):
-    return isinstance(value, dict) and set(value) == {"ok", "reason"}
+    return isinstance(value, dict) and set(value) == {"level", "holds",
+                                                      "detail"}
 
 
 def _is_evaluation(value):
@@ -96,9 +97,9 @@ class TestWarmReplay:
         shutil.copytree(disk, poisoned)
         flipped = 0
         for path, record in _records(poisoned):
-            if _is_verdict(record["value"]) and record["value"]["ok"]:
-                record["value"] = {"ok": False,
-                                   "reason": "injected rejection"}
+            if _is_verdict(record["value"]) and record["value"]["holds"]:
+                record["value"] = {"level": "sampled", "holds": False,
+                                   "detail": "injected rejection"}
                 path.write_text(json.dumps(record))
                 flipped += 1
         assert flipped > 0

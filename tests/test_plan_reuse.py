@@ -14,6 +14,7 @@ import pytest
 
 from repro.aes.fips197 import fips197_theory
 from repro.aes.optimized import optimized_source
+from repro.evidence import Evidence
 from repro.exec import (
     ExecConfig, ResultCache, Telemetry, package_fingerprint,
 )
@@ -336,7 +337,7 @@ class TestProcessBackendSearch:
         records = serial["records"].values()
         evaluations = [r for r in records
                        if isinstance(r, dict) and "applicable" in r]
-        verdicts = [r for r in records if isinstance(r, dict) and "ok" in r]
+        verdicts = [r for r in records if isinstance(r, Evidence)]
         assert len(evaluations) > 40
         assert len(verdicts) == serial["result"].validations
         assert [s.token for s in process["result"].steps] == \

@@ -41,7 +41,7 @@ class TestRerollLoop:
         body = engine.package.subprogram("Q").body
         assert len(body) == 1
         assert isinstance(body[0], ast.For)
-        assert application.theorems[0].evidence == "symbolic"
+        assert application.theorems["Q"].level == "symbolic"
 
     def test_reroll_rejects_broken_pattern(self):
         broken = UNROLLED.replace("B (2) := A (2) xor 255;",
