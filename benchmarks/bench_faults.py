@@ -6,7 +6,9 @@ under injected faults (DESIGN.md §12), plus the scheduler's cache modes.
 (:func:`benchmarks.gates.aes_reference`, which runs with no retries and
 raises on any error).  The clean process leg runs with no retries and
 must record no retry and no error; it must produce bit-identical
-per-VC outcomes (the cross-backend gate) and, on a multi-core machine,
+per-VC outcomes, proof details included (the cross-backend gate, which
+is also the full-corpus check that VC order does not matter: workers
+run each subprogram's VCs in no fixed order) and, on a multi-core machine,
 beat serial by at least 1.5x.  The chaos leg absorbs injected transient
 raises through the retry policy and survives worker-killing crashes
 (pool respawn + solo re-verification) and stalls; it too must produce
@@ -100,14 +102,16 @@ def bench_chaos_gate():
     })
 
     # The cross-backend gate: bit-identical outcomes, reached cleanly.
-    reference = verdict_keys(serial, method=True)
+    # Workers run each subprogram's VCs in no fixed order, so comparing
+    # the proofs' details too makes this the full-corpus order check.
+    reference = verdict_keys(serial, method=True, detail=True)
     assert (process_stats.retries, process_stats.errors) == (0, 0)
-    assert verdict_keys(process, method=True) == reference
+    assert verdict_keys(process, method=True, detail=True) == reference
     assert process.auto_percent == serial.auto_percent
     assert process.fully_automatic_subprograms() == \
         serial.fully_automatic_subprograms()
     # The chaos gate: faults never change a verdict...
-    assert verdict_keys(chaos, method=True) == reference
+    assert verdict_keys(chaos, method=True, detail=True) == reference
     assert chaos.auto_percent == serial.auto_percent
     # ...and the faults really happened and were really absorbed.
     assert chaos_stats.crashes >= 1

@@ -31,12 +31,13 @@ RESULTS = Path(__file__).resolve().parent.parent / "BENCH_gates.json"
 SCHEMA = "bench-gates/v1"
 
 
-def verdict_keys(result, *, method=False):
+def verdict_keys(result, *, method=False, detail=False):
     """One row per VC: identity, stage and verdict (plus the proving
-    method when ``method``)."""
+    method when ``method``, and the proof's detail when ``detail``)."""
     return [(o.vc.subprogram, o.vc.name, o.vc.kind, o.stage,
              o.result.proved if o.result else None)
             + ((o.result.method if o.result else None,) if method else ())
+            + ((o.result.detail if o.result else None,) if detail else ())
             for o in result.outcomes]
 
 

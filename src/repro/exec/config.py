@@ -56,13 +56,13 @@ class ExecConfig:
                          or 'degrade' (fall back process→serial,
                          recording a ``degraded`` telemetry event).
     ``batch_size``       max obligations bundled into one dispatch unit
-                         (DESIGN.md §18).  1 disables batching outright
-                         (every obligation keeps its own dispatch unit,
-                         the pre-batching wire behaviour); must be an
+                         (DESIGN.md §18): the process backend cuts a
+                         run's misses, in input order, into units of
+                         ``min(batch_size, ceil(n / jobs))``.  1
+                         disables batching outright (every obligation
+                         keeps its own dispatch unit); must be an
                          integer >= 1.  Batching never changes verdicts
-                         -- only how many round trips carry them.  A
-                         unit's bytes are bounded by
-                         :data:`~repro.exec.scheduler.BATCH_BYTES_CAP`.
+                         -- only how many round trips carry them.
     """
 
     jobs: Optional[int] = 1

@@ -25,10 +25,8 @@ to a worker, which reconstructs the thunk on its side of the process
 boundary.  Obligations without a payload still run under that backend --
 inline on the parent, preserving semantics at the cost of parallelism.
 
-Obligations in the same ``group`` are executed serially in submission
-order even under a parallel scheduler -- this is how per-subprogram prover
-state (memo caches, fresh-name counters) keeps its exact serial-run
-discipline while distinct subprograms fan out.
+Obligations are independent: each one's result is a function of its own
+inputs, so a parallel scheduler may run them in any order.
 """
 
 from __future__ import annotations
@@ -58,7 +56,6 @@ class Obligation:
     label: str                       # human-readable; shows up in telemetry
     thunk: Callable[[], Any]         # runs the actual discharge
     cache_key: Optional[str] = None  # None: never cached
-    group: Optional[str] = None      # same group => serial, in order
     #: JSON codecs for the on-disk cache layer; absent => memory-only.
     encode: Optional[Callable[[Any], Any]] = None
     decode: Optional[Callable[[Any], Any]] = None
@@ -104,8 +101,7 @@ def vc_obligation(vc, discharge: Callable[[], Any], *,
                    fingerprint(vc.simplified.simplified), config)
     return Obligation(
         kind=VC, label=f"{vc.subprogram}/{vc.name}", thunk=discharge,
-        cache_key=key, group=f"sp:{vc.subprogram}",
-        encode=_encode_vc_result, decode=_decode_vc_result,
+        cache_key=key, encode=_encode_vc_result, decode=_decode_vc_result,
         payload=payload)
 
 

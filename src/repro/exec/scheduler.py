@@ -17,12 +17,12 @@ regardless of completion order.  Two execution backends:
   hash-consing identity survives.
 
 The process backend's dispatch loop
-(:meth:`ObligationScheduler._run_units`, DESIGN.md §11) chains
-groups, settles cache hits and payloadless obligations in the parent,
-cuts the work into dispatch units before anything ships, decodes
-results, and runs the single blame → solo re-run → quarantine sequence
-of DESIGN.md §12.  Every result, inline or shipped, settles through one
-method (:meth:`ObligationScheduler._settle`) that builds the outcome, its
+(:meth:`ObligationScheduler._run_units`, DESIGN.md §11) settles cache
+hits and payloadless obligations in the parent, cuts the work into
+dispatch units before anything ships, decodes results, and runs the
+single blame → solo re-run → quarantine sequence of DESIGN.md §12.
+Every result, inline or shipped, settles through one method
+(:meth:`ObligationScheduler._settle`) that builds the outcome, its
 telemetry and its cache fill.  Below the loop sits a narrow transport --
 submit a unit, poll for events, close -- :class:`_PoolTransport`, over a
 local process pool.  The pool is the scheduler's: spawned when the first
@@ -31,9 +31,9 @@ reaped by :meth:`~ObligationScheduler.close` (or the end of a ``with``
 block).  A pass in which nothing would ship runs inline, as serial does,
 and touches no pool.
 
-Obligations sharing a ``group`` execute serially in submission order on
-every backend; distinct groups and ungrouped obligations fan out freely.
-The cache and telemetry always live in the parent, so both behave
+Obligations are independent: each one's verdict is a function of its
+own inputs, so the process backend may run them in any order.  The
+cache and telemetry always live in the parent, so both behave
 identically across backends.  The per-obligation timeout is a hard
 worker-side ``SIGALRM`` bound; a worker that fails to honour it is
 abandoned by a parent-side fallback deadline.
@@ -51,7 +51,6 @@ that cannot make progress raises :class:`BackendUnusableError`
 
 from __future__ import annotations
 
-import io
 import os
 import pickle
 import signal
@@ -91,11 +90,6 @@ CRASHED = "crashed"
 #: Workers an obligation may lose while running alone before it is
 #: quarantined.
 QUARANTINE_AFTER = 2
-
-#: Upper bound (bytes) on one dispatch unit's estimated pickled size; a
-#: payload whose marginal size exceeds ``BATCH_BYTES_CAP // batch_size``
-#: ships solo (DESIGN.md §18).
-BATCH_BYTES_CAP = 4 * 1024 * 1024
 
 
 @dataclass
@@ -257,48 +251,6 @@ def _decoded(ob: Obligation, result: tuple) -> tuple:
             + result[3:6] + (exc,)
 
 
-class _BatchSizer:
-    """Marginal-size meter for one forming batch (DESIGN.md §18).
-
-    Measures each candidate payload's pickled size *in the context of
-    the batch being formed*: one shared pickler keeps its memo across
-    items, so an object an admitted sibling already ships (a common
-    package AST, a reference theory) costs a back-reference, not a
-    second serialization -- exactly the sharing the real batch blob
-    gets.  The first item of a batch therefore reports its full solo
-    size while followers report their true marginal cost, which is what
-    the admission rule compares against the per-item byte budget.
-
-    ``measure`` returns None for a payload that cannot be pickled (the
-    item is shipped solo so the submission path's loud failure behaviour
-    is preserved) and resets the meter, whose memo the failed dump may
-    have corrupted.
-    """
-
-    __slots__ = ("_buf", "_pickler")
-
-    def __init__(self):
-        self.reset()
-
-    def reset(self) -> None:
-        self._buf = io.BytesIO()
-        self._pickler = pickle.Pickler(self._buf,
-                                       protocol=pickle.HIGHEST_PROTOCOL)
-
-    @property
-    def total(self) -> int:
-        return self._buf.tell()
-
-    def measure(self, payload) -> Optional[int]:
-        before = self._buf.tell()
-        try:
-            self._pickler.dump(payload)
-        except Exception:   # noqa: BLE001 - unpicklable payloads ship solo
-            self.reset()
-            return None
-        return self._buf.tell() - before
-
-
 class _PoolTransport:
     """Dispatch units over a local ``ProcessPoolExecutor``.
 
@@ -306,8 +258,9 @@ class _PoolTransport:
     outlives it (:meth:`ObligationScheduler._worker_pool`).  Every unit
     goes straight to the pool (no in-flight cap), so workers never idle
     waiting on a parent round trip.  A dead worker breaks the whole
-    pool: everything in flight is reported lost and the pool is
-    respawned.  Owns the run's ``BARREN_CRASH_LIMIT`` on pools dying
+    pool: every unit in flight that had not finished is reported lost,
+    and the pool is respawned.  A unit of several members that fails as
+    a whole is reported ``split``.  Owns the run's ``BARREN_CRASH_LIMIT`` on pools dying
     with nothing in flight, and the parent-side fallback deadline behind
     the worker's ``SIGALRM``.
     """
@@ -316,7 +269,7 @@ class _PoolTransport:
         self._sched = sched
         #: Future -> (members, abandon-at on the perf_counter clock)
         self._in_flight: Dict[object, tuple] = {}
-        self._lost: List[tuple] = []    # events of a submit-time break
+        self._broken: Optional[BaseException] = None   # at submit time
         self._barren = 0
         self._abandoned = False
         # A worker that ignores its alarm (or a timeout with no SIGALRM
@@ -333,7 +286,9 @@ class _PoolTransport:
         try:
             future = self._sched._worker_pool().submit(_batch_worker, *job)
         except BrokenExecutor as exc:
-            self._lost += self._recover(exc)
+            # The next poll keeps what finished before the break and
+            # reports the rest lost.
+            self._broken = exc
             return False
         # Worker-side SIGALRM bounds each item, so a unit's worst
         # legitimate case is the sum of its members' budgets.
@@ -342,17 +297,18 @@ class _PoolTransport:
         return True
 
     def poll(self) -> List[tuple]:
-        if self._lost or not self._in_flight:
-            lost, self._lost = self._lost, []
-            return lost
+        broken, self._broken = self._broken, None
+        if not self._in_flight:
+            return [] if broken is None else self._recover(broken)
         soonest = min(deadline for _, deadline in self._in_flight.values())
         wait_for = None if soonest == float("inf") \
             else max(0.0, soonest - time.perf_counter())
+        if broken is not None:
+            wait_for = 0.0      # keep what is done; the rest is lost
         done, _ = _fut_wait(set(self._in_flight), timeout=wait_for,
                             return_when=FIRST_COMPLETED)
         now = time.perf_counter()
         events: List[tuple] = []
-        broken = None
         for future, (members, deadline) in list(self._in_flight.items()):
             if future in done:
                 try:
@@ -363,6 +319,12 @@ class _PoolTransport:
                     broken = exc
                     continue
                 except Exception as exc:   # noqa: BLE001 - unpicklable payload/result
+                    if len(members) > 1:
+                        # The unit failed as a whole: its members try
+                        # alone, so one member's failure is its own.
+                        del self._in_flight[future]
+                        events.append(("split", members))
+                        continue
                     stamp = None
                     results = _unit_errored(members, _describe(exc), exc)
                 else:
@@ -545,75 +507,29 @@ class ObligationScheduler:
         except Exception:   # noqa: BLE001 - broken pools may misbehave
             pass
 
-    def _form_units(self, obligations,
-                    indices: Sequence[int]) -> List[tuple]:
+    def _form_units(self, indices: Sequence[int]) -> List[tuple]:
         """Cut ``indices`` into dispatch units before anything ships
-        (DESIGN.md §18), from the input order and the configuration
-        alone -- never from live state -- so a run's units are the same
-        every time.
-
-        An obligation's *level* is its position in its group's chain (0
-        when ungrouped).  Each level, in input order, is cut into units of
-        at most ``min(batch_size, ceil(n / jobs))`` members, ``n`` being
-        the level's size -- the width a ready-queue fill picks when that
-        level is what is ready.  A unit thus holds at most one member of
-        a group and waits only on units of the level before, so the unit
-        order never deadlocks.  A payload whose marginal pickled size
-        exceeds ``BATCH_BYTES_CAP // batch_size`` closes the forming unit
-        and opens the next; a unit whose measured size reaches
-        ``BATCH_BYTES_CAP`` is closed.  Payloadless and unpicklable
-        obligations are units of their own."""
-        levels: Dict[int, List[int]] = {}    # filled in level order
-        depth: Dict[str, int] = {}
-        for i in indices:
-            group = obligations[i].group
-            level = 0 if group is None else depth.get(group, 0)
-            if group is not None:
-                depth[group] = level + 1
-            levels.setdefault(level, []).append(i)
-        join_cap = max(1, BATCH_BYTES_CAP // self.batch_size)
-        sizer = _BatchSizer()
-        units: List[tuple] = []
-        pending: List[int] = []
-
-        def close() -> None:
-            if pending:
-                units.append(tuple(pending))
-                pending.clear()
-            sizer.reset()
-
-        for members in levels.values():
-            chunk = min(self.batch_size, -(-len(members) // self.jobs))
-            for i in members:
-                payload = obligations[i].payload
-                if payload is not None and chunk > 1:
-                    if len(pending) >= chunk \
-                            or sizer.total >= BATCH_BYTES_CAP:
-                        close()
-                    size = sizer.measure(payload)
-                    if size is not None and pending and size > join_cap:
-                        # Too big to join: re-open a fresh unit, where its
-                        # measured size includes the objects its former
-                        # unit-mates would have shared.
-                        close()
-                        size = sizer.measure(payload)
-                    if size is not None:
-                        pending.append(i)
-                        continue
-                close()
-                units.append((i,))
-            close()
-        return units
+        (DESIGN.md §18): consecutive runs, in input order, of ``min(
+        batch_size, ceil(n / jobs))`` members, ``n`` being the number of
+        misses.  Units depend on the input order and the configuration
+        alone -- never on live state -- so a run's units are the same
+        every time."""
+        indices = list(indices)
+        width = min(self.batch_size, -(-len(indices) // self.jobs))
+        return [tuple(indices[k:k + width])
+                for k in range(0, len(indices), width)]
 
     def _run_units(self, obligations, stop_on, outcomes) -> None:
         """The dispatch loop of the process backend.
 
         Cache hits settle in the parent first; the misses are cut into
-        units up front (:meth:`_form_units`).  A unit is dispatched once
-        every member's group predecessor has a final outcome.  At
-        dispatch, payloadless obligations run inline (:meth:`_execute`)
-        and the rest leave as one unit.  A unit the transport refuses is
-        requeued, unblamed.
+        units up front (:meth:`_form_units`) and every unit is dispatched
+        at once.  At dispatch, payloadless obligations run inline
+        (:meth:`_execute`) and the rest leave as one unit.  A unit the
+        transport refuses is requeued, unblamed.  A unit of several
+        members that fails as a whole -- its payloads or its results do
+        not pickle -- is split: its members re-run as solo units,
+        unblamed, so one member's failure is its own.
 
         The members of a lost unit become suspects and re-run solo, one
         at a time with nothing else in flight.  Only a solo loss blames
@@ -626,7 +542,7 @@ class ObligationScheduler:
         ``(QUARANTINE_AFTER + 1) * len(obligations)``.
         """
         # Cache hits settle first, in input order: a hit never ships, and
-        # only the misses are chained and cut into units.
+        # only the misses are cut into units.
         pending: List[int] = []
         for i, ob in enumerate(obligations):
             if outcomes[i] is not None:
@@ -654,21 +570,7 @@ class ObligationScheduler:
 
     def _dispatch_loop(self, transport, obligations, pending, stop_on,
                        outcomes) -> None:
-        successor: Dict[int, int] = {}       # next in the same group
-        last_in_group: Dict[str, int] = {}
-        for i in pending:
-            group = obligations[i].group
-            if group is not None:
-                if group in last_in_group:
-                    successor[last_in_group[group]] = i
-                last_in_group[group] = i
-        units = self._form_units(obligations, pending)
-        unit_of = {i: u for u, members in enumerate(units) for i in members}
-        waiting = [0] * len(units)   # members with unfinished predecessors
-        for j in successor.values():
-            waiting[unit_of[j]] += 1
-        ready = deque(members for u, members in enumerate(units)
-                      if not waiting[u])
+        ready = deque(self._form_units(pending))
         suspects: deque = deque()    # members of lost units, as solo units
         solo = False                 # the last unit shipped is a suspect
         losses: Dict[int, int] = {}  # lost units that held member i
@@ -683,11 +585,6 @@ class ObligationScheduler:
             nonlocal finished, stopped, raise_exc
             outcomes[index] = outcome
             finished += 1
-            if index in successor:
-                u = unit_of[successor[index]]
-                waiting[u] -= 1
-                if not waiting[u]:
-                    ready.append(units[u])
             if outcome.status == ERRORED and self.on_error == "raise" \
                     and raise_exc is None:
                 raise_exc = outcome._exception   # set by _settle
@@ -762,6 +659,8 @@ class ObligationScheduler:
                         finalize(i, self._settle(obligations[i], (
                             i, TIMED_OUT, message,
                             self.timeout_seconds or 0.0, 0, (), None)))
+                elif event[0] == "split":
+                    ready.extendleft((i,) for i in reversed(event[1]))
                 else:
                     _, members, reason = event
                     for i in members:

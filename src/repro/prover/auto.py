@@ -337,7 +337,8 @@ class AutoProver:
                 if not r.proved:
                     return r
                 methods.append(r.method)
-            return ProofResult(True, "conj", detail=",".join(set(methods)))
+            return ProofResult(True, "conj",
+                               detail=",".join(dict.fromkeys(methods)))
         if concl.op == "implies":
             extra, inner = _split(concl)
             return self._attempt_core(hyps + list(extra), inner, depth)

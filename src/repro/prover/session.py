@@ -149,13 +149,12 @@ class ImplementationProof:
 
     Discharge runs through the obligation scheduler
     (:mod:`repro.exec`): one obligation per VC that survives the
-    simplifier, grouped by subprogram so that the per-subprogram prover
-    state (memo caches, fresh-name counters) sees its VCs serially and in
-    order even when ``jobs > 1`` -- ``jobs=1`` therefore reproduces the
-    historical serial run bit for bit, and ``jobs=N`` fans subprograms
-    out across worker processes (``backend='process'``: each obligation
-    also carries a :class:`~repro.exec.payload.VCPayload` holding the
-    inputs of the same :func:`discharge_vc` call).  Results are cached
+    simplifier.  Each is independent -- :func:`discharge_vc` builds its
+    provers per VC -- so ``jobs=N`` fans the VCs out across worker
+    processes in any order (``backend='process'``: each obligation also
+    carries a :class:`~repro.exec.payload.VCPayload` holding the inputs
+    of the same :func:`discharge_vc` call) with the verdicts of
+    ``jobs=1``.  Results are cached
     content-addressed on (package text, subprogram, VC term, prover
     configuration), so re-verifying unchanged code is a replay, not a
     re-proof.

@@ -1,7 +1,7 @@
 """Micro-obligation batching tests (DESIGN.md §18): the unit worker's
 results equal solo runs, outcome identity across batch sizes and
 backends, the dispatch telemetry, loud validation of the batching knobs
-in ExecConfig and both CLIs, and the byte cap on one dispatch unit."""
+in ExecConfig and both CLIs, and the rule that cuts dispatch units."""
 
 import json
 import time
@@ -12,7 +12,6 @@ from repro.exec import (
     CallPayload, ExecConfig, Obligation, ObligationScheduler, Telemetry,
 )
 from repro.exec.retry import RetryPolicy
-from repro.exec import scheduler as scheduler_mod
 from repro.exec.scheduler import _batch_worker, _process_worker
 
 
@@ -62,8 +61,9 @@ class TestBatchedSchedulingIdentity:
         assert reference == [("ok", i * i) for i in range(11)]
 
     def test_unpicklable_member_still_fails_loudly(self):
-        """The batch admission meter ships unpicklable payloads solo, so
-        the submission path's loud error behaviour survives batching."""
+        """A unit that fails as a whole because a payload does not
+        pickle re-runs its members solo, so the submission path's loud
+        error lands on the unpicklable member alone."""
         bad = CallPayload(lambda: 1)          # lambdas do not pickle
         obs = _obs(6)
         obs.insert(3, Obligation(kind="vc", label="bad",
@@ -145,8 +145,8 @@ class TestBatchKnobValidation:
 
     @pytest.mark.parametrize("value", [0, -1, False, True, 0.5, "big"])
     def test_config_rejects_bad_batch_bytes_cap(self, value):
-        # The byte cap is the scheduler's BATCH_BYTES_CAP constant, not a
-        # field: any value for the removed keyword is refused.
+        # Units have no byte cap: any value for the removed keyword is
+        # refused.
         with pytest.raises(TypeError, match="batch_bytes_cap"):
             ExecConfig(batch_bytes_cap=value)
 
@@ -165,18 +165,22 @@ class TestBatchKnobValidation:
         assert clone.batch_size == 7
         assert clone == config
 
-    def test_config_defaults(self, monkeypatch):
+    def test_config_defaults(self):
         config = ExecConfig()
         assert config.batch_size == 16
-        assert scheduler_mod.BATCH_BYTES_CAP == 4 * 1024 * 1024
-        scheduler = ObligationScheduler(ExecConfig(jobs=2))
-        obs = _obs(6)
-        assert scheduler._form_units(obs, range(6)) == [(0, 1, 2),
-                                                        (3, 4, 5)]
-        # A cap below one payload's marginal size ships every item solo.
-        monkeypatch.setattr(scheduler_mod, "BATCH_BYTES_CAP", 16)
-        assert scheduler._form_units(obs, range(6)) == [(i,)
-                                                        for i in range(6)]
+
+        def widths(n, **kw):
+            scheduler = ObligationScheduler(ExecConfig(**kw))
+            units = scheduler._form_units(range(n))
+            assert [i for unit in units for i in unit] == list(range(n))
+            return [len(unit) for unit in units]
+
+        # Consecutive runs in input order of min(batch_size, ceil(n/jobs)).
+        assert ObligationScheduler(ExecConfig(jobs=2))._form_units(
+            range(6)) == [(0, 1, 2), (3, 4, 5)]
+        assert widths(45, jobs=2) == [16, 16, 13]
+        assert widths(187, jobs=4) == [16] * 11 + [11]
+        assert widths(5, jobs=2, batch_size=1) == [1] * 5
 
 
 class TestCLIBatchFlags:

@@ -67,6 +67,15 @@ def _faulty_value(state_dir, name, plan, value):
     return value
 
 
+def _faulty_after(marker, state_dir, name, plan, value):
+    """:func:`_faulty_value` once the file ``marker`` exists (a minute
+    at most), so a test can hold a fault until the parent is ready."""
+    deadline = time.monotonic() + 60.0
+    while not os.path.exists(marker) and time.monotonic() < deadline:
+        time.sleep(0.005)
+    return _faulty_value(state_dir, name, plan, value)
+
+
 def _busy(seconds):
     deadline = time.time() + seconds
     while time.time() < deadline:
@@ -133,11 +142,11 @@ def _inject(state_dir, planner):
         ObligationScheduler.run = original
 
 
-def _faulty_ob(state_dir, name, plan, value, group=None):
+def _faulty_ob(state_dir, name, plan, value):
     payload = CallPayload(_faulty_value,
                           (str(state_dir), name, tuple(plan), value))
     return Obligation(kind="chaos", label=name, thunk=payload.run,
-                      group=group, payload=payload)
+                      payload=payload)
 
 
 def _scheduler(**kw):
@@ -255,16 +264,6 @@ class TestCrashRecovery:
                   if e.label == "q1"]
         assert "quarantined" in events
 
-    def test_crash_in_group_preserves_serial_order(self, tmp_path):
-        """Crash recovery must not reorder a group: successors only
-        dispatch after the crashed predecessor is finalized solo."""
-        obs = [_faulty_ob(tmp_path, f"g{i}",
-                          ("crash",) if i == 2 else (), i, group="g")
-               for i in range(5)]
-        outcomes = _scheduler(jobs=4).run(obs)
-        assert [o.value for o in outcomes] == [0, 1, 2, 3, 4]
-        assert all(o.ok for o in outcomes)
-
     def test_transient_raise_recovers_on_all_backends(self, tmp_path):
         """A thunk/payload that raises once is absorbed by the retry
         policy on every backend and recorded as ``retried_ok``."""
@@ -280,23 +279,59 @@ class TestCrashRecovery:
             assert [o.value for o in outcomes] == [0, 1, 2], backend
             assert telemetry.stats().retried_ok == 1, backend
 
-    def test_last_suspect_reruns_alone(self, tmp_path):
-        """A blamed obligation's re-run is solo even when it is the last
-        suspect.  ``x`` kills its worker once while ``s`` is in flight,
-        so both are blamed; ``x`` re-runs first and its success readies
-        its group successor ``y``, which kills its worker once too.
-        ``s`` runs for two seconds, so were ``y`` shipped beside ``s``'s
-        re-run, ``s`` would be blamed a second time and quarantined for
-        a crash it never caused."""
+    def test_last_suspect_reruns_alone(self, tmp_path, monkeypatch):
+        """A suspect's re-run is solo even when it is the last suspect
+        and other work is waiting.  ``x`` kills its worker while ``s``
+        runs, and the first pool holds the third submission, ``y``'s,
+        until then, so ``y`` meets the broken pool and waits unsent
+        while ``x`` and ``s`` re-run one at a time.  ``y`` kills its
+        worker once too: shipped beside ``s``'s re-run, it would take
+        ``s`` down with it, and a loss shared with a suspect cannot be
+        pinned on either.  So ``y`` first leaves once ``s`` is back."""
+        from concurrent.futures import wait
+
+        spawn = ObligationScheduler._spawn_pool
+        spawned = []
+
+        class HoldThirdSubmit:
+            """Holds the third submission until the first unit is done
+            (its worker died), so that submission meets a broken pool."""
+
+            def __init__(self, inner):
+                self._inner = inner
+                self._futures = []
+
+            def submit(self, fn, *args):
+                if len(self._futures) == 2:
+                    wait(self._futures[:1], timeout=60.0)
+                future = self._inner.submit(fn, *args)
+                self._futures.append(future)
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                self._inner.shutdown(wait=wait,
+                                     cancel_futures=cancel_futures)
+
+        def spawn_first_holding(self):
+            pool = spawn(self)
+            spawned.append(pool)
+            return HoldThirdSubmit(pool) if len(spawned) == 1 else pool
+
+        monkeypatch.setattr(ObligationScheduler, "_spawn_pool",
+                            spawn_first_holding)
         telemetry = Telemetry()
         s = CallPayload(_busy, (2.0,))
-        obs = [_faulty_ob(tmp_path, "x", ("crash",), "x", group="g"),
+        obs = [_faulty_ob(tmp_path, "x", ("crash",), "x"),
                Obligation(kind="chaos", label="s", thunk=s.run, payload=s),
-               _faulty_ob(tmp_path, "y", ("crash",), "y", group="g")]
+               _faulty_ob(tmp_path, "y", ("crash",), "y")]
         outcomes = _scheduler(telemetry=telemetry, batch_size=1).run(obs)
         assert [(o.status, o.value) for o in outcomes] == \
             [("ok", "x"), ("ok", "done"), ("ok", "y")]
         assert telemetry.stats().quarantined == 0
+        events = [(e.event, e.label) for e in telemetry.events()]
+        assert events.count(("started", "s")) == 2
+        assert events.index(("started", "y")) > \
+            events.index(("finished", "s"))
 
 
 # ---------------------------------------------------------------------------
@@ -353,20 +388,25 @@ class TestDegradation:
         process pool stops accepting work partway and cannot be
         respawned, the serial fallback runs only the unfinished
         obligations -- nothing runs twice."""
-        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+        from concurrent.futures import (
+            BrokenExecutor, ProcessPoolExecutor, wait,
+        )
 
         class FlakySubmitPool:
-            """Accepts two submissions, then breaks at submit time."""
+            """Accepts two submissions; the third waits until both have
+            finished, then breaks at submit time."""
 
             def __init__(self, max_workers=None):
                 self._inner = ProcessPoolExecutor(max_workers=max_workers)
-                self._accepted = 0
+                self._futures = []
 
             def submit(self, fn, *args, **kwargs):
-                self._accepted += 1
-                if self._accepted > 2:
+                if len(self._futures) == 2:
+                    wait(self._futures, timeout=60.0)
                     raise BrokenExecutor("pool broke at submit (injected)")
-                return self._inner.submit(fn, *args, **kwargs)
+                future = self._inner.submit(fn, *args, **kwargs)
+                self._futures.append(future)
+                return future
 
             def shutdown(self, wait=True, cancel_futures=False):
                 self._inner.shutdown(wait=wait,
@@ -383,11 +423,10 @@ class TestDegradation:
 
         monkeypatch.setattr(ObligationScheduler, "_spawn_pool", spawn_once)
         telemetry = Telemetry()
-        # One group, batch_size=1: each obligation ships alone once its
-        # predecessor is final, so the first two finish before the
-        # injected third-submit refusal.
-        obs = [_faulty_ob(tmp_path, f"d{i}", (), i, group="g")
-               for i in range(4)]
+        # batch_size=1: one unit per obligation.  The first two have
+        # finished when the third submission meets the break, and what
+        # finished before a break settles; the respawn then fails.
+        obs = [_faulty_ob(tmp_path, f"d{i}", (), i) for i in range(4)]
         outcomes = _scheduler(telemetry=telemetry,
                               on_backend_failure="degrade",
                               batch_size=1).run(obs)
@@ -710,27 +749,38 @@ class TestRunnerFlags:
 class TestBatchedChaos:
     def test_crasher_inside_batch_blames_members_once(self, tmp_path):
         """A worker crash takes its whole batch down: every member is
-        blamed once (one strike, never quarantine-worthy alone), then
-        the survivors re-run solo and succeed.  Four groups of two chain
-        the crashing unit (b6, b7) behind a clean one (b2, b3), so the
-        clean unit's batched dispatch always completes first -- the
-        crash cannot race it."""
+        lost once (one shared strike, never quarantine-worthy), then
+        re-runs solo and succeeds.  Two units of four: ``b6``, in the
+        second, crashes only once the parent holds the first unit's
+        results (``stop_on`` sees every outcome and drops a marker at
+        ``b3``), so the crash cannot race the clean batch."""
+        import collections
+        marker = str(tmp_path / "first-unit-settled")
         telemetry = Telemetry()
-        obs = [_faulty_ob(tmp_path, f"b{i}",
-                          ("crash",) if i == 6 else (), i * 10,
-                          group=f"g{i % 4}")
-               for i in range(8)]
-        outcomes = _scheduler(telemetry=telemetry,
-                              batch_size=4).run(obs)
+        obs = [_faulty_ob(tmp_path, f"b{i}", (), i * 10) for i in range(8)]
+        crasher = CallPayload(_faulty_after, (marker, str(tmp_path), "b6",
+                                              ("crash",), 60))
+        obs[6] = Obligation(kind="chaos", label="b6", thunk=crasher.run,
+                            payload=crasher)
+
+        def mark_first_unit(outcome):
+            if outcome.obligation.label == "b3":
+                open(marker, "w").close()
+            return False
+
+        outcomes = _scheduler(telemetry=telemetry, batch_size=4).run(
+            obs, stop_on=mark_first_unit)
         assert [o.value for o in outcomes] == [i * 10 for i in range(8)]
         assert all(o.ok for o in outcomes)
         stats = telemetry.stats()
         assert stats.batched >= 1
-        # every member of the broken batch takes the blame...
-        assert stats.crashes >= 2
+        # every member of the broken batch is lost exactly once...
+        crashed = collections.Counter(e.label for e in telemetry.events()
+                                      if e.event == "crashed")
+        assert crashed == {f"b{i}": 1 for i in range(4, 8)}
         # ...but a single collective strike never quarantines anyone
         assert stats.quarantined == 0
-        assert stats.retried_ok >= 1
+        assert stats.retried_ok == 4
 
     def test_double_crasher_in_batch_quarantined_innocents_ok(
             self, tmp_path):

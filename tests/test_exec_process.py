@@ -1,5 +1,5 @@
 """Process-backend tests: scheduler semantics over worker processes
-(ordering, group chaining, timeouts, retries, error modes, caching),
+(ordering, timeouts, retries, error modes, stop_on, caching),
 payload reconstruction, and the cross-backend differential gates --
 serial vs process must be bit-identical on real proofs."""
 
@@ -49,9 +49,9 @@ def _busy_wait(seconds):
     return "done"
 
 
-def _ob(label, payload, group=None, key=None):
+def _ob(label, payload, key=None):
     return Obligation(kind="test", label=label, thunk=payload.run,
-                      cache_key=key, group=group, payload=payload)
+                      cache_key=key, payload=payload)
 
 
 def _scheduler(**kw):
@@ -74,12 +74,6 @@ class TestProcessScheduling:
         assert all(o.status == "ok" for o in outcomes)
         # the work genuinely left the parent process
         assert all(o.value[0] != os.getpid() for o in outcomes)
-
-    def test_groups_run_serially_in_order(self):
-        obs = [_ob(f"g{i}", CallPayload(_pid_tag, (i,)), group="g")
-               for i in range(5)]
-        outcomes = _scheduler(jobs=4).run(obs)
-        assert [o.value[1] for o in outcomes] == list(range(5))
 
     def test_payloadless_obligation_runs_inline(self):
         """An obligation without a payload still completes under the
@@ -147,12 +141,17 @@ class TestProcessScheduling:
         assert (warm.stats().cache_misses, warm.stats().cache_hits) == (0, 4)
 
     def test_stop_on_skips_tail(self):
-        obs = [_ob(f"s{i}", CallPayload(_square, (i,)), group="g")
-               for i in range(6)]
-        outcomes = _scheduler().run(
+        """One unit per obligation: ``s2`` has no payload, so it runs
+        inline when its unit's turn comes, after ``s0`` and ``s1`` have
+        shipped and before ``s3`` does.  Its result stops the run: what
+        already left completes, and nothing after it is dispatched."""
+        obs = [_ob(f"s{i}", CallPayload(_square, (i,))) for i in range(6)]
+        obs[2] = Obligation(kind="test", label="s2", thunk=lambda: 4)
+        outcomes = _scheduler(batch_size=1).run(
             obs, stop_on=lambda o: o.ok and o.value == 4)
         statuses = [o.status for o in outcomes]
         assert statuses[:3] == ["ok", "ok", "ok"]
+        assert [o.value for o in outcomes[:3]] == [0, 1, 4]
         assert statuses[3:] == ["skipped"] * 3
 
     def test_stop_on_cached_hit_still_runs_earlier_misses(self):

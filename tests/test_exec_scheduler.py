@@ -1,7 +1,6 @@
-"""Scheduler tests: serial/parallel equivalence on a real proof, group
+"""Scheduler tests: serial/parallel equivalence on a real proof, result
 ordering, timeout handling, retries, early exit, and error recording."""
 
-import threading
 import time
 
 import pytest
@@ -81,9 +80,9 @@ def _scheduler(**kw):
 
 
 class TestScheduling:
-    def _obligation(self, label, fn, group=None):
+    def _obligation(self, label, fn):
         return Obligation(kind="vc", label=label, thunk=fn,
-                          cache_key=make_key(label), group=group)
+                          cache_key=make_key(label))
 
     def test_results_in_input_order(self):
         def make(i):
@@ -94,23 +93,6 @@ class TestScheduling:
         obs = [self._obligation(f"o{i}", make(i)) for i in range(8)]
         outcomes = _scheduler(jobs=4).run(obs)
         assert [o.value for o in outcomes] == list(range(8))
-
-    def test_groups_run_serially_in_order(self):
-        trace = []
-        lock = threading.Lock()
-
-        def make(tag):
-            def work():
-                with lock:
-                    trace.append(tag)
-                time.sleep(0.01)
-                return tag
-            return work
-
-        obs = [self._obligation(f"g{i}", make(i), group="shared")
-               for i in range(6)]
-        _scheduler(jobs=4).run(obs)
-        assert trace == list(range(6))
 
     def test_retry_then_success(self):
         attempts = []

@@ -404,3 +404,86 @@ class TestWorkBudgetDeterminism:
         assert give_ups and all(u == WORK_BUDGET for u in give_ups)
         assert all(units <= WORK_BUDGET for _, method, units in calls
                    if method != "timeout")
+
+
+class TestOrderIndependence:
+    """Each VC is discharged alone, so its verdict is a function of the
+    VC: the residual VCs of the ledger's ``impl_proof`` subprograms plus
+    ``Mix_Columns`` (scripted VCs and auto-prover give-ups among them),
+    discharged forward, reversed and shuffled in one process with one
+    shared normalization cache, agree VC by VC.  This is what lets the
+    process backend run a subprogram's VCs in any order."""
+
+    LEFT_OUT = ("Inv_Mix_Columns", "Key_Schedule_128", "Key_Schedule_192",
+                "Key_Schedule_256")
+
+    def test_forward_reversed_and_shuffled_agree(self):
+        import random
+        from repro.aes import aes_proof_scripts, annotated_package
+        from repro.logic import NormalizationCache
+        from repro.prover.session import discharge_vc
+        from repro.vcgen import Examiner
+        typed = annotated_package()
+        scripts = aes_proof_scripts()
+        names = [sp.name for sp in typed.package.subprograms
+                 if sp.name not in self.LEFT_OUT]
+        shared = NormalizationCache()
+        report = Examiner(typed, shared=shared).examine(names)
+        vcs = [vc for analysis in report.per_subprogram.values()
+               for vc in analysis.vcs if not vc.discharged_by_simplifier]
+
+        def verdicts(order):
+            out = {}
+            for vc in order:
+                stage, result = discharge_vc(
+                    typed, vc.subprogram, vc.simplified.simplified,
+                    scripts.get(vc.subprogram, ()), shared=shared)
+                out[vc.subprogram, vc.name] = (
+                    stage, result.proved, result.method, result.detail)
+            return out
+
+        forward = verdicts(vcs)
+        assert verdicts(vcs[::-1]) == forward
+        assert verdicts(random.Random(25).sample(vcs, len(vcs))) == forward
+        assert len(forward) == len(vcs)
+        stages = {stage for stage, *_ in forward.values()}
+        assert stages == {"auto", "interactive"}
+        assert any(sp == "Mix_Columns" and stage == "interactive"
+                   for (sp, _), (stage, *_) in forward.items())
+
+
+class TestConjDetailHashSeed:
+    """A ``conj`` proof's detail names its parts' methods in first-seen
+    order, not in set order, so it reads the same under every hash seed
+    (disk-cache records and telemetry are written by many processes)."""
+
+    CODE = (
+        "import json\n"
+        "from repro.aes import aes_proof_scripts, annotated_package\n"
+        "from repro.exec import ExecConfig\n"
+        "from repro.prover import ImplementationProof\n"
+        "result = ImplementationProof(\n"
+        "    annotated_package(), scripts=aes_proof_scripts(),\n"
+        "    exec=ExecConfig(cache=False)).run(['Rcon_Word'])\n"
+        "print(json.dumps([[o.vc.name, o.result.method, o.result.detail]\n"
+        "                  for o in result.outcomes if o.result]))\n")
+
+    def _details(self, seed):
+        import json
+        import os
+        import subprocess
+        import sys
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        env.pop("REPRO_CACHE_DIR", None)
+        done = subprocess.run([sys.executable, "-c", self.CODE], env=env,
+                              capture_output=True, text=True, timeout=300,
+                              check=True)
+        return json.loads(done.stdout)
+
+    def test_rcon_word_details_do_not_depend_on_hash_seed(self):
+        first = self._details(1)
+        assert any(method == "conj" and "," in detail
+                   for _, method, detail in first)
+        assert self._details(2) == first
